@@ -149,7 +149,7 @@ class RunConfig:
     x0_path: str | None = None
     method: str = "jacobi"
     a: float | None = None
-    N: int = 512
+    N: int = solvers.DEFAULT_N
     L: float | None = None
     t: str | float | None = "auto"
     delta: float = 1e-3
@@ -158,7 +158,6 @@ class RunConfig:
     pstar: float = engine.DEFAULT_PSTAR
     alpha0_sq: float = 0.5
     output_path: str | None = None
-    seed: int | None = None
     override_convergence: bool = False
     show_overlaps: bool = False
     timing: bool = False
@@ -172,7 +171,6 @@ def _base_report(cfg: RunConfig, M: np.ndarray) -> dict:
     return {
         "command": cfg.command,
         "version": __version__,
-        "seed": cfg.seed,
         "matrix_mm": write_matrix_market(M),
         "wall_time_seconds": None,
     }
@@ -301,8 +299,11 @@ def run_diagnose(cfg: RunConfig) -> dict:
     A = read_matrix_market(cfg.matrix_path)
     s = solvers.build_splitting(A, np.zeros(A.shape[0]), method=cfg.method, a=cfg.a)
     aug = solvers.iteration_matrix(s)
-    rG = float(np.max(np.abs(np.linalg.eigvals(s.G)))) if s.G.size else 0.0
     rep = core.spectrum(aug.C - np.eye(aug.dim + 1), steady_eigenvalue_hint=0j)
+    # eig(C - I) is eig(G) - 1 plus the steady 0 from the affine row, so r(G)
+    # is the largest |λ + 1| over the other eigenvalues
+    steady, _ = core.steady_mode(rep.eigenvalues, 0j)
+    rG = float(np.max(np.abs(np.delete(rep.eigenvalues, steady) + 1.0)))
     if rep.gap > solvers.GAP_TIE_TOL:
         t_f = solvers.estimate_tf([cfg.alpha0_sq], rep.gap, cfg.delta)
     else:
@@ -329,7 +330,7 @@ def run_diagnose(cfg: RunConfig) -> dict:
     if t_f is not None:
         out["cost"] = _cost_section(
             solvers.quantum_cost_estimate(
-                aug.C, None, t_f, epsilon=1.0 / cfg.N,
+                aug.C, t_f, epsilon=1.0 / cfg.N,
                 overlap=float(np.sqrt(cfg.alpha0_sq)),
             )
         )
@@ -372,10 +373,9 @@ def execute(cfg: RunConfig) -> int:
 def _common_options(f):
     opts = [
         click.option("--matrix", "matrix_path", required=True, type=click.Path()),
-        click.option("--n", "N", default=512, show_default=True),
+        click.option("--n", "N", default=solvers.DEFAULT_N, show_default=True),
         click.option("--l", "L", default=None, type=float, help="p-domain half-width (auto if omitted)"),
         click.option("--output", "output_path", default=None),
-        click.option("--seed", default=None, type=int),
         click.option("--timing", is_flag=True, help="include wall time (breaks byte determinism)"),
     ]
     for opt in reversed(opts):

@@ -49,6 +49,15 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_dense_size(m: np.ndarray) -> np.ndarray:
+    """Reject a matrix too large for the dense eigensolvers."""
+    if m.shape[0] > MAX_DENSE_DIM:
+        raise InvalidInputError(
+            f"dimension {m.shape[0]} exceeds dense eigensolve limit {MAX_DENSE_DIM}"
+        )
+    return m
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Entrywise max norm of M - M†."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -143,36 +152,44 @@ def is_diagonally_dominant(A) -> bool:
     return bool(np.all(diag >= off - 1e-15))
 
 
-def spectrum(M, steady_eigenvalue_hint: complex | None = None) -> SpectrumReport:
-    """Dense eigensolve plus the diagnostics the stopping-time bounds need.
+def sparsity_and_max_norm(M: np.ndarray) -> tuple[int, float]:
+    """Most nonzeros in any row (s) and the largest entry modulus
+    (‖M‖_max), the two matrix facts the query-cost scaling uses."""
+    if not M.size:
+        return 0, 0.0
+    absM = np.abs(M)
+    return int(np.max((absM > SPARSITY_TOL).sum(axis=1))), float(np.max(absM))
 
-    The gap is measured from the steady eigenvalue (largest real part by
-    default, or the eigenvalue closest to the hint) to the nearest other
-    eigenvalue's real part.
-    """
-    M = require_square(as_matrix(M), "M")
-    if M.shape[0] > MAX_DENSE_DIM:
-        raise InvalidInputError(
-            f"dimension {M.shape[0]} exceeds dense eigensolve limit {MAX_DENSE_DIM}"
-        )
+
+def steady_mode(eigvals: np.ndarray, hint: complex | None = None) -> tuple[int, float]:
+    """Index of the steady eigenvalue (largest real part by default, or the
+    eigenvalue closest to the hint) and the real-part gap from it to the
+    nearest other eigenvalue (0 when there is no other)."""
+    if hint is None:
+        idx = int(np.argmax(eigvals.real))
+    else:
+        idx = int(np.argmin(np.abs(eigvals - hint)))
+    others = np.delete(eigvals, idx)
+    gap = float(np.min(np.abs(others.real - eigvals[idx].real))) if others.size else 0.0
+    return idx, gap
+
+
+def spectrum(M, steady_eigenvalue_hint: complex | None = None) -> SpectrumReport:
+    """Dense eigensolve plus the diagnostics the stopping-time bounds need;
+    the steady eigenvalue and gap follow ``steady_mode``."""
+    M = require_dense_size(require_square(as_matrix(M), "M"))
     try:
         eigvals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
-    if steady_eigenvalue_hint is None:
-        steady_idx = int(np.argmax(eigvals.real))
-    else:
-        steady_idx = int(np.argmin(np.abs(eigvals - steady_eigenvalue_hint)))
-    steady = eigvals[steady_idx]
-    others = np.delete(eigvals, steady_idx)
-    gap = float(np.min(np.abs(others.real - steady.real))) if others.size else 0.0
-    absM = np.abs(M)
+    steady_idx, gap = steady_mode(eigvals, steady_eigenvalue_hint)
+    sparsity, max_norm = sparsity_and_max_norm(M)
     return SpectrumReport(
         eigenvalues=eigvals,
         spectral_radius=float(np.max(np.abs(eigvals))),
         gap=gap,
         diag_dominant=is_diagonally_dominant(M),
-        sparsity=int(np.max((absM > SPARSITY_TOL).sum(axis=1))) if M.size else 0,
-        max_norm=float(np.max(absM)) if M.size else 0.0,
-        steady_eigenvalue=complex(steady),
+        sparsity=sparsity,
+        max_norm=max_norm,
+        steady_eigenvalue=complex(eigvals[steady_idx]),
     )

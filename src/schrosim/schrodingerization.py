@@ -15,9 +15,7 @@ reproduces the exact propagator e^{(C-I)t}.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -184,51 +182,23 @@ def assemble_Htot(C, grid: Grid) -> np.ndarray:
     return H
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SCHRO_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return 1
-    return n
-
-
-def _evolve_chunk(blocks: np.ndarray, cols: np.ndarray, t: float) -> np.ndarray:
-    try:
-        lam, V = np.linalg.eigh(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"per-mode eigendecomposition failed: {exc}") from exc
-    a = np.einsum("nji,nj->ni", V.conj(), cols)
-    a *= np.exp(-1j * t * lam)
-    return np.einsum("nij,nj->ni", V, a)
-
-
 def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
     """Propagate each mode column by exp(-i·t·H_k) via Hermitian
-    eigendecomposition of its block. Exactly norm-preserving; modes are
-    independent, so the work is sharded across SCHRO_THREADS workers."""
+    eigendecomposition of its block. Exactly norm-preserving."""
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
     if s.values.shape[1] != gen.blocks.shape[0]:
         raise DimensionError("state and generator mode counts differ")
     if s.values.shape[0] != gen.blocks.shape[1]:
         raise DimensionError("state and generator block dimensions differ")
+    try:
+        lam, V = np.linalg.eigh(gen.blocks)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"per-mode eigendecomposition failed: {exc}") from exc
     cols = np.ascontiguousarray(s.values.T)  # (N, d+1)
-    workers = _worker_count()
-    if workers == 1 or gen.grid.N < 2 * workers:
-        out_cols = _evolve_chunk(gen.blocks, cols, t)
-    else:
-        splits = np.array_split(np.arange(gen.grid.N), workers)
-        out_cols = np.empty_like(cols)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_evolve_chunk, gen.blocks[idx], cols[idx], t)
-                for idx in splits
-            ]
-            for idx, fut in zip(splits, futures):
-                out_cols[idx] = fut.result()
+    a = np.einsum("nji,nj->ni", V.conj(), cols)
+    a *= np.exp(-1j * t * lam)
+    out_cols = np.einsum("nij,nj->ni", V, a)
     return SpectralState(values=out_cols.T, grid=s.grid, time=s.time + t)
 
 

@@ -40,8 +40,6 @@ class Splitting:
     """
 
     method: str
-    Lambda: np.ndarray
-    M: np.ndarray
     G: np.ndarray
     g: np.ndarray
     A: np.ndarray
@@ -108,16 +106,12 @@ def build_splitting(A, b, method: str = "jacobi", a: float | None = None) -> Spl
             raise JacobiInapplicableError(
                 "A has a zero diagonal entry; the diagonal split is not invertible"
             )
-        Lam = np.diag(diag)
-        M = A - Lam
-        G = -M / diag[:, None]
-        g = b / diag
-        return Splitting("jacobi", Lam, M, G, g, A, b)
+        G = -(A - np.diag(diag)) / diag[:, None]
+        return Splitting("jacobi", G, b / diag, A, b)
     if method == "richardson":
         if a is None or a == 0:
             raise InvalidInputError("richardson requires a nonzero relaxation a")
-        B = I / a
-        return Splitting("richardson", B, A - B, I - a * A, a * b, A, b, a=a)
+        return Splitting("richardson", I - a * A, a * b, A, b, a=a)
     if method == "damped_jacobi":
         if a is None or a in (0, 1):
             raise InvalidInputError("damped_jacobi requires a not in {0, 1}")
@@ -125,10 +119,8 @@ def build_splitting(A, b, method: str = "jacobi", a: float | None = None) -> Spl
             raise JacobiInapplicableError(
                 "A has a zero diagonal entry; the diagonal split is not invertible"
             )
-        B = np.diag(diag / a)
         G = I - a * (A / diag[:, None])
-        g = a * b / diag
-        return Splitting("damped_jacobi", B, A - B, G, g, A, b, a=a)
+        return Splitting("damped_jacobi", G, a * b / diag, A, b, a=a)
     raise InvalidInputError(f"unknown splitting method {method!r}")
 
 
@@ -145,18 +137,17 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     the steady mode first (largest real part, or nearest the hint),
     normalised squared overlaps, unit right eigenvectors as columns, and
     the real-part gap from the steady eigenvalue to the nearest other one.
+    Both solvers call this before any evolution, so an oversize system is
+    rejected here.
     """
-    M = core.require_square(core.as_matrix(M), "M")
+    M = core.require_dense_size(core.require_square(core.as_matrix(M), "M"))
     x0 = core.as_vector(x0)
     try:
         eigvals, V = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     V = V / np.linalg.norm(V, axis=0)
-    if steady_hint is None:
-        lead = int(np.argmax(eigvals.real))
-    else:
-        lead = int(np.argmin(np.abs(eigvals - steady_hint)))
+    lead, gap = core.steady_mode(eigvals, steady_hint)
     order = [lead] + sorted(
         (j for j in range(eigvals.size) if j != lead),
         key=lambda j: -eigvals[j].real,
@@ -172,10 +163,6 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     if total == 0.0:
         raise InvalidInputError("x0 is zero")
     overlaps = weights / total
-    if eigvals.size > 1:
-        gap = float(np.min(np.abs(eigvals[1:].real - eigvals[0].real)))
-    else:
-        gap = 0.0
     return eigvals, overlaps, V, gap
 
 
@@ -237,7 +224,6 @@ def estimate_tmax(
 
 def quantum_cost_estimate(
     C,
-    grid: engine.Grid | None,
     t: float,
     epsilon: float,
     overlap: float,
@@ -246,17 +232,19 @@ def quantum_cost_estimate(
     """Query-count scaling s·‖C‖_max·t/ε with the 1/overlap retrieval
     factor; include_measurement adds the 1/ε sampling overhead of
     eigenvalue readout."""
-    rep = core.spectrum(core.as_matrix(C))
+    sparsity, max_norm = core.sparsity_and_max_norm(
+        core.require_square(core.as_matrix(C), "C")
+    )
     if overlap <= 0.0:
         raise InvalidInputError("overlap must be positive")
     if epsilon <= 0.0 or t < 0.0:
         raise InvalidInputError("epsilon must be positive and t nonnegative")
-    scale = rep.sparsity * rep.max_norm * t / epsilon
+    scale = sparsity * max_norm * t / epsilon
     if include_measurement:
         scale /= epsilon
     return CostReport(
-        sparsity=rep.sparsity,
-        max_norm=rep.max_norm,
+        sparsity=sparsity,
+        max_norm=max_norm,
         t=t,
         epsilon=epsilon,
         overlap=float(overlap),
@@ -273,7 +261,9 @@ def _resolve_grid(grid, C1h, t, N, L):
     return engine.make_grid(N, L)
 
 
-def _affine_scale(G, g, target: float = 0.05, max_doublings: int = 10) -> float:
+def _affine_scale(
+    G, g, target: float = 0.05, max_doublings: int = 10
+) -> tuple[float, core.DriftSplit]:
     """Pick sigma so the drift of the augmented system [[G, g/sigma],[0,1]]
     has a nearly negative semidefinite Hermitian part.
 
@@ -281,17 +271,18 @@ def _affine_scale(G, g, target: float = 0.05, max_doublings: int = 10) -> float:
     gap are unchanged, but a large affine column otherwise contributes a
     sizeable positive Hermitian eigenvalue (the readout kink speed). The
     smallest power-of-two sigma meeting the target is used; recovery
-    amplifies state error by sigma, so it is kept minimal.
+    amplifies state error by sigma, so it is kept minimal. Returns sigma
+    with the drift split of its augmented C.
     """
-    best, best_top = 1.0, None
+    best, best_top = None, None
     sigma = 1.0
     for _ in range(max_doublings + 1):
-        C = core.augment(G, np.asarray(g) / sigma).C
-        top = float(np.linalg.eigvalsh(core.split(C).C1h).max())
+        ds = core.split(core.augment(G, np.asarray(g) / sigma).C)
+        top = float(np.linalg.eigvalsh(ds.C1h).max())
         if top <= target:
-            return sigma
+            return sigma, ds
         if best_top is None or top < best_top:
-            best, best_top = sigma, top
+            best, best_top = (sigma, ds), top
         sigma *= 2.0
     return best
 
@@ -330,8 +321,7 @@ def quantum_jacobi_solve(
             "A is not diagonally dominant; pass override_convergence to rely"
             " on the spectral-radius check instead"
         )
-    aug = iteration_matrix(s)
-    d = aug.dim
+    d = s.G.shape[0]
     y0 = np.zeros(d) if y0 is None else core.as_vector(y0)
     if y0.shape[0] != d:
         raise InvalidInputError(f"y0 has length {y0.shape[0]}, expected {d}")
@@ -340,7 +330,7 @@ def quantum_jacobi_solve(
     # leaves the spectrum and gap untouched but shrinks the positive part of
     # the drift's Hermitian spectrum, which otherwise pushes the readout
     # window into the discretisation noise floor at long stopping times.
-    sigma = _affine_scale(s.G, s.g)
+    sigma, ds = _affine_scale(s.G, s.g)
     aug = core.augment(s.G, s.g / sigma)
     x0 = np.concatenate([y0 / sigma, [1.0]])
 
@@ -353,7 +343,6 @@ def quantum_jacobi_solve(
         overlaps=overlaps, gap=gap, delta=delta, L_term=float(overlaps[2:].sum()),
         t_out=t_bound,
     )
-    ds = core.split(aug.C)
     grid = _resolve_grid(grid, ds.C1h, t_f, N, L)
 
     rec = engine.propagate(aug.C, x0, t_f, grid, mode=recovery, pstar=pstar)
@@ -369,7 +358,7 @@ def quantum_jacobi_solve(
         np.linalg.norm(s.A @ y - s.b) / max(np.linalg.norm(s.b), 1e-300)
     )
     cost = quantum_cost_estimate(
-        aug.C, grid, t_f, epsilon=1.0 / grid.N, overlap=float(np.sqrt(overlaps[0]))
+        aug.C, t_f, epsilon=1.0 / grid.N, overlap=float(np.sqrt(overlaps[0]))
     )
     return LinearSolveReport(
         state=state,
@@ -443,7 +432,7 @@ def quantum_power_method(
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)
     bound = float(np.sqrt(trace) * np.sqrt(max(0.0, 2.0 - fidelity)))
     cost = quantum_cost_estimate(
-        C, grid, t_max, epsilon=epsilon, overlap=float(np.sqrt(gamma1_sq)),
+        C, t_max, epsilon=epsilon, overlap=float(np.sqrt(gamma1_sq)),
         include_measurement=True,
     )
     return PowerReport(

@@ -7,6 +7,8 @@ from schrosim import cli
 from schrosim.cli import RunConfig
 from schrosim.errors import ParseError
 
+from conftest import random_dominant
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -235,6 +237,21 @@ class TestRunDiagnose:
         )
         assert out["gap"] == pytest.approx(0.5917517095361369, abs=1e-10)
         assert out["t_f_predicted"] == pytest.approx(5.8367, abs=1e-3)
+
+    @pytest.mark.parametrize("d", [3, 17, 64])
+    def test_random_dominant_matches_numpy(self, tmp_path, d):
+        A = random_dominant(np.random.default_rng(d), d)[0]
+        cfg = RunConfig(command="diagnose", matrix_path=mm_real(tmp_path, "A.mtx", A))
+        out = cli.run_diagnose(cfg)
+        G = -(A - np.diag(np.diag(A))) / np.diag(A)[:, None]
+        assert out["iteration_spectral_radius"] == pytest.approx(
+            np.max(np.abs(np.linalg.eigvals(G))), abs=1e-12
+        )
+        C = np.zeros((d + 1, d + 1))
+        C[:d, :d] = G
+        C[d, d] = 1.0
+        assert out["cost"]["sparsity"] == int(np.max(np.count_nonzero(C, axis=1)))
+        assert out["cost"]["max_norm"] == np.max(np.abs(C))
 
 
 class TestDeterminism:

@@ -127,9 +127,10 @@ class TestSpectrum:
             )
 
     def test_sparsity_and_max_norm(self):
-        rep = core.spectrum([[2.0, 0.0], [1.0, 3.0]])
-        assert rep.sparsity == 2
-        assert rep.max_norm == 3.0
+        M = np.array([[2.0, 0.0], [1.0, 3.0]])
+        assert core.sparsity_and_max_norm(M) == (2, 3.0)
+        rep = core.spectrum(M)
+        assert (rep.sparsity, rep.max_norm) == (2, 3.0)
         assert rep.diag_dominant
 
 

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -200,23 +198,6 @@ class TestEvolve:
         s = eng.SpectralState(values=np.ones((1, 8), dtype=complex), grid=grid)
         out = eng.evolve(s, gen, 7.3)
         assert np.allclose(np.abs(out.values), 1.0, atol=1e-12)
-
-    def test_thread_sharding_matches_serial(self, rng):
-        grid = eng.make_grid(64, 4.0)
-        C = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        gen = eng.generator_blocks(core.split(C), grid)
-        s = self._random_state(rng, 4, grid)
-        serial = eng.evolve(s, gen, 2.0)
-        old = os.environ.get("SCHRO_THREADS")
-        os.environ["SCHRO_THREADS"] = "4"
-        try:
-            sharded = eng.evolve(s, gen, 2.0)
-        finally:
-            if old is None:
-                del os.environ["SCHRO_THREADS"]
-            else:
-                os.environ["SCHRO_THREADS"] = old
-        assert np.array_equal(serial.values, sharded.values)
 
 
 class TestRecover:

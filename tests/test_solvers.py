@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schrosim import baselines, core, solvers
+from schrosim import baselines, core, schrodingerization, solvers
 from schrosim.errors import (
     ConvergenceUnsafeError,
     InvalidInputError,
@@ -19,8 +19,6 @@ B22 = np.array([1.0, 2.0])
 class TestBuildSplitting:
     def test_jacobi_worked(self):
         s = solvers.build_splitting(A22, B22, "jacobi")
-        assert np.allclose(s.Lambda, np.diag([2.0, 3.0]))
-        assert np.allclose(s.M, [[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(s.G, [[0.0, -0.5], [-1.0 / 3.0, 0.0]])
         assert np.allclose(s.g, [0.5, 2.0 / 3.0])
 
@@ -158,6 +156,36 @@ class TestQuantumJacobiSolve:
             )
 
 
+class TestDenseSizeCap:
+    """Oversize systems fail before any evolution runs."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def no_propagate(self, monkeypatch):
+        def sentinel(*args, **kwargs):
+            raise self.Reached
+
+        monkeypatch.setattr(schrodingerization, "propagate", sentinel)
+
+    def test_jacobi_over_cap_rejected_before_evolution(self, no_propagate):
+        d = core.MAX_DENSE_DIM  # augmented dimension d + 1 is over the cap
+        A = 4.0 * np.eye(d) + np.diag(np.ones(d - 1), 1)
+        with pytest.raises(InvalidInputError, match="dense eigensolve limit"):
+            solvers.quantum_jacobi_solve(A, np.ones(d), N=16)
+
+    def test_power_over_cap_rejected_before_evolution(self, no_propagate):
+        C = np.diag(np.linspace(0.9, 0.1, core.MAX_DENSE_DIM + 1))
+        with pytest.raises(InvalidInputError, match="dense eigensolve limit"):
+            solvers.quantum_power_method(C, N=16)
+
+    def test_power_at_cap_reaches_evolution(self, no_propagate):
+        C = np.diag(np.linspace(0.9, 0.1, core.MAX_DENSE_DIM))
+        with pytest.raises(self.Reached):
+            solvers.quantum_power_method(C, N=16)
+
+
 class TestEigenvalueFromState:
     def test_top_eigenvector(self):
         lam = solvers.eigenvalue_from_state([1.0, 0.0], np.diag([0.9, 0.5]))
@@ -223,25 +251,25 @@ class TestQuantumCostEstimate:
     def test_product_of_inputs(self):
         # a row with 3 nonzeros and max entry 1 gives s=3, max_norm=1
         C = np.array([[0.1, 0.2, 0.5], [0.0, 0.1, 0.2], [0.0, 0.0, 1.0]])
-        cost = solvers.quantum_cost_estimate(C, None, 5.84, 0.01, 0.707)
+        cost = solvers.quantum_cost_estimate(C, 5.84, 0.01, 0.707)
         assert cost.sparsity == 3
         assert cost.max_norm == 1.0
         assert cost.predicted_query_scale == pytest.approx(1752.0)
         assert cost.retrieval_factor == pytest.approx(1.414, abs=1e-3)
 
     def test_full_overlap(self):
-        cost = solvers.quantum_cost_estimate(np.eye(2), None, 1.0, 0.1, 1.0)
+        cost = solvers.quantum_cost_estimate(np.eye(2), 1.0, 0.1, 1.0)
         assert cost.retrieval_factor == 1.0
 
     def test_epsilon_halving_doubles_scale(self):
-        c1 = solvers.quantum_cost_estimate(np.eye(2), None, 1.0, 0.1, 0.5)
-        c2 = solvers.quantum_cost_estimate(np.eye(2), None, 1.0, 0.05, 0.5)
+        c1 = solvers.quantum_cost_estimate(np.eye(2), 1.0, 0.1, 0.5)
+        c2 = solvers.quantum_cost_estimate(np.eye(2), 1.0, 0.05, 0.5)
         assert c2.predicted_query_scale == pytest.approx(2 * c1.predicted_query_scale)
 
     def test_measurement_variant(self):
-        c = solvers.quantum_cost_estimate(np.eye(2), None, 1.0, 0.1, 0.5)
+        c = solvers.quantum_cost_estimate(np.eye(2), 1.0, 0.1, 0.5)
         cm = solvers.quantum_cost_estimate(
-            np.eye(2), None, 1.0, 0.1, 0.5, include_measurement=True
+            np.eye(2), 1.0, 0.1, 0.5, include_measurement=True
         )
         assert cm.predicted_query_scale == pytest.approx(
             c.predicted_query_scale / 0.1
@@ -249,4 +277,4 @@ class TestQuantumCostEstimate:
 
     def test_zero_overlap_rejected(self):
         with pytest.raises(InvalidInputError):
-            solvers.quantum_cost_estimate(np.eye(2), None, 1.0, 0.1, 0.0)
+            solvers.quantum_cost_estimate(np.eye(2), 1.0, 0.1, 0.0)
