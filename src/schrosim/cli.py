@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import click
@@ -23,8 +24,11 @@ def read_matrix_market(path: str) -> np.ndarray:
     """Parse a coordinate-format Matrix Market file into a dense matrix.
 
     Accepts real|complex fields and general|symmetric symmetry; symmetric
-    files are mirrored. Malformed input raises ParseError with the
-    offending 1-based line number.
+    files must be square and are mirrored. A coordinate given twice (in a
+    symmetric file, also (i, j) together with (j, i)) is rejected rather
+    than summed or overwritten. A declared size above ``core.MAX_DENSE_DIM``
+    is rejected at the size line, before anything is allocated. Malformed
+    input raises ParseError with the offending 1-based line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -42,6 +46,7 @@ def read_matrix_market(path: str) -> np.ndarray:
             line=1,
         )
     fld, sym = header[3].lower(), header[4].lower()
+    symmetric = sym == "symmetric"
     if fld not in _HEADER_FIELDS:
         raise ParseError(f"unsupported field {fld!r}", line=1)
     if sym not in _HEADER_SYMMETRY:
@@ -50,6 +55,7 @@ def read_matrix_market(path: str) -> np.ndarray:
     lineno = 1
     size = None
     M = None
+    first_line = None  # per stored coordinate, the line that set it (0: none)
     seen_nnz = 0
     expected_nnz = 0
     for raw in lines[1:]:
@@ -67,8 +73,18 @@ def read_matrix_market(path: str) -> np.ndarray:
                 raise ParseError("size line must contain integers", line=lineno)
             if rows < 1 or cols < 1 or expected_nnz < 0:
                 raise ParseError("invalid matrix dimensions", line=lineno)
+            if max(rows, cols) > core.MAX_DENSE_DIM:
+                raise ParseError(
+                    f"declared size {rows}x{cols} exceeds the dense limit"
+                    f" {core.MAX_DENSE_DIM}",
+                    line=lineno,
+                )
+            if symmetric and rows != cols:
+                raise ParseError("a symmetric matrix must be square", line=lineno)
             size = (rows, cols)
             M = np.zeros(size, dtype=complex)
+            flat = M.reshape(-1)  # a view: entry (i, j) is flat[(i-1)·cols + j-1]
+            first_line = array("i", [0]) * M.size
             continue
         want = 4 if fld == "complex" else 3
         if len(parts) != want:
@@ -80,14 +96,23 @@ def read_matrix_market(path: str) -> np.ndarray:
             if fld == "complex":
                 val = complex(float(parts[2]), float(parts[3]))
             else:
-                val = complex(float(parts[2]))
+                val = float(parts[2])
         except ValueError:
             raise ParseError("malformed entry", line=lineno)
         if not (1 <= i <= size[0] and 1 <= j <= size[1]):
             raise ParseError(f"index ({i}, {j}) out of range", line=lineno)
-        M[i - 1, j - 1] = val
-        if sym == "symmetric" and i != j:
-            M[j - 1, i - 1] = val
+        at, mirror_at = (i - 1) * cols + j - 1, (j - 1) * cols + i - 1
+        # (i, j) and (j, i) are one stored coordinate in a symmetric file
+        key = mirror_at if symmetric and i < j else at
+        if first_line[key]:
+            raise ParseError(
+                f"duplicate entry ({i}, {j}); already set by line {first_line[key]}",
+                line=lineno,
+            )
+        first_line[key] = lineno
+        flat[at] = val
+        if symmetric:
+            flat[mirror_at] = val
         seen_nnz += 1
     if size is None:
         raise ParseError("missing size line", line=lineno)

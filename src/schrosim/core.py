@@ -49,13 +49,12 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_dense_size(m: np.ndarray) -> np.ndarray:
-    """Reject a matrix too large for the dense eigensolvers."""
-    if m.shape[0] > MAX_DENSE_DIM:
+def require_dense_size(n: int) -> None:
+    """Reject a dimension too large for the dense eigensolvers."""
+    if n > MAX_DENSE_DIM:
         raise InvalidInputError(
-            f"dimension {m.shape[0]} exceeds dense eigensolve limit {MAX_DENSE_DIM}"
+            f"dimension {n} exceeds dense eigensolve limit {MAX_DENSE_DIM}"
         )
-    return m
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -177,7 +176,8 @@ def steady_mode(eigvals: np.ndarray, hint: complex | None = None) -> tuple[int, 
 def spectrum(M, steady_eigenvalue_hint: complex | None = None) -> SpectrumReport:
     """Dense eigensolve plus the diagnostics the stopping-time bounds need;
     the steady eigenvalue and gap follow ``steady_mode``."""
-    M = require_dense_size(require_square(as_matrix(M), "M"))
+    M = require_square(as_matrix(M), "M")
+    require_dense_size(M.shape[0])
     try:
         eigvals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

@@ -77,10 +77,18 @@ class SpectralState:
 
 @dataclass(frozen=True)
 class GeneratorBlocks:
-    """Per-mode Hermitian generators H_k = -(η_k·C1h + C2h), shape (N, d+1, d+1)."""
+    """Per-mode Hermitian generators H_k = -(η_k·C1h + C2h), shape (N, d+1, d+1).
+
+    ``split`` is the DriftSplit the blocks were built from, and ``evolve``
+    picks its path from it by exact tests: C2h == 0 (Hermitian C)
+    decomposes -C1h once; C1h.imag == 0 and C2h.real == 0 (real C)
+    decomposes only the modes k = 0..N/2, a slice of ``blocks``; any other
+    split, or none, decomposes every block.
+    """
 
     blocks: np.ndarray
     grid: Grid
+    split: core.DriftSplit | None = None
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,7 @@ def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
                 f"{name} is not Hermitian (defect {defect:.2e})"
             )
     blocks = -(grid.eta[:, None, None] * ds.C1h[None] + ds.C2h[None])
-    return GeneratorBlocks(blocks=blocks, grid=grid)
+    return GeneratorBlocks(blocks=blocks, grid=grid, split=ds)
 
 
 def assemble_Htot(C, grid: Grid) -> np.ndarray:
@@ -182,24 +190,64 @@ def assemble_Htot(C, grid: Grid) -> np.ndarray:
     return H
 
 
+def _apply_modes(V: np.ndarray, lam: np.ndarray, cols: np.ndarray, t: float) -> np.ndarray:
+    """Row n of the result is V_n·diag(e^{-itλ_n})·V_n†·cols_n; V is never
+    conjugated as a whole, only the (n, d+1) vectors are."""
+    a = np.einsum("nji,nj->ni", V, cols.conj()).conj() * np.exp(-1j * t * lam)
+    return np.einsum("nij,nj->ni", V, a)
+
+
 def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
-    """Propagate each mode column by exp(-i·t·H_k) via Hermitian
-    eigendecomposition of its block. Exactly norm-preserving."""
+    """Propagate each mode column by exp(-i·t·H_k). Exactly norm-preserving.
+
+    The path is chosen from exact properties of ``gen.split``, with no
+    tolerance:
+
+    - Hermitian C (C2h exactly zero): H_k = η_k·(-C1h), so one
+      eigendecomposition -C1h = W·diag(μ)·W† serves every mode and the
+      evolution is two GEMMs, W·(e^{-itη_kμ_j} ∘ (W†·V)).
+    - Real C (C1h with zero imaginary part, C2h with zero real part) on a
+      grid whose mode ladder is symmetric (η_{-k} = -η_k bit for bit, as
+      ``make_grid`` builds it): H_{-k} = -conj(H_k), so only the modes
+      k = 0..N/2 are decomposed and each k < 0 column is
+      conj(exp(-itH_{|k|})·conj(v_k)). This holds for complex states too.
+    - Otherwise, or without a split: every block is decomposed (the
+      reference path).
+
+    The Hermitian test runs first, so real symmetric C takes the one-matrix
+    path.
+    """
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
     if s.values.shape[1] != gen.blocks.shape[0]:
         raise DimensionError("state and generator mode counts differ")
     if s.values.shape[0] != gen.blocks.shape[1]:
         raise DimensionError("state and generator block dimensions differ")
+    ds, eta = gen.split, gen.grid.eta
+    N = eta.size
+    h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
     try:
-        lam, V = np.linalg.eigh(gen.blocks)
+        if ds is not None and not ds.C2h.any():
+            mu, W = np.linalg.eigh(-ds.C1h)
+            out = W @ ((W.conj().T @ s.values) * np.exp(-1j * t * np.outer(mu, eta)))
+        elif (
+            ds is not None
+            and not ds.C1h.imag.any()
+            and not ds.C2h.real.any()
+            and np.array_equal(-eta[:h], eta[N - 2 : h : -1])
+        ):
+            lam, V = np.linalg.eigh(gen.blocks[h:])  # k = 0..N/2
+            cols = s.values.T
+            pos = _apply_modes(V, lam, cols[h:], t)
+            # slot j < h holds k = j - h; its partner |k| is row h - j of V
+            neg = _apply_modes(V[h:0:-1], lam[h:0:-1], cols[:h].conj(), t).conj()
+            out = np.concatenate([neg, pos]).T
+        else:
+            lam, V = np.linalg.eigh(gen.blocks)
+            out = _apply_modes(V, lam, s.values.T, t).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"per-mode eigendecomposition failed: {exc}") from exc
-    cols = np.ascontiguousarray(s.values.T)  # (N, d+1)
-    a = np.einsum("nji,nj->ni", V.conj(), cols)
-    a *= np.exp(-1j * t * lam)
-    out_cols = np.einsum("nij,nj->ni", V, a)
-    return SpectralState(values=out_cols.T, grid=s.grid, time=s.time + t)
+    return SpectralState(values=out, grid=s.grid, time=s.time + t)
 
 
 def recover(

@@ -137,10 +137,12 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     the steady mode first (largest real part, or nearest the hint),
     normalised squared overlaps, unit right eigenvectors as columns, and
     the real-part gap from the steady eigenvalue to the nearest other one.
-    Both solvers call this before any evolution, so an oversize system is
-    rejected here.
+    Both solvers call this before any evolution, so an oversize power
+    method is rejected here; the Jacobi solve rejects one earlier, before
+    its σ search.
     """
-    M = core.require_dense_size(core.require_square(core.as_matrix(M), "M"))
+    M = core.require_square(core.as_matrix(M), "M")
+    core.require_dense_size(M.shape[0])
     x0 = core.as_vector(x0)
     try:
         eigvals, V = np.linalg.eig(M)
@@ -310,6 +312,9 @@ def quantum_jacobi_solve(
     spectral radius of the iteration matrix is checked directly instead.
     """
     s = build_splitting(A, b, method=method, a=a)
+    d = s.G.shape[0]
+    # the augmented system is (d+1)×(d+1); reject it before any eigensolve
+    core.require_dense_size(d + 1)
     if override_convergence:
         rG = float(np.max(np.abs(np.linalg.eigvals(s.G)))) if s.G.size else 0.0
         if rG >= 1.0:
@@ -321,7 +326,6 @@ def quantum_jacobi_solve(
             "A is not diagonally dominant; pass override_convergence to rely"
             " on the spectral-radius check instead"
         )
-    d = s.G.shape[0]
     y0 = np.zeros(d) if y0 is None else core.as_vector(y0)
     if y0.shape[0] != d:
         raise InvalidInputError(f"y0 has length {y0.shape[0]}, expected {d}")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from schrosim import cli
+from schrosim import cli, core
 from schrosim.cli import RunConfig
 from schrosim.errors import ParseError
 
@@ -109,6 +109,62 @@ class TestReadMatrixMarket:
         with pytest.raises(ParseError) as exc:
             cli.read_matrix_market(path)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "symmetry, entries, again",
+        [
+            ("general", "1 1 2.0\n2 2 3.0\n1 1 5.0\n", 5),
+            ("symmetric", "2 1 1.0\n1 1 2.0\n1 2 7.0\n", 5),
+            ("symmetric", "1 1 2.0\n1 1 2.0\n2 2 3.0\n", 4),
+        ],
+        ids=["general-repeat", "symmetric-mirror", "symmetric-repeat"],
+    )
+    def test_duplicate_coordinate_rejected(self, tmp_path, symmetry, entries, again):
+        # the first entry, on line 3, is the one repeated on line `again`
+        path = write(
+            tmp_path,
+            "dup.mtx",
+            f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 3\n" + entries,
+        )
+        with pytest.raises(ParseError, match="already set by line 3") as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == again
+
+    def test_general_transposed_pair_is_not_a_duplicate(self, tmp_path):
+        path = write(
+            tmp_path,
+            "pair.mtx",
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 2\n1 2 1.0\n2 1 4.0\n",
+        )
+        assert np.allclose(cli.read_matrix_market(path), [[0.0, 1.0], [4.0, 0.0]])
+
+    def test_non_square_symmetric_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "ns.mtx",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n",
+        )
+        with pytest.raises(ParseError, match="must be square") as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == 2
+
+    def test_declared_size_over_cap_rejected_before_allocation(self, tmp_path, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        big = core.MAX_DENSE_DIM + 1
+        for rows, cols in ((100000, 100000), (big, 1), (1, big)):
+            path = write(
+                tmp_path,
+                "big.mtx",
+                "%%MatrixMarket matrix coordinate real general\n"
+                f"{rows} {cols} 1\n1 1 1.0\n",
+            )
+            with pytest.raises(ParseError, match="exceeds the dense limit") as exc:
+                cli.read_matrix_market(path)
+            assert exc.value.line == 2
 
 
 class TestWriteMatrixMarket:

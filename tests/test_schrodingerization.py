@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from schrosim import baselines, core, schrodingerization as eng
 from schrosim.errors import DimensionError, InvalidInputError
@@ -198,6 +199,138 @@ class TestEvolve:
         s = eng.SpectralState(values=np.ones((1, 8), dtype=complex), grid=grid)
         out = eng.evolve(s, gen, 7.3)
         assert np.allclose(np.abs(out.values), 1.0, atol=1e-12)
+
+
+def _real_nonnormal(rng, d):
+    """Real C = I - P + K: P symmetric positive semidefinite, K antisymmetric."""
+    B = rng.normal(size=(d, d))
+    K = rng.normal(size=(d, d))
+    return np.eye(d) - 0.3 * (B @ B.T) / d + 0.5 * (K - K.T)
+
+
+def _complex_hermitian(rng, d):
+    # a GEMM product B·B† is Hermitian only to rounding; (P + P†)/2 is exact
+    B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    P = B @ B.conj().T
+    return np.eye(d) - 0.15 * (P + P.conj().T) / d
+
+
+def _real_symmetric(rng, d):
+    B = rng.normal(size=(d, d))
+    P = B @ B.T
+    return np.eye(d) - 0.15 * (P + P.T) / d
+
+
+# structure name -> (C builder, Hermitian matrices decomposed for an N-mode grid)
+_STRUCTURES = {
+    "real-nonnormal": (_real_nonnormal, lambda N: N // 2 + 1),
+    "complex-hermitian": (_complex_hermitian, lambda N: 1),
+    "real-symmetric": (_real_symmetric, lambda N: 1),
+    "general": (random_contractive, lambda N: N),
+}
+
+
+def _per_mode_reference(values, blocks, t):
+    """exp(-itH_k)·v_k one mode at a time, each block decomposed on its own."""
+    out = np.empty_like(values)
+    for j, H in enumerate(blocks):
+        lam, V = np.linalg.eigh(H)
+        out[:, j] = V @ (np.exp(-1j * t * lam) * (V.conj().T @ values[:, j]))
+    return out
+
+
+class TestEvolvePaths:
+    """Each structure-aware path of evolve against the per-mode eigh
+    reference, with the path pinned by the number of matrices eigh sees."""
+
+    @pytest.fixture
+    def eigh_matrices(self, monkeypatch):
+        counted = []
+        real_eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            counted.append(int(np.prod(a.shape[:-2])))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return counted
+
+    def _evolve_against_reference(self, rng, eigh_matrices, structure, d, N, L, t):
+        build, expected = _STRUCTURES[structure]
+        C = build(rng, d)
+        grid = eng.make_grid(N, L)
+        gen = eng.generator_blocks(core.split(C), grid)
+        vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
+        ref = _per_mode_reference(vals, gen.blocks, t)
+        eigh_matrices.clear()
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
+        assert eigh_matrices == [expected(N)]
+        scale = np.linalg.norm(vals)
+        assert np.max(np.abs(out.values - ref)) <= 1e-12 * scale
+        assert abs(np.linalg.norm(out.values) - scale) <= 1e-10 * scale
+        return gen
+
+    @pytest.mark.parametrize("structure", list(_STRUCTURES))
+    def test_matches_per_mode_reference(self, rng, eigh_matrices, structure):
+        for d in (2, 5, 8):
+            self._evolve_against_reference(
+                rng, eigh_matrices, structure, d, N=64, L=5.0, t=2.0
+            )
+
+    @pytest.mark.parametrize("structure", list(_STRUCTURES))
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    def test_smallest_grid(self, rng, eigh_matrices, structure, t):
+        self._evolve_against_reference(
+            rng, eigh_matrices, structure, d=2, N=4, L=np.pi, t=t
+        )
+
+    @pytest.mark.parametrize(
+        "c, matrices",
+        [(0.5, 1), (0.5 + 0.25j, 4)],  # a real scalar is symmetric
+        ids=["real", "complex"],
+    )
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    def test_scalar_system(self, rng, eigh_matrices, c, matrices, t):
+        grid = eng.make_grid(4, np.pi)
+        gen = eng.generator_blocks(core.split(np.array([[c]])), grid)
+        vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        ref = _per_mode_reference(vals, gen.blocks, t)
+        eigh_matrices.clear()
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
+        assert eigh_matrices == [matrices]
+        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(vals)
+
+    def test_complex_hermitian_path_has_complex_C1h(self, rng, eigh_matrices):
+        gen = self._evolve_against_reference(
+            rng, eigh_matrices, "complex-hermitian", d=4, N=16, L=3.0, t=2.0
+        )
+        assert np.any(gen.split.C1h.imag != 0)
+        assert not np.any(gen.split.C2h)
+
+    def test_blocks_without_split_take_reference_path(self, rng, eigh_matrices):
+        grid = eng.make_grid(16, 3.0)
+        gen = eng.generator_blocks(core.split(_real_symmetric(rng, 3)), grid)
+        bare = eng.GeneratorBlocks(blocks=gen.blocks, grid=grid)
+        vals = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+        s = eng.SpectralState(values=vals, grid=grid)
+        fast = eng.evolve(s, gen, 2.0)
+        ref = eng.evolve(s, bare, 2.0)
+        assert eigh_matrices == [1, 16]
+        assert np.max(np.abs(fast.values - ref.values)) <= 1e-12 * np.linalg.norm(vals)
+
+    @pytest.mark.parametrize("structure", list(_STRUCTURES))
+    def test_propagate_matches_expm(self, rng, eigh_matrices, structure):
+        build, expected = _STRUCTURES[structure]
+        d, t = 6, 3.0
+        C = build(rng, d)
+        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
+        rec = eng.propagate(C, x0, t, grid)
+        assert eigh_matrices == [expected(grid.N)]
+        exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
+        fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
+        assert fid >= 1 - 1e-3
 
 
 class TestRecover:

@@ -169,11 +169,30 @@ class TestDenseSizeCap:
 
         monkeypatch.setattr(schrodingerization, "propagate", sentinel)
 
-    def test_jacobi_over_cap_rejected_before_evolution(self, no_propagate):
+    @pytest.fixture
+    def no_eigensolve(self, monkeypatch):
+        def sentinel(*args, **kwargs):
+            raise self.Reached
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, sentinel)
+
+    @staticmethod
+    def _jacobi_over_cap(**kwargs):
         d = core.MAX_DENSE_DIM  # augmented dimension d + 1 is over the cap
         A = 4.0 * np.eye(d) + np.diag(np.ones(d - 1), 1)
         with pytest.raises(InvalidInputError, match="dense eigensolve limit"):
-            solvers.quantum_jacobi_solve(A, np.ones(d), N=16)
+            solvers.quantum_jacobi_solve(A, np.ones(d), N=16, **kwargs)
+
+    def test_jacobi_over_cap_rejected_before_evolution(self, no_propagate, no_eigensolve):
+        # not even the sigma search's eigvalsh may run first
+        self._jacobi_over_cap()
+
+    def test_jacobi_override_over_cap_rejected_before_eigensolve(
+        self, no_propagate, no_eigensolve
+    ):
+        # nor the override's spectral-radius check
+        self._jacobi_over_cap(override_convergence=True)
 
     def test_power_over_cap_rejected_before_evolution(self, no_propagate):
         C = np.diag(np.linspace(0.9, 0.1, core.MAX_DENSE_DIM + 1))
