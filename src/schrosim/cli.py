@@ -17,18 +17,26 @@ from . import __version__, baselines, core, schrodingerization as engine, solver
 from .errors import InvalidInputError, ParseError, SchrosimError
 
 _HEADER_FIELDS = {"real", "complex"}
-_HEADER_SYMMETRY = {"general", "symmetric"}
+# symmetry -> the value stored at (j, i) for an entry a at (i, j)
+_MIRROR = {
+    "symmetric": lambda a: a,
+    "hermitian": lambda a: a.conjugate(),
+    "skew-symmetric": lambda a: -a,
+}
 
 
 def read_matrix_market(path: str) -> np.ndarray:
     """Parse a coordinate-format Matrix Market file into a dense matrix.
 
-    Accepts real|complex fields and general|symmetric symmetry; symmetric
-    files must be square and are mirrored. A coordinate given twice (in a
-    symmetric file, also (i, j) together with (j, i)) is rejected rather
-    than summed or overwritten. A declared size above ``core.MAX_DENSE_DIM``
-    is rejected at the size line, before anything is allocated. Malformed
-    input raises ParseError with the offending 1-based line number.
+    Accepts real|complex fields and general, symmetric, hermitian (complex
+    field only) and skew-symmetric symmetry. The last three must be square
+    and are mirrored: (j, i) gets a, conj(a) or -a. A hermitian diagonal
+    entry must be real, and a skew-symmetric file stores no diagonal. A
+    coordinate given twice (in a mirrored file, also (i, j) together with
+    (j, i)) is rejected rather than summed or overwritten. A declared size
+    above ``core.MAX_DENSE_DIM`` is rejected at the size line, before
+    anything is allocated. Malformed input raises ParseError with the
+    offending 1-based line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -46,11 +54,13 @@ def read_matrix_market(path: str) -> np.ndarray:
             line=1,
         )
     fld, sym = header[3].lower(), header[4].lower()
-    symmetric = sym == "symmetric"
     if fld not in _HEADER_FIELDS:
         raise ParseError(f"unsupported field {fld!r}", line=1)
-    if sym not in _HEADER_SYMMETRY:
+    if sym != "general" and sym not in _MIRROR:
         raise ParseError(f"unsupported symmetry {sym!r}", line=1)
+    if sym == "hermitian" and fld != "complex":
+        raise ParseError("a hermitian matrix needs the complex field", line=1)
+    mirror = _MIRROR.get(sym)
 
     lineno = 1
     size = None
@@ -79,8 +89,8 @@ def read_matrix_market(path: str) -> np.ndarray:
                     f" {core.MAX_DENSE_DIM}",
                     line=lineno,
                 )
-            if symmetric and rows != cols:
-                raise ParseError("a symmetric matrix must be square", line=lineno)
+            if mirror and rows != cols:
+                raise ParseError(f"a {sym} matrix must be square", line=lineno)
             size = (rows, cols)
             M = np.zeros(size, dtype=complex)
             flat = M.reshape(-1)  # a view: entry (i, j) is flat[(i-1)·cols + j-1]
@@ -101,18 +111,26 @@ def read_matrix_market(path: str) -> np.ndarray:
             raise ParseError("malformed entry", line=lineno)
         if not (1 <= i <= size[0] and 1 <= j <= size[1]):
             raise ParseError(f"index ({i}, {j}) out of range", line=lineno)
+        if i == j and (
+            sym == "skew-symmetric" or (sym == "hermitian" and val.imag != 0)
+        ):
+            raise ParseError(
+                f"diagonal entry ({i}, {j}) of a {sym} matrix must be "
+                + ("real" if sym == "hermitian" else "absent"),
+                line=lineno,
+            )
         at, mirror_at = (i - 1) * cols + j - 1, (j - 1) * cols + i - 1
-        # (i, j) and (j, i) are one stored coordinate in a symmetric file
-        key = mirror_at if symmetric and i < j else at
+        # (i, j) and (j, i) are one stored coordinate in a mirrored file
+        key = mirror_at if mirror and i < j else at
         if first_line[key]:
             raise ParseError(
                 f"duplicate entry ({i}, {j}); already set by line {first_line[key]}",
                 line=lineno,
             )
         first_line[key] = lineno
+        if mirror and i != j:
+            flat[mirror_at] = mirror(val)
         flat[at] = val
-        if symmetric:
-            flat[mirror_at] = val
         seen_nnz += 1
     if size is None:
         raise ParseError("missing size line", line=lineno)

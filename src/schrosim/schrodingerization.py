@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from . import core
 from .errors import (
@@ -77,16 +78,19 @@ class SpectralState:
 
 @dataclass(frozen=True)
 class GeneratorBlocks:
-    """Per-mode Hermitian generators H_k = -(η_k·C1h + C2h), shape (N, d+1, d+1).
+    """Per-mode Hermitian generators H_k = -(η_k·C1h + C2h) on ``grid``.
 
-    ``split`` is the DriftSplit the blocks were built from, and ``evolve``
-    picks its path from it by exact tests: C2h == 0 (Hermitian C)
-    decomposes -C1h once; C1h.imag == 0 and C2h.real == 0 (real C)
-    decomposes only the modes k = 0..N/2, a slice of ``blocks``; any other
-    split, or none, decomposes every block.
+    ``split`` is the DriftSplit they come from. ``blocks`` is the dense
+    (N, d+1, d+1) stack of every H_k, the reference representation built
+    by ``generator_blocks``; ``evolve`` reads it only when ``split`` is
+    None. ``propagate`` passes the split alone, so no stack is built.
+    ``evolve`` picks its path from the split by exact tests: C2h == 0
+    (Hermitian C) decomposes -C1h once; C1h.imag == 0 and C2h.real == 0
+    (real C) reduces only the modes k = 0..N/2; any other split, or none,
+    reduces every mode.
     """
 
-    blocks: np.ndarray
+    blocks: np.ndarray | None
     grid: Grid
     split: core.DriftSplit | None = None
 
@@ -153,14 +157,23 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     raise InvalidInputError(f"unknown direction {direction!r}")
 
 
-def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
-    """H_k = -(η_k·C1h + C2h) for every grid mode; each block Hermitian."""
+def _require_hermitian_split(ds: core.DriftSplit) -> None:
+    """Reject a split whose C1h or C2h is not Hermitian to HERMITICITY_TOL."""
     for name, mat in (("C1h", ds.C1h), ("C2h", ds.C2h)):
         defect = core.hermiticity_defect(mat)
         if defect > core.HERMITICITY_TOL:
             raise InvalidInputError(
                 f"{name} is not Hermitian (defect {defect:.2e})"
             )
+
+
+def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
+    """H_k = -(η_k·C1h + C2h) for every grid mode; each block Hermitian.
+
+    The dense (N, d+1, d+1) reference representation, for tests and small
+    systems; ``propagate`` never builds it.
+    """
+    _require_hermitian_split(ds)
     blocks = -(grid.eta[:, None, None] * ds.C1h[None] + ds.C2h[None])
     return GeneratorBlocks(blocks=blocks, grid=grid, split=ds)
 
@@ -169,8 +182,8 @@ def assemble_Htot(C, grid: Grid) -> np.ndarray:
     """Dense -C⊗(D-iI)/2 - C†⊗(D+iI)/2 + I⊗D with D = diag(η_k).
 
     Component-major ordering |i⟩|k⟩; equals the direct sum of
-    generator_blocks under the mode-major permutation. Only for small
-    systems; per-mode blocks are the scalable representation.
+    generator_blocks under the mode-major permutation. A dense reference
+    representation for small systems; ``propagate`` never builds it.
     """
     C = core.require_square(core.as_matrix(C), "C")
     d1 = C.shape[0]
@@ -190,11 +203,56 @@ def assemble_Htot(C, grid: Grid) -> np.ndarray:
     return H
 
 
-def _apply_modes(V: np.ndarray, lam: np.ndarray, cols: np.ndarray, t: float) -> np.ndarray:
-    """Row n of the result is V_n·diag(e^{-itλ_n})·V_n†·cols_n; V is never
-    conjugated as a whole, only the (n, d+1) vectors are."""
-    a = np.einsum("nji,nj->ni", V, cols.conj()).conj() * np.exp(-1j * t * lam)
-    return np.einsum("nij,nj->ni", V, a)
+def _lapack(name: str, *args, **kwargs):
+    """Call ``scipy.linalg.lapack.<name>`` and drop its trailing info,
+    raising NumericalError when it is nonzero."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise NumericalError(f"LAPACK {name} failed (info {info})")
+    return out
+
+
+def _split_blocks(ds: core.DriftSplit, eta: np.ndarray):
+    """H = -(η·C1h + C2h) for each η, one Fortran-ordered matrix at a time."""
+    A = np.asfortranarray(-ds.C1h, dtype=complex)
+    B = np.asfortranarray(-ds.C2h, dtype=complex)
+    for e in eta:
+        H = A * e
+        H += B
+        yield H
+
+
+def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
+    """Y[m] = exp(-it·H_m)·X[m] for the m-th matrix of ``blocks`` (Hermitian,
+    Fortran order, overwritten) and the (n, r) vectors X[m].
+
+    zhetrd (lower) reduces H = Q·T·Q† with T real tridiagonal and dstevd
+    gives T = Z·diag(w)·Zᵀ, so exp(-itH)·x = Q·Z·e^{-itw}·Zᵀ·Q†·x. No
+    eigenvector of H is formed: Q stays as its reflectors, Q = diag(1, Q')
+    with Q' in QR form below the subdiagonal, applied by zunmqr, and Z is
+    applied by dgemm to the real view of the vectors. The loop calls only
+    scipy's LAPACK and BLAS, so one BLAS thread pool serves it.
+    """
+    M, n, r = X.shape
+    Y = np.empty((M, n, r), dtype=complex)
+    if n == 1:
+        for m, H in enumerate(blocks):
+            Y[m] = np.exp(-1j * t * H[0, 0].real) * X[m]
+        return Y
+    lwork = int(_lapack("zhetrd_lwork", n, lower=1)[0].real)
+    for m, H in enumerate(blocks):
+        c, d, e, tau = _lapack("zhetrd", H, lower=1, lwork=lwork, overwrite_a=1)
+        w, Z = _lapack("dstevd", d, e)
+        refl = np.asfortranarray(c[1:, :-1])
+        x = np.array(X[m])  # C order: its real view is (n, 2r)
+        x[1:] = _lapack("zunmqr", "L", "C", refl, tau, x[1:], r)[0]
+        # dgemm sees the real view transposed, (2r, n): xᵀ·Z = (Zᵀ·x)ᵀ
+        x = blas.dgemm(1.0, x.view(np.float64).T, Z).T.view(complex)
+        x *= np.exp(-1j * t * w)[:, None]
+        x = blas.dgemm(1.0, x.view(np.float64).T, Z, trans_b=1).T.view(complex)
+        Y[m, 0] = x[0]
+        Y[m, 1:] = _lapack("zunmqr", "L", "N", refl, tau, x[1:], r)[0]
+    return Y
 
 
 def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
@@ -209,44 +267,61 @@ def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
     - Real C (C1h with zero imaginary part, C2h with zero real part) on a
       grid whose mode ladder is symmetric (η_{-k} = -η_k bit for bit, as
       ``make_grid`` builds it): H_{-k} = -conj(H_k), so only the modes
-      k = 0..N/2 are decomposed and each k < 0 column is
-      conj(exp(-itH_{|k|})·conj(v_k)). This holds for complex states too.
-    - Otherwise, or without a split: every block is decomposed (the
-      reference path).
+      k = 0..N/2 are reduced, each applied to v_k and conj(v_{-k}); the
+      k < 0 column is conj(exp(-itH_{|k|})·conj(v_k)). This holds for
+      complex states too.
+    - Otherwise every mode is reduced, its H_k built from the split, or
+      taken from ``gen.blocks`` when there is no split.
 
-    The Hermitian test runs first, so real symmetric C takes the one-matrix
-    path.
+    The last two run one kernel per mode (``_evolve_stack``): Householder
+    tridiagonalisation and a real tridiagonal eigensolve, applied to the
+    mode's vectors only. Memory is O(d² + N·d); no (N, d+1, d+1) stack is
+    built. The Hermitian test runs first, so real symmetric C takes the
+    one-matrix path.
     """
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
-    if s.values.shape[1] != gen.blocks.shape[0]:
-        raise DimensionError("state and generator mode counts differ")
-    if s.values.shape[0] != gen.blocks.shape[1]:
-        raise DimensionError("state and generator block dimensions differ")
     ds, eta = gen.split, gen.grid.eta
+    if ds is not None:
+        modes, dim = eta.size, ds.C1h.shape[0]
+    elif gen.blocks is not None:
+        modes, dim = gen.blocks.shape[:2]
+    else:
+        raise InvalidInputError("generator has neither a split nor blocks")
+    if s.values.shape[1] != modes:
+        raise DimensionError("state and generator mode counts differ")
+    if s.values.shape[0] != dim:
+        raise DimensionError("state and generator block dimensions differ")
+    vals = np.asarray(s.values, dtype=complex)
     N = eta.size
     h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
-    try:
-        if ds is not None and not ds.C2h.any():
+    if ds is not None and not ds.C2h.any():
+        try:
             mu, W = np.linalg.eigh(-ds.C1h)
-            out = W @ ((W.conj().T @ s.values) * np.exp(-1j * t * np.outer(mu, eta)))
-        elif (
-            ds is not None
-            and not ds.C1h.imag.any()
-            and not ds.C2h.real.any()
-            and np.array_equal(-eta[:h], eta[N - 2 : h : -1])
-        ):
-            lam, V = np.linalg.eigh(gen.blocks[h:])  # k = 0..N/2
-            cols = s.values.T
-            pos = _apply_modes(V, lam, cols[h:], t)
-            # slot j < h holds k = j - h; its partner |k| is row h - j of V
-            neg = _apply_modes(V[h:0:-1], lam[h:0:-1], cols[:h].conj(), t).conj()
-            out = np.concatenate([neg, pos]).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
+        out = W @ ((W.conj().T @ vals) * np.exp(-1j * t * np.outer(mu, eta)))
+    elif (
+        ds is not None
+        and not ds.C1h.imag.any()
+        and not ds.C2h.real.any()
+        and np.array_equal(-eta[:h], eta[N - 2 : h : -1])
+    ):
+        # row m is mode k = m (slot h + m); its second vector is conj(v_{-k}),
+        # at slot h - m, for k = 1..N/2-1
+        X = np.zeros((N - h, dim, 2), dtype=complex)
+        X[:, :, 0] = vals[:, h:].T
+        X[1 : h + 1, :, 1] = vals[:, h - 1 :: -1].T.conj()
+        Y = _evolve_stack(_split_blocks(ds, eta[h:]), X, t)
+        out = np.empty_like(vals)
+        out[:, h:] = Y[:, :, 0].T
+        out[:, h - 1 :: -1] = Y[1 : h + 1, :, 1].T.conj()
+    else:
+        if ds is not None:
+            blocks = _split_blocks(ds, eta)
         else:
-            lam, V = np.linalg.eigh(gen.blocks)
-            out = _apply_modes(V, lam, s.values.T, t).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"per-mode eigendecomposition failed: {exc}") from exc
+            blocks = (np.array(H, order="F") for H in gen.blocks)
+        out = _evolve_stack(blocks, vals.T[:, :, None], t)[:, :, 0].T
     return SpectralState(values=out, grid=s.grid, time=s.time + t)
 
 
@@ -344,10 +419,10 @@ def propagate(
             "the readout window is shifted past it",
             stacklevel=2,
         )
+    _require_hermitian_split(ds)
     w0 = initial_warped_state(x0, grid)
     v0 = transform(w0, "forward")
-    gen = generator_blocks(ds, grid)
-    vt = evolve(v0, gen, t)
+    vt = evolve(v0, GeneratorBlocks(blocks=None, grid=grid, split=ds), t)
     wt = transform(vt, "inverse")
     # the kink at p = 0 travels right at the top Hermitian drift speed;
     # read only beyond it (a few cells of margin for the ringing around it)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from schrosim import cli, core
+from schrosim import cli, core, schrodingerization as engine
 from schrosim.cli import RunConfig
 from schrosim.errors import ParseError
 
@@ -165,6 +165,102 @@ class TestReadMatrixMarket:
             with pytest.raises(ParseError, match="exceeds the dense limit") as exc:
                 cli.read_matrix_market(path)
             assert exc.value.line == 2
+
+
+    def test_hermitian_mirrors_conjugate(self, tmp_path):
+        path = write(
+            tmp_path,
+            "h.mtx",
+            "%%MatrixMarket matrix coordinate complex hermitian\n"
+            "2 2 3\n1 1 2.0 0.0\n2 1 1.0 0.5\n2 2 3.0 0.0\n",
+        )
+        M = cli.read_matrix_market(path)
+        assert np.array_equal(M, [[2.0, 1.0 - 0.5j], [1.0 + 0.5j, 3.0]])
+        # exactly Hermitian, so C2h is exactly zero: the one-eigh engine path
+        assert not core.split(M).C2h.any()
+
+    def test_skew_symmetric_mirrors_negated(self, tmp_path):
+        path = write(
+            tmp_path,
+            "k.mtx",
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+            "3 3 2\n2 1 1.5\n3 2 -2.0\n",
+        )
+        assert np.array_equal(
+            cli.read_matrix_market(path),
+            [[0.0, -1.5, 0.0], [1.5, 0.0, 2.0], [0.0, -2.0, 0.0]],
+        )
+
+    @pytest.mark.parametrize(
+        "header, entry, match",
+        [
+            ("complex hermitian", "2 2 3.0 0.5", "must be real"),
+            ("real skew-symmetric", "2 2 0.0", "must be absent"),
+        ],
+        ids=["hermitian-complex-diagonal", "skew-symmetric-diagonal"],
+    )
+    def test_bad_diagonal_rejected(self, tmp_path, header, entry, match):
+        first = "2 1 1.0 0.0" if header.startswith("complex") else "2 1 1.0"
+        path = write(
+            tmp_path,
+            "diag.mtx",
+            f"%%MatrixMarket matrix coordinate {header}\n2 2 2\n{first}\n{entry}\n",
+        )
+        with pytest.raises(ParseError, match=match) as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == 4
+
+    def test_real_hermitian_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "rh.mtx",
+            "%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 2.0\n",
+        )
+        with pytest.raises(ParseError, match="complex field") as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("symmetry", ["hermitian", "skew-symmetric"])
+    def test_mirrored_duplicate_and_non_square_rejected(self, tmp_path, symmetry):
+        path = write(
+            tmp_path,
+            "dup.mtx",
+            f"%%MatrixMarket matrix coordinate complex {symmetry}\n"
+            "2 2 2\n2 1 1.0 0.5\n1 2 1.0 -0.5\n",
+        )
+        with pytest.raises(ParseError, match="already set by line 3") as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == 4
+        path = write(
+            tmp_path,
+            "ns.mtx",
+            f"%%MatrixMarket matrix coordinate complex {symmetry}\n"
+            "2 3 1\n2 1 1.0 0.5\n",
+        )
+        with pytest.raises(ParseError, match="must be square") as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == 2
+
+    def test_hermitian_file_eig_takes_one_eigh_path(self, tmp_path, monkeypatch):
+        def no_tridiagonalisation(*args, **kwargs):
+            raise AssertionError("a Hermitian C was reduced mode by mode")
+
+        monkeypatch.setattr(engine.lapack, "zhetrd", no_tridiagonalisation)
+        path = write(
+            tmp_path,
+            "h.mtx",
+            "%%MatrixMarket matrix coordinate complex hermitian\n3 3 5\n"
+            "1 1 0.9 0.0\n2 1 0.05 -0.05\n2 2 0.5 0.0\n3 2 0.0 0.02\n"
+            "3 3 0.3 0.0\n",
+        )
+        cfg = RunConfig(
+            command="eig",
+            matrix_path=path,
+            x0_path=vec(tmp_path, "x0.json", [3.0 ** -0.5] * 3),
+        )
+        out = cli.run_eig(cfg)
+        top = np.linalg.eigvalsh(cli.read_matrix_market(path))[-1]
+        assert abs(out["eigenvalue_estimate"][0] - top) <= 0.1
 
 
 class TestWriteMatrixMarket:

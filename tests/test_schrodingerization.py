@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from schrosim import baselines, core, schrodingerization as eng
-from schrosim.errors import DimensionError, InvalidInputError
+from schrosim.errors import DimensionError, InvalidInputError, NumericalError
 
 from conftest import random_contractive
 
@@ -193,6 +196,12 @@ class TestEvolve:
                 np.linalg.norm(out.values) - np.linalg.norm(s.values)
             ) <= 1e-10 * np.linalg.norm(s.values)
 
+    def test_generator_without_split_or_blocks_rejected(self):
+        grid = eng.make_grid(8, 2.0)
+        s = eng.SpectralState(values=np.ones((1, 8), dtype=complex), grid=grid)
+        with pytest.raises(InvalidInputError, match="neither"):
+            eng.evolve(s, eng.GeneratorBlocks(blocks=None, grid=grid), 1.0)
+
     def test_scalar_mode_amplitude_constant(self):
         grid = eng.make_grid(8, 2.0)
         gen = eng.generator_blocks(core.split(np.array([[0.5]])), grid)
@@ -221,12 +230,20 @@ def _real_symmetric(rng, d):
     return np.eye(d) - 0.15 * (P + P.T) / d
 
 
-# structure name -> (C builder, Hermitian matrices decomposed for an N-mode grid)
+# structure name -> (C builder, the evolve path it takes)
 _STRUCTURES = {
-    "real-nonnormal": (_real_nonnormal, lambda N: N // 2 + 1),
-    "complex-hermitian": (_complex_hermitian, lambda N: 1),
-    "real-symmetric": (_real_symmetric, lambda N: 1),
-    "general": (random_contractive, lambda N: N),
+    "real-nonnormal": (_real_nonnormal, "real"),
+    "complex-hermitian": (_complex_hermitian, "hermitian"),
+    "real-symmetric": (_real_symmetric, "hermitian"),
+    "general": (random_contractive, "general"),
+}
+
+# path -> what it decomposes on an N-mode grid: (matrices per eigh call,
+# tridiagonalisations)
+_PATH_WORK = {
+    "hermitian": lambda N: ([1], 0),
+    "real": lambda N: ([], N // 2 + 1),
+    "general": lambda N: ([], N),
 }
 
 
@@ -239,98 +256,191 @@ def _per_mode_reference(values, blocks, t):
     return out
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Records the matrices each numpy.linalg.eigh call sees and every LAPACK
+    zhetrd call the engine makes; ``work()`` reads both, ``clear()`` resets."""
+    eigh_calls, tridiag_calls = [], []
+    real_eigh, real_zhetrd = np.linalg.eigh, eng.lapack.zhetrd
+
+    def counting_eigh(a, *args, **kwargs):
+        a = np.asarray(a)
+        eigh_calls.append(int(np.prod(a.shape[:-2])))
+        return real_eigh(a, *args, **kwargs)
+
+    def counting_zhetrd(a, *args, **kwargs):
+        tridiag_calls.append(np.shape(a)[0])
+        return real_zhetrd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(eng.lapack, "zhetrd", counting_zhetrd)
+
+    class Record:
+        @staticmethod
+        def work():
+            return eigh_calls[:], len(tridiag_calls)
+
+        @staticmethod
+        def clear():
+            eigh_calls.clear()
+            tridiag_calls.clear()
+
+    return Record
+
+
 class TestEvolvePaths:
     """Each structure-aware path of evolve against the per-mode eigh
-    reference, with the path pinned by the number of matrices eigh sees."""
+    reference, with the path pinned by the eigh calls and the per-mode
+    tridiagonalisations it makes."""
 
-    @pytest.fixture
-    def eigh_matrices(self, monkeypatch):
-        counted = []
-        real_eigh = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            a = np.asarray(a)
-            counted.append(int(np.prod(a.shape[:-2])))
-            return real_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        return counted
-
-    def _evolve_against_reference(self, rng, eigh_matrices, structure, d, N, L, t):
-        build, expected = _STRUCTURES[structure]
+    def _evolve_against_reference(self, rng, decompositions, structure, d, N, L, t):
+        build, path = _STRUCTURES[structure]
         C = build(rng, d)
         grid = eng.make_grid(N, L)
         gen = eng.generator_blocks(core.split(C), grid)
         vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
         ref = _per_mode_reference(vals, gen.blocks, t)
-        eigh_matrices.clear()
+        decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
-        assert eigh_matrices == [expected(N)]
+        assert decompositions.work() == _PATH_WORK[path](N)
         scale = np.linalg.norm(vals)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * scale
         assert abs(np.linalg.norm(out.values) - scale) <= 1e-10 * scale
         return gen
 
     @pytest.mark.parametrize("structure", list(_STRUCTURES))
-    def test_matches_per_mode_reference(self, rng, eigh_matrices, structure):
+    def test_matches_per_mode_reference(self, rng, decompositions, structure):
         for d in (2, 5, 8):
             self._evolve_against_reference(
-                rng, eigh_matrices, structure, d, N=64, L=5.0, t=2.0
+                rng, decompositions, structure, d, N=64, L=5.0, t=2.0
             )
 
     @pytest.mark.parametrize("structure", list(_STRUCTURES))
     @pytest.mark.parametrize("t", [0.0, 1.5])
-    def test_smallest_grid(self, rng, eigh_matrices, structure, t):
+    def test_smallest_grid(self, rng, decompositions, structure, t):
         self._evolve_against_reference(
-            rng, eigh_matrices, structure, d=2, N=4, L=np.pi, t=t
+            rng, decompositions, structure, d=2, N=4, L=np.pi, t=t
         )
 
     @pytest.mark.parametrize(
-        "c, matrices",
-        [(0.5, 1), (0.5 + 0.25j, 4)],  # a real scalar is symmetric
-        ids=["real", "complex"],
+        "c, split, eigh_calls",
+        [(0.5, True, [1]), (0.5 + 0.25j, True, []), (0.5 + 0.25j, False, [])],
+        ids=["real", "complex", "bare"],
     )
     @pytest.mark.parametrize("t", [0.0, 1.5])
-    def test_scalar_system(self, rng, eigh_matrices, c, matrices, t):
+    def test_scalar_system(self, rng, decompositions, c, split, eigh_calls, t):
+        # d + 1 = 1 on every path it can take: a real scalar is symmetric
+        # (one eigh); a complex one, with or without its split, is a phase
+        # per mode and is never tridiagonalised. The real path needs a
+        # nonzero imaginary C2h, which no 1x1 Hermitian matrix has.
         grid = eng.make_grid(4, np.pi)
         gen = eng.generator_blocks(core.split(np.array([[c]])), grid)
+        if not split:
+            gen = eng.GeneratorBlocks(blocks=gen.blocks, grid=grid)
         vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
-        ref = _per_mode_reference(vals, gen.blocks, t)
-        eigh_matrices.clear()
+        exact = np.exp(-1j * t * gen.blocks[:, 0, 0].real) * vals
+        decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
-        assert eigh_matrices == [matrices]
-        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(vals)
+        assert decompositions.work() == (eigh_calls, 0)
+        assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.linalg.norm(vals)
 
-    def test_complex_hermitian_path_has_complex_C1h(self, rng, eigh_matrices):
+    def test_complex_hermitian_path_has_complex_C1h(self, rng, decompositions):
         gen = self._evolve_against_reference(
-            rng, eigh_matrices, "complex-hermitian", d=4, N=16, L=3.0, t=2.0
+            rng, decompositions, "complex-hermitian", d=4, N=16, L=3.0, t=2.0
         )
         assert np.any(gen.split.C1h.imag != 0)
         assert not np.any(gen.split.C2h)
 
-    def test_blocks_without_split_take_reference_path(self, rng, eigh_matrices):
+    def test_blocks_without_split_take_reference_path(self, rng, decompositions):
         grid = eng.make_grid(16, 3.0)
         gen = eng.generator_blocks(core.split(_real_symmetric(rng, 3)), grid)
         bare = eng.GeneratorBlocks(blocks=gen.blocks, grid=grid)
         vals = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
         s = eng.SpectralState(values=vals, grid=grid)
+        decompositions.clear()
         fast = eng.evolve(s, gen, 2.0)
+        assert decompositions.work() == ([1], 0)
         ref = eng.evolve(s, bare, 2.0)
-        assert eigh_matrices == [1, 16]
+        assert decompositions.work() == ([1], 16)
         assert np.max(np.abs(fast.values - ref.values)) <= 1e-12 * np.linalg.norm(vals)
 
+    @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
+    def test_lapack_failure_raises_numerical_error(self, rng, monkeypatch, structure):
+        def failing_dstevd(d, e, *args, **kwargs):
+            return d, np.eye(d.size), 1
+
+        monkeypatch.setattr(eng.lapack, "dstevd", failing_dstevd)
+        build, _ = _STRUCTURES[structure]
+        grid = eng.make_grid(8, 3.0)
+        gen = eng.generator_blocks(core.split(build(rng, 3)), grid)
+        s = eng.SpectralState(values=np.ones((3, 8), dtype=complex), grid=grid)
+        with pytest.raises(NumericalError, match="dstevd"):
+            eng.evolve(s, gen, 1.0)
+
     @pytest.mark.parametrize("structure", list(_STRUCTURES))
-    def test_propagate_matches_expm(self, rng, eigh_matrices, structure):
-        build, expected = _STRUCTURES[structure]
+    def test_propagate_matches_expm(self, rng, decompositions, structure):
+        build, path = _STRUCTURES[structure]
         d, t = 6, 3.0
         C = build(rng, d)
         x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
+        decompositions.clear()
         rec = eng.propagate(C, x0, t, grid)
-        assert eigh_matrices == [expected(grid.N)]
+        assert decompositions.work() == _PATH_WORK[path](grid.N)
         exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
         fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
         assert fid >= 1 - 1e-3
+
+    @pytest.mark.parametrize("structure", list(_STRUCTURES))
+    def test_propagate_builds_no_block_stack(self, rng, monkeypatch, structure):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("propagate built the dense block stack")
+
+        monkeypatch.setattr(eng, "generator_blocks", no_blocks)
+        build, _ = _STRUCTURES[structure]
+        d, t = 31, 1.0
+        C = build(rng, d)
+        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
+        stack_bytes = grid.N * d * d * 16
+        tracemalloc.start()
+        try:
+            rec = eng.propagate(C, x0, t, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 4
+        exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
+        fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
+        assert fid >= 1 - 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    structure=st.sampled_from([*_STRUCTURES, "bare"]),
+    d=st.integers(1, 9),
+    N=st.sampled_from([4, 8, 16, 32, 64]),
+    t=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_matches_reference_property(structure, d, N, t, seed):
+    """Every path, and bare blocks, agree with the per-mode eigh reference
+    and keep the norm of every mode."""
+    rng = np.random.default_rng(seed)
+    grid = eng.make_grid(N, float(rng.uniform(np.pi, 8.0)))
+    build = _STRUCTURES[structure][0] if structure != "bare" else random_contractive
+    C = build(rng, d)
+    gen = eng.generator_blocks(core.split(C), grid)
+    if structure == "bare":
+        gen = eng.GeneratorBlocks(blocks=gen.blocks, grid=grid)
+    vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
+    out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t).values
+    ref = _per_mode_reference(vals, gen.blocks, t)
+    scale = np.linalg.norm(vals)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+    mode_norms = np.linalg.norm(vals, axis=0)
+    drift = np.abs(np.linalg.norm(out, axis=0) - mode_norms)
+    assert np.max(drift) <= 1e-10 * mode_norms.max()
 
 
 class TestRecover:
