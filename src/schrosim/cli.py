@@ -5,6 +5,7 @@ JSON reports (stable key order, newline-terminated)."""
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from array import array
@@ -234,6 +235,32 @@ def _cost_section(cost: solvers.CostReport) -> dict:
     }
 
 
+# RunConfig fields set from a float option; the option is --<field>, in
+# lower case with "-" for "_"
+_FLOAT_FIELDS = ("a", "L", "t", "delta", "epsilon", "pstar", "alpha0_sq")
+
+
+def _check_numbers(cfg: RunConfig) -> None:
+    """Reject a float option that does not parse or is not finite (NaN and
+    infinity are not JSON numbers), and an assumed overlap --alpha0-sq
+    outside (0, 1]."""
+    for name in _FLOAT_FIELDS:
+        value = getattr(cfg, name)
+        if value is None or (name == "t" and value == "auto"):
+            continue
+        try:
+            finite = math.isfinite(float(value))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            option = "--" + name.lower().replace("_", "-")
+            raise InvalidInputError(f"{option} must be a finite number, got {value!r}")
+    if not 0.0 < cfg.alpha0_sq <= 1.0:
+        raise InvalidInputError(
+            f"--alpha0-sq must be in (0, 1], got {cfg.alpha0_sq!r}"
+        )
+
+
 def _explicit_time(cfg: RunConfig) -> float | None:
     if cfg.t in (None, "auto"):
         return None
@@ -341,29 +368,29 @@ def run_evolve(cfg: RunConfig) -> dict:
 def run_diagnose(cfg: RunConfig) -> dict:
     A = read_matrix_market(cfg.matrix_path)
     s = solvers.build_splitting(A, np.zeros(A.shape[0]), method=cfg.method, a=cfg.a)
-    aug = solvers.iteration_matrix(s)
-    rep = core.spectrum(aug.C - np.eye(aug.dim + 1), steady_eigenvalue_hint=0j)
+    C = core.augment(s.G, s.g)
+    drift = C - np.eye(C.shape[0])
+    eigvals, steady, gap = core.spectrum(drift, steady_eigenvalue_hint=0j)
     # eig(C - I) is eig(G) - 1 plus the steady 0 from the affine row, so r(G)
     # is the largest |λ + 1| over the other eigenvalues
-    steady, _ = core.steady_mode(rep.eigenvalues, 0j)
-    rG = float(np.max(np.abs(np.delete(rep.eigenvalues, steady) + 1.0)))
-    if rep.gap > solvers.GAP_TIE_TOL:
-        t_f = solvers.estimate_tf([cfg.alpha0_sq], rep.gap, cfg.delta)
+    rG = float(np.max(np.abs(np.delete(eigvals, steady) + 1.0)))
+    sparsity, max_norm = core.sparsity_and_max_norm(drift)
+    if gap > solvers.GAP_TIE_TOL:
+        t_f = solvers.estimate_tf([cfg.alpha0_sq], gap, cfg.delta)
     else:
         t_f = None
-    ds = core.split(aug.C)
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(
-        ds.C1h, t_f if t_f is not None else 0.0
+        core.split(C).C1h, t_f if t_f is not None else 0.0
     )
     out = _base_report(cfg, A)
     out.update(
         {
             "diag_dominant": core.is_diagonally_dominant(A),
             "iteration_spectral_radius": rG,
-            "gap": rep.gap,
-            "eigenvalues": _pairs(rep.eigenvalues),
-            "sparsity": rep.sparsity,
-            "max_norm": rep.max_norm,
+            "gap": gap,
+            "eigenvalues": _pairs(eigvals),
+            "sparsity": sparsity,
+            "max_norm": max_norm,
             "recommended_grid": {"N": cfg.N, "L": L},
             "t_f_predicted": t_f,
             "delta": cfg.delta,
@@ -373,7 +400,7 @@ def run_diagnose(cfg: RunConfig) -> dict:
     if t_f is not None:
         out["cost"] = _cost_section(
             solvers.quantum_cost_estimate(
-                aug.C, t_f, epsilon=1.0 / cfg.N,
+                C, t_f, epsilon=1.0 / cfg.N,
                 overlap=float(np.sqrt(cfg.alpha0_sq)),
             )
         )
@@ -393,6 +420,7 @@ def execute(cfg: RunConfig) -> int:
     document) to the configured output. Returns the process exit status."""
     started = time.perf_counter()
     try:
+        _check_numbers(cfg)
         report = _RUNNERS[cfg.command](cfg)
         status = 0
     except SchrosimError as exc:

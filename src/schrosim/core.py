@@ -1,14 +1,14 @@
 """Dense complex linear algebra shared by the whole package.
 
 Matrices and vectors are plain ``numpy`` arrays of ``complex128``; the
-helpers here validate them, build the augmented block matrix for affine
-iterations, split a drift matrix into Hermitian/skew parts, and compute
-spectral diagnostics with a dense eigensolver.
+helpers here validate them, build the augmented matrix C of an affine
+iteration, split the drift C - I into Hermitian parts, and find the
+eigenvalues, steady mode and gap of a matrix with a dense eigensolver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,50 +63,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class AugmentedSystem:
-    """Affine iteration y ↦ Gy + g embedded as the homogeneous x ↦ Cx.
-
-    ``C`` is (d+1)×(d+1) with top-left block G, top-right column g and
-    last row (0, ..., 0, 1).
-    """
-
-    G: np.ndarray
-    g: np.ndarray
-    C: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.G.shape[0]
-
-
-@dataclass(frozen=True)
 class DriftSplit:
-    """Hermitian/skew decomposition of the drift C - I, plus the
-    observable split of C itself.
-
-    C - I = C1h + i·C2h with C1h, C2h both Hermitian;
-    C = obs_C1 + i·obs_C2 with obs_C1 = (C+C†)/2, obs_C2 = (C−C†)/(2i).
-    """
+    """Hermitian decomposition of the drift: C - I = C1h + i·C2h with
+    C1h = (C+C†)/2 - I and C2h = (C−C†)/(2i), both Hermitian."""
 
     C1h: np.ndarray
     C2h: np.ndarray
-    obs_C1: np.ndarray
-    obs_C2: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    eigenvalues: np.ndarray
-    spectral_radius: float
-    gap: float
-    diag_dominant: bool
-    sparsity: int
-    max_norm: float
-    steady_eigenvalue: complex = field(default=0j)
-
-
-def augment(G, g) -> AugmentedSystem:
-    """Build the (d+1)×(d+1) block matrix C from G (d×d) and g (d)."""
+def augment(G, g) -> np.ndarray:
+    """The (d+1)×(d+1) matrix C embedding the affine iteration y ↦ Gy + g
+    as x ↦ Cx: top-left block G, top-right column g, last row (0, ..., 0, 1)."""
     G = require_square(as_matrix(G), "G")
     g = as_vector(g)
     d = G.shape[0]
@@ -116,7 +83,7 @@ def augment(G, g) -> AugmentedSystem:
     C[:d, :d] = G
     C[:d, d] = g
     C[d, d] = 1.0
-    return AugmentedSystem(G=G, g=g, C=C)
+    return C
 
 
 def deaugment(x) -> np.ndarray:
@@ -133,13 +100,14 @@ def deaugment(x) -> np.ndarray:
 
 
 def split(C) -> DriftSplit:
-    """Decompose C - I = C1h + i·C2h and C = obs_C1 + i·obs_C2."""
+    """Decompose C - I = C1h + i·C2h. Both parts are exactly Hermitian,
+    not only to rounding, because entry (j, i) of each is computed as the
+    exact conjugate of entry (i, j): IEEE addition commutes and rounds
+    symmetrically, and halving and dividing by 2j treat both alike."""
     C = require_square(as_matrix(C), "C")
     Ch = C.conj().T
-    obs_C1 = (C + Ch) / 2
-    obs_C2 = (C - Ch) / 2j
-    C1h = obs_C1 - np.eye(C.shape[0])
-    return DriftSplit(C1h=C1h, C2h=obs_C2, obs_C1=obs_C1, obs_C2=obs_C2)
+    C1h = (C + Ch) / 2 - np.eye(C.shape[0])
+    return DriftSplit(C1h=C1h, C2h=(C - Ch) / 2j)
 
 
 def is_diagonally_dominant(A) -> bool:
@@ -173,23 +141,15 @@ def steady_mode(eigvals: np.ndarray, hint: complex | None = None) -> tuple[int, 
     return idx, gap
 
 
-def spectrum(M, steady_eigenvalue_hint: complex | None = None) -> SpectrumReport:
-    """Dense eigensolve plus the diagnostics the stopping-time bounds need;
-    the steady eigenvalue and gap follow ``steady_mode``."""
+def spectrum(
+    M, steady_eigenvalue_hint: complex | None = None
+) -> tuple[np.ndarray, int, float]:
+    """Dense eigenvalues of M, with the index of the steady eigenvalue and
+    the gap from it, as ``steady_mode`` picks them."""
     M = require_square(as_matrix(M), "M")
     require_dense_size(M.shape[0])
     try:
         eigvals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
-    steady_idx, gap = steady_mode(eigvals, steady_eigenvalue_hint)
-    sparsity, max_norm = sparsity_and_max_norm(M)
-    return SpectrumReport(
-        eigenvalues=eigvals,
-        spectral_radius=float(np.max(np.abs(eigvals))),
-        gap=gap,
-        diag_dominant=is_diagonally_dominant(M),
-        sparsity=sparsity,
-        max_norm=max_norm,
-        steady_eigenvalue=complex(eigvals[steady_idx]),
-    )
+    return (eigvals, *steady_mode(eigvals, steady_eigenvalue_hint))

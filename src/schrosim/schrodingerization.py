@@ -157,23 +157,19 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     raise InvalidInputError(f"unknown direction {direction!r}")
 
 
-def _require_hermitian_split(ds: core.DriftSplit) -> None:
-    """Reject a split whose C1h or C2h is not Hermitian to HERMITICITY_TOL."""
+def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
+    """H_k = -(η_k·C1h + C2h) for every grid mode; each block Hermitian.
+
+    The dense (N, d+1, d+1) reference representation, for tests and small
+    systems; ``propagate`` never builds it. The split may come from
+    anywhere, so a C1h or C2h not Hermitian to HERMITICITY_TOL is rejected.
+    """
     for name, mat in (("C1h", ds.C1h), ("C2h", ds.C2h)):
         defect = core.hermiticity_defect(mat)
         if defect > core.HERMITICITY_TOL:
             raise InvalidInputError(
                 f"{name} is not Hermitian (defect {defect:.2e})"
             )
-
-
-def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
-    """H_k = -(η_k·C1h + C2h) for every grid mode; each block Hermitian.
-
-    The dense (N, d+1, d+1) reference representation, for tests and small
-    systems; ``propagate`` never builds it.
-    """
-    _require_hermitian_split(ds)
     blocks = -(grid.eta[:, None, None] * ds.C1h[None] + ds.C2h[None])
     return GeneratorBlocks(blocks=blocks, grid=grid, split=ds)
 
@@ -410,7 +406,7 @@ def propagate(
     x0 = core.as_vector(x0)
     if C.shape[0] != x0.shape[0]:
         raise DimensionError("C and x0 dimensions differ")
-    ds = core.split(C)
+    ds = core.split(C)  # exactly Hermitian parts, so evolve needs no check
     top = float(np.max(np.linalg.eigvalsh(ds.C1h)))
     if top > 1e-10:
         warnings.warn(
@@ -419,7 +415,6 @@ def propagate(
             "the readout window is shifted past it",
             stacklevel=2,
         )
-    _require_hermitian_split(ds)
     w0 = initial_warped_state(x0, grid)
     v0 = transform(w0, "forward")
     vt = evolve(v0, GeneratorBlocks(blocks=None, grid=grid, split=ds), t)

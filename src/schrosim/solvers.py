@@ -124,11 +124,6 @@ def build_splitting(A, b, method: str = "jacobi", a: float | None = None) -> Spl
     raise InvalidInputError(f"unknown splitting method {method!r}")
 
 
-def iteration_matrix(s: Splitting) -> core.AugmentedSystem:
-    """Augmented C whose steady direction is (A⁻¹b, 1)ᵀ."""
-    return core.augment(s.G, s.g)
-
-
 def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     """Eigendecompose M and expand x0 in its (unit-normalised) eigenbasis.
 
@@ -255,17 +250,9 @@ def quantum_cost_estimate(
     )
 
 
-def _resolve_grid(grid, C1h, t, N, L):
-    if grid is not None:
-        return grid
-    if L is None:
-        L = engine.default_domain_halfwidth(C1h, t)
-    return engine.make_grid(N, L)
-
-
 def _affine_scale(
     G, g, target: float = 0.05, max_doublings: int = 10
-) -> tuple[float, core.DriftSplit]:
+) -> tuple[float, np.ndarray, core.DriftSplit]:
     """Pick sigma so the drift of the augmented system [[G, g/sigma],[0,1]]
     has a nearly negative semidefinite Hermitian part.
 
@@ -274,17 +261,18 @@ def _affine_scale(
     sizeable positive Hermitian eigenvalue (the readout kink speed). The
     smallest power-of-two sigma meeting the target is used; recovery
     amplifies state error by sigma, so it is kept minimal. Returns sigma
-    with the drift split of its augmented C.
+    with its augmented C and the drift split of that C.
     """
     best, best_top = None, None
     sigma = 1.0
     for _ in range(max_doublings + 1):
-        ds = core.split(core.augment(G, np.asarray(g) / sigma).C)
+        C = core.augment(G, np.asarray(g) / sigma)
+        ds = core.split(C)
         top = float(np.linalg.eigvalsh(ds.C1h).max())
         if top <= target:
-            return sigma, ds
+            return sigma, C, ds
         if best_top is None or top < best_top:
-            best, best_top = (sigma, ds), top
+            best, best_top = (sigma, C, ds), top
         sigma *= 2.0
     return best
 
@@ -293,7 +281,6 @@ def quantum_jacobi_solve(
     A,
     b,
     y0=None,
-    grid: engine.Grid | None = None,
     delta: float = 1e-3,
     method: str = "jacobi",
     a: float | None = None,
@@ -334,11 +321,10 @@ def quantum_jacobi_solve(
     # leaves the spectrum and gap untouched but shrinks the positive part of
     # the drift's Hermitian spectrum, which otherwise pushes the readout
     # window into the discretisation noise floor at long stopping times.
-    sigma, ds = _affine_scale(s.G, s.g)
-    aug = core.augment(s.G, s.g / sigma)
+    sigma, C, ds = _affine_scale(s.G, s.g)
     x0 = np.concatenate([y0 / sigma, [1.0]])
 
-    eigvals, overlaps, _, gap = eigen_overlaps(aug.C - np.eye(d + 1), x0, steady_hint=0j)
+    eigvals, overlaps, _, gap = eigen_overlaps(C - np.eye(d + 1), x0, steady_hint=0j)
     if gap <= GAP_TIE_TOL:
         raise NoGapError(f"spectral gap {gap:.3e} is (near-)degenerate")
     t_bound = estimate_tf([overlaps[0]], gap, delta)
@@ -347,9 +333,11 @@ def quantum_jacobi_solve(
         overlaps=overlaps, gap=gap, delta=delta, L_term=float(overlaps[2:].sum()),
         t_out=t_bound,
     )
-    grid = _resolve_grid(grid, ds.C1h, t_f, N, L)
+    if L is None:
+        L = engine.default_domain_halfwidth(ds.C1h, t_f)
+    grid = engine.make_grid(N, L)
 
-    rec = engine.propagate(aug.C, x0, t_f, grid, mode=recovery, pstar=pstar)
+    rec = engine.propagate(C, x0, t_f, grid, mode=recovery, pstar=pstar)
     y = sigma * core.deaugment(rec.x)
     # map the recovered unit state back to the unscaled augmented system
     state = np.concatenate([sigma * rec.state[:d], rec.state[d:]])
@@ -362,7 +350,7 @@ def quantum_jacobi_solve(
         np.linalg.norm(s.A @ y - s.b) / max(np.linalg.norm(s.b), 1e-300)
     )
     cost = quantum_cost_estimate(
-        aug.C, t_f, epsilon=1.0 / grid.N, overlap=float(np.sqrt(overlaps[0]))
+        C, t_f, epsilon=1.0 / grid.N, overlap=float(np.sqrt(overlaps[0]))
     )
     return LinearSolveReport(
         state=state,
@@ -381,16 +369,16 @@ def eigenvalue_from_state(state, C) -> complex:
     """Rayleigh readout ⟨s|C|s⟩ assembled from the two Hermitian
     observables (C+C†)/2 and (C−C†)/(2i), each measured separately."""
     state = core.as_vector(state)
-    ds = core.split(C)
-    re = float(np.real(np.vdot(state, ds.obs_C1 @ state)))
-    im = float(np.real(np.vdot(state, ds.obs_C2 @ state)))
+    C = core.require_square(core.as_matrix(C), "C")
+    Ch = C.conj().T
+    re = float(np.real(np.vdot(state, ((C + Ch) / 2) @ state)))
+    im = float(np.real(np.vdot(state, ((C - Ch) / 2j) @ state)))
     return complex(re, im)
 
 
 def quantum_power_method(
     C,
     x0=None,
-    grid: engine.Grid | None = None,
     epsilon: float = 0.1,
     t: float | None = None,
     N: int = DEFAULT_N,
@@ -427,8 +415,9 @@ def quantum_power_method(
         overlaps=overlaps, gap=gap, delta=delta,
         L_term=float(overlaps[2:].sum()), t_out=t_max,
     )
-    ds = core.split(C)
-    grid = _resolve_grid(grid, ds.C1h, t_max, N, L)
+    if L is None:
+        L = engine.default_domain_halfwidth(core.split(C).C1h, t_max)
+    grid = engine.make_grid(N, L)
 
     rec = engine.propagate(C, x0, t_max, grid, mode=recovery, pstar=pstar)
     lam_hat = eigenvalue_from_state(rec.state, C)

@@ -436,6 +436,50 @@ class TestDeterminism:
         )
         assert a == b
 
+    @pytest.mark.parametrize(
+        "command,header,entries,extra,reductions",
+        [
+            # Hermitian C: one eigh for all modes, no per-mode reduction
+            ("eig", "complex hermitian", "1 1 0.9 0.0\n2 1 0.05 -0.05\n2 2 0.5 0.0\n"
+             "3 2 0.0 0.02\n3 3 0.3 0.0\n", {}, 0),
+            # real non-symmetric C: modes k = 0..N/2 only
+            ("eig", "real general", "1 1 0.9\n1 2 0.2\n2 2 0.5\n2 3 0.1\n3 1 0.05\n"
+             "3 3 0.3\n", {}, 33),
+            # complex general C: every mode
+            ("evolve", "complex general", "1 1 0.6 0.0\n1 2 0.1 0.2\n2 1 0.0 -0.1\n"
+             "2 2 0.4 0.1\n3 1 0.2 0.0\n3 3 0.5 -0.3\n", {"t": 1.0}, 64),
+        ],
+        ids=["hermitian", "real", "general"],
+    )
+    def test_propagation_path_byte_identical(
+        self, tmp_path, monkeypatch, command, header, entries, extra, reductions
+    ):
+        calls = []
+        zhetrd = engine.lapack.zhetrd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return zhetrd(*args, **kwargs)
+
+        monkeypatch.setattr(engine.lapack, "zhetrd", counting)
+        nnz = entries.count("\n")
+        path = write(
+            tmp_path, "C.mtx",
+            f"%%MatrixMarket matrix coordinate {header}\n3 3 {nnz}\n{entries}",
+        )
+        a, b = self._run_twice(
+            tmp_path,
+            dict(
+                command=command,
+                matrix_path=path,
+                x0_path=vec(tmp_path, "x0.json", [0.6, 0.0, 0.8]),
+                N=64,
+                **extra,
+            ),
+        )
+        assert a == b
+        assert len(calls) == 2 * reductions
+
     def test_timing_flag_adds_wall_time(self, tmp_path):
         cfg = RunConfig(
             command="diagnose",
@@ -446,6 +490,59 @@ class TestDeterminism:
         assert cli.execute(cfg) == 0
         report = json.loads((tmp_path / "t.json").read_text())
         assert isinstance(report["wall_time_seconds"], float)
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("solve", ["--t", "foo"]),
+            ("solve", ["--t", "inf"]),
+            ("solve", ["--delta", "nan"]),
+            ("eig", ["--epsilon", "inf"]),
+            ("eig", ["--recovery", "at-pstar", "--pstar", "nan"]),
+            ("evolve", ["--t", "nan"]),
+            ("diagnose", ["--alpha0-sq", "1.5"]),
+            ("diagnose", ["--alpha0-sq", "nan"]),
+            ("diagnose", ["--alpha0-sq", "-0.2"]),
+            ("diagnose", ["--alpha0-sq", "0"]),
+            ("diagnose", ["--l", "inf"]),
+            ("diagnose", ["--method", "richardson", "--a", "-inf"]),
+        ],
+    )
+    def test_rejected_with_invalid_input_document(self, tmp_path, command, args):
+        from click.testing import CliRunner
+
+        A = mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1.0, 3.0]])
+        inputs = {
+            "solve": ["--matrix", A, "--rhs", vec(tmp_path, "b.json", [1.0, 2.0])],
+            "eig": ["--matrix", mm_real(tmp_path, "C.mtx", np.diag([0.9, 0.5]))],
+            "evolve": [
+                "--matrix", mm_real(tmp_path, "E.mtx", [[0.5]]),
+                "--x0", vec(tmp_path, "x0.json", [1.0]),
+            ],
+            "diagnose": ["--matrix", A],
+        }
+
+        def not_json(token):
+            raise AssertionError(f"report holds the non-JSON token {token}")
+
+        result = CliRunner().invoke(cli.main, [command, *inputs[command], *args])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        report = json.loads(result.output, parse_constant=not_json)
+        assert report["error"]["code"] == "invalid-input"
+
+    def test_boundary_values_accepted(self, tmp_path):
+        cfg = RunConfig(
+            command="diagnose",
+            matrix_path=mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1.0, 3.0]]),
+            alpha0_sq=1.0,
+            output_path=str(tmp_path / "out.json"),
+        )
+        assert cli.execute(cfg) == 0
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert report["alpha0_sq_assumed"] == 1.0
 
 
 class TestClickSurface:

@@ -95,12 +95,7 @@ class TestTransform:
 class TestGeneratorBlocks:
     def test_scalar_arithmetic(self):
         grid = eng.make_grid(4, np.pi)  # eta = -1, 0, 1, 2
-        ds = core.DriftSplit(
-            C1h=np.array([[-0.5]]),
-            C2h=np.array([[0.0]]),
-            obs_C1=np.array([[0.5]]),
-            obs_C2=np.array([[0.0]]),
-        )
+        ds = core.DriftSplit(C1h=np.array([[-0.5]]), C2h=np.array([[0.0]]))
         gen = eng.generator_blocks(ds, grid)
         j2 = int(np.where(grid.mode_index == 2)[0][0])
         assert gen.blocks[j2, 0, 0] == pytest.approx(1.0)
@@ -119,10 +114,7 @@ class TestGeneratorBlocks:
     def test_rejects_non_hermitian(self):
         grid = eng.make_grid(8, 2.0)
         bad = core.DriftSplit(
-            C1h=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            C2h=np.zeros((2, 2)),
-            obs_C1=np.zeros((2, 2)),
-            obs_C2=np.zeros((2, 2)),
+            C1h=np.array([[0.0, 1.0], [0.0, 0.0]]), C2h=np.zeros((2, 2))
         )
         with pytest.raises(InvalidInputError):
             eng.generator_blocks(bad, grid)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schrosim import baselines, core, schrodingerization, solvers
 from schrosim.errors import (
@@ -57,24 +58,25 @@ class TestBuildSplitting:
 class TestIterationMatrix:
     def test_block_form(self):
         s = solvers.build_splitting(A22, B22, "jacobi")
-        aug = solvers.iteration_matrix(s)
-        assert aug.C.shape == (3, 3)
-        assert np.array_equal(aug.C[2], [0.0, 0.0, 1.0])
-        assert np.allclose(aug.C[:2, 2], [0.5, 2.0 / 3.0])
+        C = core.augment(s.G, s.g)
+        assert C.shape == (3, 3)
+        assert np.array_equal(C[2], [0.0, 0.0, 1.0])
+        assert np.allclose(C[:2, 2], [0.5, 2.0 / 3.0])
 
     def test_homogeneous(self):
         s = solvers.build_splitting(A22, np.zeros(2), "jacobi")
-        aug = solvers.iteration_matrix(s)
-        assert np.allclose(aug.C[:2, 2], 0.0)
+        C = core.augment(s.G, s.g)
+        assert np.allclose(C[:2, 2], 0.0)
 
     def test_eigenvalue_one_with_solution_eigenvector(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 17))
             A, b = random_dominant(rng, d)
-            aug = solvers.iteration_matrix(solvers.build_splitting(A, b))
+            s = solvers.build_splitting(A, b)
+            C = core.augment(s.G, s.g)
             x_star = np.concatenate([baselines.direct_solve(A, b), [1.0]])
-            assert np.max(np.abs(aug.C @ x_star - x_star)) <= 1e-8
-            assert np.min(np.abs(np.linalg.eigvals(aug.C) - 1.0)) <= 1e-8
+            assert np.max(np.abs(C @ x_star - x_star)) <= 1e-8
+            assert np.min(np.abs(np.linalg.eigvals(C) - 1.0)) <= 1e-8
 
 
 class TestEstimateTf:
@@ -222,6 +224,17 @@ class TestEigenvalueFromState:
         s = rng.normal(size=4) + 1j * rng.normal(size=4)
         s /= np.linalg.norm(s)
         assert abs(solvers.eigenvalue_from_state(s, C).imag) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 32))
+    def test_observables_reassemble_rayleigh_quotient(self, seed, d):
+        # re + i·im from (C+C†)/2 and (C−C†)/(2i) is ⟨s|C|s⟩ for any C
+        rng = np.random.default_rng(seed)
+        C = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        s = rng.normal(size=d) + 1j * rng.normal(size=d)
+        s /= np.linalg.norm(s)
+        lam = solvers.eigenvalue_from_state(s, C)
+        assert abs(lam - np.vdot(s, C @ s)) <= 1e-12 * d
 
 
 class TestQuantumPowerMethod:
