@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import time
-from array import array
 from dataclasses import dataclass, field
 
 import click
@@ -24,6 +24,35 @@ _MIRROR = {
     "hermitian": lambda a: a.conjugate(),
     "skew-symmetric": lambda a: -a,
 }
+# one record per entry line: "i j re" for a real field, "i j re im" for complex
+_ENTRY_DTYPES = {
+    "real": np.dtype([("i", np.int64), ("j", np.int64), ("re", np.float64)]),
+    "complex": np.dtype(
+        [("i", np.int64), ("j", np.int64), ("re", np.float64), ("im", np.float64)]
+    ),
+}
+_INDEX = re.compile(r"[+-]?[0-9]+")
+
+
+def _load_entries(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    if not lines:
+        return np.empty(0, dtype)  # loadtxt warns on empty input
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+
+
+def _unparsable_message(line: str, want: int, fld: str) -> str:
+    """The error for an entry line that ``_load_entries`` rejects."""
+    parts = line.split()
+    if len(parts) != want:
+        return f"expected {want} fields for a {fld} entry"
+    try:
+        if all(_INDEX.fullmatch(p) for p in parts[:2]):
+            np.loadtxt(parts[2:], dtype=np.float64, comments=None)
+            # every token is well formed, so an index overflowed int64
+            return f"index ({int(parts[0])}, {int(parts[1])}) out of range"
+    except ValueError:
+        pass
+    return "malformed entry"
 
 
 def read_matrix_market(path: str) -> np.ndarray:
@@ -36,8 +65,9 @@ def read_matrix_market(path: str) -> np.ndarray:
     coordinate given twice (in a mirrored file, also (i, j) together with
     (j, i)) is rejected rather than summed or overwritten. A declared size
     above ``core.MAX_DENSE_DIM`` is rejected at the size line, before
-    anything is allocated. Malformed input raises ParseError with the
-    offending 1-based line number.
+    anything is allocated. Indices are ASCII integers and values ASCII
+    decimal floats (or inf/nan), as numpy's ``loadtxt`` parses them. Malformed
+    input raises ParseError with the first offending 1-based line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -63,101 +93,125 @@ def read_matrix_market(path: str) -> np.ndarray:
         raise ParseError("a hermitian matrix needs the complex field", line=1)
     mirror = _MIRROR.get(sym)
 
-    lineno = 1
-    size = None
-    M = None
-    first_line = None  # per stored coordinate, the line that set it (0: none)
-    seen_nnz = 0
-    expected_nnz = 0
-    for raw in lines[1:]:
-        lineno += 1
+    for lineno, raw in enumerate(lines[1:], 2):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
         parts = stripped.split()
-        if size is None:
-            if len(parts) != 3:
-                raise ParseError("size line must be 'rows cols nnz'", line=lineno)
-            try:
-                rows, cols, expected_nnz = (int(x) for x in parts)
-            except ValueError:
-                raise ParseError("size line must contain integers", line=lineno)
-            if rows < 1 or cols < 1 or expected_nnz < 0:
-                raise ParseError("invalid matrix dimensions", line=lineno)
-            if max(rows, cols) > core.MAX_DENSE_DIM:
-                raise ParseError(
-                    f"declared size {rows}x{cols} exceeds the dense limit"
-                    f" {core.MAX_DENSE_DIM}",
-                    line=lineno,
-                )
-            if mirror and rows != cols:
-                raise ParseError(f"a {sym} matrix must be square", line=lineno)
-            size = (rows, cols)
-            M = np.zeros(size, dtype=complex)
-            flat = M.reshape(-1)  # a view: entry (i, j) is flat[(i-1)·cols + j-1]
-            first_line = array("i", [0]) * M.size
-            continue
-        want = 4 if fld == "complex" else 3
-        if len(parts) != want:
-            raise ParseError(
-                f"expected {want} fields for a {fld} entry", line=lineno
-            )
+        if len(parts) != 3:
+            raise ParseError("size line must be 'rows cols nnz'", line=lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
-            if fld == "complex":
-                val = complex(float(parts[2]), float(parts[3]))
-            else:
-                val = float(parts[2])
+            rows, cols, expected_nnz = (int(x) for x in parts)
         except ValueError:
-            raise ParseError("malformed entry", line=lineno)
-        if not (1 <= i <= size[0] and 1 <= j <= size[1]):
-            raise ParseError(f"index ({i}, {j}) out of range", line=lineno)
-        if i == j and (
-            sym == "skew-symmetric" or (sym == "hermitian" and val.imag != 0)
-        ):
+            raise ParseError("size line must contain integers", line=lineno)
+        if rows < 1 or cols < 1 or expected_nnz < 0:
+            raise ParseError("invalid matrix dimensions", line=lineno)
+        if max(rows, cols) > core.MAX_DENSE_DIM:
             raise ParseError(
-                f"diagonal entry ({i}, {j}) of a {sym} matrix must be "
-                + ("real" if sym == "hermitian" else "absent"),
+                f"declared size {rows}x{cols} exceeds the dense limit"
+                f" {core.MAX_DENSE_DIM}",
                 line=lineno,
             )
-        at, mirror_at = (i - 1) * cols + j - 1, (j - 1) * cols + i - 1
-        # (i, j) and (j, i) are one stored coordinate in a mirrored file
-        key = mirror_at if mirror and i < j else at
-        if first_line[key]:
-            raise ParseError(
-                f"duplicate entry ({i}, {j}); already set by line {first_line[key]}",
-                line=lineno,
+        if mirror and rows != cols:
+            raise ParseError(f"a {sym} matrix must be square", line=lineno)
+        break
+    else:
+        raise ParseError("missing size line", line=len(lines))
+
+    # the entry lines, without blank and comment lines, and their line numbers
+    body = [raw.strip() for raw in lines[lineno:]]
+    numbers = [n for n, s in enumerate(body, lineno + 1) if s and s[0] != "%"]
+    if len(numbers) < len(body):
+        body = [body[n - lineno - 1] for n in numbers]
+    dtype = _ENTRY_DTYPES[fld]
+    try:
+        rec = _load_entries(body, dtype)
+        unparsable = None
+    except ValueError:
+        # loadtxt stops at the first bad line: bisect on prefixes to find it
+        good, unparsable = 0, len(body)
+        while unparsable - good > 1:
+            mid = (good + unparsable) // 2
+            try:
+                _load_entries(body[:mid], dtype)
+                good = mid
+            except ValueError:
+                unparsable = mid
+        unparsable -= 1
+        rec = _load_entries(body[:unparsable], dtype)
+
+    i, j = rec["i"], rec["j"]
+    if fld == "complex":
+        vals = np.empty(rec.size, dtype=complex)
+        vals.real, vals.imag = rec["re"], rec["im"]
+    else:
+        vals = rec["re"]
+    in_range = (i >= 1) & (i <= rows) & (j >= 1) & (j <= cols)
+    if sym == "skew-symmetric":
+        bad_diagonal = i == j
+    elif sym == "hermitian":
+        bad_diagonal = (i == j) & (vals.imag != 0)
+    else:
+        bad_diagonal = np.zeros(rec.size, dtype=bool)
+    at, mirror_at = (i - 1) * cols + j - 1, (j - 1) * cols + i - 1
+    # (i, j) and (j, i) are one stored coordinate in a mirrored file
+    key = np.where(i < j, mirror_at, at) if mirror else at
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(rec.size, dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    failing = ~in_range | bad_diagonal | repeated
+    if failing.any():
+        r = int(np.argmax(failing))
+        if not in_range[r]:
+            message = f"index ({i[r]}, {j[r]}) out of range"
+        elif bad_diagonal[r]:
+            message = (
+                f"diagonal entry ({i[r]}, {j[r]}) of a {sym} matrix must be "
+                + ("real" if sym == "hermitian" else "absent")
             )
-        first_line[key] = lineno
-        if mirror and i != j:
-            flat[mirror_at] = mirror(val)
-        flat[at] = val
-        seen_nnz += 1
-    if size is None:
-        raise ParseError("missing size line", line=lineno)
-    if seen_nnz != expected_nnz:
+        else:
+            first = numbers[int(np.argmax(key == key[r]))]
+            message = f"duplicate entry ({i[r]}, {j[r]}); already set by line {first}"
+        raise ParseError(message, line=numbers[r])
+    if unparsable is not None:
         raise ParseError(
-            f"entry count {seen_nnz} does not match declared {expected_nnz}",
-            line=lineno,
+            _unparsable_message(body[unparsable], len(dtype), fld),
+            line=numbers[unparsable],
         )
+    if len(body) != expected_nnz:
+        raise ParseError(
+            f"entry count {len(body)} does not match declared {expected_nnz}",
+            line=len(lines),
+        )
+    M = np.zeros((rows, cols), dtype=complex)
+    flat = M.reshape(-1)  # a view: entry (i, j) is flat[(i-1)·cols + j-1]
+    flat[at] = vals
+    if mirror:
+        off = i != j
+        flat[mirror_at[off]] = mirror(vals[off])
     return M
 
 
 def write_matrix_market(M: np.ndarray) -> str:
     """Serialise a dense matrix as coordinate Matrix Market text that
-    read_matrix_market parses back to the same matrix."""
+    read_matrix_market parses back to the same matrix: the nonzeros in
+    row-major order, each value as the repr of its real and imaginary
+    parts."""
     M = core.as_matrix(M)
-    entries = [
-        (i + 1, j + 1, M[i, j])
-        for i in range(M.shape[0])
-        for j in range(M.shape[1])
-        if M[i, j] != 0
-    ]
+    rows, cols = np.nonzero(M)
+    vals = M[rows, cols]
+    # each 1-based index as text, formatted once rather than once per entry
+    index = [str(k) for k in range(1, max(M.shape) + 1)]
     lines = [
         "%%MatrixMarket matrix coordinate complex general",
-        f"{M.shape[0]} {M.shape[1]} {len(entries)}",
+        f"{M.shape[0]} {M.shape[1]} {rows.size}",
     ]
-    lines += [f"{i} {j} {float(v.real)!r} {float(v.imag)!r}" for i, j, v in entries]
+    lines += [
+        f"{index[i]} {index[j]} {real!r} {imag!r}"
+        for i, j, real, imag in zip(
+            rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist()
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -235,26 +289,29 @@ def _cost_section(cost: solvers.CostReport) -> dict:
     }
 
 
-# RunConfig fields set from a float option; the option is --<field>, in
-# lower case with "-" for "_"
+# RunConfig fields set from a float option (text from the command line, a
+# float once _check_numbers has run); the option is --<field>, in lower case
+# with "-" for "_"
 _FLOAT_FIELDS = ("a", "L", "t", "delta", "epsilon", "pstar", "alpha0_sq")
 
 
 def _check_numbers(cfg: RunConfig) -> None:
-    """Reject a float option that does not parse or is not finite (NaN and
-    infinity are not JSON numbers), and an assumed overlap --alpha0-sq
-    outside (0, 1]."""
+    """Parse each float option once and store the float. Reject one that
+    does not parse or is not finite (NaN and infinity are not JSON numbers),
+    and an assumed overlap --alpha0-sq outside (0, 1]. The command line
+    passes these options as text, so a typo gets the JSON error document."""
     for name in _FLOAT_FIELDS:
         value = getattr(cfg, name)
         if value is None or (name == "t" and value == "auto"):
             continue
         try:
-            finite = math.isfinite(float(value))
+            number = float(value)
         except (TypeError, ValueError):
-            finite = False
-        if not finite:
+            number = math.nan
+        if not math.isfinite(number):
             option = "--" + name.lower().replace("_", "-")
             raise InvalidInputError(f"{option} must be a finite number, got {value!r}")
+        setattr(cfg, name, number)
     if not 0.0 < cfg.alpha0_sq <= 1.0:
         raise InvalidInputError(
             f"--alpha0-sq must be in (0, 1], got {cfg.alpha0_sq!r}"
@@ -262,9 +319,7 @@ def _check_numbers(cfg: RunConfig) -> None:
 
 
 def _explicit_time(cfg: RunConfig) -> float | None:
-    if cfg.t in (None, "auto"):
-        return None
-    return float(cfg.t)
+    return None if cfg.t in (None, "auto") else cfg.t
 
 
 def run_solve(cfg: RunConfig) -> dict:
@@ -441,11 +496,18 @@ def execute(cfg: RunConfig) -> int:
     return status
 
 
+# a float option reaches _check_numbers as text, so that a value that does
+# not parse gets the JSON error document rather than click's usage error
+_FLOAT = {"type": str, "metavar": "FLOAT"}
+
+
 def _common_options(f):
     opts = [
         click.option("--matrix", "matrix_path", required=True, type=click.Path()),
         click.option("--n", "N", default=solvers.DEFAULT_N, show_default=True),
-        click.option("--l", "L", default=None, type=float, help="p-domain half-width (auto if omitted)"),
+        click.option(
+            "--l", "L", default=None, **_FLOAT, help="p-domain half-width (auto if omitted)"
+        ),
         click.option("--output", "output_path", default=None),
         click.option("--timing", is_flag=True, help="include wall time (breaks byte determinism)"),
     ]
@@ -462,7 +524,9 @@ def _recovery_options(f):
             default="sum-positive",
             show_default=True,
         ),
-        click.option("--pstar", default=engine.DEFAULT_PSTAR, show_default=True),
+        click.option(
+            "--pstar", default=engine.DEFAULT_PSTAR, **_FLOAT, show_default=True
+        ),
     ]
     for opt in reversed(opts):
         f = opt(f)
@@ -485,9 +549,9 @@ def main():
 @click.option("--rhs", "rhs_path", required=True, type=click.Path())
 @click.option("--x0", "x0_path", default=None, type=click.Path())
 @click.option("--method", type=click.Choice(["jacobi", "richardson", "damped-jacobi"]), default="jacobi", show_default=True)
-@click.option("--a", default=None, type=float, help="relaxation parameter")
+@click.option("--a", default=None, **_FLOAT, help="relaxation parameter")
 @click.option("--t", default="auto", help="evolution time or 'auto'")
-@click.option("--delta", default=1e-3, show_default=True)
+@click.option("--delta", default=1e-3, **_FLOAT, show_default=True)
 @click.option("--override-convergence", is_flag=True)
 @click.option("--show-overlaps", is_flag=True)
 def solve(**kw):
@@ -502,7 +566,7 @@ def solve(**kw):
 @_recovery_options
 @click.option("--x0", "x0_path", default=None, type=click.Path())
 @click.option("--t", default="auto", help="evolution time or 'auto'")
-@click.option("--epsilon", default=0.1, show_default=True)
+@click.option("--epsilon", default=0.1, **_FLOAT, show_default=True)
 @click.option("--show-overlaps", is_flag=True)
 def eig(**kw):
     """Estimate the dominant eigenpair of C."""
@@ -514,7 +578,7 @@ def eig(**kw):
 @_common_options
 @_recovery_options
 @click.option("--x0", "x0_path", required=True, type=click.Path())
-@click.option("--t", required=True, type=float)
+@click.option("--t", required=True, **_FLOAT)
 def evolve(**kw):
     """Evolve x0 under the drift of C for an explicit time."""
     kw["recovery"] = _norm_recovery(kw["recovery"])
@@ -524,9 +588,9 @@ def evolve(**kw):
 @main.command()
 @_common_options
 @click.option("--method", type=click.Choice(["jacobi", "richardson", "damped-jacobi"]), default="jacobi", show_default=True)
-@click.option("--a", default=None, type=float)
-@click.option("--delta", default=1e-3, show_default=True)
-@click.option("--alpha0-sq", default=0.5, show_default=True, help="assumed steady-mode overlap for the stopping-time prediction")
+@click.option("--a", default=None, **_FLOAT)
+@click.option("--delta", default=1e-3, **_FLOAT, show_default=True)
+@click.option("--alpha0-sq", default=0.5, **_FLOAT, show_default=True, help="assumed steady-mode overlap for the stopping-time prediction")
 def diagnose(**kw):
     """Spectral and convergence diagnostics; no evolution run."""
     kw["method"] = kw["method"].replace("-", "_")

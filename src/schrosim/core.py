@@ -144,12 +144,15 @@ def steady_mode(eigvals: np.ndarray, hint: complex | None = None) -> tuple[int, 
 def spectrum(
     M, steady_eigenvalue_hint: complex | None = None
 ) -> tuple[np.ndarray, int, float]:
-    """Dense eigenvalues of M, with the index of the steady eigenvalue and
-    the gap from it, as ``steady_mode`` picks them."""
+    """Dense eigenvalues of M (complex, in LAPACK order), with the index of
+    the steady eigenvalue and the gap from it, as ``steady_mode`` picks
+    them. A real M (zero imaginary part) is solved in real arithmetic."""
     M = require_square(as_matrix(M), "M")
     require_dense_size(M.shape[0])
     try:
-        eigvals = np.linalg.eigvals(M)
+        # a real M stored as complex goes to the real LAPACK driver
+        eigvals = np.linalg.eigvals(M if M.imag.any() else M.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
+    eigvals = eigvals.astype(complex, copy=False)
     return (eigvals, *steady_mode(eigvals, steady_eigenvalue_hint))

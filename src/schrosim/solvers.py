@@ -140,10 +140,12 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     core.require_dense_size(M.shape[0])
     x0 = core.as_vector(x0)
     try:
-        eigvals, V = np.linalg.eig(M)
+        # a real M stored as complex goes to the real LAPACK driver
+        eigvals, V = np.linalg.eig(M if M.imag.any() else M.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
-    V = V / np.linalg.norm(V, axis=0)
+    eigvals = eigvals.astype(complex, copy=False)
+    V = V.astype(complex, copy=False) / np.linalg.norm(V, axis=0)
     lead, gap = core.steady_mode(eigvals, steady_hint)
     order = [lead] + sorted(
         (j for j in range(eigvals.size) if j != lead),

@@ -89,6 +89,17 @@ class TestReadMatrixMarket:
             cli.read_matrix_market(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("entry", ["1.0 1 2.0", "1 1e0 2.0", "1 1_0 2.0"])
+    def test_non_integer_index_is_parse_error(self, tmp_path, entry):
+        path = write(
+            tmp_path,
+            "idx.mtx",
+            f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{entry}\n",
+        )
+        with pytest.raises(ParseError, match="malformed entry") as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.code == "parse-error" and exc.value.line == 3
+
     def test_nnz_mismatch(self, tmp_path):
         path = write(
             tmp_path,
@@ -508,6 +519,16 @@ class TestNumericOptions:
             ("diagnose", ["--alpha0-sq", "0"]),
             ("diagnose", ["--l", "inf"]),
             ("diagnose", ["--method", "richardson", "--a", "-inf"]),
+            # options that click once typed as floats: a token that does
+            # not parse must still give the JSON document
+            ("diagnose", ["--alpha0-sq", "foo"]),
+            ("diagnose", ["--delta", "foo"]),
+            ("diagnose", ["--l", "foo"]),
+            ("diagnose", ["--method", "richardson", "--a", "foo"]),
+            ("eig", ["--epsilon", "foo"]),
+            ("eig", ["--pstar", "foo"]),
+            ("evolve", ["--t", "foo"]),
+            ("solve", ["--delta", "foo"]),
         ],
     )
     def test_rejected_with_invalid_input_document(self, tmp_path, command, args):

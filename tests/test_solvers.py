@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from schrosim import baselines, core, schrodingerization, solvers
 from schrosim.errors import (
@@ -15,6 +16,48 @@ from conftest import random_dominant
 
 A22 = np.array([[2.0, 1.0], [1.0, 3.0]])
 B22 = np.array([1.0, 2.0])
+
+
+def assert_same_multiset(a, b, tol):
+    """a and b hold the same values up to tol, matched one to one."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert a.size == b.size and cost[rows, cols].max() <= tol
+
+
+class TestRealArithmetic:
+    """A real matrix stored as complex is eigensolved in real arithmetic;
+    a genuinely complex one stays complex."""
+
+    @pytest.mark.parametrize(
+        "imag, driver_dtype", [(0.0, np.float64), (0.3, np.complex128)]
+    )
+    def test_eigensolver_input_dtype(self, monkeypatch, rng, imag, driver_dtype):
+        M = rng.normal(size=(7, 7)) + 1j * imag * rng.normal(size=(7, 7))
+        x0 = rng.normal(size=7)
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        seen = []
+
+        def recording(f):
+            def wrapper(a):
+                seen.append((f.__name__, a.dtype))
+                return f(a)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig", recording(eig))
+        monkeypatch.setattr(np.linalg, "eigvals", recording(eigvals))
+        lam, _, _ = core.spectrum(M)
+        lam_o, overlaps, V, _ = solvers.eigen_overlaps(M, x0)
+        assert seen == [("eigvals", driver_dtype), ("eig", driver_dtype)]
+        # the complex computation, as before the real-arithmetic rule
+        reference = eigvals(M)
+        scale = np.max(np.abs(reference))
+        for got in (lam, lam_o):
+            assert got.dtype == np.complex128
+            assert_same_multiset(got, reference, 1e-12 * scale)
+        assert V.dtype == np.complex128
+        assert np.allclose(M @ V, V * lam_o, atol=1e-12 * scale)
+        assert overlaps.sum() == pytest.approx(1.0)
 
 
 class TestBuildSplitting:
