@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import click
@@ -35,9 +36,26 @@ _INDEX = re.compile(r"[+-]?[0-9]+")
 
 
 def _load_entries(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """Parse entry lines into ``dtype`` records; ValueError if any does not
+    parse. numpy before 2.0 reads a float token such as ``1.0`` in an integer
+    column with only a DeprecationWarning (and truncates it); that warning is
+    raised here as an error, so such a token is rejected on every numpy."""
     if not lines:
         return np.empty(0, dtype)  # loadtxt warns on empty input
-    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from exc
+
+
+def _parses(line: str, dtype: np.dtype) -> bool:
+    try:
+        _load_entries([line], dtype)
+    except ValueError:
+        return False
+    return True
 
 
 def _unparsable_message(line: str, want: int, fld: str) -> str:
@@ -128,16 +146,8 @@ def read_matrix_market(path: str) -> np.ndarray:
         rec = _load_entries(body, dtype)
         unparsable = None
     except ValueError:
-        # loadtxt stops at the first bad line: bisect on prefixes to find it
-        good, unparsable = 0, len(body)
-        while unparsable - good > 1:
-            mid = (good + unparsable) // 2
-            try:
-                _load_entries(body[:mid], dtype)
-                good = mid
-            except ValueError:
-                unparsable = mid
-        unparsable -= 1
+        # name the first line that does not parse; the lines before it do
+        unparsable = next(n for n, s in enumerate(body) if not _parses(s, dtype))
         rec = _load_entries(body[:unparsable], dtype)
 
     i, j = rec["i"], rec["j"]
@@ -200,14 +210,12 @@ def write_matrix_market(M: np.ndarray) -> str:
     M = core.as_matrix(M)
     rows, cols = np.nonzero(M)
     vals = M[rows, cols]
-    # each 1-based index as text, formatted once rather than once per entry
-    index = [str(k) for k in range(1, max(M.shape) + 1)]
     lines = [
         "%%MatrixMarket matrix coordinate complex general",
         f"{M.shape[0]} {M.shape[1]} {rows.size}",
     ]
     lines += [
-        f"{index[i]} {index[j]} {real!r} {imag!r}"
+        f"{i + 1} {j + 1} {real!r} {imag!r}"
         for i, j, real, imag in zip(
             rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist()
         )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,43 @@ class TestReadMatrixMarket:
         with pytest.raises(ParseError, match="malformed entry") as exc:
             cli.read_matrix_market(path)
         assert exc.value.code == "parse-error" and exc.value.line == 3
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("index", ["2.7", "1.0", "1e0"])
+    def test_float_index_rejected_where_loadtxt_only_warns(
+        self, tmp_path, monkeypatch, index
+    ):
+        # numpy before 2.0 parses a float token in an integer column as
+        # int(float(token)) with a DeprecationWarning; outside pytest that
+        # warning is hidden, as the filter mark above makes it here
+        real_loadtxt = np.loadtxt
+
+        def old_loadtxt(lines, dtype=float, **kwargs):
+            dtype = np.dtype(dtype)
+            if dtype.names:
+                fixed = []
+                for line in lines:
+                    parts = line.split()
+                    for k, name in enumerate(dtype.names[: len(parts)]):
+                        if dtype[name].kind == "i" and not parts[k].isdigit():
+                            warnings.warn("integer via float", DeprecationWarning)
+                            parts[k] = str(int(float(parts[k])))
+                    fixed.append(" ".join(parts))
+                lines = fixed
+            return real_loadtxt(lines, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+        entry = f"{index} 1 5.0"
+        rec = np.loadtxt([entry], dtype=cli._ENTRY_DTYPES["real"], comments=None)
+        assert rec["i"] == int(float(index))  # the stand-in accepts it
+        path = write(
+            tmp_path,
+            "idx.mtx",
+            f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{entry}\n",
+        )
+        with pytest.raises(ParseError, match="malformed entry") as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == 3
 
     def test_nnz_mismatch(self, tmp_path):
         path = write(
