@@ -304,10 +304,19 @@ _FLOAT_FIELDS = ("a", "L", "t", "delta", "epsilon", "pstar", "alpha0_sq")
 
 
 def _check_numbers(cfg: RunConfig) -> None:
-    """Parse each float option once and store the float. Reject one that
-    does not parse or is not finite (NaN and infinity are not JSON numbers),
-    and an assumed overlap --alpha0-sq outside (0, 1]. The command line
-    passes these options as text, so a typo gets the JSON error document."""
+    """Parse each numeric option once and store the number. Reject a float
+    option that does not parse or is not finite (NaN and infinity are not
+    JSON numbers), an assumed overlap --alpha0-sq outside (0, 1], and a
+    grid size --n that is not a power of two in [4, 65536] (the rule of
+    ``make_grid``). The command line passes these options as text, so a
+    typo gets the JSON error document."""
+    text = str(cfg.N).strip()
+    N = int(text) if re.fullmatch(r"0*[0-9]{1,5}", text) else 0
+    if not engine.valid_mode_count(N):
+        raise InvalidInputError(
+            f"--n must be a power of two in [4, 65536], got {cfg.N!r}"
+        )
+    cfg.N = N
     for name in _FLOAT_FIELDS:
         value = getattr(cfg, name)
         if value is None or (name == "t" and value == "auto"):
@@ -361,6 +370,12 @@ def run_solve(cfg: RunConfig) -> dict:
             "state": _pairs(rep.state),
             "y": _pairs(rep.y_classical),
             "cost": _cost_section(rep.cost),
+            "propagation": {
+                "profile": rep.profile.name,
+                "profile_negative_mass": rep.profile.negative_mass,
+                "modes_evolved": rep.modes_evolved,
+                "dropped_norm": rep.dropped_norm,
+            },
         }
     )
     if cfg.show_overlaps:
@@ -504,15 +519,18 @@ def execute(cfg: RunConfig) -> int:
     return status
 
 
-# a float option reaches _check_numbers as text, so that a value that does
-# not parse gets the JSON error document rather than click's usage error
+# a numeric option reaches _check_numbers as text, so that a value that
+# does not parse gets the JSON error document rather than click's usage error
 _FLOAT = {"type": str, "metavar": "FLOAT"}
 
 
 def _common_options(f):
     opts = [
         click.option("--matrix", "matrix_path", required=True, type=click.Path()),
-        click.option("--n", "N", default=solvers.DEFAULT_N, show_default=True),
+        click.option(
+            "--n", "N", default=solvers.DEFAULT_N, type=str, metavar="INTEGER",
+            show_default=True, help="p-grid modes, a power of two in [4, 65536]",
+        ),
         click.option(
             "--l", "L", default=None, **_FLOAT, help="p-domain half-width (auto if omitted)"
         ),

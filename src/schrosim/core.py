@@ -49,6 +49,12 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def real_if_exact(m: np.ndarray) -> np.ndarray:
+    """M, or its real part when the imaginary part is exactly zero, so that
+    a real matrix stored as complex goes to the real LAPACK driver."""
+    return m if m.imag.any() else m.real
+
+
 def require_dense_size(n: int) -> None:
     """Reject a dimension too large for the dense eigensolvers."""
     if n > MAX_DENSE_DIM:
@@ -150,8 +156,7 @@ def spectrum(
     M = require_square(as_matrix(M), "M")
     require_dense_size(M.shape[0])
     try:
-        # a real M stored as complex goes to the real LAPACK driver
-        eigvals = np.linalg.eigvals(M if M.imag.any() else M.real)
+        eigvals = np.linalg.eigvals(real_if_exact(M))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     eigvals = eigvals.astype(complex, copy=False)

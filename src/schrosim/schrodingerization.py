@@ -7,6 +7,12 @@ Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
 of unitaries and preserves the global 2-norm exactly. x(t) is recovered by
 undoing the transform and reading off the p > 0 region.
 
+The p < 0 half of the initial profile is free: x(t) is read from p > 0
+only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
+the paper's e^{-|p|} has a kink at p = 0, ``SMOOTH`` is C^6 there, so its
+Fourier coefficients decay fast and the modes that carry almost no mass
+can be left out of the evolution (``truncate``).
+
 Fourier convention: the forward transform maps e^{-|p|} to 1/(π(1+η²)) in
 the continuum limit, i.e. ṽ(η) = (1/2π) ∫ e^{+iηp} v(p) dp. The sign of
 the exponent is the one under which per-mode evolution by exp(-it·H_η)
@@ -15,8 +21,9 @@ reproduces the exact propagator e^{(C-I)t}.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -32,7 +39,50 @@ from .errors import (
 
 NORM_PRESERVATION_TOL = 1e-10
 DEFAULT_PSTAR = 1.0
-MAX_DENSE_ASSEMBLY = 4096
+# relative 2-norm that ``truncate`` may drop from a spectral state: the
+# zeroed modes hold at most TRUNCATION_EPS² of its mass
+TRUNCATION_EPS = 1e-6
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Initial warped profile ψ: e^{-p} on p >= 0 and, on p < 0,
+    ψ(p) = e^{ap}·T_m(p), with T_m the degree-m Taylor polynomial of
+    e^{-(1+a)p} at 0. ψ - e^{-p} = O(p^{m+1}) at 0, so ψ is C^m there
+    (m = 0 is a kink), and the factor e^{ap} makes it decay as p → -∞.
+    (a, m) = (1, 0) is the paper's e^{-|p|}."""
+
+    name: str
+    a: float
+    m: int
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        out = np.exp(-np.abs(p))
+        neg = p < 0
+        u = -p[neg]
+        taylor = np.ones_like(u)
+        for j in range(self.m, 0, -1):  # Horner form of Σ_j ((1+a)u)^j / j!
+            taylor = 1.0 + (1.0 + self.a) * u / j * taylor
+        # e^{-|p|}·e^{-(a-1)u}·T_m = e^{ap}·T_m; for e^{-|p|} the factor is 1.0
+        out[neg] *= np.exp(-(self.a - 1.0) * u) * taylor
+        return out
+
+    @property
+    def negative_mass(self) -> float:
+        """∫_{p<0} ψ² dp in closed form; ∫_{p>0} ψ² dp = 1/2. With
+        s = 1 + a it is Σ_{i,j<=m} C(i+j, i)·s^{i+j} / (2a)^{i+j+1}."""
+        s, two_a = 1.0 + self.a, 2.0 * self.a
+        return sum(
+            math.comb(i + j, i) * s ** (i + j) / two_a ** (i + j + 1)
+            for i in range(self.m + 1)
+            for j in range(self.m + 1)
+        )
+
+
+# the paper's profile: negative mass 1/2, so half the mass lies on p > 0
+EXP_ABS = Profile("exp-abs", 1.0, 0)
+# C^6 at p = 0: negative mass 3.41, so 0.128 of the mass lies on p > 0
+SMOOTH = Profile("smooth-a5-m6", 5.0, 6)
 
 
 @dataclass(frozen=True)
@@ -97,14 +147,26 @@ class GeneratorBlocks:
 
 @dataclass(frozen=True)
 class RecoveredState:
+    """x(t) read out of a warped state. ``propagate`` also records the
+    initial profile, the number of Fourier modes it evolved and the
+    relative norm it dropped (see ``truncate``)."""
+
     x: np.ndarray
     state: np.ndarray
     success_probability: float
     time: float
+    profile: Profile = EXP_ABS
+    modes_evolved: int | None = None
+    dropped_norm: float = 0.0
+
+
+def valid_mode_count(N: int) -> bool:
+    """The grid rule for N: a power of two in [4, 65536]."""
+    return 4 <= N <= 2**16 and N & (N - 1) == 0
 
 
 def make_grid(N: int, L: float) -> Grid:
-    if N < 4 or N > 2**16 or N & (N - 1) != 0:
+    if not valid_mode_count(N):
         raise InvalidInputError(f"N must be a power of two in [4, 65536], got {N}")
     if not (L > 0):
         raise InvalidInputError(f"L must be positive, got {L}")
@@ -118,16 +180,21 @@ def default_domain_halfwidth(C1h: np.ndarray, t: float) -> float:
     """Half-width rule: transport speed is bounded by the largest Hermitian
     drift eigenvalue, so L = 4 + t·ρ keeps the p > 0 region clear of
     wrap-around while holding the boundary truncation e^{-L} small."""
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(C1h)))) if C1h.size else 0.0
+    rho = (
+        float(np.max(np.abs(np.linalg.eigvalsh(core.real_if_exact(C1h)))))
+        if C1h.size
+        else 0.0
+    )
     return max(float(np.pi), 4.0 + t * rho)
 
 
-def initial_warped_state(x0, grid: Grid) -> WarpedState:
-    """v(0, p) = e^{-|p|} x0, separable in the component and p indices."""
+def initial_warped_state(x0, grid: Grid, profile: Profile = EXP_ABS) -> WarpedState:
+    """v(0, p) = ψ(p) x0, separable in the component and p indices; ψ is
+    e^{-|p|} unless another profile is given."""
     x0 = core.as_vector(x0)
     if np.linalg.norm(x0) == 0.0:
         raise InvalidInputError("x0 must be nonzero")
-    values = np.exp(-np.abs(grid.p))[None, :] * x0[:, None]
+    values = profile(grid.p)[None, :] * x0[:, None]
     return WarpedState(values=values, grid=grid, time=0.0)
 
 
@@ -174,31 +241,6 @@ def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
     return GeneratorBlocks(blocks=blocks, grid=grid, split=ds)
 
 
-def assemble_Htot(C, grid: Grid) -> np.ndarray:
-    """Dense -C⊗(D-iI)/2 - C†⊗(D+iI)/2 + I⊗D with D = diag(η_k).
-
-    Component-major ordering |i⟩|k⟩; equals the direct sum of
-    generator_blocks under the mode-major permutation. A dense reference
-    representation for small systems; ``propagate`` never builds it.
-    """
-    C = core.require_square(core.as_matrix(C), "C")
-    d1 = C.shape[0]
-    if d1 * grid.N > MAX_DENSE_ASSEMBLY:
-        raise InvalidInputError(
-            f"dense assembly size {d1 * grid.N} exceeds {MAX_DENSE_ASSEMBLY};"
-            " use generator_blocks"
-        )
-    D = np.diag(grid.eta.astype(complex))
-    I_N = np.eye(grid.N, dtype=complex)
-    I_d = np.eye(d1, dtype=complex)
-    H = (
-        -np.kron(C, (D - 1j * I_N) / 2)
-        - np.kron(C.conj().T, (D + 1j * I_N) / 2)
-        + np.kron(I_d, D)
-    )
-    return H
-
-
 def _lapack(name: str, *args, **kwargs):
     """Call ``scipy.linalg.lapack.<name>`` and drop its trailing info,
     raising NumericalError when it is nonzero."""
@@ -206,6 +248,26 @@ def _lapack(name: str, *args, **kwargs):
     if info != 0:
         raise NumericalError(f"LAPACK {name} failed (info {info})")
     return out
+
+
+def truncate(s: SpectralState) -> tuple[SpectralState, float]:
+    """Zero the mode columns of least mass whose total mass is at most
+    TRUNCATION_EPS² of the state's. Returns the state and the relative
+    norm zeroed, at most TRUNCATION_EPS. Evolution is unitary per mode and
+    the transform is a scaled unitary, so that norm is also the exact
+    relative 2-norm error truncation adds to the warped state at any time.
+    """
+    mass = np.einsum("ij,ij->j", s.values.conj(), s.values).real
+    order = np.argsort(mass, kind="stable")
+    cumulative = np.cumsum(mass[order])
+    total = cumulative[-1]
+    dropped = int(np.searchsorted(cumulative, TRUNCATION_EPS**2 * total, "right"))
+    if dropped == 0 or total == 0.0:
+        return s, 0.0
+    values = s.values.copy()
+    values[:, order[:dropped]] = 0.0
+    norm = float(np.sqrt(cumulative[dropped - 1] / total))
+    return SpectralState(values=values, grid=s.grid, time=s.time), norm
 
 
 def _split_blocks(ds: core.DriftSplit, eta: np.ndarray):
@@ -274,6 +336,11 @@ def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
     mode's vectors only. Memory is O(d² + N·d); no (N, d+1, d+1) stack is
     built. The Hermitian test runs first, so real symmetric C takes the
     one-matrix path.
+
+    A mode whose vector is exactly zero stays zero, so those two paths do
+    not reduce it (on the real path, a pair k, -k is reduced when either
+    vector is nonzero); ``truncate`` makes such modes. The Hermitian path
+    maps a zero column to an exact zero in its GEMMs.
     """
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
@@ -308,16 +375,20 @@ def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
         X = np.zeros((N - h, dim, 2), dtype=complex)
         X[:, :, 0] = vals[:, h:].T
         X[1 : h + 1, :, 1] = vals[:, h - 1 :: -1].T.conj()
-        Y = _evolve_stack(_split_blocks(ds, eta[h:]), X, t)
+        live = np.flatnonzero(X.any(axis=(1, 2)))
+        Y = np.zeros_like(X)
+        Y[live] = _evolve_stack(_split_blocks(ds, eta[h:][live]), X[live], t)
         out = np.empty_like(vals)
         out[:, h:] = Y[:, :, 0].T
         out[:, h - 1 :: -1] = Y[1 : h + 1, :, 1].T.conj()
     else:
+        live = np.flatnonzero(vals.any(axis=0))
         if ds is not None:
-            blocks = _split_blocks(ds, eta)
+            blocks = _split_blocks(ds, eta[live])
         else:
-            blocks = (np.array(H, order="F") for H in gen.blocks)
-        out = _evolve_stack(blocks, vals.T[:, :, None], t)[:, :, 0].T
+            blocks = (np.array(gen.blocks[m], order="F") for m in live)
+        out = np.zeros_like(vals)
+        out[:, live] = _evolve_stack(blocks, vals[:, live].T[:, :, None], t)[:, :, 0].T
     return SpectralState(values=out, grid=s.grid, time=s.time + t)
 
 
@@ -398,28 +469,35 @@ def propagate(
     grid: Grid,
     mode: Literal["at_pstar", "sum_positive"] = "sum_positive",
     pstar: float = DEFAULT_PSTAR,
+    profile: Profile = EXP_ABS,
 ) -> RecoveredState:
-    """End-to-end: warp, transform, per-mode unitary evolution, inverse
-    transform, recovery. Approximates e^{(C-I)t} x0 with error set by the
-    p-grid resolution only (time evolution is exact per mode)."""
+    """End-to-end: warp with ``profile``, transform, truncate, per-mode
+    unitary evolution, inverse transform, recovery. Approximates
+    e^{(C-I)t} x0 with error set by the p-grid resolution (time evolution
+    is exact per mode) and by the truncation, whose relative warped-state
+    error is the returned ``dropped_norm`` <= TRUNCATION_EPS."""
     C = core.require_square(core.as_matrix(C), "C")
     x0 = core.as_vector(x0)
     if C.shape[0] != x0.shape[0]:
         raise DimensionError("C and x0 dimensions differ")
     ds = core.split(C)  # exactly Hermitian parts, so evolve needs no check
-    top = float(np.max(np.linalg.eigvalsh(ds.C1h)))
+    top = float(np.max(np.linalg.eigvalsh(core.real_if_exact(ds.C1h))))
     if top > 1e-10:
+        join = "kink" if profile.m == 0 else f"C^{profile.m} join"
         warnings.warn(
             f"Hermitian drift part is not negative semidefinite "
-            f"(max eigenvalue {top:.3e}); the profile kink drifts right and "
-            "the readout window is shifted past it",
+            f"(max eigenvalue {top:.3e}); the {join} of the {profile.name} "
+            "profile at p = 0 drifts right and the readout window is shifted "
+            "past it",
             stacklevel=2,
         )
-    w0 = initial_warped_state(x0, grid)
-    v0 = transform(w0, "forward")
+    w0 = initial_warped_state(x0, grid, profile)
+    v0, dropped = truncate(transform(w0, "forward"))
     vt = evolve(v0, GeneratorBlocks(blocks=None, grid=grid, split=ds), t)
     wt = transform(vt, "inverse")
-    # the kink at p = 0 travels right at the top Hermitian drift speed;
+    # the join at p = 0 travels right at the top Hermitian drift speed;
     # read only beyond it (a few cells of margin for the ringing around it)
     p_min = max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
-    return recover(wt, grid, mode=mode, pstar=pstar, p_min=p_min)
+    rec = recover(wt, grid, mode=mode, pstar=pstar, p_min=p_min)
+    modes = int(np.count_nonzero(v0.values.any(axis=0)))
+    return replace(rec, profile=profile, modes_evolved=modes, dropped_norm=dropped)

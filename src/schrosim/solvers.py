@@ -78,6 +78,11 @@ class LinearSolveReport:
     cost: CostReport
     success_probability: float
     convergence: ConvergenceEstimate
+    # the initial warped profile, and how many Fourier modes were evolved
+    # with what relative norm dropped (schrodingerization.truncate)
+    profile: engine.Profile
+    modes_evolved: int
+    dropped_norm: float
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,7 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     core.require_dense_size(M.shape[0])
     x0 = core.as_vector(x0)
     try:
-        # a real M stored as complex goes to the real LAPACK driver
-        eigvals, V = np.linalg.eig(M if M.imag.any() else M.real)
+        eigvals, V = np.linalg.eig(core.real_if_exact(M))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     eigvals = eigvals.astype(complex, copy=False)
@@ -270,7 +274,7 @@ def _affine_scale(
     for _ in range(max_doublings + 1):
         C = core.augment(G, np.asarray(g) / sigma)
         ds = core.split(C)
-        top = float(np.linalg.eigvalsh(ds.C1h).max())
+        top = float(np.linalg.eigvalsh(core.real_if_exact(ds.C1h)).max())
         if top <= target:
             return sigma, C, ds
         if best_top is None or top < best_top:
@@ -339,7 +343,12 @@ def quantum_jacobi_solve(
         L = engine.default_domain_halfwidth(ds.C1h, t_f)
     grid = engine.make_grid(N, L)
 
-    rec = engine.propagate(C, x0, t_f, grid, mode=recovery, pstar=pstar)
+    # only p > 0 is read out, so the smooth profile changes the success
+    # probability and the error, not the answer; its Fourier coefficients
+    # decay fast, so truncation leaves many modes out of the evolution
+    rec = engine.propagate(
+        C, x0, t_f, grid, mode=recovery, pstar=pstar, profile=engine.SMOOTH
+    )
     y = sigma * core.deaugment(rec.x)
     # map the recovered unit state back to the unscaled augmented system
     state = np.concatenate([sigma * rec.state[:d], rec.state[d:]])
@@ -364,6 +373,9 @@ def quantum_jacobi_solve(
         cost=cost,
         success_probability=rec.success_probability,
         convergence=conv,
+        profile=rec.profile,
+        modes_evolved=rec.modes_evolved,
+        dropped_norm=rec.dropped_norm,
     )
 
 

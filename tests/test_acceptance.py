@@ -13,6 +13,7 @@ from schrosim import baselines, cli, core, schrodingerization as eng, solvers
 from schrosim.cli import RunConfig
 
 from conftest import random_contractive, random_dominant, random_power_instance
+from htot_reference import assemble_Htot
 
 
 def _report(label: str, ok: bool, started: float, detail: str = "") -> None:
@@ -81,7 +82,7 @@ def test_criterion_2_structural_invariants():
             worst_herm,
             max(core.hermiticity_defect(H) for H in blocks.blocks),
         )
-        Htot = eng.assemble_Htot(C, grid)
+        Htot = assemble_Htot(C, grid)
         worst_herm = max(worst_herm, core.hermiticity_defect(Htot))
         perm = [i * N + k for k in range(N) for i in range(d)]
         block_diag = np.zeros_like(Htot)
@@ -280,6 +281,27 @@ def test_criterion_7_scalar_analytic_case():
     ok = amp_err <= 1e-3 and sp_rel <= 0.05
     _report(
         "criterion 7 (scalar closed-form pipeline)",
+        ok,
+        started,
+        f"amplitude error {amp_err:.2e}, success-prob deviation {sp_rel:.1%}",
+    )
+    assert amp_err <= 1e-3
+    assert sp_rel <= 0.05
+
+
+def test_criterion_7_smooth_profile_success_probability():
+    # the Jacobi solve's profile: the same scalar case, whose success
+    # probability the closed form scales by ||e^{-p}||²_{p>0} / ||ψ||²
+    started = time.perf_counter()
+    C = np.array([[0.5]])
+    grid = eng.make_grid(256, eng.default_domain_halfwidth(core.split(C).C1h, 1.0))
+    rec = eng.propagate(C, np.array([1.0]), 1.0, grid, profile=eng.SMOOTH)
+    amp_err = abs(abs(rec.x[0]) - np.exp(-0.5))
+    closed = np.exp(-1.0) * 0.5 / (0.5 + eng.SMOOTH.negative_mass)
+    sp_rel = abs(rec.success_probability - closed) / closed
+    ok = amp_err <= 1e-3 and sp_rel <= 0.05
+    _report(
+        "criterion 7, smooth profile (scalar closed-form success probability)",
         ok,
         started,
         f"amplitude error {amp_err:.2e}, success-prob deviation {sp_rel:.1%}",

@@ -353,6 +353,18 @@ class TestRunSolve:
         assert out["residual"] <= 1e-2
         assert out["fidelity"] >= 0.999
 
+    def test_reports_profile_and_truncation(self, tmp_path):
+        cfg = RunConfig(
+            command="solve",
+            matrix_path=mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1.0, 3.0]]),
+            rhs_path=vec(tmp_path, "b.json", [1.0, 2.0]),
+        )
+        section = cli.run_solve(cfg)["propagation"]
+        assert section["profile"] == engine.SMOOTH.name
+        assert section["profile_negative_mass"] == engine.SMOOTH.negative_mass
+        assert 0 < section["modes_evolved"] < 512
+        assert 0.0 < section["dropped_norm"] <= engine.TRUNCATION_EPS
+
     def test_error_report_zero_diagonal(self, tmp_path):
         cfg = RunConfig(
             command="solve",
@@ -567,6 +579,18 @@ class TestNumericOptions:
             ("eig", ["--pstar", "foo"]),
             ("evolve", ["--t", "foo"]),
             ("solve", ["--delta", "foo"]),
+            # --n follows make_grid's rule: a power of two in [4, 65536]
+            ("diagnose", ["--n", "0"]),
+            ("diagnose", ["--n", "3"]),
+            ("diagnose", ["--n", "foo"]),
+            ("diagnose", ["--n", "131072"]),
+            ("diagnose", ["--n", "-4"]),
+            ("diagnose", ["--n", "6.4e1"]),
+            ("diagnose", ["--n", ""]),
+            ("diagnose", ["--n", "9" * 5000]),
+            ("solve", ["--n", "12"]),
+            ("eig", ["--n", "2"]),
+            ("evolve", ["--t", "1", "--n", "0"]),
         ],
     )
     def test_rejected_with_invalid_input_document(self, tmp_path, command, args):
@@ -591,6 +615,17 @@ class TestNumericOptions:
         assert result.exit_code == 2
         report = json.loads(result.output, parse_constant=not_json)
         assert report["error"]["code"] == "invalid-input"
+
+    @pytest.mark.parametrize("n, N", [("4", 4), (" 64", 64), ("065536", 65536)])
+    def test_grid_size_accepted(self, tmp_path, n, N):
+        from click.testing import CliRunner
+
+        A = mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1.0, 3.0]])
+        result = CliRunner().invoke(cli.main, ["diagnose", "--matrix", A, "--n", n])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["recommended_grid"]["N"] == N
+        assert report["cost"]["epsilon"] == 1.0 / N
 
     def test_boundary_values_accepted(self, tmp_path):
         cfg = RunConfig(

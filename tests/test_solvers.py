@@ -60,6 +60,31 @@ class TestRealArithmetic:
         assert overlaps.sum() == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize(
+        "imag, driver_dtype", [(0.0, np.float64), (0.3, np.complex128)]
+    )
+    def test_hermitian_drift_eigvalsh_dtype(self, monkeypatch, rng, imag, driver_dtype):
+        # σ search, domain half-width and propagate's kink speed each take
+        # the top eigenvalue of C1h; a real C1h goes to the real driver
+        G = 0.2 * (rng.normal(size=(5, 5)) + 1j * imag * rng.normal(size=(5, 5)))
+        g = rng.normal(size=5)
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+
+        def recording(a):
+            seen.append(a.dtype)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        sigma, C, ds = solvers._affine_scale(G, g)
+        L = schrodingerization.default_domain_halfwidth(ds.C1h, 2.0)
+        schrodingerization.propagate(C, np.ones(6), 2.0, schrodingerization.make_grid(16, L))
+        assert len(seen) >= 3 and set(seen) == {np.dtype(driver_dtype)}
+        # the complex computation, as before the real-arithmetic rule
+        rho = np.max(np.abs(eigvalsh(ds.C1h)))
+        assert L == pytest.approx(max(np.pi, 4.0 + 2.0 * rho), rel=1e-12)
+
+
 class TestBuildSplitting:
     def test_jacobi_worked(self):
         s = solvers.build_splitting(A22, B22, "jacobi")
@@ -185,6 +210,18 @@ class TestQuantumJacobiSolve:
     def test_non_dominant_rejected(self):
         with pytest.raises(ConvergenceUnsafeError):
             solvers.quantum_jacobi_solve([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
+
+    def test_smooth_profile_and_truncation_reported(self, rng):
+        A, b = random_dominant(rng, 12)
+        rep = solvers.quantum_jacobi_solve(A, b)
+        assert rep.profile is schrodingerization.SMOOTH
+        assert rep.modes_evolved < rep.grid.N
+        assert 0.0 < rep.dropped_norm <= schrodingerization.TRUNCATION_EPS
+        assert rep.fidelity >= 1 - 1e-9 and rep.residual <= 1e-4
+        # ψ leaves 0.128 of the mass on p > 0 against 0.5 for e^{-|p|}; the
+        # success probability falls by about that ratio
+        share = 0.5 / (0.5 + schrodingerization.SMOOTH.negative_mass)
+        assert 0.05 <= rep.success_probability <= 1.1 * share
 
     def test_override_uses_spectral_radius(self):
         # not diagonally dominant but r(G) = sqrt(0.24) < 1; the indefinite
