@@ -375,6 +375,7 @@ def run_solve(cfg: RunConfig) -> dict:
                 "profile_negative_mass": rep.profile.negative_mass,
                 "modes_evolved": rep.modes_evolved,
                 "dropped_norm": rep.dropped_norm,
+                "path": rep.path,
             },
         }
     )
@@ -408,6 +409,7 @@ def run_eig(cfg: RunConfig) -> dict:
             "eigenvalue_error_bound": rep.eigenvalue_error_bound,
             "state": _pairs(rep.state),
             "cost": _cost_section(rep.cost),
+            "propagation": {"path": rep.path},
         }
     )
     if cfg.show_overlaps:
@@ -438,6 +440,7 @@ def run_evolve(cfg: RunConfig) -> dict:
             "success_probability": rec.success_probability,
             "state": _pairs(rec.state),
             "x": _pairs(rec.x),
+            "propagation": {"path": rec.path},
         }
     )
     return out

@@ -134,10 +134,10 @@ class GeneratorBlocks:
     (N, d+1, d+1) stack of every H_k, the reference representation built
     by ``generator_blocks``; ``evolve`` reads it only when ``split`` is
     None. ``propagate`` passes the split alone, so no stack is built.
-    ``evolve`` picks its path from the split by exact tests: C2h == 0
-    (Hermitian C) decomposes -C1h once; C1h.imag == 0 and C2h.real == 0
-    (real C) reduces only the modes k = 0..N/2; any other split, or none,
-    reduces every mode.
+    ``evolve`` takes the path ``evolve_path`` names from the split by
+    exact tests: C2h == 0 (Hermitian C) decomposes -C1h once; C1h.imag == 0
+    and C2h.real == 0 (real C) reduces only the modes k = 0..N/2; any other
+    split, or none, reduces every mode.
     """
 
     blocks: np.ndarray | None
@@ -148,8 +148,9 @@ class GeneratorBlocks:
 @dataclass(frozen=True)
 class RecoveredState:
     """x(t) read out of a warped state. ``propagate`` also records the
-    initial profile, the number of Fourier modes it evolved and the
-    relative norm it dropped (see ``truncate``)."""
+    initial profile, the number of Fourier modes it evolved, the relative
+    norm it dropped (see ``truncate``) and the ``evolve`` path that ran
+    (see ``evolve_path``)."""
 
     x: np.ndarray
     state: np.ndarray
@@ -158,6 +159,7 @@ class RecoveredState:
     profile: Profile = EXP_ABS
     modes_evolved: int | None = None
     dropped_norm: float = 0.0
+    path: str | None = None
 
 
 def valid_mode_count(N: int) -> bool:
@@ -202,7 +204,12 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     """Discrete Fourier transform along the p index (or its exact inverse).
 
     Scaled so the forward transform of e^{-|p|} approaches 1/(π(1+η²));
-    inverse(forward(w)) == w to machine precision.
+    inverse(forward(w)) == w to machine precision. With p_l = -L + l·dp,
+    e^{iη_k p_l} = (-1)^k·e^{2πikl/N}, so the forward map is the unscaled
+    inverse FFT (``norm="forward"``), gathered from bin k mod N into mode
+    order and multiplied in place by the one vector dp/2π·(-1)^k. The
+    inverse scatters the modes back to their bins with deta·(-1)^k folded
+    into the scatter, then runs the unscaled forward FFT.
     """
     grid = state.grid
     k = grid.mode_index
@@ -211,16 +218,15 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     if direction == "forward":
         if not isinstance(state, WarpedState):
             raise DimensionError("forward transform expects a WarpedState")
-        F = np.fft.ifft(state.values, axis=1) * grid.N
-        vals = (grid.dp / (2.0 * np.pi)) * sign[None, :] * F[:, m]
+        vals = np.fft.ifft(state.values, axis=1, norm="forward")[:, m]
+        vals *= (grid.dp / (2.0 * np.pi)) * sign
         return SpectralState(values=vals, grid=grid, time=state.time)
     if direction == "inverse":
         if not isinstance(state, SpectralState):
             raise DimensionError("inverse transform expects a SpectralState")
-        X = np.zeros_like(state.values)
-        X[:, m] = state.values * sign[None, :]
-        vals = grid.deta * np.fft.fft(X, axis=1)
-        return WarpedState(values=vals, grid=grid, time=state.time)
+        X = np.empty_like(state.values)
+        X[:, m] = state.values * (grid.deta * sign)
+        return WarpedState(values=np.fft.fft(X, axis=1), grid=grid, time=state.time)
     raise InvalidInputError(f"unknown direction {direction!r}")
 
 
@@ -313,29 +319,81 @@ def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
     return Y
 
 
+def evolve_path(ds: core.DriftSplit | None, grid: Grid) -> str:
+    """The path ``evolve`` takes for split ``ds`` on ``grid``, from exact
+    tests with no tolerance: "hermitian" when C2h is zero (C == C†) and
+    the modes are ``make_grid``'s ladder η_k = πk/L; "real" when C1h.imag
+    and C2h.real are zero and the ladder is symmetric (η_{-k} == -η_k bit
+    for bit); "general" otherwise or when there is no split. A C that is
+    Hermitian or real only to rounding takes a slower path."""
+    if ds is None:
+        return "general"
+    eta, N = grid.eta, grid.N
+    h = N // 2 - 1  # slot of k = 0
+    ladder = np.pi * np.arange(-N // 2 + 1, N // 2 + 1) / grid.L
+    if not ds.C2h.any() and np.array_equal(eta, ladder):
+        return "hermitian"
+    if (
+        not ds.C1h.imag.any()
+        and not ds.C2h.real.any()
+        and np.array_equal(-eta[:h], eta[N - 2 : h : -1])
+    ):
+        return "real"
+    return "general"
+
+
+def _matmul(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A @ V for a C-contiguous complex V. A real A multiplies V's real
+    view, (n, 2N) with real and imaginary parts interleaved, in one real
+    GEMM instead of a complex one."""
+    if np.iscomplexobj(A):
+        return A @ V
+    return (A @ V.view(np.float64)).view(complex)
+
+
+def _apply_phases(Y: np.ndarray, mu: np.ndarray, grid: Grid, t: float) -> None:
+    """Y[j, :] *= e^{-itμ_j·η_k} in place, for a C-contiguous Y on
+    ``make_grid``'s ladder η_k = k·π/L, k = k_0..N/2 consecutive.
+
+    With the slot written as B·a + b (B about √N), k = k_0 + B·a + b, so the
+    phase is the product of an (n, N/B) and an (n, B) block of
+    exponentials: n·(N/B + B) complex exponentials instead of n·N.
+    """
+    N = grid.N
+    B = 1 << (N.bit_length() - 1) // 2
+    theta = (-t * grid.deta) * mu  # phase per unit step in k
+    outer = np.exp(1j * np.outer(theta, np.arange(-N // 2 + 1, N // 2 + 1, B)))
+    inner = np.exp(1j * np.outer(theta, np.arange(B)))
+    blocks = Y.reshape(mu.size, N // B, B)  # [j, a, b] is mode k_0 + B·a + b
+    blocks *= outer[:, :, None]
+    blocks *= inner[:, None, :]
+
+
 def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
     """Propagate each mode column by exp(-i·t·H_k). Exactly norm-preserving.
 
-    The path is chosen from exact properties of ``gen.split``, with no
-    tolerance:
+    The path is the one ``evolve_path`` names from ``gen.split``:
 
-    - Hermitian C (C2h exactly zero): H_k = η_k·(-C1h), so one
-      eigendecomposition -C1h = W·diag(μ)·W† serves every mode and the
-      evolution is two GEMMs, W·(e^{-itη_kμ_j} ∘ (W†·V)).
-    - Real C (C1h with zero imaginary part, C2h with zero real part) on a
-      grid whose mode ladder is symmetric (η_{-k} = -η_k bit for bit, as
-      ``make_grid`` builds it): H_{-k} = -conj(H_k), so only the modes
+    - "hermitian" (C2h exactly zero, on ``make_grid``'s mode ladder):
+      H_k = η_k·(-C1h), so one eigendecomposition -C1h = W·diag(μ)·W†
+      serves every mode and the evolution is two GEMMs,
+      W·(e^{-itη_kμ_j} ∘ (W†·V)). A real C1h is decomposed in real
+      arithmetic and its real W multiplies the real view of V; the phases
+      come from the mode ladder in two short blocks (``_apply_phases``).
+      Every call is numpy's, so the path runs on one BLAS thread pool.
+    - "real" (C1h with zero imaginary part, C2h with zero real part, on a
+      symmetric mode ladder): H_{-k} = -conj(H_k), so only the modes
       k = 0..N/2 are reduced, each applied to v_k and conj(v_{-k}); the
       k < 0 column is conj(exp(-itH_{|k|})·conj(v_k)). This holds for
       complex states too.
-    - Otherwise every mode is reduced, its H_k built from the split, or
+    - "general": every mode is reduced, its H_k built from the split, or
       taken from ``gen.blocks`` when there is no split.
 
     The last two run one kernel per mode (``_evolve_stack``): Householder
     tridiagonalisation and a real tridiagonal eigensolve, applied to the
-    mode's vectors only. Memory is O(d² + N·d); no (N, d+1, d+1) stack is
-    built. The Hermitian test runs first, so real symmetric C takes the
-    one-matrix path.
+    mode's vectors only, all on scipy's LAPACK and BLAS. Memory is
+    O(d² + N·d); no (N, d+1, d+1) stack is built. The Hermitian test runs
+    first, so real symmetric C takes the one-matrix path.
 
     A mode whose vector is exactly zero stays zero, so those two paths do
     not reduce it (on the real path, a pair k, -k is reduced when either
@@ -355,21 +413,19 @@ def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
         raise DimensionError("state and generator mode counts differ")
     if s.values.shape[0] != dim:
         raise DimensionError("state and generator block dimensions differ")
-    vals = np.asarray(s.values, dtype=complex)
+    vals = np.ascontiguousarray(s.values, dtype=complex)
     N = eta.size
     h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
-    if ds is not None and not ds.C2h.any():
+    path = evolve_path(ds, gen.grid)
+    if path == "hermitian":
         try:
-            mu, W = np.linalg.eigh(-ds.C1h)
+            mu, W = np.linalg.eigh(-core.real_if_exact(ds.C1h))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
-        out = W @ ((W.conj().T @ vals) * np.exp(-1j * t * np.outer(mu, eta)))
-    elif (
-        ds is not None
-        and not ds.C1h.imag.any()
-        and not ds.C2h.real.any()
-        and np.array_equal(-eta[:h], eta[N - 2 : h : -1])
-    ):
+        Y = _matmul(W.conj().T, vals)
+        _apply_phases(Y, mu, gen.grid, t)
+        out = _matmul(W, Y)
+    elif path == "real":
         # row m is mode k = m (slot h + m); its second vector is conj(v_{-k}),
         # at slot h - m, for k = 1..N/2-1
         X = np.zeros((N - h, dim, 2), dtype=complex)
@@ -500,4 +556,7 @@ def propagate(
     p_min = max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
     rec = recover(wt, grid, mode=mode, pstar=pstar, p_min=p_min)
     modes = int(np.count_nonzero(v0.values.any(axis=0)))
-    return replace(rec, profile=profile, modes_evolved=modes, dropped_norm=dropped)
+    return replace(
+        rec, profile=profile, modes_evolved=modes, dropped_norm=dropped,
+        path=evolve_path(ds, grid),
+    )

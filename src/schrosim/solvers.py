@@ -9,6 +9,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from . import baselines, core, schrodingerization as engine
 from .errors import (
@@ -22,6 +24,9 @@ from .errors import (
 
 GAP_TIE_TOL = 1e-10
 DEFAULT_N = 512
+# below this reciprocal condition estimate of the eigenbasis, the overlaps
+# of x0 are rounding noise and the stopping time built on them is unsafe
+EIGENBASIS_MIN_RCOND = 1e-10
 
 # The stopping-time estimate is a one-sided bound: it is the earliest time at
 # which the steady-mode fidelity can reach its target. The linear solver
@@ -83,6 +88,7 @@ class LinearSolveReport:
     profile: engine.Profile
     modes_evolved: int
     dropped_norm: float
+    path: str  # the evolve path that ran (schrodingerization.evolve_path)
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,7 @@ class PowerReport:
     fidelity: float
     success_probability: float
     convergence: ConvergenceEstimate
+    path: str  # the evolve path that ran (schrodingerization.evolve_path)
 
 
 def build_splitting(A, b, method: str = "jacobi", a: float | None = None) -> Splitting:
@@ -140,16 +147,30 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     Both solvers call this before any evolution, so an oversize power
     method is rejected here; the Jacobi solve rejects one earlier, before
     its σ search.
+
+    An exactly Hermitian M (M == M† entrywise, the test that also sends
+    ``evolve`` down its one-eigh path) runs numpy's ``eigh``, in real
+    arithmetic when M is real, and the overlaps are V†x0 in its orthonormal
+    basis. Any other M runs scipy's ``eig`` and an LU solve; an eigenbasis
+    whose reciprocal condition estimate (LAPACK gecon, from the same LU
+    factors) is below EIGENBASIS_MIN_RCOND raises NumericalError, because
+    the overlaps would be rounding noise.
     """
     M = core.require_square(core.as_matrix(M), "M")
     core.require_dense_size(M.shape[0])
     x0 = core.as_vector(x0)
+    hermitian = np.array_equal(M, M.conj().T)
     try:
-        eigvals, V = np.linalg.eig(core.real_if_exact(M))
+        if hermitian:
+            eigvals, V = np.linalg.eigh(core.real_if_exact(M))
+        else:
+            eigvals, V = scipy.linalg.eig(core.real_if_exact(M), check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     eigvals = eigvals.astype(complex, copy=False)
-    V = V.astype(complex, copy=False) / np.linalg.norm(V, axis=0)
+    V = V.astype(complex, copy=False)
+    if not hermitian:
+        V = V / np.linalg.norm(V, axis=0)
     lead, gap = core.steady_mode(eigvals, steady_hint)
     order = [lead] + sorted(
         (j for j in range(eigvals.size) if j != lead),
@@ -157,16 +178,27 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     )
     eigvals = eigvals[order]
     V = V[:, order]
-    try:
-        coeffs = np.linalg.solve(V, x0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenbasis is numerically defective: {exc}") from exc
+    coeffs = V.conj().T @ x0 if hermitian else _solve_eigenbasis(V, x0)
     weights = np.abs(coeffs) ** 2
     total = float(weights.sum())
     if total == 0.0:
         raise InvalidInputError("x0 is zero")
     overlaps = weights / total
     return eigvals, overlaps, V, gap
+
+
+def _solve_eigenbasis(V: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """V⁻¹x0 by LU, rejecting a V that is singular or whose 1-norm
+    reciprocal condition estimate is below EIGENBASIS_MIN_RCOND."""
+    getrf, gecon, getrs = lapack.get_lapack_funcs(("getrf", "gecon", "getrs"), (V,))
+    lu, piv, info = getrf(V)
+    rcond = gecon(lu, np.abs(V).sum(axis=0).max(), norm="1")[0] if info == 0 else 0.0
+    if rcond < EIGENBASIS_MIN_RCOND:
+        raise NumericalError(
+            f"eigenbasis is numerically defective (reciprocal condition"
+            f" estimate {rcond:.1e} < {EIGENBASIS_MIN_RCOND:.0e})"
+        )
+    return getrs(lu, piv, x0)[0]
 
 
 def estimate_tf(overlaps, gap: float, delta: float, L_term: float = 0.0) -> float:
@@ -274,7 +306,9 @@ def _affine_scale(
     for _ in range(max_doublings + 1):
         C = core.augment(G, np.asarray(g) / sigma)
         ds = core.split(C)
-        top = float(np.linalg.eigvalsh(core.real_if_exact(ds.C1h)).max())
+        top = float(
+            scipy.linalg.eigvalsh(core.real_if_exact(ds.C1h), check_finite=False).max()
+        )
         if top <= target:
             return sigma, C, ds
         if best_top is None or top < best_top:
@@ -309,7 +343,11 @@ def quantum_jacobi_solve(
     # the augmented system is (d+1)×(d+1); reject it before any eigensolve
     core.require_dense_size(d + 1)
     if override_convergence:
-        rG = float(np.max(np.abs(np.linalg.eigvals(s.G)))) if s.G.size else 0.0
+        rG = (
+            float(np.max(np.abs(scipy.linalg.eigvals(s.G, check_finite=False))))
+            if s.G.size
+            else 0.0
+        )
         if rG >= 1.0:
             raise ConvergenceUnsafeError(
                 f"iteration matrix spectral radius {rG:.4f} >= 1"
@@ -376,6 +414,7 @@ def quantum_jacobi_solve(
         profile=rec.profile,
         modes_evolved=rec.modes_evolved,
         dropped_norm=rec.dropped_norm,
+        path=rec.path,
     )
 
 
@@ -422,7 +461,7 @@ def quantum_power_method(
     gamma1_sq = float(overlaps[0])
     if gamma1_sq <= 1e-15:
         raise UnreachableStateError("x0 has zero overlap with the top eigenvector")
-    trace = float(np.real(np.trace(C.conj().T @ C)))
+    trace = float(np.vdot(C, C).real)  # Tr(C†C) = Σ|c_ij|²
     t_max = estimate_tmax(gamma1_sq, gap, epsilon, trace) if t is None else float(t)
     delta = epsilon**2 / (2.0 * trace)
     conv = ConvergenceEstimate(
@@ -452,4 +491,5 @@ def quantum_power_method(
         fidelity=fidelity,
         success_probability=rec.success_probability,
         convergence=conv,
+        path=rec.path,
     )

@@ -377,6 +377,33 @@ class TestRunSolve:
         assert status == 5
         assert report["error"]["code"] == "zero-diagonal"
 
+    def test_defective_eigenbasis_is_numerical_failure(self, tmp_path):
+        # upper-triangular A: the Jacobi G is nilpotent and the drift's
+        # eigenbasis has condition number about 5e15
+        cfg = RunConfig(
+            command="solve",
+            matrix_path=mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [0.0, 3.0]]),
+            rhs_path=vec(tmp_path, "b.json", [1.0, 2.0]),
+            output_path=str(tmp_path / "out.json"),
+        )
+        status = cli.execute(cfg)
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert status == 12
+        assert report["error"]["code"] == "numerical-failure"
+        assert "numerically defective" in report["error"]["message"]
+
+    def test_nearly_triangular_system_still_solves(self, tmp_path):
+        # A[1, 0] = 1e-3 gives an eigenbasis of condition number about 41
+        cfg = RunConfig(
+            command="solve",
+            matrix_path=mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1e-3, 3.0]]),
+            rhs_path=vec(tmp_path, "b.json", [1.0, 2.0]),
+        )
+        out = cli.run_solve(cfg)
+        assert out["residual"] <= 1e-2
+        assert out["fidelity"] >= 0.999
+        assert out["propagation"]["path"] == "real"
+
     def test_error_report_convergence_unsafe(self, tmp_path):
         cfg = RunConfig(
             command="solve",
@@ -498,22 +525,23 @@ class TestDeterminism:
         assert a == b
 
     @pytest.mark.parametrize(
-        "command,header,entries,extra,reductions",
+        "command,header,entries,extra,reductions,evolve_path",
         [
             # Hermitian C: one eigh for all modes, no per-mode reduction
             ("eig", "complex hermitian", "1 1 0.9 0.0\n2 1 0.05 -0.05\n2 2 0.5 0.0\n"
-             "3 2 0.0 0.02\n3 3 0.3 0.0\n", {}, 0),
+             "3 2 0.0 0.02\n3 3 0.3 0.0\n", {}, 0, "hermitian"),
             # real non-symmetric C: modes k = 0..N/2 only
             ("eig", "real general", "1 1 0.9\n1 2 0.2\n2 2 0.5\n2 3 0.1\n3 1 0.05\n"
-             "3 3 0.3\n", {}, 33),
+             "3 3 0.3\n", {}, 33, "real"),
             # complex general C: every mode
             ("evolve", "complex general", "1 1 0.6 0.0\n1 2 0.1 0.2\n2 1 0.0 -0.1\n"
-             "2 2 0.4 0.1\n3 1 0.2 0.0\n3 3 0.5 -0.3\n", {"t": 1.0}, 64),
+             "2 2 0.4 0.1\n3 1 0.2 0.0\n3 3 0.5 -0.3\n", {"t": 1.0}, 64, "general"),
         ],
         ids=["hermitian", "real", "general"],
     )
     def test_propagation_path_byte_identical(
-        self, tmp_path, monkeypatch, command, header, entries, extra, reductions
+        self, tmp_path, monkeypatch, command, header, entries, extra, reductions,
+        evolve_path,
     ):
         calls = []
         zhetrd = engine.lapack.zhetrd
@@ -540,6 +568,7 @@ class TestDeterminism:
         )
         assert a == b
         assert len(calls) == 2 * reductions
+        assert json.loads(a)["propagation"] == {"path": evolve_path}
 
     def test_timing_flag_adds_wall_time(self, tmp_path):
         cfg = RunConfig(

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,18 +327,21 @@ class TestEvolvePaths:
     reference, with the path pinned by the eigh calls and the per-mode
     tridiagonalisations it makes."""
 
-    def _evolve_against_reference(self, rng, decompositions, structure, d, N, L, t):
+    def _evolve_against_reference(
+        self, rng, decompositions, structure, d, N, L, t, tol=1e-12
+    ):
         build, path = _STRUCTURES[structure]
         C = build(rng, d)
         grid = eng.make_grid(N, L)
         gen = eng.generator_blocks(core.split(C), grid)
+        assert eng.evolve_path(gen.split, grid) == path
         vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
         ref = _per_mode_reference(vals, gen.blocks, t)
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
         assert decompositions.work() == _PATH_WORK[path](N)
         scale = np.linalg.norm(vals)
-        assert np.max(np.abs(out.values - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(out.values - ref)) <= tol * scale
         assert abs(np.linalg.norm(out.values) - scale) <= 1e-10 * scale
         return gen
 
@@ -376,6 +380,31 @@ class TestEvolvePaths:
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
         assert decompositions.work() == (eigh_calls, 0)
         assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.linalg.norm(vals)
+
+    @pytest.mark.parametrize("structure", ["real-symmetric", "complex-hermitian"])
+    def test_hermitian_path_at_large_phase(self, rng, decompositions, structure):
+        # phases t·μ·η up to about 10³ rad: the factorised ladder
+        # e^{-itμ(k0 + B·a + b)π/L} must keep up with the direct exponential
+        self._evolve_against_reference(
+            rng, decompositions, structure, d=8, N=512, L=20.0, t=20.0, tol=1e-11
+        )
+
+    @pytest.mark.parametrize(
+        "build, path", [(_real_symmetric, "real"), (_complex_hermitian, "general")]
+    )
+    def test_hermitian_C_off_the_ladder(self, rng, decompositions, build, path):
+        # the Hermitian path builds its phases from η_k = πk/L; on a
+        # hand-built grid with any other η a Hermitian C is reduced per mode
+        grid = eng.make_grid(16, 3.0)
+        grid = replace(grid, eta=grid.eta * (1.0 + 1e-3))
+        gen = eng.generator_blocks(core.split(build(rng, 4)), grid)
+        assert eng.evolve_path(gen.split, grid) == path
+        vals = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
+        decompositions.clear()
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, 2.0)
+        assert decompositions.work() == _PATH_WORK[path](16)
+        ref = _per_mode_reference(vals, gen.blocks, 2.0)
+        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(vals)
 
     def test_complex_hermitian_path_has_complex_C1h(self, rng, decompositions):
         gen = self._evolve_against_reference(
@@ -447,6 +476,7 @@ class TestEvolvePaths:
         decompositions.clear()
         rec = eng.propagate(C, x0, t, grid)
         assert decompositions.work() == _PATH_WORK[path](grid.N)
+        assert rec.path == path
         exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
         fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
         assert fid >= 1 - 1e-3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -9,6 +10,7 @@ from schrosim.errors import (
     InvalidInputError,
     JacobiInapplicableError,
     NoGapError,
+    NumericalError,
     UnreachableStateError,
 )
 
@@ -33,18 +35,20 @@ class TestRealArithmetic:
         "imag, driver_dtype", [(0.0, np.float64), (0.3, np.complex128)]
     )
     def test_eigensolver_input_dtype(self, monkeypatch, rng, imag, driver_dtype):
+        # core.spectrum runs numpy's eigvals; the non-Hermitian branch of
+        # eigen_overlaps runs scipy's eig
         M = rng.normal(size=(7, 7)) + 1j * imag * rng.normal(size=(7, 7))
         x0 = rng.normal(size=7)
-        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        eig, eigvals = scipy.linalg.eig, np.linalg.eigvals
         seen = []
 
         def recording(f):
-            def wrapper(a):
+            def wrapper(a, **kwargs):
                 seen.append((f.__name__, a.dtype))
-                return f(a)
+                return f(a, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eig", recording(eig))
+        monkeypatch.setattr(scipy.linalg, "eig", recording(eig))
         monkeypatch.setattr(np.linalg, "eigvals", recording(eigvals))
         lam, _, _ = core.spectrum(M)
         lam_o, overlaps, V, _ = solvers.eigen_overlaps(M, x0)
@@ -64,18 +68,22 @@ class TestRealArithmetic:
         "imag, driver_dtype", [(0.0, np.float64), (0.3, np.complex128)]
     )
     def test_hermitian_drift_eigvalsh_dtype(self, monkeypatch, rng, imag, driver_dtype):
-        # σ search, domain half-width and propagate's kink speed each take
-        # the top eigenvalue of C1h; a real C1h goes to the real driver
+        # σ search (scipy), domain half-width and propagate's kink speed
+        # (numpy) each take the top eigenvalue of C1h; a real C1h goes to
+        # the real driver
         G = 0.2 * (rng.normal(size=(5, 5)) + 1j * imag * rng.normal(size=(5, 5)))
         g = rng.normal(size=5)
         eigvalsh = np.linalg.eigvalsh
         seen = []
 
-        def recording(a):
-            seen.append(a.dtype)
-            return eigvalsh(a)
+        def recording(f):
+            def wrapper(a, **kwargs):
+                seen.append(a.dtype)
+                return f(a, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(eigvalsh))
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", recording(scipy.linalg.eigvalsh))
         sigma, C, ds = solvers._affine_scale(G, g)
         L = schrodingerization.default_domain_halfwidth(ds.C1h, 2.0)
         schrodingerization.propagate(C, np.ones(6), 2.0, schrodingerization.make_grid(16, L))
@@ -83,6 +91,95 @@ class TestRealArithmetic:
         # the complex computation, as before the real-arithmetic rule
         rho = np.max(np.abs(eigvalsh(ds.C1h)))
         assert L == pytest.approx(max(np.pi, 4.0 + 2.0 * rho), rel=1e-12)
+
+
+def _exact_hermitian(rng, d, complex_entries):
+    # (P + P†)/2 is Hermitian entry for entry; a GEMM product is not
+    P = rng.normal(size=(d, d)) + 1j * complex_entries * rng.normal(size=(d, d))
+    return (P + P.conj().T) / 2
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.<name> by a wrapper that records each call; returns
+    the list of calls."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestEigenOverlaps:
+    @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
+    @pytest.mark.parametrize("hint", [None, 0.3 + 0j])
+    def test_hermitian_branch_matches_eig_and_solve(
+        self, monkeypatch, rng, complex_entries, hint
+    ):
+        M = _exact_hermitian(rng, 9, complex_entries)
+        x0 = rng.normal(size=9) + 1j * rng.normal(size=9)
+        # the reference: nonsymmetric eig, unit columns, solve, same order
+        lam, V = np.linalg.eig(M)
+        V = V / np.linalg.norm(V, axis=0)
+        weights = np.abs(np.linalg.solve(V, x0)) ** 2
+        lead, gap_ref = core.steady_mode(lam, hint)
+        order = [lead] + sorted(
+            (j for j in range(9) if j != lead), key=lambda j: -lam[j].real
+        )
+        eig_calls = _counting(monkeypatch, scipy.linalg, "eig")
+        eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
+        eigvals, overlaps, W, gap = solvers.eigen_overlaps(M, x0, hint)
+        assert (eig_calls, eigh_calls) == ([], ["eigh"])
+        scale = np.max(np.abs(lam))
+        assert np.max(np.abs(eigvals - lam[order])) <= 1e-12 * scale
+        assert np.max(np.abs(overlaps - weights[order] / weights.sum())) <= 1e-12
+        assert abs(gap - gap_ref) <= 1e-12 * scale
+        assert W.dtype == np.complex128
+        assert np.allclose(M @ W, W * eigvals, atol=1e-12 * scale)
+
+    def test_hermitian_only_to_rounding_takes_general_branch(self, monkeypatch, rng):
+        B = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        M = B @ B.conj().T / 9
+        assert not np.array_equal(M, M.conj().T)
+        assert core.hermiticity_defect(M) <= 1e-13
+        eig_calls = _counting(monkeypatch, scipy.linalg, "eig")
+        eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
+        solvers.eigen_overlaps(M, rng.normal(size=9))
+        assert (eig_calls, eigh_calls) == (["eig"], [])
+
+    def test_defective_eigenbasis_rejected(self):
+        # the Jacobi drift of [[2, 1], [0, 3]] has a nilpotent G: its two
+        # unit eigenvectors are parallel to rounding
+        s = solvers.build_splitting([[2.0, 1.0], [0.0, 3.0]], [1.0, 2.0])
+        C = core.augment(s.G, s.g)
+        with pytest.raises(NumericalError, match="numerically defective"):
+            solvers.eigen_overlaps(C - np.eye(3), [0.0, 0.0, 1.0], 0j)
+        with pytest.raises(NumericalError, match="numerically defective"):
+            solvers.eigen_overlaps([[0.0, 1.0], [0.0, 0.0]], [1.0, 1.0])
+
+    def test_well_conditioned_nonnormal_basis_accepted(self, rng):
+        P = rng.normal(size=(6, 6))
+        M = P @ np.diag(np.linspace(0.1, 0.9, 6)) @ np.linalg.inv(P)
+        x0 = rng.normal(size=6)
+        eigvals, overlaps, V, _ = solvers.eigen_overlaps(M, x0)
+        coeffs = np.linalg.solve(V, x0)
+        assert np.allclose(overlaps, np.abs(coeffs) ** 2 / np.sum(np.abs(coeffs) ** 2))
+        assert eigvals[0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("eps, accepted", [(1e-5, True), (1e-12, False)])
+    def test_condition_threshold(self, eps, accepted):
+        # eigenvectors e1 and (1, eps)/|.|: condition number about 2/eps,
+        # so the threshold 1e-10 lies between the two cases
+        M = np.array([[0.5, 1.0], [0.0, 0.5 + eps]])
+        if accepted:
+            _, overlaps, V, _ = solvers.eigen_overlaps(M, [0.3, 1.0])
+            coeffs = np.linalg.solve(V, [0.3, 1.0])
+            assert np.allclose(overlaps, np.abs(coeffs) ** 2 / np.sum(np.abs(coeffs) ** 2))
+        else:
+            with pytest.raises(NumericalError, match="numerically defective"):
+                solvers.eigen_overlaps(M, [0.3, 1.0])
 
 
 class TestBuildSplitting:
@@ -258,6 +355,7 @@ class TestDenseSizeCap:
 
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, sentinel)
+            monkeypatch.setattr(scipy.linalg, name, sentinel)
 
     @staticmethod
     def _jacobi_over_cap(**kwargs):
@@ -357,6 +455,34 @@ class TestQuantumPowerMethod:
             C, np.array([1.0, 1.0]) / np.sqrt(2), epsilon=0.1
         )
         assert abs(rep.eigenvalue_estimate - 0.9) <= rep.eigenvalue_error_bound
+
+    @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
+    def test_hermitian_op_runs_on_numpy_alone(self, monkeypatch, rng, complex_entries):
+        # numpy and scipy each bring an OpenBLAS with its own thread pool;
+        # the Hermitian power op must use one of them, numpy's
+        d = 12
+        H = _exact_hermitian(rng, d, complex_entries)
+        _, Q = np.linalg.eigh(H)
+        lam = np.concatenate([[0.9], np.linspace(0.1, 0.6, d - 1)])
+        C = (Q * lam) @ Q.conj().T
+        C = (C + C.conj().T) / 2
+        x0 = Q[:, 0] + 0.5 * Q[:, 1:].sum(axis=1)
+
+        def raiser(name):
+            def f(*args, **kwargs):
+                raise AssertionError(f"{name} called on the Hermitian path")
+            return f
+
+        for module in (scipy.linalg, scipy.linalg.lapack, scipy.linalg.blas):
+            for name, obj in vars(module).items():
+                if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
+                    monkeypatch.setattr(module, name, raiser(f"{module.__name__}.{name}"))
+        eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
+        monkeypatch.setattr(np.linalg, "eig", raiser("numpy.linalg.eig"))
+        rep = solvers.quantum_power_method(C, x0, epsilon=0.05, N=128)
+        assert len(eigh_calls) <= 2
+        assert rep.path == "hermitian"
+        assert abs(rep.eigenvalue_estimate - 0.9) <= 0.05
 
 
 class TestQuantumCostEstimate:
