@@ -260,8 +260,6 @@ class RunConfig:
     t: str | float | None = "auto"
     delta: float = 1e-3
     epsilon: float = 0.1
-    recovery: str = "sum_positive"
-    pstar: float = engine.DEFAULT_PSTAR
     alpha0_sq: float = 0.5
     output_path: str | None = None
     override_convergence: bool = False
@@ -300,7 +298,7 @@ def _cost_section(cost: solvers.CostReport) -> dict:
 # RunConfig fields set from a float option (text from the command line, a
 # float once _check_numbers has run); the option is --<field>, in lower case
 # with "-" for "_"
-_FLOAT_FIELDS = ("a", "L", "t", "delta", "epsilon", "pstar", "alpha0_sq")
+_FLOAT_FIELDS = ("a", "L", "t", "delta", "epsilon", "alpha0_sq")
 
 
 def _check_numbers(cfg: RunConfig) -> None:
@@ -356,8 +354,6 @@ def run_solve(cfg: RunConfig) -> dict:
         N=cfg.N,
         L=cfg.L,
         override_convergence=cfg.override_convergence,
-        recovery=cfg.recovery,
-        pstar=cfg.pstar,
     )
     out = _base_report(cfg, A)
     out.update(
@@ -394,8 +390,6 @@ def run_eig(cfg: RunConfig) -> dict:
         t=_explicit_time(cfg),
         N=cfg.N,
         L=cfg.L,
-        recovery=cfg.recovery,
-        pstar=cfg.pstar,
     )
     lam = rep.eigenvalue_estimate
     out = _base_report(cfg, C)
@@ -428,7 +422,7 @@ def run_evolve(cfg: RunConfig) -> dict:
     ds = core.split(C)
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(ds.C1h, t)
     grid = engine.make_grid(cfg.N, L)
-    rec = engine.propagate(C, x0, t, grid, mode=cfg.recovery, pstar=cfg.pstar)
+    rec = engine.propagate(C, x0, t, grid)
     exact = baselines.exact_propagator(C, x0, t)
     exact_unit = exact / np.linalg.norm(exact)
     out = _base_report(cfg, C)
@@ -545,27 +539,6 @@ def _common_options(f):
     return f
 
 
-def _recovery_options(f):
-    opts = [
-        click.option(
-            "--recovery",
-            type=click.Choice(["at-pstar", "sum-positive"]),
-            default="sum-positive",
-            show_default=True,
-        ),
-        click.option(
-            "--pstar", default=engine.DEFAULT_PSTAR, **_FLOAT, show_default=True
-        ),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
-
-
-def _norm_recovery(recovery: str) -> str:
-    return recovery.replace("-", "_")
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -574,7 +547,6 @@ def main():
 
 @main.command()
 @_common_options
-@_recovery_options
 @click.option("--rhs", "rhs_path", required=True, type=click.Path())
 @click.option("--x0", "x0_path", default=None, type=click.Path())
 @click.option("--method", type=click.Choice(["jacobi", "richardson", "damped-jacobi"]), default="jacobi", show_default=True)
@@ -586,31 +558,26 @@ def main():
 def solve(**kw):
     """Prepare the steady state encoding the solution of Ay = b."""
     kw["method"] = kw["method"].replace("-", "_")
-    kw["recovery"] = _norm_recovery(kw["recovery"])
     sys.exit(execute(RunConfig(command="solve", **kw)))
 
 
 @main.command()
 @_common_options
-@_recovery_options
 @click.option("--x0", "x0_path", default=None, type=click.Path())
 @click.option("--t", default="auto", help="evolution time or 'auto'")
 @click.option("--epsilon", default=0.1, **_FLOAT, show_default=True)
 @click.option("--show-overlaps", is_flag=True)
 def eig(**kw):
     """Estimate the dominant eigenpair of C."""
-    kw["recovery"] = _norm_recovery(kw["recovery"])
     sys.exit(execute(RunConfig(command="eig", **kw)))
 
 
 @main.command()
 @_common_options
-@_recovery_options
 @click.option("--x0", "x0_path", required=True, type=click.Path())
 @click.option("--t", required=True, **_FLOAT)
 def evolve(**kw):
     """Evolve x0 under the drift of C for an explicit time."""
-    kw["recovery"] = _norm_recovery(kw["recovery"])
     sys.exit(execute(RunConfig(command="evolve", **kw)))
 
 

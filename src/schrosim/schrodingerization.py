@@ -37,8 +37,6 @@ from .errors import (
     NumericalError,
 )
 
-NORM_PRESERVATION_TOL = 1e-10
-DEFAULT_PSTAR = 1.0
 # relative 2-norm that ``truncate`` may drop from a spectral state: the
 # zeroed modes hold at most TRUNCATION_EPS² of its mass
 TRUNCATION_EPS = 1e-6
@@ -130,19 +128,14 @@ class SpectralState:
 class GeneratorBlocks:
     """Per-mode Hermitian generators H_k = -(η_k·C1h + C2h) on ``grid``.
 
-    ``split`` is the DriftSplit they come from. ``blocks`` is the dense
-    (N, d+1, d+1) stack of every H_k, the reference representation built
-    by ``generator_blocks``; ``evolve`` reads it only when ``split`` is
-    None. ``propagate`` passes the split alone, so no stack is built.
-    ``evolve`` takes the path ``evolve_path`` names from the split by
-    exact tests: C2h == 0 (Hermitian C) decomposes -C1h once; C1h.imag == 0
-    and C2h.real == 0 (real C) reduces only the modes k = 0..N/2; any other
-    split, or none, reduces every mode.
+    The dense (N, d+1, d+1) reference representation ``generator_blocks``
+    builds from the DriftSplit ``split``, for tests and small systems.
+    ``evolve`` takes the split itself and never builds or reads ``blocks``.
     """
 
-    blocks: np.ndarray | None
+    blocks: np.ndarray
     grid: Grid
-    split: core.DriftSplit | None = None
+    split: core.DriftSplit
 
 
 @dataclass(frozen=True)
@@ -257,21 +250,29 @@ def _lapack(name: str, *args, **kwargs):
 
 
 def truncate(s: SpectralState) -> tuple[SpectralState, float]:
-    """Zero the mode columns of least mass whose total mass is at most
-    TRUNCATION_EPS² of the state's. Returns the state and the relative
-    norm zeroed, at most TRUNCATION_EPS. Evolution is unitary per mode and
-    the transform is a scaled unitary, so that norm is also the exact
-    relative 2-norm error truncation adds to the warped state at any time.
+    """Zero the mode pairs (k, -k) of least combined mass whose total mass
+    is at most TRUNCATION_EPS² of the state's; k = 0 and k = N/2 have no
+    partner and count alone. Returns the state and the relative norm
+    zeroed, at most TRUNCATION_EPS. Evolution is unitary per mode and the
+    transform is a scaled unitary, so that norm is also the exact relative
+    2-norm error truncation adds to the warped state at any time.
+
+    Whole pairs keep a real state real: for real C and real x0 the column
+    of -k is the conjugate of the column of k, so cutting one of the two
+    would leave an imaginary part. The real path of ``evolve`` reduces a
+    pair when either column is nonzero, so a half pair saves no work.
     """
     mass = np.einsum("ij,ij->j", s.values.conj(), s.values).real
-    order = np.argsort(mass, kind="stable")
-    cumulative = np.cumsum(mass[order])
+    pair = np.abs(s.grid.mode_index)  # |k|, 0..N/2
+    pair_mass = np.bincount(pair, weights=mass)
+    order = np.argsort(pair_mass, kind="stable")
+    cumulative = np.cumsum(pair_mass[order])
     total = cumulative[-1]
     dropped = int(np.searchsorted(cumulative, TRUNCATION_EPS**2 * total, "right"))
     if dropped == 0 or total == 0.0:
         return s, 0.0
     values = s.values.copy()
-    values[:, order[:dropped]] = 0.0
+    values[:, np.isin(pair, order[:dropped])] = 0.0
     norm = float(np.sqrt(cumulative[dropped - 1] / total))
     return SpectralState(values=values, grid=s.grid, time=s.time), norm
 
@@ -319,15 +320,13 @@ def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
     return Y
 
 
-def evolve_path(ds: core.DriftSplit | None, grid: Grid) -> str:
+def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
     """The path ``evolve`` takes for split ``ds`` on ``grid``, from exact
     tests with no tolerance: "hermitian" when C2h is zero (C == C†) and
     the modes are ``make_grid``'s ladder η_k = πk/L; "real" when C1h.imag
     and C2h.real are zero and the ladder is symmetric (η_{-k} == -η_k bit
-    for bit); "general" otherwise or when there is no split. A C that is
-    Hermitian or real only to rounding takes a slower path."""
-    if ds is None:
-        return "general"
+    for bit); "general" otherwise. A C that is Hermitian or real only to
+    rounding takes a slower path."""
     eta, N = grid.eta, grid.N
     h = N // 2 - 1  # slot of k = 0
     ladder = np.pi * np.arange(-N // 2 + 1, N // 2 + 1) / grid.L
@@ -369,10 +368,13 @@ def _apply_phases(Y: np.ndarray, mu: np.ndarray, grid: Grid, t: float) -> None:
     blocks *= inner[:, None, :]
 
 
-def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
-    """Propagate each mode column by exp(-i·t·H_k). Exactly norm-preserving.
+def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
+    """Propagate each mode column of ``s`` by exp(-i·t·H_k), with
+    H_k = -(η_k·C1h + C2h) built from the split ``ds`` on the state's own
+    grid ``s.grid``. Exactly norm-preserving. C1h and C2h must be
+    Hermitian; ``core.split`` makes them so exactly.
 
-    The path is the one ``evolve_path`` names from ``gen.split``:
+    The path is the one ``evolve_path`` names from ``ds`` and ``s.grid``:
 
     - "hermitian" (C2h exactly zero, on ``make_grid``'s mode ladder):
       H_k = η_k·(-C1h), so one eigendecomposition -C1h = W·diag(μ)·W†
@@ -386,8 +388,7 @@ def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
       k = 0..N/2 are reduced, each applied to v_k and conj(v_{-k}); the
       k < 0 column is conj(exp(-itH_{|k|})·conj(v_k)). This holds for
       complex states too.
-    - "general": every mode is reduced, its H_k built from the split, or
-      taken from ``gen.blocks`` when there is no split.
+    - "general": every mode is reduced.
 
     The last two run one kernel per mode (``_evolve_stack``): Householder
     tridiagonalisation and a real tridiagonal eigensolve, applied to the
@@ -402,28 +403,20 @@ def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
     """
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
-    ds, eta = gen.split, gen.grid.eta
-    if ds is not None:
-        modes, dim = eta.size, ds.C1h.shape[0]
-    elif gen.blocks is not None:
-        modes, dim = gen.blocks.shape[:2]
-    else:
-        raise InvalidInputError("generator has neither a split nor blocks")
-    if s.values.shape[1] != modes:
-        raise DimensionError("state and generator mode counts differ")
-    if s.values.shape[0] != dim:
-        raise DimensionError("state and generator block dimensions differ")
+    grid = s.grid
+    eta, N, dim = grid.eta, grid.N, ds.C1h.shape[0]
+    if s.values.shape != (dim, N):
+        raise DimensionError("state and drift split dimensions differ")
     vals = np.ascontiguousarray(s.values, dtype=complex)
-    N = eta.size
     h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
-    path = evolve_path(ds, gen.grid)
+    path = evolve_path(ds, grid)
     if path == "hermitian":
         try:
             mu, W = np.linalg.eigh(-core.real_if_exact(ds.C1h))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
         Y = _matmul(W.conj().T, vals)
-        _apply_phases(Y, mu, gen.grid, t)
+        _apply_phases(Y, mu, grid, t)
         out = _matmul(W, Y)
     elif path == "real":
         # row m is mode k = m (slot h + m); its second vector is conj(v_{-k}),
@@ -439,47 +432,32 @@ def evolve(s: SpectralState, gen: GeneratorBlocks, t: float) -> SpectralState:
         out[:, h - 1 :: -1] = Y[1 : h + 1, :, 1].T.conj()
     else:
         live = np.flatnonzero(vals.any(axis=0))
-        if ds is not None:
-            blocks = _split_blocks(ds, eta[live])
-        else:
-            blocks = (np.array(gen.blocks[m], order="F") for m in live)
+        blocks = _split_blocks(ds, eta[live])
         out = np.zeros_like(vals)
         out[:, live] = _evolve_stack(blocks, vals[:, live].T[:, :, None], t)[:, :, 0].T
-    return SpectralState(values=out, grid=s.grid, time=s.time + t)
+    return SpectralState(values=out, grid=grid, time=s.time + t)
 
 
-def recover(
-    w: WarpedState,
-    grid: Grid,
-    mode: Literal["at_pstar", "sum_positive"] = "sum_positive",
-    pstar: float = DEFAULT_PSTAR,
-    p_min: float = 0.0,
-) -> RecoveredState:
-    """Read x(t) back out of the warped profile.
-
-    at_pstar: x̂ = e^{p*} v(t, p*) at the grid point nearest p*.
-    sum_positive: least-squares fit of v(t, p_l) ≈ e^{-p_l} x̂ over all
-    p_l > max(0, p_min) (the projection onto the positive-p subspace),
-    which averages out the per-point discretisation noise.
+def recover(w: WarpedState, p_min: float = 0.0) -> RecoveredState:
+    """Read x(t) back out of the warped profile on its grid ``w.grid``: the
+    least-squares fit of v(t, p_l) ≈ e^{-p_l} x̂ over all p_l > max(0, p_min),
+    i.e. the projection onto the positive-p subspace, which averages out
+    the per-point discretisation noise (the recovery of Jin, Liu & Yu,
+    arXiv:2212.13969). It is the only readout.
 
     p_min shifts the readout window right: when the Hermitian drift part
     has positive eigenvalues the profile kink travels right at that speed,
     and the exponential profile only survives beyond the kink's position.
     """
+    grid = w.grid
     floor = max(0.0, p_min)
-    if mode == "at_pstar":
-        idx = int(np.argmin(np.abs(grid.p - max(pstar, floor + 1.0))))
-        xhat = np.exp(grid.p[idx]) * w.values[:, idx]
-    elif mode == "sum_positive":
-        pos = grid.p > floor
-        if not np.any(pos):
-            raise DegenerateRecoveryError(
-                f"no grid points beyond the readout floor p > {floor:.3f}"
-            )
-        weights = np.exp(-grid.p[pos])
-        xhat = (w.values[:, pos] @ weights) / (weights @ weights)
-    else:
-        raise InvalidInputError(f"unknown recovery mode {mode!r}")
+    pos = grid.p > floor
+    if not np.any(pos):
+        raise DegenerateRecoveryError(
+            f"no grid points beyond the readout floor p > {floor:.3f}"
+        )
+    weights = np.exp(-grid.p[pos])
+    xhat = (w.values[:, pos] @ weights) / (weights @ weights)
     xnorm = float(np.linalg.norm(xhat))
     if xnorm < 1e-300:
         raise DegenerateRecoveryError("recovered amplitude vector has zero norm")
@@ -523,8 +501,6 @@ def propagate(
     x0,
     t: float,
     grid: Grid,
-    mode: Literal["at_pstar", "sum_positive"] = "sum_positive",
-    pstar: float = DEFAULT_PSTAR,
     profile: Profile = EXP_ABS,
 ) -> RecoveredState:
     """End-to-end: warp with ``profile``, transform, truncate, per-mode
@@ -549,12 +525,12 @@ def propagate(
         )
     w0 = initial_warped_state(x0, grid, profile)
     v0, dropped = truncate(transform(w0, "forward"))
-    vt = evolve(v0, GeneratorBlocks(blocks=None, grid=grid, split=ds), t)
+    vt = evolve(v0, ds, t)
     wt = transform(vt, "inverse")
     # the join at p = 0 travels right at the top Hermitian drift speed;
     # read only beyond it (a few cells of margin for the ringing around it)
     p_min = max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
-    rec = recover(wt, grid, mode=mode, pstar=pstar, p_min=p_min)
+    rec = recover(wt, p_min=p_min)
     modes = int(np.count_nonzero(v0.values.any(axis=0)))
     return replace(
         rec, profile=profile, modes_evolved=modes, dropped_norm=dropped,

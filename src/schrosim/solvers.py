@@ -328,8 +328,6 @@ def quantum_jacobi_solve(
     N: int = DEFAULT_N,
     L: float | None = None,
     override_convergence: bool = False,
-    recovery: str = "sum_positive",
-    pstar: float = engine.DEFAULT_PSTAR,
 ) -> LinearSolveReport:
     """Prepare the unit state ∝ (A⁻¹b, 1)ᵀ by evolving the augmented drift
     system to the estimated stopping time and recovering the steady state.
@@ -384,9 +382,7 @@ def quantum_jacobi_solve(
     # only p > 0 is read out, so the smooth profile changes the success
     # probability and the error, not the answer; its Fourier coefficients
     # decay fast, so truncation leaves many modes out of the evolution
-    rec = engine.propagate(
-        C, x0, t_f, grid, mode=recovery, pstar=pstar, profile=engine.SMOOTH
-    )
+    rec = engine.propagate(C, x0, t_f, grid, profile=engine.SMOOTH)
     y = sigma * core.deaugment(rec.x)
     # map the recovered unit state back to the unscaled augmented system
     state = np.concatenate([sigma * rec.state[:d], rec.state[d:]])
@@ -436,8 +432,6 @@ def quantum_power_method(
     t: float | None = None,
     N: int = DEFAULT_N,
     L: float | None = None,
-    recovery: str = "sum_positive",
-    pstar: float = engine.DEFAULT_PSTAR,
 ) -> PowerReport:
     """Approximate the dominant eigenpair of C by evolving the drift system
     to the estimated stopping time; designed for diagonalisable C with
@@ -472,7 +466,7 @@ def quantum_power_method(
         L = engine.default_domain_halfwidth(core.split(C).C1h, t_max)
     grid = engine.make_grid(N, L)
 
-    rec = engine.propagate(C, x0, t_max, grid, mode=recovery, pstar=pstar)
+    rec = engine.propagate(C, x0, t_max, grid)
     lam_hat = eigenvalue_from_state(rec.state, C)
     c1 = V[:, 0]
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)

@@ -96,7 +96,7 @@ def test_criterion_2_structural_invariants():
         v0 = eng.transform(w0, "forward")
         back = eng.transform(v0, "inverse")
         worst_round = max(worst_round, float(np.max(np.abs(back.values - w0.values))))
-        vt = eng.evolve(v0, blocks, float(rng.uniform(0.0, 5.0)))
+        vt = eng.evolve(v0, ds, float(rng.uniform(0.0, 5.0)))
         worst_norm = max(
             worst_norm,
             abs(np.linalg.norm(vt.values) - np.linalg.norm(v0.values)),

@@ -1,6 +1,9 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
@@ -590,7 +593,7 @@ class TestNumericOptions:
             ("solve", ["--t", "inf"]),
             ("solve", ["--delta", "nan"]),
             ("eig", ["--epsilon", "inf"]),
-            ("eig", ["--recovery", "at-pstar", "--pstar", "nan"]),
+            ("eig", ["--l", "nan"]),
             ("evolve", ["--t", "nan"]),
             ("diagnose", ["--alpha0-sq", "1.5"]),
             ("diagnose", ["--alpha0-sq", "nan"]),
@@ -605,7 +608,7 @@ class TestNumericOptions:
             ("diagnose", ["--l", "foo"]),
             ("diagnose", ["--method", "richardson", "--a", "foo"]),
             ("eig", ["--epsilon", "foo"]),
-            ("eig", ["--pstar", "foo"]),
+            ("eig", ["--t", "foo"]),
             ("evolve", ["--t", "foo"]),
             ("solve", ["--delta", "foo"]),
             # --n follows make_grid's rule: a power of two in [4, 65536]
@@ -669,6 +672,26 @@ class TestNumericOptions:
 
 
 class TestClickSurface:
+    @pytest.mark.parametrize("command", ["solve", "eig", "evolve"])
+    @pytest.mark.parametrize(
+        "args", [["--recovery", "at-pstar"], ["--pstar", "1"]], ids=["recovery", "pstar"]
+    )
+    def test_removed_readout_options_are_usage_errors(self, tmp_path, command, args):
+        # the p > 0 projection is the only readout; its knobs are gone
+        from click.testing import CliRunner
+
+        inputs = {
+            "solve": ["--rhs", vec(tmp_path, "b.json", [1.0, 2.0])],
+            "eig": [],
+            "evolve": ["--x0", vec(tmp_path, "x0.json", [1.0, 0.0]), "--t", "1"],
+        }
+        A = mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1.0, 3.0]])
+        result = CliRunner().invoke(
+            cli.main, [command, "--matrix", A, *inputs[command], *args]
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
     def test_solve_command(self, tmp_path):
         from click.testing import CliRunner
 
@@ -703,3 +726,20 @@ class TestClickSurface:
             ],
         )
         assert result.exit_code == 5
+
+
+def test_readme_cli_flags_are_options():
+    # every --flag the README's "Quick start (CLI)" section names is an
+    # option of some schrosim command, so the text cannot outlive a flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (CLI)", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    commands = [cli.main, *cli.main.commands.values()]
+    options = {
+        opt
+        for cmd in commands
+        for param in cmd.get_params(click.Context(cmd))
+        for opt in (*param.opts, *param.secondary_opts)
+    }
+    assert {"--matrix", "--n", "--timing"} <= named
+    assert sorted(named - options) == []

@@ -212,9 +212,8 @@ class TestEvolve:
     def test_zero_time_identity(self, rng):
         grid = eng.make_grid(16, 3.0)
         C = rng.normal(size=(3, 3))
-        gen = eng.generator_blocks(core.split(C), grid)
         s = self._random_state(rng, 3, grid)
-        out = eng.evolve(s, gen, 0.0)
+        out = eng.evolve(s, core.split(C), 0.0)
         assert np.allclose(out.values, s.values, atol=1e-13)
 
     def test_norm_preserved(self, rng):
@@ -222,25 +221,23 @@ class TestEvolve:
         for _ in range(10):
             d = int(rng.integers(1, 6))
             C = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            gen = eng.generator_blocks(core.split(C), grid)
             s = self._random_state(rng, d, grid)
             t = float(rng.uniform(0, 50))
-            out = eng.evolve(s, gen, t)
+            out = eng.evolve(s, core.split(C), t)
             assert abs(
                 np.linalg.norm(out.values) - np.linalg.norm(s.values)
             ) <= 1e-10 * np.linalg.norm(s.values)
 
-    def test_generator_without_split_or_blocks_rejected(self):
+    def test_state_and_split_dimensions_must_agree(self):
         grid = eng.make_grid(8, 2.0)
-        s = eng.SpectralState(values=np.ones((1, 8), dtype=complex), grid=grid)
-        with pytest.raises(InvalidInputError, match="neither"):
-            eng.evolve(s, eng.GeneratorBlocks(blocks=None, grid=grid), 1.0)
+        s = eng.SpectralState(values=np.ones((2, 8), dtype=complex), grid=grid)
+        with pytest.raises(DimensionError):
+            eng.evolve(s, core.split(np.eye(3)), 1.0)
 
     def test_scalar_mode_amplitude_constant(self):
         grid = eng.make_grid(8, 2.0)
-        gen = eng.generator_blocks(core.split(np.array([[0.5]])), grid)
         s = eng.SpectralState(values=np.ones((1, 8), dtype=complex), grid=grid)
-        out = eng.evolve(s, gen, 7.3)
+        out = eng.evolve(s, core.split(np.array([[0.5]])), 7.3)
         assert np.allclose(np.abs(out.values), 1.0, atol=1e-12)
 
 
@@ -338,7 +335,7 @@ class TestEvolvePaths:
         vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
         ref = _per_mode_reference(vals, gen.blocks, t)
         decompositions.clear()
-        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
         assert decompositions.work() == _PATH_WORK[path](N)
         scale = np.linalg.norm(vals)
         assert np.max(np.abs(out.values - ref)) <= tol * scale
@@ -360,24 +357,20 @@ class TestEvolvePaths:
         )
 
     @pytest.mark.parametrize(
-        "c, split, eigh_calls",
-        [(0.5, True, [1]), (0.5 + 0.25j, True, []), (0.5 + 0.25j, False, [])],
-        ids=["real", "complex", "bare"],
+        "c, eigh_calls", [(0.5, [1]), (0.5 + 0.25j, [])], ids=["real", "complex"]
     )
     @pytest.mark.parametrize("t", [0.0, 1.5])
-    def test_scalar_system(self, rng, decompositions, c, split, eigh_calls, t):
+    def test_scalar_system(self, rng, decompositions, c, eigh_calls, t):
         # d + 1 = 1 on every path it can take: a real scalar is symmetric
-        # (one eigh); a complex one, with or without its split, is a phase
-        # per mode and is never tridiagonalised. The real path needs a
-        # nonzero imaginary C2h, which no 1x1 Hermitian matrix has.
+        # (one eigh); a complex one is a phase per mode and is never
+        # tridiagonalised. The real path needs a nonzero imaginary C2h,
+        # which no 1x1 Hermitian matrix has.
         grid = eng.make_grid(4, np.pi)
         gen = eng.generator_blocks(core.split(np.array([[c]])), grid)
-        if not split:
-            gen = eng.GeneratorBlocks(blocks=gen.blocks, grid=grid)
         vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         exact = np.exp(-1j * t * gen.blocks[:, 0, 0].real) * vals
         decompositions.clear()
-        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t)
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
         assert decompositions.work() == (eigh_calls, 0)
         assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.linalg.norm(vals)
 
@@ -401,7 +394,7 @@ class TestEvolvePaths:
         assert eng.evolve_path(gen.split, grid) == path
         vals = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
         decompositions.clear()
-        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, 2.0)
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, 2.0)
         assert decompositions.work() == _PATH_WORK[path](16)
         ref = _per_mode_reference(vals, gen.blocks, 2.0)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(vals)
@@ -412,19 +405,6 @@ class TestEvolvePaths:
         )
         assert np.any(gen.split.C1h.imag != 0)
         assert not np.any(gen.split.C2h)
-
-    def test_blocks_without_split_take_reference_path(self, rng, decompositions):
-        grid = eng.make_grid(16, 3.0)
-        gen = eng.generator_blocks(core.split(_real_symmetric(rng, 3)), grid)
-        bare = eng.GeneratorBlocks(blocks=gen.blocks, grid=grid)
-        vals = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
-        s = eng.SpectralState(values=vals, grid=grid)
-        decompositions.clear()
-        fast = eng.evolve(s, gen, 2.0)
-        assert decompositions.work() == ([1], 0)
-        ref = eng.evolve(s, bare, 2.0)
-        assert decompositions.work() == ([1], 16)
-        assert np.max(np.abs(fast.values - ref.values)) <= 1e-12 * np.linalg.norm(vals)
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     @pytest.mark.parametrize("N", [4, 16, 64])
@@ -447,7 +427,7 @@ class TestEvolvePaths:
                 for k in range(N // 2 + 1)
             )
         decompositions.clear()
-        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, 1.7)
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, 1.7)
         assert decompositions.work() == ([], expected)
         assert not out.values[:, ~live].any()
         ref = _per_mode_reference(vals, gen.blocks, 1.7)
@@ -461,10 +441,9 @@ class TestEvolvePaths:
         monkeypatch.setattr(eng.lapack, "dstevd", failing_dstevd)
         build, _ = _STRUCTURES[structure]
         grid = eng.make_grid(8, 3.0)
-        gen = eng.generator_blocks(core.split(build(rng, 3)), grid)
         s = eng.SpectralState(values=np.ones((3, 8), dtype=complex), grid=grid)
         with pytest.raises(NumericalError, match="dstevd"):
-            eng.evolve(s, gen, 1.0)
+            eng.evolve(s, core.split(build(rng, 3)), 1.0)
 
     @pytest.mark.parametrize("structure", list(_STRUCTURES))
     def test_propagate_matches_expm(self, rng, decompositions, structure):
@@ -507,24 +486,21 @@ class TestEvolvePaths:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    structure=st.sampled_from([*_STRUCTURES, "bare"]),
+    structure=st.sampled_from(list(_STRUCTURES)),
     d=st.integers(1, 9),
     N=st.sampled_from([4, 8, 16, 32, 64]),
     t=st.floats(0.0, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evolve_matches_reference_property(structure, d, N, t, seed):
-    """Every path, and bare blocks, agree with the per-mode eigh reference
-    and keep the norm of every mode."""
+    """Every path agrees with the per-mode eigh reference and keeps the
+    norm of every mode."""
     rng = np.random.default_rng(seed)
     grid = eng.make_grid(N, float(rng.uniform(np.pi, 8.0)))
-    build = _STRUCTURES[structure][0] if structure != "bare" else random_contractive
-    C = build(rng, d)
+    C = _STRUCTURES[structure][0](rng, d)
     gen = eng.generator_blocks(core.split(C), grid)
-    if structure == "bare":
-        gen = eng.GeneratorBlocks(blocks=gen.blocks, grid=grid)
     vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
-    out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen, t).values
+    out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t).values
     ref = _per_mode_reference(vals, gen.blocks, t)
     scale = np.linalg.norm(vals)
     assert np.max(np.abs(out - ref)) <= 1e-12 * scale
@@ -535,18 +511,36 @@ def test_evolve_matches_reference_property(structure, d, N, t, seed):
 
 class TestTruncate:
     def test_drops_the_least_massive_modes_up_to_eps_squared(self):
-        grid = eng.make_grid(8, 3.0)
-        mass = np.array([0.25, 4e-13, 0.25, 3e-13, 0.25, 5e-13, 0.125, 0.125])
+        grid = eng.make_grid(8, 3.0)  # slots hold k = -3..4
+        # pairs by |k|: 0 -> 6e-13, 1 -> 0.5, 2 -> 2e-13 + 9e-13,
+        # 3 -> 1e-13 + 2e-13, 4 -> 0.5
+        mass = np.array([1e-13, 2e-13, 0.25, 6e-13, 0.25, 9e-13, 2e-13, 0.5])
         vals = np.sqrt(mass)[None, :] * np.array([[0.6], [0.8j]])
         s = eng.SpectralState(values=vals, grid=grid, time=1.5)
         out, dropped = eng.truncate(s)
-        # 3e-13 + 4e-13 fits under 1e-12 of the total mass; adding 5e-13 does not
+        # the pair ±3 and k = 0 (9e-13) fit under 1e-12 of the total mass;
+        # adding the pair ±2 does not. Single columns ranked alone would cut
+        # k = -2 (2e-13) and keep k = 2.
         kept = np.ones(8, dtype=bool)
-        kept[[1, 3]] = False
+        kept[[0, 3, 6]] = False
         assert not out.values[:, ~kept].any()
         assert np.array_equal(out.values[:, kept], vals[:, kept])
-        assert dropped == pytest.approx(np.sqrt(7e-13 / mass.sum()), rel=1e-12)
+        assert dropped == pytest.approx(np.sqrt(9e-13 / mass.sum()), rel=1e-12)
         assert out.time == 1.5 and not np.array_equal(s.values, out.values)
+
+    @pytest.mark.parametrize("N", [8, 64, 512])
+    def test_zeroes_whole_conjugate_pairs(self, rng, N):
+        # column masses 1 down to 1e-20 in random slots; k and -k are zeroed
+        # together, while k = 0 and k = N/2 have no partner
+        grid = eng.make_grid(N, 5.0)
+        mass = 10.0 ** -rng.permutation(np.linspace(0.0, 20.0, N))
+        s = eng.SpectralState(values=np.sqrt(mass)[None, :].astype(complex), grid=grid)
+        out, dropped = eng.truncate(s)
+        zero = ~out.values.any(axis=0)
+        h = N // 2 - 1  # slot of k = 0
+        assert 0.0 < dropped <= eng.TRUNCATION_EPS
+        assert np.array_equal(zero[h + 1 : N - 1], zero[h - 1 :: -1])
+        assert dropped**2 == pytest.approx(mass[zero].sum() / mass.sum(), rel=1e-9)
 
     @pytest.mark.parametrize("N", [4, 8, 16, 32, 64, 128, 256, 512])
     @pytest.mark.parametrize("L", [np.pi, 6.0, 12.5, 25.0, 40.0, 90.0])
@@ -569,10 +563,9 @@ class TestTruncate:
         assert kept.modes_evolved < 512 * 2 // 3
         assert 0.0 < kept.dropped_norm <= eng.TRUNCATION_EPS
         # the zeroed modes account for the whole warped-state difference
-        gen = eng.GeneratorBlocks(blocks=None, grid=grid, split=ds)
         v0 = eng.transform(eng.initial_warped_state(x0, grid, eng.SMOOTH))
-        full = eng.transform(eng.evolve(v0, gen, t), "inverse").values
-        cut = eng.transform(eng.evolve(eng.truncate(v0)[0], gen, t), "inverse").values
+        full = eng.transform(eng.evolve(v0, ds, t), "inverse").values
+        cut = eng.transform(eng.evolve(eng.truncate(v0)[0], ds, t), "inverse").values
         error = np.linalg.norm(cut - full) / np.linalg.norm(full)
         assert error == pytest.approx(kept.dropped_norm, rel=1e-6)
         plain = eng.propagate(C, x0, t, grid)
@@ -600,12 +593,11 @@ def test_truncation_error_within_reported_bound(structure, profile, d, N, t, see
     x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     ds = core.split(C)
     grid = eng.make_grid(N, eng.default_domain_halfwidth(ds.C1h, t))
-    gen = eng.GeneratorBlocks(blocks=None, grid=grid, split=ds)
     v0 = eng.transform(eng.initial_warped_state(x0, grid, profile), "forward")
     kept, dropped = eng.truncate(v0)
     assert dropped <= eng.TRUNCATION_EPS
-    full = eng.transform(eng.evolve(v0, gen, t), "inverse").values
-    cut = eng.transform(eng.evolve(kept, gen, t), "inverse").values
+    full = eng.transform(eng.evolve(v0, ds, t), "inverse").values
+    cut = eng.transform(eng.evolve(kept, ds, t), "inverse").values
     scale = np.linalg.norm(full)
     assert np.linalg.norm(cut - full) <= (dropped + 1e-12) * scale
 
@@ -635,18 +627,6 @@ class TestRecover:
         rec = eng.propagate(np.eye(3), x0, 0.0, grid)
         assert np.max(np.abs(rec.x - x0)) <= np.exp(-grid.L) + 1e-3
 
-    def test_at_pstar_mode(self):
-        grid = eng.make_grid(256, 4.5)
-        rec = eng.propagate(
-            np.array([[0.5]]), np.array([1.0]), 1.0, grid, mode="at_pstar"
-        )
-        assert abs(rec.x[0] - np.exp(-0.5)) <= 1e-3
-
-    def test_unknown_mode_rejected(self):
-        grid = eng.make_grid(16, 2.0)
-        w = eng.initial_warped_state([1.0], grid)
-        with pytest.raises(InvalidInputError):
-            eng.recover(w, grid, mode="everywhere")
 
 
 class TestExpectation:
@@ -670,7 +650,7 @@ class TestExpectation:
         grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
         w0 = eng.initial_warped_state(x0, grid)
         v0 = eng.transform(w0, "forward")
-        vt = eng.evolve(v0, eng.generator_blocks(core.split(C), grid), t)
+        vt = eng.evolve(v0, core.split(C), t)
         proj = np.zeros((4, 4))
         proj[1, 1] = 1.0
         res = eng.expectation_without_recovery(vt, proj)
@@ -725,7 +705,7 @@ class TestPropagateOracle:
         wt = eng.transform(
             eng.SpectralState(values=out.T, grid=grid, time=t), "inverse"
         )
-        ref = eng.recover(wt, grid)
+        ref = eng.recover(wt)
         assert np.max(np.abs(ref.x - rec.x)) <= 1e-10
 
     def test_oracle_fidelity_improves_with_N(self, rng):

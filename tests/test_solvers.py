@@ -320,6 +320,18 @@ class TestQuantumJacobiSolve:
         share = 0.5 / (0.5 + schrodingerization.SMOOTH.negative_mass)
         assert 0.05 <= rep.success_probability <= 1.1 * share
 
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_real_input_gives_a_real_state(self, seed):
+        # real A and b make the spectral columns of k and -k conjugate;
+        # truncation zeroes them in pairs, so no imaginary part is left
+        # (cutting one of a pair left about 1e-8 on these inputs)
+        A, b = random_dominant(np.random.default_rng(seed), 30)
+        rep = solvers.quantum_jacobi_solve(A, b)
+        assert rep.modes_evolved < rep.grid.N and rep.dropped_norm > 0.0
+        assert np.max(np.abs(rep.state.imag)) <= 1e-12
+        assert np.max(np.abs(rep.y_classical.imag)) <= 1e-12
+
     def test_override_uses_spectral_radius(self):
         # not diagonally dominant but r(G) = sqrt(0.24) < 1; the indefinite
         # drift pushes the readout window far out, so a finer grid is needed
