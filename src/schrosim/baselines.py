@@ -1,6 +1,6 @@
 """Classical oracles: direct solve, exact propagator, plain iteration and
-power method, and contraction-rate diagnostics. These are the ground truth
-every end-to-end result is checked against."""
+power method. These are the ground truth every end-to-end result is
+checked against."""
 
 from __future__ import annotations
 
@@ -86,37 +86,3 @@ def exact_propagator(C, x0, t: float) -> np.ndarray:
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
     return scipy.linalg.expm((C - np.eye(C.shape[0])) * t) @ x0
-
-
-def contraction_check(trace: IterationTrace, C) -> bool | None:
-    """Asymptotic decay-rate check against the iteration spectral radius.
-
-    Estimates limsup (delta_k / delta_m)^(1/(k-m)) over the last half of the
-    trace and compares against r(G) + 0.05, where G is the non-trivial block
-    of an augmented C (or all of C otherwise). Per-step 2-norm contraction
-    is deliberately not asserted: it fails for non-normal G even though the
-    asymptotic rate holds. Returns None when the trace is too short to
-    estimate a rate (< 8 steps).
-    """
-    C = core.require_square(core.as_matrix(C), "C")
-    deltas = np.asarray(trace.step_deltas, dtype=float)
-    if deltas.size < 8:
-        return None
-    d1 = C.shape[0]
-    last_row = np.zeros(d1)
-    last_row[-1] = 1.0
-    if np.allclose(C[-1], last_row, atol=1e-14):
-        G = C[:-1, :-1]
-    else:
-        G = C
-    r = float(np.max(np.abs(np.linalg.eigvals(G)))) if G.size else 0.0
-    # traces that bottom out at zero or roundoff noise are contraction at
-    # rate 0; the ratio estimate below would see a spurious plateau there
-    if deltas[-1] <= 1e-13 * max(1.0, deltas[0]):
-        return True
-    m = deltas.size // 2
-    span = deltas.size - 1 - m
-    if span < 1 or deltas[m] == 0.0:
-        return True
-    rate = (deltas[-1] / deltas[m]) ** (1.0 / span)
-    return bool(rate <= r + 0.05)

@@ -10,7 +10,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import click
 import numpy as np
@@ -77,11 +77,11 @@ def read_matrix_market(path: str) -> np.ndarray:
     """Parse a coordinate-format Matrix Market file into a dense matrix.
 
     Accepts real|complex fields and general, symmetric, hermitian (complex
-    field only) and skew-symmetric symmetry. The last three must be square
-    and are mirrored: (j, i) gets a, conj(a) or -a. A hermitian diagonal
-    entry must be real, and a skew-symmetric file stores no diagonal. A
-    coordinate given twice (in a mirrored file, also (i, j) together with
-    (j, i)) is rejected rather than summed or overwritten. A declared size
+    field only) and skew-symmetric symmetry. The last three must be square,
+    store the lower triangle only (i >= j, as the spec requires) and are
+    mirrored: (j, i) gets a, conj(a) or -a. A hermitian diagonal entry must
+    be real, and a skew-symmetric file stores no diagonal. A coordinate
+    given twice is rejected rather than summed or overwritten. A declared size
     above ``core.MAX_DENSE_DIM`` is rejected at the size line, before
     anything is allocated. Indices are ASCII integers and values ASCII
     decimal floats (or inf/nan), as numpy's ``loadtxt`` parses them. Malformed
@@ -157,6 +157,7 @@ def read_matrix_market(path: str) -> np.ndarray:
     else:
         vals = rec["re"]
     in_range = (i >= 1) & (i <= rows) & (j >= 1) & (j <= cols)
+    upper = (i < j) if mirror else np.zeros(rec.size, dtype=bool)
     if sym == "skew-symmetric":
         bad_diagonal = i == j
     elif sym == "hermitian":
@@ -164,23 +165,26 @@ def read_matrix_market(path: str) -> np.ndarray:
     else:
         bad_diagonal = np.zeros(rec.size, dtype=bool)
     at, mirror_at = (i - 1) * cols + j - 1, (j - 1) * cols + i - 1
-    # (i, j) and (j, i) are one stored coordinate in a mirrored file
-    key = np.where(i < j, mirror_at, at) if mirror else at
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(at, kind="stable")
     repeated = np.zeros(rec.size, dtype=bool)
-    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
-    failing = ~in_range | bad_diagonal | repeated
+    repeated[order[1:]] = at[order[1:]] == at[order[:-1]]
+    failing = ~in_range | upper | bad_diagonal | repeated
     if failing.any():
         r = int(np.argmax(failing))
         if not in_range[r]:
             message = f"index ({i[r]}, {j[r]}) out of range"
+        elif upper[r]:
+            message = (
+                f"entry ({i[r]}, {j[r]}) is above the diagonal; a {sym} file"
+                " stores the lower triangle only"
+            )
         elif bad_diagonal[r]:
             message = (
                 f"diagonal entry ({i[r]}, {j[r]}) of a {sym} matrix must be "
                 + ("real" if sym == "hermitian" else "absent")
             )
         else:
-            first = numbers[int(np.argmax(key == key[r]))]
+            first = numbers[int(np.argmax(at == at[r]))]
             message = f"duplicate entry ({i[r]}, {j[r]}); already set by line {first}"
         raise ParseError(message, line=numbers[r])
     if unparsable is not None:
@@ -283,17 +287,6 @@ def _base_report(cfg: RunConfig, M: np.ndarray) -> dict:
 def _grid_section(grid: engine.Grid) -> dict:
     return {"N": grid.N, "L": grid.L}
 
-def _cost_section(cost: solvers.CostReport) -> dict:
-    return {
-        "sparsity": cost.sparsity,
-        "max_norm": cost.max_norm,
-        "t": cost.t,
-        "epsilon": cost.epsilon,
-        "overlap": cost.overlap,
-        "predicted_query_scale": cost.predicted_query_scale,
-        "retrieval_factor": cost.retrieval_factor,
-    }
-
 
 # RunConfig fields set from a float option (text from the command line, a
 # float once _check_numbers has run); the option is --<field>, in lower case
@@ -365,7 +358,7 @@ def run_solve(cfg: RunConfig) -> dict:
             "success_probability": rep.success_probability,
             "state": _pairs(rep.state),
             "y": _pairs(rep.y_classical),
-            "cost": _cost_section(rep.cost),
+            "cost": asdict(rep.cost),
             "propagation": {
                 "profile": rep.profile.name,
                 "profile_negative_mass": rep.profile.negative_mass,
@@ -402,7 +395,7 @@ def run_eig(cfg: RunConfig) -> dict:
             "eigenvalue_estimate": [lam.real, lam.imag],
             "eigenvalue_error_bound": rep.eigenvalue_error_bound,
             "state": _pairs(rep.state),
-            "cost": _cost_section(rep.cost),
+            "cost": asdict(rep.cost),
             "propagation": {"path": rep.path},
         }
     )
@@ -473,7 +466,7 @@ def run_diagnose(cfg: RunConfig) -> dict:
         }
     )
     if t_f is not None:
-        out["cost"] = _cost_section(
+        out["cost"] = asdict(
             solvers.quantum_cost_estimate(
                 C, t_f, epsilon=1.0 / cfg.N,
                 overlap=float(np.sqrt(cfg.alpha0_sq)),

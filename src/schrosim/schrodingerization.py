@@ -4,8 +4,13 @@ The drift system dx/dt = (C - I)x is lifted to a transport equation in an
 auxiliary coordinate p through the substitution v(t, p) = e^{-p} x(t), then
 Fourier-transformed in p. Each Fourier mode η evolves under its own small
 Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
-of unitaries and preserves the global 2-norm exactly. x(t) is recovered by
-undoing the transform and reading off the p > 0 region.
+of unitaries and preserves the global 2-norm exactly. The start ψ(p)·x0 is
+separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
+(``initial_state``); the readout, a least-squares fit of the p > 0 region,
+is linear, so ``recover`` applies it to the spectral state and no transform
+back to p runs. For a Hermitian C each mode's generator η·(-C1h) is
+diagonal in one eigenbasis W of -C1h, and the state is kept in W's
+coordinates (``Eigenbasis``): evolution is then a phase per entry.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
 only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -115,13 +120,24 @@ class WarpedState:
     time: float = 0.0
 
 
+@dataclass(frozen=True)
+class Eigenbasis:
+    """-C1h = W·diag(mu)·W† with W unitary, for a Hermitian C (C2h = 0):
+    the coordinates in which every mode's generator η_k·(-C1h) is diagonal."""
+
+    mu: np.ndarray
+    W: np.ndarray
+
+
 @dataclass
 class SpectralState:
-    """ṽ(t, η) sampled on the grid; shape (d+1, N), column j ↔ η_{k_j}."""
+    """ṽ(t, η) sampled on the grid; shape (d+1, N), column j ↔ η_{k_j}. With
+    a ``basis`` the values are coordinates in its columns W: the state is W·values."""
 
     values: np.ndarray
     grid: Grid
     time: float = 0.0
+    basis: Eigenbasis | None = None
 
 
 @dataclass(frozen=True)
@@ -171,26 +187,30 @@ def make_grid(N: int, L: float) -> Grid:
     return Grid(N=N, L=L, p=p, eta=np.pi * k / L, mode_index=k)
 
 
-def default_domain_halfwidth(C1h: np.ndarray, t: float) -> float:
+def default_domain_halfwidth(
+    C1h: np.ndarray | None, t: float, basis: Eigenbasis | None = None
+) -> float:
     """Half-width rule: transport speed is bounded by the largest Hermitian
     drift eigenvalue, so L = 4 + t·ρ keeps the p > 0 region clear of
-    wrap-around while holding the boundary truncation e^{-L} small."""
-    rho = (
-        float(np.max(np.abs(np.linalg.eigvalsh(core.real_if_exact(C1h)))))
-        if C1h.size
-        else 0.0
-    )
-    return max(float(np.pi), 4.0 + t * rho)
+    wrap-around while holding the boundary truncation e^{-L} small. Given
+    the eigenbasis of -C1h, ρ is read from it and C1h is not used."""
+    eigs = basis.mu if basis else np.linalg.eigvalsh(core.real_if_exact(C1h))
+    return max(float(np.pi), 4.0 + t * float(np.max(np.abs(eigs), initial=0.0)))
 
 
-def initial_warped_state(x0, grid: Grid, profile: Profile = EXP_ABS) -> WarpedState:
-    """v(0, p) = ψ(p) x0, separable in the component and p indices; ψ is
-    e^{-|p|} unless another profile is given."""
-    x0 = core.as_vector(x0)
-    if np.linalg.norm(x0) == 0.0:
-        raise InvalidInputError("x0 must be nonzero")
-    values = profile(grid.p)[None, :] * x0[:, None]
-    return WarpedState(values=values, grid=grid, time=0.0)
+def _drift_eigenbasis(ds: core.DriftSplit) -> Eigenbasis:
+    """Eigendecompose -C1h, in real arithmetic when C1h is real."""
+    try:
+        mu, W = np.linalg.eigh(-core.real_if_exact(ds.C1h))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
+    return Eigenbasis(mu=mu, W=W)
+
+
+def _bins_and_signs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """FFT bin k mod N of each mode slot, and (-1)^k."""
+    k = grid.mode_index
+    return k % grid.N, np.where(k % 2 == 0, 1.0, -1.0)
 
 
 def transform(state, direction: Literal["forward", "inverse"] = "forward"):
@@ -201,13 +221,12 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     e^{iη_k p_l} = (-1)^k·e^{2πikl/N}, so the forward map is the unscaled
     inverse FFT (``norm="forward"``), gathered from bin k mod N into mode
     order and multiplied in place by the one vector dp/2π·(-1)^k. The
-    inverse scatters the modes back to their bins with deta·(-1)^k folded
-    into the scatter, then runs the unscaled forward FFT.
+    inverse applies the state's basis, if any, scatters the modes back to
+    their bins with deta·(-1)^k folded into the scatter, then runs the
+    unscaled forward FFT.
     """
     grid = state.grid
-    k = grid.mode_index
-    m = k % grid.N
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    m, sign = _bins_and_signs(grid)
     if direction == "forward":
         if not isinstance(state, WarpedState):
             raise DimensionError("forward transform expects a WarpedState")
@@ -217,10 +236,26 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     if direction == "inverse":
         if not isinstance(state, SpectralState):
             raise DimensionError("inverse transform expects a SpectralState")
-        X = np.empty_like(state.values)
-        X[:, m] = state.values * (grid.deta * sign)
+        vals = state.values if state.basis is None else state.basis.W @ state.values
+        X = np.empty_like(vals)
+        X[:, m] = vals * (grid.deta * sign)
         return WarpedState(values=np.fft.fft(X, axis=1), grid=grid, time=state.time)
     raise InvalidInputError(f"unknown direction {direction!r}")
+
+
+def initial_state(
+    x0, grid: Grid, profile: Profile = EXP_ABS, basis: Eigenbasis | None = None
+) -> SpectralState:
+    """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
+    of the profile ψ (e^{-|p|} unless another is given); with a basis W it
+    is (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
+    modes ``truncate`` keeps depend on ψ̂ alone."""
+    x0 = core.as_vector(x0)
+    if np.linalg.norm(x0) == 0.0:
+        raise InvalidInputError("x0 must be nonzero")
+    psi = transform(WarpedState(values=profile(grid.p)[None, :], grid=grid))
+    coeffs = x0 if basis is None else basis.W.conj().T @ x0
+    return SpectralState(values=np.outer(coeffs, psi.values[0]), grid=grid, basis=basis)
 
 
 def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
@@ -274,7 +309,7 @@ def truncate(s: SpectralState) -> tuple[SpectralState, float]:
     values = s.values.copy()
     values[:, np.isin(pair, order[:dropped])] = 0.0
     norm = float(np.sqrt(cumulative[dropped - 1] / total))
-    return SpectralState(values=values, grid=s.grid, time=s.time), norm
+    return replace(s, values=values), norm
 
 
 def _split_blocks(ds: core.DriftSplit, eta: np.ndarray):
@@ -341,15 +376,6 @@ def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
     return "general"
 
 
-def _matmul(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """A @ V for a C-contiguous complex V. A real A multiplies V's real
-    view, (n, 2N) with real and imaginary parts interleaved, in one real
-    GEMM instead of a complex one."""
-    if np.iscomplexobj(A):
-        return A @ V
-    return (A @ V.view(np.float64)).view(complex)
-
-
 def _apply_phases(Y: np.ndarray, mu: np.ndarray, grid: Grid, t: float) -> None:
     """Y[j, :] *= e^{-itμ_j·η_k} in place, for a C-contiguous Y on
     ``make_grid``'s ladder η_k = k·π/L, k = k_0..N/2 consecutive.
@@ -378,9 +404,10 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
 
     - "hermitian" (C2h exactly zero, on ``make_grid``'s mode ladder):
       H_k = η_k·(-C1h), so one eigendecomposition -C1h = W·diag(μ)·W†
-      serves every mode and the evolution is two GEMMs,
-      W·(e^{-itη_kμ_j} ∘ (W†·V)). A real C1h is decomposed in real
-      arithmetic and its real W multiplies the real view of V; the phases
+      serves every mode. A state in that basis (``s.basis``, which must be
+      the eigenbasis of -C1h) evolves by the phases e^{-itη_kμ_j} alone and
+      stays in it; one without is decomposed here (in real arithmetic when
+      C1h is real) and evolves as W·(e^{-itη_kμ_j} ∘ (W†·V)). The phases
       come from the mode ladder in two short blocks (``_apply_phases``).
       Every call is numpy's, so the path runs on one BLAS thread pool.
     - "real" (C1h with zero imaginary part, C2h with zero real part, on a
@@ -399,7 +426,7 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     A mode whose vector is exactly zero stays zero, so those two paths do
     not reduce it (on the real path, a pair k, -k is reduced when either
     vector is nonzero); ``truncate`` makes such modes. The Hermitian path
-    maps a zero column to an exact zero in its GEMMs.
+    maps a zero column to an exact zero.
     """
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
@@ -411,13 +438,12 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
     path = evolve_path(ds, grid)
     if path == "hermitian":
-        try:
-            mu, W = np.linalg.eigh(-core.real_if_exact(ds.C1h))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
-        Y = _matmul(W.conj().T, vals)
-        _apply_phases(Y, mu, grid, t)
-        out = _matmul(W, Y)
+        basis = s.basis or _drift_eigenbasis(ds)
+        out = vals.copy() if s.basis else basis.W.conj().T @ vals
+        _apply_phases(out, basis.mu, grid, t)
+        out = out if s.basis else basis.W @ out
+    elif s.basis is not None:
+        raise InvalidInputError("a state in a drift eigenbasis needs a Hermitian C")
     elif path == "real":
         # row m is mode k = m (slot h + m); its second vector is conj(v_{-k}),
         # at slot h - m, for k = 1..N/2-1
@@ -435,65 +461,51 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
         blocks = _split_blocks(ds, eta[live])
         out = np.zeros_like(vals)
         out[:, live] = _evolve_stack(blocks, vals[:, live].T[:, :, None], t)[:, :, 0].T
-    return SpectralState(values=out, grid=grid, time=s.time + t)
+    return SpectralState(values=out, grid=grid, time=s.time + t, basis=s.basis)
 
 
-def recover(w: WarpedState, p_min: float = 0.0) -> RecoveredState:
-    """Read x(t) back out of the warped profile on its grid ``w.grid``: the
-    least-squares fit of v(t, p_l) ≈ e^{-p_l} x̂ over all p_l > max(0, p_min),
-    i.e. the projection onto the positive-p subspace, which averages out
-    the per-point discretisation noise (the recovery of Jin, Liu & Yu,
-    arXiv:2212.13969). It is the only readout.
+def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
+    """Read x(t) out of the spectral state on its grid ``s.grid``: the
+    least-squares fit of v(t, p_l) ≈ e^{-p_l} x̂ over all p_l > max(0, p_min)
+    of the warped state v, the projection onto the positive-p subspace that
+    averages out per-point discretisation noise (the recovery of Jin, Liu &
+    Yu, arXiv:2212.13969); the only readout. The fit is linear in v, so it
+    is read off the spectral values Y: with u_l = e^{-p_l} on the window and
+    0 elsewhere, x̂ = Y·r, r_k = deta·(-1)^k·FFT(u)[k mod N] / ‖u‖² (then
+    W·x̂ in a basis W), and ‖v‖ = √N·deta·‖Y‖_F by Parseval. Weights that
+    all underflow or a non-finite x̂ raise NumericalError.
 
     p_min shifts the readout window right: when the Hermitian drift part
     has positive eigenvalues the profile kink travels right at that speed,
     and the exponential profile only survives beyond the kink's position.
     """
-    grid = w.grid
+    grid = s.grid
     floor = max(0.0, p_min)
     pos = grid.p > floor
     if not np.any(pos):
         raise DegenerateRecoveryError(
             f"no grid points beyond the readout floor p > {floor:.3f}"
         )
-    weights = np.exp(-grid.p[pos])
-    xhat = (w.values[:, pos] @ weights) / (weights @ weights)
+    u = np.zeros(grid.N)
+    u[pos] = np.exp(-grid.p[pos])
+    if not (norm2 := u @ u) > 0.0:  # e^{-p} underflows for every p past about 745
+        raise NumericalError(f"readout weights underflow beyond p > {floor:.3f}")
+    m, sign = _bins_and_signs(grid)
+    r = np.fft.fft(u)[m] * (sign * (grid.deta / norm2))
+    xhat = s.values @ r
+    if s.basis is not None:
+        xhat = s.basis.W @ xhat
+    if not np.all(np.isfinite(xhat)):
+        raise NumericalError("recovered amplitude vector has non-finite entries")
     xnorm = float(np.linalg.norm(xhat))
     if xnorm < 1e-300:
         raise DegenerateRecoveryError("recovered amplitude vector has zero norm")
-    wnorm = float(np.linalg.norm(w.values))
+    wnorm = math.sqrt(grid.N) * grid.deta * float(np.linalg.norm(s.values))
     env_norm = float(np.sqrt(np.sum(np.exp(-2.0 * grid.p[grid.p > 0]))))
     prob = min(1.0, (xnorm * env_norm / wnorm) ** 2) if wnorm > 0 else 0.0
     return RecoveredState(
-        x=xhat, state=xhat / xnorm, success_probability=prob, time=w.time
+        x=xhat, state=xhat / xnorm, success_probability=prob, time=s.time
     )
-
-
-class Expectation(NamedTuple):
-    raw: complex
-    normalized: complex
-
-
-def expectation_without_recovery(s: SpectralState, O) -> Expectation:
-    """⟨v|(I⊗O)|v⟩ over the positive half of the warped domain.
-
-    No amplitude rescaling or profile fit is performed. The restriction to
-    p > 0 matters: only there is the warped field a common scalar profile
-    times x(t), so the ratio ⟨v|(I⊗O)|v⟩/⟨v|v⟩ matches ⟨x|O|x⟩/⟨x|x⟩ up to
-    grid error. The left half mixes earlier history and would bias it.
-    """
-    O = core.require_square(core.as_matrix(O), "O")
-    if O.shape[0] != s.values.shape[0]:
-        raise DimensionError("observable dimension does not match state")
-    if core.hermiticity_defect(O) > core.HERMITICITY_TOL:
-        raise InvalidInputError("observable must be Hermitian")
-    w = transform(s, "inverse")
-    vals = w.values[:, w.grid.p > 0.0]
-    raw = complex(np.einsum("in,ij,jn->", vals.conj(), O, vals))
-    denom = float(np.linalg.norm(vals) ** 2)
-    if denom == 0.0:
-        raise DegenerateRecoveryError("spectral state has zero norm on p > 0")
-    return Expectation(raw=raw, normalized=raw / denom)
 
 
 def propagate(
@@ -502,18 +514,28 @@ def propagate(
     t: float,
     grid: Grid,
     profile: Profile = EXP_ABS,
+    basis: Eigenbasis | None = None,
 ) -> RecoveredState:
-    """End-to-end: warp with ``profile``, transform, truncate, per-mode
-    unitary evolution, inverse transform, recovery. Approximates
-    e^{(C-I)t} x0 with error set by the p-grid resolution (time evolution
-    is exact per mode) and by the truncation, whose relative warped-state
-    error is the returned ``dropped_norm`` <= TRUNCATION_EPS."""
-    C = core.require_square(core.as_matrix(C), "C")
-    x0 = core.as_vector(x0)
-    if C.shape[0] != x0.shape[0]:
-        raise DimensionError("C and x0 dimensions differ")
+    """End-to-end: the transformed start state x0⊗ψ̂ of ``profile``,
+    truncation, per-mode unitary evolution and the spectral readout.
+    Approximates e^{(C-I)t} x0 with error set by the p-grid resolution
+    (time evolution is exact per mode) and by the truncation, whose
+    relative warped-state error is the returned ``dropped_norm`` <=
+    TRUNCATION_EPS.
+
+    On the "hermitian" path the state is kept in the eigenbasis of -C1h:
+    ``basis`` when the caller has it, else one ``eigh`` here, which also
+    gives the kink speed."""
     ds = core.split(C)  # exactly Hermitian parts, so evolve needs no check
-    top = float(np.max(np.linalg.eigvalsh(core.real_if_exact(ds.C1h))))
+    x0 = core.as_vector(x0)
+    if ds.C1h.shape[0] != x0.shape[0]:
+        raise DimensionError("C and x0 dimensions differ")
+    path = evolve_path(ds, grid)
+    if path == "hermitian":
+        basis = basis or _drift_eigenbasis(ds)
+        top = -float(np.min(basis.mu))
+    else:  # evolve refuses a basis here
+        top = float(np.max(np.linalg.eigvalsh(core.real_if_exact(ds.C1h))))
     if top > 1e-10:
         join = "kink" if profile.m == 0 else f"C^{profile.m} join"
         warnings.warn(
@@ -523,16 +545,13 @@ def propagate(
             "past it",
             stacklevel=2,
         )
-    w0 = initial_warped_state(x0, grid, profile)
-    v0, dropped = truncate(transform(w0, "forward"))
+    v0, dropped = truncate(initial_state(x0, grid, profile, basis))
     vt = evolve(v0, ds, t)
-    wt = transform(vt, "inverse")
     # the join at p = 0 travels right at the top Hermitian drift speed;
     # read only beyond it (a few cells of margin for the ringing around it)
     p_min = max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
-    rec = recover(wt, p_min=p_min)
+    rec = recover(vt, p_min=p_min)
     modes = int(np.count_nonzero(v0.values.any(axis=0)))
     return replace(
-        rec, profile=profile, modes_evolved=modes, dropped_norm=dropped,
-        path=evolve_path(ds, grid),
+        rec, profile=profile, modes_evolved=modes, dropped_norm=dropped, path=path
     )

@@ -5,6 +5,7 @@ with stopping-time estimators and query-cost reports."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -425,6 +426,23 @@ def eigenvalue_from_state(state, C) -> complex:
     return complex(re, im)
 
 
+def eigenvalue_error_bound(norm_C: float, fidelity: float) -> float:
+    """Bound on |⟨s|C|s⟩ - λ| for a unit state s whose squared overlap with
+    a unit right eigenvector v of C (Cv = λv) is F = ``fidelity``, given
+    ``norm_C`` >= ‖C‖₂ (the power method passes ‖C‖_F).
+
+    Write s = αv + βw with w ⊥ v unit and |α|² = F. Since ⟨w|C|v⟩ = 0,
+    ⟨s|C|s⟩ - λ = (F - 1)λ + ᾱβ⟨v|C|w⟩ + (1 - F)⟨w|C|w⟩, where |λ|,
+    |⟨v|C|w⟩| and |⟨w|C|w⟩| are at most ‖C‖₂ and |ᾱβ| = sqrt(F(1 - F)).
+    So |⟨s|C|s⟩ - λ| <= ‖C‖₂·(2(1 - F) + sqrt(F(1 - F))), which is 0 at F = 1.
+    A computed F is off by up to about 4n·eps (n <= core.MAX_DENSE_DIM), which
+    the square root magnifies near F = 1, so that is added to 1 - F.
+    """
+    F = min(1.0, max(0.0, fidelity))
+    g = 1.0 - F + 4 * core.MAX_DENSE_DIM * np.finfo(float).eps
+    return norm_C * (2.0 * g + math.sqrt(F * g))
+
+
 def quantum_power_method(
     C,
     x0=None,
@@ -442,9 +460,8 @@ def quantum_power_method(
     if x0.shape[0] != d:
         raise InvalidInputError(f"x0 has length {x0.shape[0]}, expected {d}")
     eigvals, overlaps, V, gap = eigen_overlaps(C, x0)
-    if np.max(np.abs(eigvals.imag)) > 1e-8 or np.any(eigvals.real <= 0) or eigvals[
-        0
-    ].real >= 1.0:
+    re = eigvals.real
+    if np.max(np.abs(eigvals.imag)) > 1e-8 or re.min() <= 0 or re.max() >= 1.0:
         warnings.warn(
             "spectrum of C is outside the real positive (0, 1) class; the"
             " stopping-time bound is best-effort here",
@@ -462,15 +479,20 @@ def quantum_power_method(
         overlaps=overlaps, gap=gap, delta=delta,
         L_term=float(overlaps[2:].sum()), t_out=t_max,
     )
+    # eigen_overlaps ran eigh on a Hermitian C, and -C1h = I - C has its
+    # eigenvectors: that one decomposition gives L, kink speed and evolution
+    hermitian = np.array_equal(C, C.conj().T)
+    basis = engine.Eigenbasis(mu=1.0 - eigvals.real, W=V) if hermitian else None
     if L is None:
-        L = engine.default_domain_halfwidth(core.split(C).C1h, t_max)
+        C1h = None if hermitian else core.split(C).C1h
+        L = engine.default_domain_halfwidth(C1h, t_max, basis)
     grid = engine.make_grid(N, L)
 
-    rec = engine.propagate(C, x0, t_max, grid)
+    rec = engine.propagate(C, x0, t_max, grid, basis=basis)
     lam_hat = eigenvalue_from_state(rec.state, C)
     c1 = V[:, 0]
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)
-    bound = float(np.sqrt(trace) * np.sqrt(max(0.0, 2.0 - fidelity)))
+    bound = eigenvalue_error_bound(float(np.sqrt(trace)), fidelity)
     cost = quantum_cost_estimate(
         C, t_max, epsilon=epsilon, overlap=float(np.sqrt(gamma1_sq)),
         include_measurement=True,

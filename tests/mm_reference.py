@@ -27,11 +27,11 @@ def read_matrix_market(path: str) -> np.ndarray:
     """Parse a coordinate-format Matrix Market file into a dense matrix.
 
     Accepts real|complex fields and general, symmetric, hermitian (complex
-    field only) and skew-symmetric symmetry. The last three must be square
-    and are mirrored: (j, i) gets a, conj(a) or -a. A hermitian diagonal
-    entry must be real, and a skew-symmetric file stores no diagonal. A
-    coordinate given twice (in a mirrored file, also (i, j) together with
-    (j, i)) is rejected rather than summed or overwritten. A declared size
+    field only) and skew-symmetric symmetry. The last three must be square,
+    store the lower triangle only (i >= j) and are mirrored: (j, i) gets a,
+    conj(a) or -a. A hermitian diagonal entry must be real, and a
+    skew-symmetric file stores no diagonal. A coordinate given twice is
+    rejected rather than summed or overwritten. A declared size
     above ``core.MAX_DENSE_DIM`` is rejected at the size line, before
     anything is allocated. Malformed input raises ParseError with the
     offending 1-based line number.
@@ -109,6 +109,12 @@ def read_matrix_market(path: str) -> np.ndarray:
             raise ParseError("malformed entry", line=lineno)
         if not (1 <= i <= size[0] and 1 <= j <= size[1]):
             raise ParseError(f"index ({i}, {j}) out of range", line=lineno)
+        if mirror and i < j:
+            raise ParseError(
+                f"entry ({i}, {j}) is above the diagonal; a {sym} file"
+                " stores the lower triangle only",
+                line=lineno,
+            )
         if i == j and (
             sym == "skew-symmetric" or (sym == "hermitian" and val.imag != 0)
         ):
@@ -118,14 +124,12 @@ def read_matrix_market(path: str) -> np.ndarray:
                 line=lineno,
             )
         at, mirror_at = (i - 1) * cols + j - 1, (j - 1) * cols + i - 1
-        # (i, j) and (j, i) are one stored coordinate in a mirrored file
-        key = mirror_at if mirror and i < j else at
-        if first_line[key]:
+        if first_line[at]:
             raise ParseError(
-                f"duplicate entry ({i}, {j}); already set by line {first_line[key]}",
+                f"duplicate entry ({i}, {j}); already set by line {first_line[at]}",
                 line=lineno,
             )
-        first_line[key] = lineno
+        first_line[at] = lineno
         if mirror and i != j:
             flat[mirror_at] = mirror(val)
         flat[at] = val

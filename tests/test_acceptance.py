@@ -14,6 +14,7 @@ from schrosim.cli import RunConfig
 
 from conftest import random_contractive, random_dominant, random_power_instance
 from htot_reference import assemble_Htot
+from pspace_reference import initial_warped_state
 
 
 def _report(label: str, ok: bool, started: float, detail: str = "") -> None:
@@ -92,7 +93,7 @@ def test_criterion_2_structural_invariants():
             worst_block, float(np.max(np.abs(Htot[np.ix_(perm, perm)] - block_diag)))
         )
         x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
-        w0 = eng.initial_warped_state(x0, grid)
+        w0 = initial_warped_state(x0, grid)
         v0 = eng.transform(w0, "forward")
         back = eng.transform(v0, "inverse")
         worst_round = max(worst_round, float(np.max(np.abs(back.values - w0.values))))

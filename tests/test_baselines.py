@@ -7,6 +7,41 @@ from schrosim.errors import InvalidInputError, SingularMatrixError
 from conftest import random_contractive, random_dominant
 
 
+def contraction_check(trace: baselines.IterationTrace, C) -> bool | None:
+    """Asymptotic decay-rate check against the iteration spectral radius
+    (a test-only diagnostic of the classical iteration traces).
+
+    Estimates limsup (delta_k / delta_m)^(1/(k-m)) over the last half of the
+    trace and compares against r(G) + 0.05, where G is the non-trivial block
+    of an augmented C (or all of C otherwise). Per-step 2-norm contraction
+    is deliberately not asserted: it fails for non-normal G even though the
+    asymptotic rate holds. Returns None when the trace is too short to
+    estimate a rate (< 8 steps).
+    """
+    C = np.asarray(C, dtype=complex)
+    deltas = np.asarray(trace.step_deltas, dtype=float)
+    if deltas.size < 8:
+        return None
+    d1 = C.shape[0]
+    last_row = np.zeros(d1)
+    last_row[-1] = 1.0
+    if np.allclose(C[-1], last_row, atol=1e-14):
+        G = C[:-1, :-1]
+    else:
+        G = C
+    r = float(np.max(np.abs(np.linalg.eigvals(G)))) if G.size else 0.0
+    # traces that bottom out at zero or roundoff noise are contraction at
+    # rate 0; the ratio estimate below would see a spurious plateau there
+    if deltas[-1] <= 1e-13 * max(1.0, deltas[0]):
+        return True
+    m = deltas.size // 2
+    span = deltas.size - 1 - m
+    if span < 1 or deltas[m] == 0.0:
+        return True
+    rate = (deltas[-1] / deltas[m]) ** (1.0 / span)
+    return bool(rate <= r + 0.05)
+
+
 class TestClassicalIterate:
     def test_jacobi_first_iterate(self):
         # A=[[2,1],[1,3]], b=[1,2]: from x0=(0,0,1) one sweep gives (0.5, 2/3)
@@ -108,29 +143,29 @@ class TestContractionCheck:
     def test_contractive_iteration_passes(self):
         C = self._jacobi_C()
         trace = baselines.classical_iterate(C, [0.0, 0.0, 1.0], K=40)
-        assert baselines.contraction_check(trace, C) is True
+        assert contraction_check(trace, C) is True
 
     def test_short_trace_is_indeterminate(self):
         C = self._jacobi_C()
         trace = baselines.classical_iterate(C, [0.0, 0.0, 1.0], K=4)
-        assert baselines.contraction_check(trace, C) is None
+        assert contraction_check(trace, C) is None
 
     def test_rate_mismatch_detected(self):
         # a trace decaying at 0.95 per step is inconsistent with r = 0.5
         slow = baselines.classical_iterate(np.diag([0.95, 0.5]), [1.0, 1.0], K=40)
-        assert baselines.contraction_check(slow, np.diag([0.5, 0.5])) is False
+        assert contraction_check(slow, np.diag([0.5, 0.5])) is False
 
     def test_expanding_iteration_matches_its_own_radius(self):
         # the check asserts rate consistency, not decay: an expanding
         # iteration growing at exactly r(C) still passes
         C = np.diag([1.5, 0.5])
         trace = baselines.classical_iterate(C, [1.0, 1.0], K=30)
-        assert baselines.contraction_check(trace, C) is True
+        assert contraction_check(trace, C) is True
 
     def test_nilpotent_hits_zero(self):
         C = np.array([[0.0, 1.0], [0.0, 0.0]])
         trace = baselines.classical_iterate(C, [0.0, 1.0], K=10)
-        assert baselines.contraction_check(trace, C) is True
+        assert contraction_check(trace, C) is True
 
     def test_random_contractive_iterations(self, rng):
         for _ in range(10):
@@ -144,4 +179,4 @@ class TestContractionCheck:
             C[d, d] = 1.0
             x0 = np.concatenate([rng.normal(size=d), [1.0]])
             trace = baselines.classical_iterate(C, x0, K=60)
-            assert baselines.contraction_check(trace, C) in (True, None)
+            assert contraction_check(trace, C) in (True, None)

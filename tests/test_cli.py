@@ -11,6 +11,7 @@ from schrosim import cli, core, schrodingerization as engine
 from schrosim.cli import RunConfig
 from schrosim.errors import ParseError
 
+import mm_reference
 from conftest import random_dominant
 
 
@@ -163,24 +164,59 @@ class TestReadMatrixMarket:
         assert exc.value.line == 3
 
     @pytest.mark.parametrize(
-        "symmetry, entries, again",
+        "symmetry, entries, again, match",
         [
-            ("general", "1 1 2.0\n2 2 3.0\n1 1 5.0\n", 5),
-            ("symmetric", "2 1 1.0\n1 1 2.0\n1 2 7.0\n", 5),
-            ("symmetric", "1 1 2.0\n1 1 2.0\n2 2 3.0\n", 4),
+            ("general", "1 1 2.0\n2 2 3.0\n1 1 5.0\n", 5, "already set by line 3"),
+            # the mirror of line 3 lies above the diagonal, which the spec
+            # does not allow in a symmetric file
+            (
+                "symmetric", "2 1 1.0\n1 1 2.0\n1 2 7.0\n", 5,
+                r"\(1, 2\) is above the diagonal",
+            ),
+            ("symmetric", "1 1 2.0\n1 1 2.0\n2 2 3.0\n", 4, "already set by line 3"),
         ],
         ids=["general-repeat", "symmetric-mirror", "symmetric-repeat"],
     )
-    def test_duplicate_coordinate_rejected(self, tmp_path, symmetry, entries, again):
+    def test_duplicate_coordinate_rejected(
+        self, tmp_path, symmetry, entries, again, match
+    ):
         # the first entry, on line 3, is the one repeated on line `again`
         path = write(
             tmp_path,
             "dup.mtx",
             f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 3\n" + entries,
         )
-        with pytest.raises(ParseError, match="already set by line 3") as exc:
+        with pytest.raises(ParseError, match=match) as exc:
             cli.read_matrix_market(path)
         assert exc.value.line == again
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "hermitian", "skew-symmetric"])
+    def test_upper_triangle_entry_rejected(self, tmp_path, symmetry):
+        # a mirrored file stores i >= j only; the first entry above the
+        # diagonal is named, even when its mirror was never given
+        path = write(
+            tmp_path,
+            "upper.mtx",
+            f"%%MatrixMarket matrix coordinate complex {symmetry}\n"
+            "3 3 3\n2 1 1.0 0.5\n3 2 2.0 0.0\n1 3 4.0 0.0\n",
+        )
+        with pytest.raises(
+            ParseError,
+            match=rf"entry \(1, 3\) is above the diagonal; a {symmetry} file",
+        ) as exc:
+            cli.read_matrix_market(path)
+        assert exc.value.line == 5
+        with pytest.raises(ParseError, match="above the diagonal") as ref:
+            mm_reference.read_matrix_market(path)
+        assert ref.value.line == 5
+
+    def test_general_upper_triangle_entry_accepted(self, tmp_path):
+        path = write(
+            tmp_path,
+            "upper.mtx",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 4.0\n",
+        )
+        assert np.array_equal(cli.read_matrix_market(path), [[0.0, 4.0], [0.0, 0.0]])
 
     def test_general_transposed_pair_is_not_a_duplicate(self, tmp_path):
         path = write(
@@ -280,7 +316,8 @@ class TestReadMatrixMarket:
             f"%%MatrixMarket matrix coordinate complex {symmetry}\n"
             "2 2 2\n2 1 1.0 0.5\n1 2 1.0 -0.5\n",
         )
-        with pytest.raises(ParseError, match="already set by line 3") as exc:
+        # the mirror of line 3 is an entry above the diagonal
+        with pytest.raises(ParseError, match=r"\(1, 2\) is above the diagonal") as exc:
             cli.read_matrix_market(path)
         assert exc.value.line == 4
         path = write(

@@ -12,6 +12,11 @@ from schrosim.errors import DimensionError, InvalidInputError, NumericalError
 
 from conftest import random_contractive
 from htot_reference import assemble_Htot
+from pspace_reference import (
+    expectation_without_recovery,
+    initial_warped_state,
+    recover as pspace_recover,
+)
 
 
 class TestMakeGrid:
@@ -39,12 +44,12 @@ class TestMakeGrid:
 class TestInitialWarpedState:
     def test_peak_value(self):
         grid = eng.make_grid(4, np.pi)
-        w = eng.initial_warped_state([1.0], grid)
+        w = initial_warped_state([1.0], grid)
         assert w.values[0, np.argmin(np.abs(grid.p))] == pytest.approx(1.0)
 
     def test_decay_value(self):
         grid = eng.make_grid(64, 8.0)
-        w = eng.initial_warped_state([1.0], grid)
+        w = initial_warped_state([1.0], grid)
         idx = np.argmin(np.abs(grid.p - 1.0))
         assert abs(w.values[0, idx]) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
@@ -52,12 +57,12 @@ class TestInitialWarpedState:
         grid = eng.make_grid(16, 4.0)
         x0 = np.array([0.2, 0.6, 1.0])
         x0 = x0 / np.linalg.norm(x0)
-        w = eng.initial_warped_state(x0, grid)
+        w = initial_warped_state(x0, grid)
         assert np.allclose(w.values, np.exp(-np.abs(grid.p))[None, :] * x0[:, None])
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
-            eng.initial_warped_state([0.0, 0.0], eng.make_grid(8, 2.0))
+            initial_warped_state([0.0, 0.0], eng.make_grid(8, 2.0))
 
 
 class TestProfile:
@@ -95,7 +100,7 @@ class TestProfile:
     def test_smooth_initial_state(self):
         grid = eng.make_grid(64, 6.0)
         x0 = np.array([0.6, -0.8j])
-        w = eng.initial_warped_state(x0, grid, eng.SMOOTH)
+        w = initial_warped_state(x0, grid, eng.SMOOTH)
         assert np.array_equal(w.values, eng.SMOOTH(grid.p)[None, :] * x0[:, None])
 
 
@@ -103,7 +108,7 @@ class TestTransform:
     def test_lorentzian_normalisation(self):
         # quadrature oracle: (1/2pi) * integral of e^{-|p|} dp = 1/pi
         grid = eng.make_grid(256, 10.0)
-        v = eng.transform(eng.initial_warped_state([1.0], grid), "forward")
+        v = eng.transform(initial_warped_state([1.0], grid), "forward")
         j0 = int(np.where(grid.mode_index == 0)[0][0])
         assert v.values[0, j0].real == pytest.approx(1.0 / np.pi, abs=1e-3)
         # and the full profile approaches 1/(pi (1 + eta^2))
@@ -548,7 +553,7 @@ class TestTruncate:
         # e^{-|p|} keeps every mode on these grids, so the power method and
         # plain propagation run exactly the arithmetic they ran before
         x0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v0 = eng.transform(eng.initial_warped_state(x0, eng.make_grid(N, L)))
+        v0 = eng.initial_state(x0, eng.make_grid(N, L))
         out, dropped = eng.truncate(v0)
         assert out is v0 and dropped == 0.0
 
@@ -563,7 +568,7 @@ class TestTruncate:
         assert kept.modes_evolved < 512 * 2 // 3
         assert 0.0 < kept.dropped_norm <= eng.TRUNCATION_EPS
         # the zeroed modes account for the whole warped-state difference
-        v0 = eng.transform(eng.initial_warped_state(x0, grid, eng.SMOOTH))
+        v0 = eng.initial_state(x0, grid, eng.SMOOTH)
         full = eng.transform(eng.evolve(v0, ds, t), "inverse").values
         cut = eng.transform(eng.evolve(eng.truncate(v0)[0], ds, t), "inverse").values
         error = np.linalg.norm(cut - full) / np.linalg.norm(full)
@@ -593,7 +598,8 @@ def test_truncation_error_within_reported_bound(structure, profile, d, N, t, see
     x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     ds = core.split(C)
     grid = eng.make_grid(N, eng.default_domain_halfwidth(ds.C1h, t))
-    v0 = eng.transform(eng.initial_warped_state(x0, grid, profile), "forward")
+    # the start state propagate builds, so the dropped norms agree exactly
+    v0 = eng.initial_state(x0, grid, profile)
     kept, dropped = eng.truncate(v0)
     assert dropped <= eng.TRUNCATION_EPS
     full = eng.transform(eng.evolve(v0, ds, t), "inverse").values
@@ -627,6 +633,125 @@ class TestRecover:
         rec = eng.propagate(np.eye(3), x0, 0.0, grid)
         assert np.max(np.abs(rec.x - x0)) <= np.exp(-grid.L) + 1e-3
 
+    @pytest.mark.parametrize("structure", list(_STRUCTURES))
+    @pytest.mark.parametrize("p_min", [0.0, 1.7])
+    def test_spectral_readout_matches_pspace_fit(self, rng, structure, p_min):
+        # the fit read off the spectral values against the same fit on the
+        # warped state; on the Hermitian path both with and without the
+        # drift eigenbasis
+        build, path = _STRUCTURES[structure]
+        d, t = 5, 2.0
+        C = build(rng, d)
+        ds = core.split(C)
+        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        grid = eng.make_grid(128, eng.default_domain_halfwidth(ds.C1h, t))
+        assert eng.evolve_path(ds, grid) == path
+        bases = [None]
+        if path == "hermitian":
+            bases.append(eng.Eigenbasis(*np.linalg.eigh(-ds.C1h)))
+        for profile in (eng.EXP_ABS, eng.SMOOTH):
+            for basis in bases:
+                vt = eng.evolve(eng.initial_state(x0, grid, profile, basis), ds, t)
+                got = eng.recover(vt, p_min)
+                ref = pspace_recover(eng.transform(vt, "inverse"), p_min)
+                scale = np.linalg.norm(ref.x)
+                assert np.linalg.norm(got.x - ref.x) <= 1e-12 * scale
+                assert got.success_probability == pytest.approx(
+                    ref.success_probability, rel=1e-12
+                )
+                assert got.time == ref.time == t
+
+    def test_non_finite_state_is_a_numerical_failure(self):
+        grid = eng.make_grid(16, 3.0)
+        vals = np.ones((2, 16), dtype=complex)
+        vals[1, 5] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            eng.recover(eng.SpectralState(values=vals, grid=grid))
+
+    def test_underflowing_readout_window_is_a_numerical_failure(self):
+        # every weight e^{-p} beyond a floor past p = 745 is zero in double
+        # precision, so the fit has nothing to divide by
+        grid = eng.make_grid(64, 900.0)
+        s = eng.SpectralState(values=np.ones((2, 64), dtype=complex), grid=grid)
+        with pytest.raises(NumericalError, match="underflow"):
+            eng.recover(s, p_min=800.0)
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("profile", [eng.EXP_ABS, eng.SMOOTH], ids=lambda q: q.name)
+    def test_separable_start_matches_the_warped_transform(self, rng, profile):
+        grid = eng.make_grid(256, 7.5)
+        x0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ref = eng.transform(initial_warped_state(x0, grid, profile), "forward").values
+        v0 = eng.initial_state(x0, grid, profile)
+        assert v0.basis is None and v0.time == 0.0
+        assert np.max(np.abs(v0.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_start_in_a_basis_holds_its_coordinates(self, rng):
+        grid = eng.make_grid(64, 5.0)
+        C = _complex_hermitian(rng, 4)
+        basis = eng.Eigenbasis(*np.linalg.eigh(-core.split(C).C1h))
+        x0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v0 = eng.initial_state(x0, grid, eng.SMOOTH, basis)
+        plain = eng.initial_state(x0, grid, eng.SMOOTH)
+        assert v0.basis is basis
+        assert np.allclose(basis.W @ v0.values, plain.values, atol=1e-15)
+        back = eng.transform(v0, "inverse").values
+        assert np.allclose(back, eng.transform(plain, "inverse").values, atol=1e-14)
+
+    def test_zero_rejected(self):
+        with pytest.raises(InvalidInputError):
+            eng.initial_state([0.0, 0.0], eng.make_grid(8, 2.0))
+
+
+class TestDriftEigenbasis:
+    """A Hermitian C keeps its state in the eigenbasis of -C1h: one eigh,
+    no GEMM, and a basis is refused where it does not apply."""
+
+    def test_propagate_with_a_given_basis_decomposes_nothing(self, rng, decompositions):
+        C = _real_symmetric(rng, 6)
+        x0 = rng.normal(size=6)
+        t = 3.0
+        grid = eng.make_grid(256, eng.default_domain_halfwidth(core.split(C).C1h, t))
+        decompositions.clear()
+        own = eng.propagate(C, x0, t, grid)
+        assert decompositions.work() == ([1], 0)
+        # the eigenvectors of C serve -C1h = I - C
+        lam, V = np.linalg.eigh(C)
+        basis = eng.Eigenbasis(mu=1.0 - lam, W=V)
+        decompositions.clear()
+        given_ = eng.propagate(C, x0, t, grid, basis=basis)
+        assert decompositions.work() == ([], 0)
+        assert given_.path == own.path == "hermitian"
+        assert np.max(np.abs(given_.x - own.x)) <= 1e-12 * np.linalg.norm(own.x)
+        exact = scipy.linalg.expm((C - np.eye(6)) * t) @ x0
+        assert np.abs(np.vdot(exact / np.linalg.norm(exact), given_.state)) ** 2 >= 1 - 1e-6
+
+    def test_evolve_in_a_basis_matches_the_plain_path(self, rng, decompositions):
+        grid = eng.make_grid(64, 5.0)
+        ds = core.split(_complex_hermitian(rng, 5))
+        vals = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+        basis = eng.Eigenbasis(*np.linalg.eigh(-ds.C1h))
+        decompositions.clear()
+        out = eng.evolve(
+            eng.SpectralState(values=basis.W.conj().T @ vals, grid=grid, basis=basis),
+            ds, 2.5,
+        )
+        assert decompositions.work() == ([], 0)
+        assert out.basis is basis and out.time == 2.5
+        plain = eng.evolve(eng.SpectralState(values=vals, grid=grid), ds, 2.5)
+        assert plain.basis is None
+        assert np.max(np.abs(basis.W @ out.values - plain.values)) <= 1e-12 * np.linalg.norm(vals)
+
+    def test_basis_refused_off_the_hermitian_path(self, rng):
+        C = _real_nonnormal(rng, 3)
+        grid = eng.make_grid(16, 4.0)
+        basis = eng.Eigenbasis(*np.linalg.eigh(-core.split(C).C1h))
+        with pytest.raises(InvalidInputError, match="Hermitian C"):
+            eng.propagate(C, np.ones(3), 1.0, grid, basis=basis)
+        s = eng.SpectralState(values=np.ones((3, 16), dtype=complex), grid=grid, basis=basis)
+        with pytest.raises(InvalidInputError, match="Hermitian C"):
+            eng.evolve(s, core.split(C), 1.0)
 
 
 class TestExpectation:
@@ -634,13 +759,13 @@ class TestExpectation:
         grid = eng.make_grid(32, 3.0)
         vals = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
         s = eng.SpectralState(values=vals, grid=grid)
-        res = eng.expectation_without_recovery(s, np.eye(3))
+        res = expectation_without_recovery(s, np.eye(3))
         assert res.normalized == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_system(self):
         grid = eng.make_grid(16, 2.0)
-        s = eng.transform(eng.initial_warped_state([1.0], grid), "forward")
-        res = eng.expectation_without_recovery(s, np.array([[1.0]]))
+        s = eng.transform(initial_warped_state([1.0], grid), "forward")
+        res = expectation_without_recovery(s, np.array([[1.0]]))
         assert res.normalized == pytest.approx(1.0, abs=1e-12)
 
     def test_population_matches_oracle(self, rng):
@@ -648,12 +773,12 @@ class TestExpectation:
         x0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = 2.0
         grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
-        w0 = eng.initial_warped_state(x0, grid)
+        w0 = initial_warped_state(x0, grid)
         v0 = eng.transform(w0, "forward")
         vt = eng.evolve(v0, core.split(C), t)
         proj = np.zeros((4, 4))
         proj[1, 1] = 1.0
-        res = eng.expectation_without_recovery(vt, proj)
+        res = expectation_without_recovery(vt, proj)
         xt = baselines.exact_propagator(C, x0, t)
         expected = np.abs(xt[1]) ** 2 / np.linalg.norm(xt) ** 2
         assert res.normalized.real == pytest.approx(expected, abs=2e-3)
@@ -662,7 +787,7 @@ class TestExpectation:
         grid = eng.make_grid(8, 2.0)
         s = eng.SpectralState(values=np.ones((2, 8), dtype=complex), grid=grid)
         with pytest.raises(InvalidInputError):
-            eng.expectation_without_recovery(s, np.array([[0.0, 1.0], [0.0, 0.0]]))
+            expectation_without_recovery(s, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPropagateOracle:
@@ -696,16 +821,13 @@ class TestPropagateOracle:
 
         H = -(C - np.eye(3))
         lam, V = np.linalg.eigh(H)
-        v0 = eng.transform(eng.initial_warped_state(x0, grid), "forward")
+        v0 = eng.transform(initial_warped_state(x0, grid), "forward")
         cols = v0.values.T
         out = np.empty_like(cols)
         for j, eta in enumerate(grid.eta):
             U = (V * np.exp(-1j * t * eta * lam)) @ V.T
             out[j] = U @ cols[j]
-        wt = eng.transform(
-            eng.SpectralState(values=out.T, grid=grid, time=t), "inverse"
-        )
-        ref = eng.recover(wt)
+        ref = eng.recover(eng.SpectralState(values=out.T, grid=grid, time=t))
         assert np.max(np.abs(ref.x - rec.x)) <= 1e-10
 
     def test_oracle_fidelity_improves_with_N(self, rng):

@@ -332,6 +332,18 @@ class TestQuantumJacobiSolve:
         assert np.max(np.abs(rep.state.imag)) <= 1e-12
         assert np.max(np.abs(rep.y_classical.imag)) <= 1e-12
 
+    def test_non_finite_readout_is_a_numerical_failure(self):
+        # a non-dominant A whose σ search ends at its cap: the readout floor
+        # lands past p = 951, where every weight e^{-p} underflows. Before,
+        # the fit divided 0 by 0 and core.deaugment reported the NaN as
+        # invalid input.
+        rng = np.random.default_rng(34)
+        A = 2 * np.eye(12) + 0.5 * rng.normal(size=(12, 12))
+        b = rng.normal(size=12)
+        with pytest.warns(UserWarning, match="not negative semidefinite"):
+            with pytest.raises(NumericalError, match="underflow"):
+                solvers.quantum_jacobi_solve(A, b, override_convergence=True)
+
     def test_override_uses_spectral_radius(self):
         # not diagonally dominant but r(G) = sqrt(0.24) < 1; the indefinite
         # drift pushes the readout window far out, so a finer grid is needed
@@ -467,6 +479,31 @@ class TestQuantumPowerMethod:
             C, np.array([1.0, 1.0]) / np.sqrt(2), epsilon=0.1
         )
         assert abs(rep.eigenvalue_estimate - 0.9) <= rep.eigenvalue_error_bound
+        # and bounds something: ‖C‖_F·sqrt(2 - F) was never below ‖C‖_F
+        assert rep.eigenvalue_error_bound < 0.1 * np.linalg.norm(C)
+
+    @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
+    def test_hermitian_op_decomposes_once(self, monkeypatch, rng, complex_entries):
+        # eigen_overlaps' eigh(C) also serves L, the kink speed and the
+        # evolution: one eigh, no eigvalsh, one split per op
+        d = 10
+        _, Q = np.linalg.eigh(_exact_hermitian(rng, d, complex_entries))
+        lam = np.concatenate([[0.9], np.linspace(0.1, 0.6, d - 1)])
+        C = (Q * lam) @ Q.conj().T
+        C = (C + C.conj().T) / 2
+        x0 = Q[:, 0] + 0.5 * Q[:, 1:].sum(axis=1)
+        eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
+        eigvalsh_calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+        scipy_eigvalsh_calls = _counting(monkeypatch, scipy.linalg, "eigvalsh")
+        split_calls = _counting(monkeypatch, core, "split")
+        rep = solvers.quantum_power_method(C, x0, epsilon=0.05, N=128)
+        assert (len(eigh_calls), len(split_calls)) == (1, 1)
+        assert eigvalsh_calls == scipy_eigvalsh_calls == []
+        assert rep.path == "hermitian"
+        assert abs(rep.eigenvalue_estimate - 0.9) <= 0.05
+        # L from the same decomposition as before
+        rho = np.max(np.abs(lam - 1.0))
+        assert rep.grid.L == pytest.approx(4.0 + rep.t_max_used * rho, rel=1e-12)
 
     @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
     def test_hermitian_op_runs_on_numpy_alone(self, monkeypatch, rng, complex_entries):
@@ -495,6 +532,46 @@ class TestQuantumPowerMethod:
         assert len(eigh_calls) <= 2
         assert rep.path == "hermitian"
         assert abs(rep.eigenvalue_estimate - 0.9) <= 0.05
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    fidelity=st.floats(0.0, 1.0),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigenvalue_error_bound_property(d, fidelity, complex_entries, seed):
+    """|⟨s|C|s⟩ - λ| <= ‖C‖_F·(2(1 - F) + sqrt(F(1 - F))) for a random
+    diagonalisable C, a unit right eigenvector v with eigenvalue λ and a
+    unit state s = αv + βw (w ⊥ v) with |α|² = F."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.normal(size=shape)
+        return z + 1j * rng.normal(size=shape) if complex_entries else z.astype(complex)
+
+    P = draw(d, d) + 2.0 * np.eye(d)  # a well-conditioned eigenbasis
+    lam = draw(d)
+    C = (P * lam) @ np.linalg.inv(P)
+    j = int(rng.integers(d))
+    v = P[:, j] / np.linalg.norm(P[:, j])
+    w = draw(d)
+    w -= np.vdot(v, w) * v
+    if d == 1 or np.linalg.norm(w) < 1e-8:
+        w, fidelity = np.zeros(d), 1.0
+    else:
+        w /= np.linalg.norm(w)
+    phase = np.exp(2j * np.pi * rng.random())
+    s = np.sqrt(fidelity) * v + phase * np.sqrt(1.0 - fidelity) * w
+    s /= np.linalg.norm(s)
+    F = float(np.abs(np.vdot(v, s)) ** 2)
+    err = abs(solvers.eigenvalue_from_state(s, C) - lam[j])
+    norm_F = float(np.linalg.norm(C))
+    bound = solvers.eigenvalue_error_bound(norm_F, F)
+    assert err <= bound + 1e-10 * norm_F
+    if F > 1.0 - 1e-12:
+        assert bound <= 1e-5 * norm_F
 
 
 class TestQuantumCostEstimate:
