@@ -330,6 +330,19 @@ def _explicit_time(cfg: RunConfig) -> float | None:
     return None if cfg.t in (None, "auto") else cfg.t
 
 
+def _propagation_section(rep) -> dict:
+    """How ``propagate`` produced the answer, from a ``RecoveredState`` or a
+    ``LinearSolveReport``: the start profile, the modes it evolved, the
+    relative norm truncation dropped and the ``evolve`` path."""
+    return {
+        "profile": rep.profile.name,
+        "profile_negative_mass": rep.profile.negative_mass,
+        "modes_evolved": rep.modes_evolved,
+        "dropped_norm": rep.dropped_norm,
+        "path": rep.path,
+    }
+
+
 def run_solve(cfg: RunConfig) -> dict:
     A = read_matrix_market(cfg.matrix_path)
     if cfg.rhs_path is None:
@@ -359,13 +372,7 @@ def run_solve(cfg: RunConfig) -> dict:
             "state": _pairs(rep.state),
             "y": _pairs(rep.y_classical),
             "cost": asdict(rep.cost),
-            "propagation": {
-                "profile": rep.profile.name,
-                "profile_negative_mass": rep.profile.negative_mass,
-                "modes_evolved": rep.modes_evolved,
-                "dropped_norm": rep.dropped_norm,
-                "path": rep.path,
-            },
+            "propagation": _propagation_section(rep),
         }
     )
     if cfg.show_overlaps:
@@ -427,7 +434,7 @@ def run_evolve(cfg: RunConfig) -> dict:
             "success_probability": rec.success_probability,
             "state": _pairs(rec.state),
             "x": _pairs(rec.x),
-            "propagation": {"path": rec.path},
+            "propagation": _propagation_section(rec),
         }
     )
     return out

@@ -14,9 +14,11 @@ coordinates (``Eigenbasis``): evolution is then a phase per entry.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
 only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
-the paper's e^{-|p|} has a kink at p = 0, ``SMOOTH`` is C^6 there, so its
-Fourier coefficients decay fast and the modes that carry almost no mass
-can be left out of the evolution (``truncate``).
+the paper's e^{-|p|} has a kink at p = 0, ``SMOOTH`` is C^6 there and, as
+``sample_profile`` puts it on a grid, C^8 across the periodic seam at ±L,
+so its Fourier coefficients decay fast and the modes that carry almost no
+mass can be left out of the evolution (``truncate``). ``propagate`` starts
+from ``SMOOTH`` unless told otherwise.
 
 Fourier convention: the forward transform maps e^{-|p|} to 1/(π(1+η²)) in
 the continuum limit, i.e. ṽ(η) = (1/2π) ∫ e^{+iηp} v(p) dp. The sign of
@@ -53,7 +55,11 @@ class Profile:
     ψ(p) = e^{ap}·T_m(p), with T_m the degree-m Taylor polynomial of
     e^{-(1+a)p} at 0. ψ - e^{-p} = O(p^{m+1}) at 0, so ψ is C^m there
     (m = 0 is a kink), and the factor e^{ap} makes it decay as p → -∞.
-    (a, m) = (1, 0) is the paper's e^{-|p|}."""
+    (a, m) = (1, 0) is the paper's e^{-|p|}.
+
+    Calling a profile gives this continuum ψ. On a grid it is sampled by
+    ``sample_profile``, which blends a profile with m > 0 across the
+    periodic seam, so there ``negative_mass`` is off by O(e^{-2L})."""
 
     name: str
     a: float
@@ -72,8 +78,8 @@ class Profile:
 
     @property
     def negative_mass(self) -> float:
-        """∫_{p<0} ψ² dp in closed form; ∫_{p>0} ψ² dp = 1/2. With
-        s = 1 + a it is Σ_{i,j<=m} C(i+j, i)·s^{i+j} / (2a)^{i+j+1}."""
+        """∫_{p<0} ψ² dp of the continuum ψ in closed form; ∫_{p>0} ψ² dp
+        = 1/2. With s = 1 + a it is Σ_{i,j<=m} C(i+j, i)·s^{i+j} / (2a)^{i+j+1}."""
         s, two_a = 1.0 + self.a, 2.0 * self.a
         return sum(
             math.comb(i + j, i) * s ** (i + j) / two_a ** (i + j + 1)
@@ -187,6 +193,34 @@ def make_grid(N: int, L: float) -> Grid:
     return Grid(N=N, L=L, p=p, eta=np.pi * k / L, mode_index=k)
 
 
+def sample_profile(profile: Profile, grid: Grid) -> np.ndarray:
+    """ψ at the grid points p_l, as the periodic grid sees it.
+
+    The grid wraps p = L onto p = -L, where ψ(L) = e^{-L} and a profile
+    with a C^m join (m > 0) is nearly 0, so its periodic extension jumps by
+    about e^{-L} and that jump, not the join, sets the Fourier tail at small
+    L. Such a profile is blended across the seam: on [-L, -L/2] it is mixed
+    toward the wrapped tail e^{-(p+2L)} by the C^8 smoothstep, weight 0 at
+    -L and 1 at -L/2, so the extension is C^8 at ±L and p > 0 is unchanged.
+    ``EXP_ABS`` (m = 0) is sampled as it is: its kink sets its tail anyway.
+    The blend moves the mass on p < 0 by O(e^{-2L}): 1.2e-4 at L = 4 (the
+    smallest default L), 3e-6 at L = 6."""
+    psi = profile(grid.p)
+    if profile.m == 0:
+        return psi
+    L = grid.L
+    seam = grid.p < -L / 2
+    p = grid.p[seam]
+    s = (2.0 * (p + L) / L)[:, None]
+    # the C^8 smoothstep, the Beta(9, 9) distribution function, in Bernstein
+    # form Σ_{k=9}^{17} C(17, k)·s^k·(1-s)^{17-k}: positive terms, no cancellation
+    k = np.arange(9, 18)
+    binom = np.array([math.comb(17, j) for j in range(9, 18)], dtype=float)
+    w = (binom * s**k * (1.0 - s) ** (17 - k)).sum(axis=1)
+    psi[seam] = w * psi[seam] + (1.0 - w) * np.exp(-(p + 2.0 * L))
+    return psi
+
+
 def default_domain_halfwidth(
     C1h: np.ndarray | None, t: float, basis: Eigenbasis | None = None
 ) -> float:
@@ -247,13 +281,15 @@ def initial_state(
     x0, grid: Grid, profile: Profile = EXP_ABS, basis: Eigenbasis | None = None
 ) -> SpectralState:
     """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
-    of the profile ψ (e^{-|p|} unless another is given); with a basis W it
-    is (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
+    of the profile ψ (e^{-|p|} unless another is given) as ``sample_profile``
+    puts it on the grid, seam blend included; with a basis W it is
+    (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
     modes ``truncate`` keeps depend on ψ̂ alone."""
     x0 = core.as_vector(x0)
     if np.linalg.norm(x0) == 0.0:
         raise InvalidInputError("x0 must be nonzero")
-    psi = transform(WarpedState(values=profile(grid.p)[None, :], grid=grid))
+    psi = sample_profile(profile, grid)[None, :]
+    psi = transform(WarpedState(values=psi, grid=grid))
     coeffs = x0 if basis is None else basis.W.conj().T @ x0
     return SpectralState(values=np.outer(coeffs, psi.values[0]), grid=grid, basis=basis)
 
@@ -513,10 +549,11 @@ def propagate(
     x0,
     t: float,
     grid: Grid,
-    profile: Profile = EXP_ABS,
+    profile: Profile = SMOOTH,
     basis: Eigenbasis | None = None,
 ) -> RecoveredState:
-    """End-to-end: the transformed start state x0⊗ψ̂ of ``profile``,
+    """End-to-end: the transformed start state x0⊗ψ̂ of ``profile``
+    (``SMOOTH`` by default, seam-blended by ``sample_profile``),
     truncation, per-mode unitary evolution and the spectral readout.
     Approximates e^{(C-I)t} x0 with error set by the p-grid resolution
     (time evolution is exact per mode) and by the truncation, whose

@@ -488,7 +488,8 @@ def quantum_power_method(
         L = engine.default_domain_halfwidth(C1h, t_max, basis)
     grid = engine.make_grid(N, L)
 
-    rec = engine.propagate(C, x0, t_max, grid, basis=basis)
+    # exp-abs: 4× the success probability; on a Hermitian C truncation saves no work
+    rec = engine.propagate(C, x0, t_max, grid, profile=engine.EXP_ABS, basis=basis)
     lam_hat = eigenvalue_from_state(rec.state, C)
     c1 = V[:, 0]
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)

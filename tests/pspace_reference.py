@@ -18,11 +18,12 @@ from schrosim.errors import DegenerateRecoveryError, DimensionError, InvalidInpu
 
 def initial_warped_state(x0, grid, profile=eng.EXP_ABS) -> eng.WarpedState:
     """v(0, p) = ψ(p) x0, separable in the component and p indices; ψ is
-    e^{-|p|} unless another profile is given."""
+    e^{-|p|} unless another profile is given, sampled as the engine samples
+    it (``sample_profile``, seam blend included)."""
     x0 = core.as_vector(x0)
     if np.linalg.norm(x0) == 0.0:
         raise InvalidInputError("x0 must be nonzero")
-    values = profile(grid.p)[None, :] * x0[:, None]
+    values = eng.sample_profile(profile, grid)[None, :] * x0[:, None]
     return eng.WarpedState(values=values, grid=grid, time=0.0)
 
 

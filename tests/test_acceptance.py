@@ -41,7 +41,7 @@ def test_criterion_1_schrodingerisation_correctness():
         x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         for t in (1.0, 5.0, 10.0):
             grid = eng.make_grid(512, eng.default_domain_halfwidth(ds.C1h, t))
-            rec = eng.propagate(C, x0, t, grid)
+            rec = eng.propagate(C, x0, t, grid, profile=eng.EXP_ABS)
             exact = baselines.exact_propagator(C, x0, t)
             worst = max(worst, 1.0 - _fidelity(rec.state, exact))
         if i < 10:
@@ -51,7 +51,7 @@ def test_criterion_1_schrodingerisation_correctness():
             exact = baselines.exact_propagator(C, x0, t)
             infs = []
             for N in (64, 128, 256, 512):
-                rec = eng.propagate(C, x0, t, eng.make_grid(N, L))
+                rec = eng.propagate(C, x0, t, eng.make_grid(N, L), profile=eng.EXP_ABS)
                 infs.append(max(1.0 - _fidelity(rec.state, exact), 1e-14))
             monotone = monotone and all(
                 b <= a for a, b in zip(infs, infs[1:])
@@ -65,6 +65,34 @@ def test_criterion_1_schrodingerisation_correctness():
     )
     assert worst <= 1e-3
     assert monotone
+
+
+def test_criterion_1_default_profile_accuracy():
+    # criterion 1's sample with propagate's default, the seam-blended smooth
+    # profile: its coefficients decay fast, so N = 512 resolves it far
+    # below the contract (exp-abs reaches 2e-5 here)
+    started = time.perf_counter()
+    rng = np.random.default_rng(101)
+    worst = 0.0
+    for _ in range(50):
+        d = int(rng.integers(1, 17))
+        C = random_contractive(rng, d)
+        ds = core.split(C)
+        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for t in (1.0, 5.0, 10.0):
+            grid = eng.make_grid(512, eng.default_domain_halfwidth(ds.C1h, t))
+            rec = eng.propagate(C, x0, t, grid)
+            assert rec.profile is eng.SMOOTH
+            exact = baselines.exact_propagator(C, x0, t)
+            worst = max(worst, 1.0 - _fidelity(rec.state, exact))
+    ok = worst <= 1e-9
+    _report(
+        "criterion 1, default profile (propagation vs exact oracle)",
+        ok,
+        started,
+        f"worst infidelity {worst:.2e}",
+    )
+    assert worst <= 1e-9
 
 
 def test_criterion_2_structural_invariants():
@@ -275,7 +303,7 @@ def test_criterion_7_scalar_analytic_case():
     started = time.perf_counter()
     C = np.array([[0.5]])
     grid = eng.make_grid(256, eng.default_domain_halfwidth(core.split(C).C1h, 1.0))
-    rec = eng.propagate(C, np.array([1.0]), 1.0, grid)
+    rec = eng.propagate(C, np.array([1.0]), 1.0, grid, profile=eng.EXP_ABS)
     amp_err = abs(abs(rec.x[0]) - np.exp(-0.5))
     # closed-form norm ratio: |x(1)|^2 * ||e^{-p}||^2_{p>0} / ||w||^2 = e^{-1}/2
     sp_rel = abs(rec.success_probability - np.exp(-1.0) / 2.0) / (np.exp(-1.0) / 2.0)

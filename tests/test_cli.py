@@ -493,6 +493,30 @@ class TestRunEvolve:
         assert out["x"][0][0] == pytest.approx(np.exp(-0.5), abs=1e-3)
         assert out["fidelity"] >= 1 - 1e-6
 
+    def test_complex_non_normal_reports_the_smooth_profile(self, tmp_path):
+        # the general path reduces only the modes the smooth start fills
+        path = write(
+            tmp_path, "C.mtx",
+            "%%MatrixMarket matrix coordinate complex general\n3 3 6\n"
+            "1 1 0.6 0.0\n1 2 0.1 0.2\n2 1 0.0 -0.1\n2 2 0.4 0.1\n3 1 0.2 0.0\n"
+            "3 3 0.5 -0.3\n",
+        )
+        cfg = RunConfig(
+            command="evolve",
+            matrix_path=path,
+            x0_path=vec(tmp_path, "x0.json", [0.6, 0.0, 0.8]),
+            t=2.0,
+            N=256,
+        )
+        out = cli.run_evolve(cfg)
+        section = out["propagation"]
+        assert section["path"] == "general"
+        assert section["profile"] == engine.SMOOTH.name
+        assert section["profile_negative_mass"] == engine.SMOOTH.negative_mass
+        assert 0 < section["modes_evolved"] < 256
+        assert 0.0 < section["dropped_norm"] <= engine.TRUNCATION_EPS
+        assert out["fidelity"] >= 1 - 1e-9
+
     def test_requires_time(self, tmp_path):
         cfg = RunConfig(
             command="evolve",
@@ -573,9 +597,10 @@ class TestDeterminism:
             # real non-symmetric C: modes k = 0..N/2 only
             ("eig", "real general", "1 1 0.9\n1 2 0.2\n2 2 0.5\n2 3 0.1\n3 1 0.05\n"
              "3 3 0.3\n", {}, 33, "real"),
-            # complex general C: every mode
+            # complex general C: every mode that carries mass, 61 of 64 from
+            # the smooth default profile
             ("evolve", "complex general", "1 1 0.6 0.0\n1 2 0.1 0.2\n2 1 0.0 -0.1\n"
-             "2 2 0.4 0.1\n3 1 0.2 0.0\n3 3 0.5 -0.3\n", {"t": 1.0}, 64, "general"),
+             "2 2 0.4 0.1\n3 1 0.2 0.0\n3 3 0.5 -0.3\n", {"t": 1.0}, 61, "general"),
         ],
         ids=["hermitian", "real", "general"],
     )
@@ -608,7 +633,7 @@ class TestDeterminism:
         )
         assert a == b
         assert len(calls) == 2 * reductions
-        assert json.loads(a)["propagation"] == {"path": evolve_path}
+        assert json.loads(a)["propagation"]["path"] == evolve_path
 
     def test_timing_flag_adds_wall_time(self, tmp_path):
         cfg = RunConfig(

@@ -93,6 +93,30 @@ class TestProfile:
         )
         assert profile.negative_mass == pytest.approx(quad, rel=1e-10)
 
+    def test_exp_abs_is_sampled_as_is(self):
+        grid = eng.make_grid(512, 7.3)
+        sampled = eng.sample_profile(eng.EXP_ABS, grid)
+        assert np.array_equal(sampled, np.exp(-np.abs(grid.p)))
+
+    @pytest.mark.parametrize("profile", PROFILES[1:], ids=lambda q: q.name)
+    def test_seam_blend_touches_only_the_seam(self, profile):
+        grid = eng.make_grid(256, 6.0)
+        sampled = eng.sample_profile(profile, grid)
+        away = grid.p >= -grid.L / 2
+        assert np.array_equal(sampled[away], profile(grid.p[away]))
+        # at p = -L the sample is the wrapped tail e^{-(p+2L)} = e^{-L}
+        assert sampled[0] == np.exp(-grid.L)
+
+    def test_seam_blend_smooths_the_periodic_tail(self):
+        # relative norm of the Fourier coefficients an N = 256 grid cannot
+        # hold, from a 2^15-point reference at L = 6; without the blend the
+        # jump of about e^{-L} at ±L leaves 9e-5 there
+        ref = eng.make_grid(2**15, 6.0)
+        coeffs = np.abs(np.fft.fft(eng.sample_profile(eng.SMOOTH, ref)))
+        k = np.abs(np.fft.fftfreq(ref.N, 1.0 / ref.N))
+        tail = np.linalg.norm(coeffs[k > 128]) / np.linalg.norm(coeffs)
+        assert tail <= 1e-9
+
     def test_smooth_keeps_an_eighth_of_the_mass_on_p_positive(self):
         share = 0.5 / (0.5 + eng.SMOOTH.negative_mass)
         assert 0.125 <= share < 0.13
@@ -101,7 +125,8 @@ class TestProfile:
         grid = eng.make_grid(64, 6.0)
         x0 = np.array([0.6, -0.8j])
         w = initial_warped_state(x0, grid, eng.SMOOTH)
-        assert np.array_equal(w.values, eng.SMOOTH(grid.p)[None, :] * x0[:, None])
+        psi = eng.sample_profile(eng.SMOOTH, grid)
+        assert np.array_equal(w.values, psi[None, :] * x0[:, None])
 
 
 class TestTransform:
@@ -458,7 +483,7 @@ class TestEvolvePaths:
         x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
         decompositions.clear()
-        rec = eng.propagate(C, x0, t, grid)
+        rec = eng.propagate(C, x0, t, grid, profile=eng.EXP_ABS)
         assert decompositions.work() == _PATH_WORK[path](grid.N)
         assert rec.path == path
         exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
@@ -573,7 +598,7 @@ class TestTruncate:
         cut = eng.transform(eng.evolve(eng.truncate(v0)[0], ds, t), "inverse").values
         error = np.linalg.norm(cut - full) / np.linalg.norm(full)
         assert error == pytest.approx(kept.dropped_norm, rel=1e-6)
-        plain = eng.propagate(C, x0, t, grid)
+        plain = eng.propagate(C, x0, t, grid, profile=eng.EXP_ABS)
         assert (plain.modes_evolved, plain.dropped_norm) == (512, 0.0)
         assert plain.profile is eng.EXP_ABS and kept.profile is eng.SMOOTH
 
@@ -624,7 +649,9 @@ class TestRecover:
     def test_scalar_success_probability(self):
         # closed-form norm ratio: x(t)^2 * int_{p>0} e^{-2p} / int e^{-2|u|}
         grid = eng.make_grid(256, 4.5)
-        rec = eng.propagate(np.array([[0.5]]), np.array([1.0]), 1.0, grid)
+        rec = eng.propagate(
+            np.array([[0.5]]), np.array([1.0]), 1.0, grid, profile=eng.EXP_ABS
+        )
         assert rec.success_probability == pytest.approx(np.exp(-1.0) / 2, rel=0.05)
 
     def test_no_evolution_recovers_x0(self):
@@ -817,7 +844,7 @@ class TestPropagateOracle:
         x0 = rng.normal(size=3)
         t = 2.0
         grid = eng.make_grid(256, eng.default_domain_halfwidth(core.split(C).C1h, t))
-        rec = eng.propagate(C, x0, t, grid)
+        rec = eng.propagate(C, x0, t, grid, profile=eng.EXP_ABS)
 
         H = -(C - np.eye(3))
         lam, V = np.linalg.eigh(H)

@@ -506,6 +506,26 @@ class TestQuantumPowerMethod:
         assert rep.grid.L == pytest.approx(4.0 + rep.t_max_used * rho, rel=1e-12)
 
     @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
+    def test_hermitian_op_starts_from_exp_abs(self, rng, complex_entries):
+        # propagate defaults to the smooth profile, but the Hermitian path
+        # has no per-mode work for it to save: the power method keeps e^{-|p|}
+        d = 10
+        _, Q = np.linalg.eigh(_exact_hermitian(rng, d, complex_entries))
+        lam = np.concatenate([[0.9], np.linspace(0.1, 0.6, d - 1)])
+        C = (Q * lam) @ Q.conj().T
+        C = (C + C.conj().T) / 2
+        x0 = Q[:, 0] + 0.5 * Q[:, 1:].sum(axis=1)
+        rep = solvers.quantum_power_method(C, x0, epsilon=0.05, N=128)
+        eigvals, _, V, _ = solvers.eigen_overlaps(C, x0)
+        basis = schrodingerization.Eigenbasis(mu=1.0 - eigvals.real, W=V)
+        rec = schrodingerization.propagate(
+            C, x0, rep.t_max_used, rep.grid,
+            profile=schrodingerization.EXP_ABS, basis=basis,
+        )
+        assert rep.success_probability == rec.success_probability
+        assert np.array_equal(rep.state, rec.state)
+
+    @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
     def test_hermitian_op_runs_on_numpy_alone(self, monkeypatch, rng, complex_entries):
         # numpy and scipy each bring an OpenBLAS with its own thread pool;
         # the Hermitian power op must use one of them, numpy's
