@@ -333,13 +333,16 @@ def _explicit_time(cfg: RunConfig) -> float | None:
 def _propagation_section(rep) -> dict:
     """How ``propagate`` produced the answer, from a ``RecoveredState`` or a
     ``LinearSolveReport``: the start profile, the modes it evolved, the
-    relative norm truncation dropped and the ``evolve`` path."""
+    relative norm truncation dropped, the ``evolve`` path, its kernel and
+    the largest polynomial degree (null off the polynomial)."""
     return {
         "profile": rep.profile.name,
         "profile_negative_mass": rep.profile.negative_mass,
         "modes_evolved": rep.modes_evolved,
         "dropped_norm": rep.dropped_norm,
         "path": rep.path,
+        "kernel": rep.kernel,
+        "max_degree": rep.max_degree,
     }
 
 

@@ -9,8 +9,10 @@ eigenvalues, steady mode and gap of a matrix with a dense eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DegenerateStateError,
@@ -75,6 +77,18 @@ class DriftSplit:
 
     C1h: np.ndarray
     C2h: np.ndarray
+
+    @cached_property
+    def c1h_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of C1h, ascending and read-only, in real
+        arithmetic when C1h is real; one eigensolve per split serves the
+        kink speed and the polynomial intervals of ``schrodingerization``,
+        so C1h must not be changed in place once they are read. On scipy's
+        LAPACK, the thread pool of the kernels they serve (see
+        ``schrodingerization``)."""
+        w = scipy.linalg.eigvalsh(real_if_exact(self.C1h), check_finite=False)
+        w.flags.writeable = False
+        return w
 
 
 def augment(G, g) -> np.ndarray:

@@ -4,13 +4,28 @@ The drift system dx/dt = (C - I)x is lifted to a transport equation in an
 auxiliary coordinate p through the substitution v(t, p) = e^{-p} x(t), then
 Fourier-transformed in p. Each Fourier mode η evolves under its own small
 Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
-of unitaries and preserves the global 2-norm exactly. The start ψ(p)·x0 is
+of unitaries and preserves the global 2-norm. ``evolve`` applies them with
+one of three kernels: phases in one eigenbasis for a Hermitian C, and
+otherwise per mode either a reduction to tridiagonal form (O(d³) per mode,
+exactly unitary) or, when its degrees are lower than the dimension, the
+Chebyshev (Jacobi–Anger) polynomial of degree about t·‖H_η‖ in products
+with C1h and C2h (unitary to rounding). The start ψ(p)·x0 is
 separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
 back to p runs. For a Hermitian C each mode's generator η·(-C1h) is
 diagonal in one eigenbasis W of -C1h, and the state is kept in W's
 coordinates (``Eigenbasis``): evolution is then a phase per entry.
+
+numpy and scipy each link their own OpenBLAS, each with a pool of threads
+that keep spinning for about 0.1 s after a threaded call. On a machine
+with few cores a threaded call on one pool can stall until the other
+pool's threads stop spinning, so no op here wakes both pools: the
+Hermitian path, and the readout of a state in its eigenbasis, run on
+numpy's BLAS; the real and general paths (the eigenvalues of C1h and C2h,
+both kernels and ``default_domain_halfwidth`` without a basis) on
+scipy's; the transforms, the truncation and the readout of any other
+state call no BLAS.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
 only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
@@ -34,6 +49,7 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from . import core
@@ -47,6 +63,9 @@ from .errors import (
 # relative 2-norm that ``truncate`` may drop from a spectral state: the
 # zeroed modes hold at most TRUNCATION_EPS² of its mass
 TRUNCATION_EPS = 1e-6
+# relative 2-norm the polynomial kernel may drop from a vector: its bound on
+# the Bessel tail beyond the degree it stops at
+CHEBYSHEV_EPS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -144,6 +163,9 @@ class SpectralState:
     grid: Grid
     time: float = 0.0
     basis: Eigenbasis | None = None
+    # how ``evolve`` last moved it: its kernel and largest polynomial degree
+    kernel: str | None = None
+    max_degree: int | None = None
 
 
 @dataclass(frozen=True)
@@ -164,8 +186,9 @@ class GeneratorBlocks:
 class RecoveredState:
     """x(t) read out of a warped state. ``propagate`` also records the
     initial profile, the number of Fourier modes it evolved, the relative
-    norm it dropped (see ``truncate``) and the ``evolve`` path that ran
-    (see ``evolve_path``)."""
+    norm it dropped (see ``truncate``), the ``evolve`` path that ran (see
+    ``evolve_path``), its kernel ("phases", "reduction" or "chebyshev") and
+    the largest polynomial degree (None off the polynomial)."""
 
     x: np.ndarray
     state: np.ndarray
@@ -175,6 +198,8 @@ class RecoveredState:
     modes_evolved: int | None = None
     dropped_norm: float = 0.0
     path: str | None = None
+    kernel: str | None = None
+    max_degree: int | None = None
 
 
 def valid_mode_count(N: int) -> bool:
@@ -228,7 +253,10 @@ def default_domain_halfwidth(
     drift eigenvalue, so L = 4 + t·ρ keeps the p > 0 region clear of
     wrap-around while holding the boundary truncation e^{-L} small. Given
     the eigenbasis of -C1h, ρ is read from it and C1h is not used."""
-    eigs = basis.mu if basis else np.linalg.eigvalsh(core.real_if_exact(C1h))
+    if basis is None:  # scipy's, as on the paths that have no basis
+        eigs = scipy.linalg.eigvalsh(core.real_if_exact(C1h), check_finite=False)
+    else:
+        eigs = basis.mu
     return max(float(np.pi), 4.0 + t * float(np.max(np.abs(eigs), initial=0.0)))
 
 
@@ -278,11 +306,10 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
 
 
 def initial_state(
-    x0, grid: Grid, profile: Profile = EXP_ABS, basis: Eigenbasis | None = None
+    x0, grid: Grid, profile: Profile, basis: Eigenbasis | None = None
 ) -> SpectralState:
     """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
-    of the profile ψ (e^{-|p|} unless another is given) as ``sample_profile``
-    puts it on the grid, seam blend included; with a basis W it is
+    of the profile ψ as ``sample_profile`` puts it on the grid, seam blend included; with a basis W it is
     (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
     modes ``truncate`` keeps depend on ψ̂ alone."""
     x0 = core.as_vector(x0)
@@ -391,6 +418,159 @@ def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
     return Y
 
 
+def _spectral_interval(M: np.ndarray) -> tuple[float, float]:
+    """The extreme eigenvalues of a Hermitian M, in real arithmetic when M
+    is real or purely imaginary: M = iA with A real antisymmetric has the
+    eigenvalues ±σ(A), so its interval is ±sqrt(λmax(AᵀA)). All on scipy's
+    LAPACK and BLAS, like the kernels the interval serves."""
+    if not M.real.any():
+        A = np.ascontiguousarray(M.imag)
+        AtA = blas.dgemm(1.0, A.T, A.T, trans_b=1)  # A.T is Fortran-ordered
+        top = math.sqrt(max(scipy.linalg.eigvalsh(AtA, check_finite=False)[-1], 0.0))
+        return -top, top
+    w = scipy.linalg.eigvalsh(core.real_if_exact(M), check_finite=False)
+    return float(w[0]), float(w[-1])
+
+
+def _chebyshev_degree(z: np.ndarray) -> np.ndarray:
+    """The degree D at which the Jacobi–Anger series of e^{-iz·x} on
+    [-1, 1] may stop, per z >= 0: the smallest D >= z - 1 whose tail bound
+    4·(z/2)^{D+1}/(D+1)! is at most CHEBYSHEV_EPS. With |J_j(z)| <=
+    (z/2)^j/j! and consecutive terms falling by z/(2(j+1)) <= 1/2 past
+    j = z, the dropped terms Σ_{j>D} 2|J_j(z)| are within that bound, and
+    |T_j| <= 1 on the interval. log j! is bounded below by Stirling's
+    j·log j - j + log(2πj)/2, so the bound only errs high. Bisection on D
+    between z - 1 and e·z + 60, where (ez/(2j))^j <= 2^{-j} meets it."""
+    z = np.asarray(z, dtype=float)
+    half = np.log(np.where(z > 0, z, 1.0)) - math.log(2.0)  # z/2 may underflow
+
+    def meets(D):
+        j = D + 1.0
+        log_term = j * half - (j * np.log(j) - j + 0.5 * np.log(2.0 * np.pi * j))
+        return (z == 0) | (log_term <= math.log(CHEBYSHEV_EPS / 4.0))
+
+    lo = np.maximum(np.ceil(z) - 2.0, -1.0)  # below every admissible D
+    hi = np.ceil(math.e * z) + 60.0
+    while np.any(open_ := hi - lo > 1):
+        mid = np.where(open_, np.floor((lo + hi) / 2.0), hi)  # >= 0
+        ok = meets(mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return hi.astype(int)
+
+
+def _chebyshev_plan(
+    ds: core.DriftSplit, eta: np.ndarray, t: float, vectors: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The interval centre c, radius R and degree D of each mode η's
+    polynomial (``_chebyshev_stack``), or None when Σ vectors·D exceeds
+    ``budget``. By Weyl's bound the spectrum of H = -(η·C1h + C2h) lies in
+    c ± R with c = -(η·m1 + m2), R = |η|·r1 + r2, for C1h's and C2h's
+    interval midpoints m and half-widths r. C1h's are read off the split;
+    when they alone already exceed the budget, C2h is not eigensolved.
+    Since D >= tR - 1, a tR too large for the budget is refused before any
+    degree is found."""
+
+    def degrees(R):
+        z = t * R
+        if vectors @ np.ceil(z) > budget + vectors.sum():
+            return None
+        D = _chebyshev_degree(z)
+        return D if vectors @ D <= budget else None
+
+    w1 = ds.c1h_eigenvalues
+    R = 0.5 * (w1[-1] - w1[0]) * np.abs(eta)
+    if degrees(R) is None:
+        return None
+    lo2, hi2 = _spectral_interval(ds.C2h)
+    R = R + 0.5 * (hi2 - lo2)
+    D = degrees(R)
+    if D is None:
+        return None
+    return -(0.5 * (w1[-1] + w1[0]) * eta + 0.5 * (hi2 + lo2)), R, D
+
+
+def _chebyshev_stack(
+    ds: core.DriftSplit,
+    V: np.ndarray,
+    eta: np.ndarray,
+    t: float,
+    plan: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """exp(-itH)·v for each row v of V (m, n), H = -(η·C1h + C2h) at the
+    row's own η, by the Chebyshev (Jacobi–Anger) expansion on the row's
+    interval c ± R (``_chebyshev_plan``), to degree D:
+
+        exp(-itH) = e^{-itc}·Σ_{j<=D} (2 - δ_j0)(-i)^j J_j(tR)·T_j((H - c)/R).
+
+    (-i)^j J_j(tR) is the j-th Fourier coefficient of e^{-itR·cos θ}, read
+    off one batched FFT on M >= 2D + 2 points, so aliasing adds only the
+    tail beyond D. Rows are sorted by D, and step j of the recurrence
+    T_{j+1} = 2·(H - c)/R·T_j - T_{j-1} is one product of the rows
+    (η·T_j, T_j) whose D is at least j with [-C1h | -C2h]ᵀ, one scipy
+    ``zgemm`` written into a spare buffer (on scipy's BLAS; see the module
+    docstring). Unitary to rounding, not exactly."""
+    c, R, D = plan
+    m, n = V.shape
+    order = np.argsort(-D, kind="stable")
+    c, R, D, eta = c[order], R[order], D[order], eta[order]
+    top = int(D[0]) if m else 0
+    M = 1 << (2 * top + 2).bit_length()
+    z = (t * R)[:, None]
+    coef = np.fft.fft(np.exp(-1j * z * np.cos(2.0 * np.pi / M * np.arange(M))), axis=1)
+    coef = coef[:, : top + 1] * (np.exp(-1j * t * c) / M)[:, None]
+    coef[:, 1:] *= 2.0
+    cur = V[order]  # T_0
+    out = cur * coef[:, :1]
+    prev, spare = np.empty_like(cur), np.empty_like(cur)
+    G = np.asfortranarray(np.hstack([-ds.C1h, -ds.C2h]))  # (n, 2n)
+    scale = np.divide(1.0, R, out=np.zeros_like(R), where=R > 0)
+    stacked = np.empty((m, 2 * n), dtype=complex)
+    active = np.searchsorted(-D, -np.arange(top + 1), side="right")
+    for j in range(1, top + 1):
+        k = active[j]  # rows with D >= j; rows past k are never read again
+        # T_j = f·(H - c)·T_{j-1} - T_{j-2}, f = 1/R for j = 1 (no T_{-1})
+        # and 2/R after
+        f = (scale[:k] * (1.0 if j == 1 else 2.0))[:, None]
+        stacked[:k, :n] = cur[:k] * (f * eta[:k, None])
+        stacked[:k, n:] = cur[:k] * f
+        # the transposed views are Fortran-ordered, so zgemm copies nothing:
+        # spare[:k]ᵀ = G·stacked[:k]ᵀ
+        nxt = blas.zgemm(1.0, G, stacked[:k].T, c=spare[:k].T, overwrite_c=1).T
+        nxt -= cur[:k] * (f * c[:k, None])
+        if j > 1:
+            nxt -= prev[:k]
+        prev, cur, spare = cur, spare, prev
+        out[:k] += cur[:k] * coef[:k, j, None]
+    Y = np.empty_like(out)
+    Y[order] = out
+    return Y
+
+
+def _evolve_modes(
+    ds: core.DriftSplit, eta: np.ndarray, X: np.ndarray, t: float
+) -> tuple[np.ndarray, str, int | None]:
+    """Y[m] = exp(-it·H_m)·X[m] for H_m = -(η_m·C1h + C2h) and the (n, r)
+    vectors X[m], with the kernel that ran and its largest degree. A mode
+    whose vectors are all zero is left at zero. The polynomial
+    (``_chebyshev_stack``) costs O(D·n²) per nonzero vector and the
+    reduction (``_evolve_stack``) O(n³) per mode, so the polynomial runs
+    when Σ over the nonzero vectors of D is at most n × the live modes."""
+    n = X.shape[1]
+    nonzero = X.any(axis=1)  # (M, r)
+    live = np.flatnonzero(nonzero.any(axis=1))
+    Y = np.zeros_like(X)
+    plan = _chebyshev_plan(ds, eta[live], t, nonzero[live].sum(axis=1), n * live.size)
+    if plan is None:
+        Y[live] = _evolve_stack(_split_blocks(ds, eta[live]), X[live], t)
+        return Y, "reduction", None
+    mode, vec = np.nonzero(nonzero[live])  # mode indexes live
+    picked = tuple(a[mode] for a in plan)
+    rows = X[live[mode], :, vec]  # one nonzero vector per row
+    Y[live[mode], :, vec] = _chebyshev_stack(ds, rows, eta[live][mode], t, picked)
+    return Y, "chebyshev", int(picked[2].max(initial=0))
+
+
 def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
     """The path ``evolve`` takes for split ``ds`` on ``grid``, from exact
     tests with no tolerance: "hermitian" when C2h is zero (C == C†) and
@@ -433,8 +613,9 @@ def _apply_phases(Y: np.ndarray, mu: np.ndarray, grid: Grid, t: float) -> None:
 def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     """Propagate each mode column of ``s`` by exp(-i·t·H_k), with
     H_k = -(η_k·C1h + C2h) built from the split ``ds`` on the state's own
-    grid ``s.grid``. Exactly norm-preserving. C1h and C2h must be
-    Hermitian; ``core.split`` makes them so exactly.
+    grid ``s.grid``. Norm-preserving: exactly for the phases and the
+    reduction, to rounding for the polynomial (kernels below). C1h and C2h
+    must be Hermitian; ``core.split`` makes them so exactly.
 
     The path is the one ``evolve_path`` names from ``ds`` and ``s.grid``:
 
@@ -448,19 +629,31 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       Every call is numpy's, so the path runs on one BLAS thread pool.
     - "real" (C1h with zero imaginary part, C2h with zero real part, on a
       symmetric mode ladder): H_{-k} = -conj(H_k), so only the modes
-      k = 0..N/2 are reduced, each applied to v_k and conj(v_{-k}); the
+      k = 0..N/2 are evolved, each applied to v_k and conj(v_{-k}); the
       k < 0 column is conj(exp(-itH_{|k|})·conj(v_k)). This holds for
       complex states too.
-    - "general": every mode is reduced.
+    - "general": every mode is evolved.
 
-    The last two run one kernel per mode (``_evolve_stack``): Householder
-    tridiagonalisation and a real tridiagonal eigensolve, applied to the
-    mode's vectors only, all on scipy's LAPACK and BLAS. Memory is
-    O(d² + N·d); no (N, d+1, d+1) stack is built. The Hermitian test runs
-    first, so real symmetric C takes the one-matrix path.
+    The last two run one of two kernels (``_evolve_modes`` picks it; the
+    result records it as ``kernel``):
+
+    - "reduction" (``_evolve_stack``): per mode, Householder
+      tridiagonalisation and a real tridiagonal eigensolve, applied to the
+      mode's vectors only, on scipy's LAPACK and BLAS; O(n³) per mode for
+      n = d + 1, whatever t.
+    - "chebyshev" (``_chebyshev_stack``): the Jacobi–Anger polynomial of
+      degree D_k ≈ t·‖H_k‖ + O(log 1/ε) in H_k, one product with
+      [-C1h | -C2h] per degree shared by every mode, on scipy's BLAS;
+      O(D_k·n²) per vector.
+      It runs when Σ over the evolved vectors of D_k is at most n × the
+      modes the reduction would decompose, which is the case for short
+      times and low modes; ``max_degree`` records the largest D_k.
+
+    Memory is O(d² + N·d); no (N, d+1, d+1) stack is built. The Hermitian
+    test runs first, so real symmetric C takes the one-matrix path.
 
     A mode whose vector is exactly zero stays zero, so those two paths do
-    not reduce it (on the real path, a pair k, -k is reduced when either
+    not evolve it (on the real path, a pair k, -k is evolved when either
     vector is nonzero); ``truncate`` makes such modes. The Hermitian path
     maps a zero column to an exact zero.
     """
@@ -473,11 +666,13 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     vals = np.ascontiguousarray(s.values, dtype=complex)
     h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
     path = evolve_path(ds, grid)
+    degree = None
     if path == "hermitian":
         basis = s.basis or _drift_eigenbasis(ds)
         out = vals.copy() if s.basis else basis.W.conj().T @ vals
         _apply_phases(out, basis.mu, grid, t)
         out = out if s.basis else basis.W @ out
+        kernel = "phases"
     elif s.basis is not None:
         raise InvalidInputError("a state in a drift eigenbasis needs a Hermitian C")
     elif path == "real":
@@ -486,18 +681,21 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
         X = np.zeros((N - h, dim, 2), dtype=complex)
         X[:, :, 0] = vals[:, h:].T
         X[1 : h + 1, :, 1] = vals[:, h - 1 :: -1].T.conj()
-        live = np.flatnonzero(X.any(axis=(1, 2)))
-        Y = np.zeros_like(X)
-        Y[live] = _evolve_stack(_split_blocks(ds, eta[h:][live]), X[live], t)
+        Y, kernel, degree = _evolve_modes(ds, eta[h:], X, t)
         out = np.empty_like(vals)
         out[:, h:] = Y[:, :, 0].T
         out[:, h - 1 :: -1] = Y[1 : h + 1, :, 1].T.conj()
     else:
-        live = np.flatnonzero(vals.any(axis=0))
-        blocks = _split_blocks(ds, eta[live])
-        out = np.zeros_like(vals)
-        out[:, live] = _evolve_stack(blocks, vals[:, live].T[:, :, None], t)[:, :, 0].T
-    return SpectralState(values=out, grid=grid, time=s.time + t, basis=s.basis)
+        Y, kernel, degree = _evolve_modes(ds, eta, vals.T[:, :, None], t)
+        out = Y[:, :, 0].T  # a Fortran-ordered view; no second copy
+    return SpectralState(
+        values=out,
+        grid=grid,
+        time=s.time + t,
+        basis=s.basis,
+        kernel=kernel,
+        max_degree=degree,
+    )
 
 
 def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
@@ -528,15 +726,21 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
         raise NumericalError(f"readout weights underflow beyond p > {floor:.3f}")
     m, sign = _bins_and_signs(grid)
     r = np.fft.fft(u)[m] * (sign * (grid.deta / norm2))
-    xhat = s.values @ r
-    if s.basis is not None:
-        xhat = s.basis.W @ xhat
+    Y = s.values
+    if s.basis is not None:  # the Hermitian path's state: numpy's BLAS
+        xhat = s.basis.W @ (Y @ r)
+        ynorm = float(np.linalg.norm(Y))
+    else:  # no BLAS call, so no thread pool wakes (see the module docstring)
+        xhat = np.einsum("ij,j->i", Y, r)
+        ynorm = math.sqrt(
+            float(np.einsum("ij,ij->", Y.real, Y.real) + np.einsum("ij,ij->", Y.imag, Y.imag))
+        )
     if not np.all(np.isfinite(xhat)):
         raise NumericalError("recovered amplitude vector has non-finite entries")
     xnorm = float(np.linalg.norm(xhat))
     if xnorm < 1e-300:
         raise DegenerateRecoveryError("recovered amplitude vector has zero norm")
-    wnorm = math.sqrt(grid.N) * grid.deta * float(np.linalg.norm(s.values))
+    wnorm = math.sqrt(grid.N) * grid.deta * ynorm
     env_norm = float(np.sqrt(np.sum(np.exp(-2.0 * grid.p[grid.p > 0]))))
     prob = min(1.0, (xnorm * env_norm / wnorm) ** 2) if wnorm > 0 else 0.0
     return RecoveredState(
@@ -556,7 +760,8 @@ def propagate(
     (``SMOOTH`` by default, seam-blended by ``sample_profile``),
     truncation, per-mode unitary evolution and the spectral readout.
     Approximates e^{(C-I)t} x0 with error set by the p-grid resolution
-    (time evolution is exact per mode) and by the truncation, whose
+    (time evolution is exact per mode, to rounding and the polynomial's
+    CHEBYSHEV_EPS) and by the truncation, whose
     relative warped-state error is the returned ``dropped_norm`` <=
     TRUNCATION_EPS.
 
@@ -572,7 +777,7 @@ def propagate(
         basis = basis or _drift_eigenbasis(ds)
         top = -float(np.min(basis.mu))
     else:  # evolve refuses a basis here
-        top = float(np.max(np.linalg.eigvalsh(core.real_if_exact(ds.C1h))))
+        top = float(ds.c1h_eigenvalues[-1])  # evolve's intervals reuse them
     if top > 1e-10:
         join = "kink" if profile.m == 0 else f"C^{profile.m} join"
         warnings.warn(
@@ -590,5 +795,11 @@ def propagate(
     rec = recover(vt, p_min=p_min)
     modes = int(np.count_nonzero(v0.values.any(axis=0)))
     return replace(
-        rec, profile=profile, modes_evolved=modes, dropped_norm=dropped, path=path
+        rec,
+        profile=profile,
+        modes_evolved=modes,
+        dropped_norm=dropped,
+        path=path,
+        kernel=vt.kernel,
+        max_degree=vt.max_degree,
     )

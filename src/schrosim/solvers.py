@@ -90,6 +90,9 @@ class LinearSolveReport:
     modes_evolved: int
     dropped_norm: float
     path: str  # the evolve path that ran (schrodingerization.evolve_path)
+    # its kernel and largest polynomial degree (schrodingerization.evolve)
+    kernel: str
+    max_degree: int | None
 
 
 @dataclass(frozen=True)
@@ -412,6 +415,8 @@ def quantum_jacobi_solve(
         modes_evolved=rec.modes_evolved,
         dropped_norm=rec.dropped_norm,
         path=rec.path,
+        kernel=rec.kernel,
+        max_degree=rec.max_degree,
     )
 
 

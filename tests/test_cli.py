@@ -404,6 +404,8 @@ class TestRunSolve:
         assert section["profile_negative_mass"] == engine.SMOOTH.negative_mass
         assert 0 < section["modes_evolved"] < 512
         assert 0.0 < section["dropped_norm"] <= engine.TRUNCATION_EPS
+        # a 3x3 augmented C over a long t_f: every degree exceeds n = 3
+        assert (section["kernel"], section["max_degree"]) == ("reduction", None)
 
     def test_error_report_zero_diagonal(self, tmp_path):
         cfg = RunConfig(
@@ -515,7 +517,30 @@ class TestRunEvolve:
         assert section["profile_negative_mass"] == engine.SMOOTH.negative_mass
         assert 0 < section["modes_evolved"] < 256
         assert 0.0 < section["dropped_norm"] <= engine.TRUNCATION_EPS
+        assert (section["kernel"], section["max_degree"]) == ("reduction", None)
         assert out["fidelity"] >= 1 - 1e-9
+
+    def test_reports_the_polynomial_kernel(self, tmp_path):
+        # a 1x1 generator has a one-point spectrum, so the polynomial has
+        # degree 0 on every mode and is always the cheaper kernel
+        path = write(
+            tmp_path, "C.mtx",
+            "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 0.5 0.25\n",
+        )
+        cfg = RunConfig(
+            command="evolve",
+            matrix_path=path,
+            x0_path=vec(tmp_path, "x0.json", [1.0]),
+            t=2.0,
+            N=64,
+            output_path=str(tmp_path / "out.json"),
+        )
+        assert cli.execute(cfg) == 0
+        report = json.loads((tmp_path / "out.json").read_text())
+        section = report["propagation"]
+        assert (section["path"], section["kernel"]) == ("general", "chebyshev")
+        assert section["max_degree"] == 0
+        assert report["fidelity"] >= 1 - 1e-9
 
     def test_requires_time(self, tmp_path):
         cfg = RunConfig(

@@ -1,16 +1,21 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from schrosim import baselines, core, schrodingerization as eng
+from schrosim import baselines, core, schrodingerization as eng, solvers
 from schrosim.errors import DimensionError, InvalidInputError, NumericalError
 
-from conftest import random_contractive
+from conftest import random_contractive, random_dominant
 from htot_reference import assemble_Htot
 from pspace_reference import (
     expectation_without_recovery,
@@ -355,7 +360,7 @@ class TestEvolvePaths:
     tridiagonalisations it makes."""
 
     def _evolve_against_reference(
-        self, rng, decompositions, structure, d, N, L, t, tol=1e-12
+        self, rng, decompositions, structure, d, N, L, t, tol=1e-12, work=None
     ):
         build, path = _STRUCTURES[structure]
         C = build(rng, d)
@@ -366,7 +371,7 @@ class TestEvolvePaths:
         ref = _per_mode_reference(vals, gen.blocks, t)
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
-        assert decompositions.work() == _PATH_WORK[path](N)
+        assert decompositions.work() == (work or _PATH_WORK[path](N))
         scale = np.linalg.norm(vals)
         assert np.max(np.abs(out.values - ref)) <= tol * scale
         assert abs(np.linalg.norm(out.values) - scale) <= 1e-10 * scale
@@ -382,8 +387,12 @@ class TestEvolvePaths:
     @pytest.mark.parametrize("structure", list(_STRUCTURES))
     @pytest.mark.parametrize("t", [0.0, 1.5])
     def test_smallest_grid(self, rng, decompositions, structure, t):
+        # at t = 0 every polynomial degree is 0, so the real and general
+        # paths take the polynomial and reduce nothing
+        path = _STRUCTURES[structure][1]
+        work = ([], 0) if t == 0.0 and path != "hermitian" else None
         self._evolve_against_reference(
-            rng, decompositions, structure, d=2, N=4, L=np.pi, t=t
+            rng, decompositions, structure, d=2, N=4, L=np.pi, t=t, work=work
         )
 
     @pytest.mark.parametrize(
@@ -539,6 +548,224 @@ def test_evolve_matches_reference_property(structure, d, N, t, seed):
     assert np.max(drift) <= 1e-10 * mode_norms.max()
 
 
+def _chebyshev(ds, vals, eta, t):
+    """The polynomial kernel on every column of vals, with no budget."""
+    plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size, dtype=int), np.inf)
+    return eng._chebyshev_stack(ds, vals.T, eta, t, plan).T, plan
+
+
+def _assert_matches(out, ref, vals, tol=1e-12):
+    scale = np.linalg.norm(vals)
+    assert np.max(np.abs(out - ref)) <= tol * scale
+    mode_norms = np.linalg.norm(vals, axis=0)
+    drift = np.abs(np.linalg.norm(out, axis=0) - mode_norms)
+    assert np.max(drift) <= 1e-10 * mode_norms.max()
+
+
+class TestChebyshevKernel:
+    """The Jacobi–Anger polynomial kernel against the per-mode eigh
+    reference and exact phases, and the rule that picks it."""
+
+    @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_matches_per_mode_reference(self, rng, decompositions, structure, d, t):
+        C = _STRUCTURES[structure][0](rng, d)
+        grid = eng.make_grid(32, 5.0)
+        gen = eng.generator_blocks(core.split(C), grid)
+        vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
+        ref = _per_mode_reference(vals, gen.blocks, t)
+        decompositions.clear()
+        out, _ = _chebyshev(gen.split, vals, grid.eta, t)
+        assert decompositions.work() == ([], 0)
+        _assert_matches(out, ref, vals)
+
+    @pytest.mark.parametrize(
+        "structure, d, t",
+        [("real-nonnormal", 64, 0.25), ("real-nonnormal", 64, 0.5),
+         ("general", 32, 0.5), ("general", 64, 1.0)],
+    )
+    def test_evolve_takes_it_on_both_paths(self, rng, decompositions, structure, d, t):
+        # the real path hands the polynomial v_k and conj(v_{-k}) per mode
+        build, path = _STRUCTURES[structure]
+        grid = eng.make_grid(32, 5.0)
+        gen = eng.generator_blocks(core.split(build(rng, d)), grid)
+        vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
+        vals[:, rng.random(32) < 0.3] = 0.0
+        decompositions.clear()
+        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
+        assert decompositions.work() == ([], 0)
+        assert (eng.evolve_path(gen.split, grid), out.kernel) == (path, "chebyshev")
+        assert 0 < out.max_degree < d
+        assert not out.values[:, ~vals.any(axis=0)].any()
+        _assert_matches(out.values, _per_mode_reference(vals, gen.blocks, t), vals)
+
+    def test_real_input_stays_conjugate_symmetric(self, rng):
+        # a real warped state has conjugate columns k and -k; the real path
+        # evolves both under H_k, so they stay conjugate. k = N/2 has no
+        # partner on the grid, so it is zeroed, as truncate does
+        d, t = 64, 0.5
+        grid = eng.make_grid(32, 5.0)
+        x0 = rng.normal(size=d)
+        ds = core.split(_real_nonnormal(rng, d))
+        v0 = eng.initial_state(x0, grid, eng.SMOOTH)
+        v0.values[:, -1] = 0.0
+        out = eng.evolve(v0, ds, t)
+        assert out.kernel == "chebyshev"
+        back = eng.transform(out, "inverse").values
+        assert np.max(np.abs(back.imag)) <= 1e-14 * np.max(np.abs(back))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 25.0])
+    def test_diagonal_generator_gets_exact_phases(self, rng, t):
+        # H = -(η·diag(a) + diag(b)) is diagonal, so exp(-itH) is the phase
+        # e^{it(ηa + b)}; at t = 25 the largest tR is about 500
+        n = 6
+        a = -rng.uniform(0.0, 1.0, n)
+        b = rng.uniform(-2.0, 2.0, n)
+        ds = core.DriftSplit(C1h=np.diag(a).astype(complex), C2h=np.diag(b).astype(complex))
+        eta = np.array([0.0, 1.0, -3.0, 7.5, -40.0])
+        vals = rng.normal(size=(n, eta.size)) + 1j * rng.normal(size=(n, eta.size))
+        out, (c, R, D) = _chebyshev(ds, vals, eta, t)
+        exact = np.exp(1j * t * (np.outer(a, eta) + b[:, None])) * vals
+        assert (D.max() == 0) == (t == 0.0)
+        if t == 25.0:
+            assert 400.0 <= t * R.max() <= 550.0 and D.max() > 500
+        _assert_matches(out, exact, vals)
+
+    def test_degree_meets_the_bessel_tail_bound(self):
+        # 4·(z/2)^{D+1}/(D+1)! <= CHEBYSHEV_EPS at D and not at D - 1
+        z = np.array([0.0, 1e-300, 1e-3, 1.0, 10.0, 25.0, 100.0, 500.0])
+        D = eng._chebyshev_degree(z)
+        assert D[0] == D[1] == 0 and np.all(np.diff(D) >= 0)
+
+        def log_bound(z, D):
+            return math.log(4.0) + (D + 1) * math.log(z / 2.0) - math.lgamma(D + 2.0)
+
+        for zi, Di in zip(z[2:], D[2:]):
+            assert Di + 1 >= zi
+            assert log_bound(zi, Di) <= math.log(eng.CHEBYSHEV_EPS)
+            assert Di == math.ceil(zi) - 1 or log_bound(zi, Di - 2) > math.log(
+                eng.CHEBYSHEV_EPS
+            )
+
+    def test_complex_non_normal_d64_takes_the_polynomial(self, rng, decompositions):
+        # the shape of the evolve-complex-d64 benchmark input: d = 64, t = 2,
+        # N = 512 at the default half-width, the default profile
+        d, t = 64, 2.0
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        P = (Q * rng.uniform(0.1, 1.0, d)) @ Q.conj().T
+        B = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(d)
+        C = np.eye(d) - (P + P.conj().T) / 2.0 + 1j * (B + B.conj().T) / 2.0
+        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
+        decompositions.clear()
+        rec = eng.propagate(C, x0, t, grid)
+        assert decompositions.work() == ([], 0)
+        assert (rec.path, rec.kernel) == ("general", "chebyshev")
+        assert rec.max_degree < d + 1 and rec.modes_evolved < 128
+        exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
+        fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
+        assert fid >= 1 - 1e-9
+
+    @pytest.mark.parametrize(
+        "structure, d, t", [("real-nonnormal", 64, 0.5), ("general", 32, 0.5)]
+    )
+    def test_polynomial_op_leaves_numpy_lapack_idle(
+        self, monkeypatch, rng, structure, d, t
+    ):
+        # numpy and scipy each bring an OpenBLAS with its own thread pool;
+        # off the Hermitian path the half-width, the eigenvalues and the
+        # products run on scipy's, so numpy's LAPACK is never called
+        C = _STRUCTURES[structure][0](rng, d)
+        x0 = rng.normal(size=d)
+
+        def raiser(name):
+            def f(*args, **kwargs):
+                raise AssertionError(f"numpy.linalg.{name} called off the Hermitian path")
+            return f
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, raiser(name))
+        eng.default_domain_halfwidth(core.split(C).C1h, t)
+        rec = eng.propagate(C, x0, t, eng.make_grid(32, 5.0))
+        assert (rec.path, rec.kernel) == (_STRUCTURES[structure][1], "chebyshev")
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_jacobi_d127_keeps_the_reduction(self, decompositions):
+        # the shape of the jacobi-d127 benchmark input: real dominant
+        # A, d = 127, N = 512, t_f about 17. Its tR reaches about 240, so
+        # Σ D is about 3 × n × the live pairs; C1h's interval alone rules
+        # the polynomial out, so C2h is never eigensolved
+        A, b = random_dominant(np.random.default_rng(1201), 127)
+        seen = []
+        interval = eng._spectral_interval
+
+        def recording(M):
+            seen.append(M.shape)
+            return interval(M)
+
+        decompositions.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "_spectral_interval", recording)
+            rep = solvers.quantum_jacobi_solve(A, b, N=512)
+        assert (rep.path, rep.kernel, rep.max_degree) == ("real", "reduction", None)
+        assert seen == []
+        # truncate keeps whole pairs (k, -k) and k = 0, drops k = N/2: one
+        # reduction per live pair
+        assert rep.modes_evolved % 2 == 1
+        assert decompositions.work() == ([], (rep.modes_evolved + 1) // 2)
+        assert rep.fidelity >= 1 - 1e-9
+
+
+def test_propagate_leaves_scipy_special_unimported():
+    # the Bessel coefficients come from an FFT: scipy.special would add
+    # about 3.7 MB of resident memory to every process that propagates
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import schrosim\n"
+        "from schrosim import schrodingerization as eng\n"
+        "rng = np.random.default_rng(5)\n"
+        "C = np.eye(40) - 0.5 * np.diag(rng.uniform(0.1, 1.0, 40))\n"
+        "C = C + 0.2j * rng.normal(size=(40, 40))\n"
+        "rec = eng.propagate(C, np.ones(40), 0.5, eng.make_grid(64, 5.0))\n"
+        "print(rec.kernel, 'scipy.special' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["chebyshev", "False"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    structure=st.sampled_from(["real-nonnormal", "general"]),
+    d=st.integers(1, 9),
+    N=st.sampled_from([4, 8, 16]),
+    t=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(structure="general", d=1, N=4, t=0.0, seed=0)
+@example(structure="real-nonnormal", d=1, N=8, t=1.5, seed=1)
+@example(structure="general", d=5, N=8, t=0.0, seed=2)
+@example(structure="real-nonnormal", d=2, N=4, t=5e-324, seed=1)
+def test_both_kernels_match_reference_property(structure, d, N, t, seed):
+    """The polynomial and the reduction, each called directly on every
+    mode, agree with the per-mode eigh reference and keep every mode's norm."""
+    rng = np.random.default_rng(seed)
+    grid = eng.make_grid(N, float(rng.uniform(np.pi, 8.0)))
+    gen = eng.generator_blocks(core.split(_STRUCTURES[structure][0](rng, d)), grid)
+    vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
+    ref = _per_mode_reference(vals, gen.blocks, t)
+    poly, _ = _chebyshev(gen.split, vals, grid.eta, t)
+    blocks = eng._split_blocks(gen.split, grid.eta)
+    reduced = eng._evolve_stack(blocks, vals.T[:, :, None], t)[:, :, 0].T
+    _assert_matches(poly, ref, vals)
+    _assert_matches(reduced, ref, vals)
+
+
 class TestTruncate:
     def test_drops_the_least_massive_modes_up_to_eps_squared(self):
         grid = eng.make_grid(8, 3.0)  # slots hold k = -3..4
@@ -578,7 +805,7 @@ class TestTruncate:
         # e^{-|p|} keeps every mode on these grids, so the power method and
         # plain propagation run exactly the arithmetic they ran before
         x0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v0 = eng.initial_state(x0, eng.make_grid(N, L))
+        v0 = eng.initial_state(x0, eng.make_grid(N, L), eng.EXP_ABS)
         out, dropped = eng.truncate(v0)
         assert out is v0 and dropped == 0.0
 
@@ -728,7 +955,7 @@ class TestInitialState:
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
-            eng.initial_state([0.0, 0.0], eng.make_grid(8, 2.0))
+            eng.initial_state([0.0, 0.0], eng.make_grid(8, 2.0), eng.SMOOTH)
 
 
 class TestDriftEigenbasis:

@@ -68,8 +68,8 @@ class TestRealArithmetic:
         "imag, driver_dtype", [(0.0, np.float64), (0.3, np.complex128)]
     )
     def test_hermitian_drift_eigvalsh_dtype(self, monkeypatch, rng, imag, driver_dtype):
-        # σ search (scipy), domain half-width and propagate's kink speed
-        # (numpy) each take the top eigenvalue of C1h; a real C1h goes to
+        # σ search, domain half-width and propagate's kink speed (all
+        # scipy) each take the top eigenvalue of C1h; a real C1h goes to
         # the real driver
         G = 0.2 * (rng.normal(size=(5, 5)) + 1j * imag * rng.normal(size=(5, 5)))
         g = rng.normal(size=5)
