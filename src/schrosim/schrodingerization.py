@@ -7,9 +7,9 @@ Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
 of unitaries and preserves the global 2-norm. ``evolve`` applies them with
 one of three kernels: phases in one eigenbasis for a Hermitian C, and
 otherwise per mode either a reduction to tridiagonal form (O(d³) per mode,
-exactly unitary) or, when its degrees are lower than the dimension, the
-Chebyshev (Jacobi–Anger) polynomial of degree about t·‖H_η‖ in products
-with C1h and C2h (unitary to rounding). The start ψ(p)·x0 is
+exactly unitary) or, when its measured cost is lower, the Chebyshev
+(Jacobi–Anger) polynomial of degree about t·‖H_η‖ in products with C1h
+and C2h, batched over the modes (unitary to rounding). The start ψ(p)·x0 is
 separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
@@ -66,6 +66,14 @@ TRUNCATION_EPS = 1e-6
 # relative 2-norm the polynomial kernel may drop from a vector: its bound on
 # the Bessel tail beyond the degree it stops at
 CHEBYSHEV_EPS = 1e-16
+# the measured costs of the two per-mode kernels (``_evolve_modes``) in
+# row-degrees, one vector's product in one step of the polynomial: a step
+# costs STEP_ROWS row-degrees besides its rows, a mode's reduction
+# REDUCTION_ROWS·n
+STEP_ROWS = 12
+REDUCTION_ROWS = 2
+# rows of polynomial coefficients transformed at a time
+COEF_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -311,14 +319,24 @@ def initial_state(
     """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
     of the profile ψ as ``sample_profile`` puts it on the grid, seam blend included; with a basis W it is
     (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
-    modes ``truncate`` keeps depend on ψ̂ alone."""
+    modes ``truncate`` keeps depend on ψ̂ alone.
+
+    ψ is real, so ψ̂_{-k} = conj(ψ̂_k): ψ̂ is computed for k = 0..N/2 (a real
+    FFT; the scaling of ``transform``) and mirrored, with ψ̂_0 and ψ̂_{N/2}
+    real. For a real x0 the column of -k is then the conjugate of the
+    column of k bit for bit, which is the test ``evolve`` runs to evolve
+    one vector per mode pair."""
     x0 = core.as_vector(x0)
     if np.linalg.norm(x0) == 0.0:
         raise InvalidInputError("x0 must be nonzero")
-    psi = sample_profile(profile, grid)[None, :]
-    psi = transform(WarpedState(values=psi, grid=grid))
+    sign = _bins_and_signs(grid)[1][grid.N // 2 - 1 :]  # k = 0..N/2
+    # e^{+2πikl/N} sums of a real ψ are the conjugates of rfft's e^{-2πikl/N}
+    half = np.fft.rfft(sample_profile(profile, grid)).conj()
+    half *= (grid.dp / (2.0 * np.pi)) * sign
+    half[[0, -1]] = half[[0, -1]].real
+    psi = np.concatenate([half[-2:0:-1].conj(), half])  # k = -N/2+1..N/2
     coeffs = x0 if basis is None else basis.W.conj().T @ x0
-    return SpectralState(values=np.outer(coeffs, psi.values[0]), grid=grid, basis=basis)
+    return SpectralState(values=np.outer(coeffs, psi), grid=grid, basis=basis)
 
 
 def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
@@ -357,8 +375,10 @@ def truncate(s: SpectralState) -> tuple[SpectralState, float]:
 
     Whole pairs keep a real state real: for real C and real x0 the column
     of -k is the conjugate of the column of k, so cutting one of the two
-    would leave an imaginary part. The real path of ``evolve`` reduces a
-    pair when either column is nonzero, so a half pair saves no work.
+    would leave an imaginary part, and would cost the exact symmetry on
+    which the real path of ``evolve`` evolves one vector per pair. That
+    path evolves a pair when either column is nonzero, so a half pair
+    saves no work.
     """
     mass = np.einsum("ij,ij->j", s.values.conj(), s.values).real
     pair = np.abs(s.grid.mode_index)  # |k|, 0..N/2
@@ -434,20 +454,28 @@ def _spectral_interval(M: np.ndarray) -> tuple[float, float]:
 
 def _chebyshev_degree(z: np.ndarray) -> np.ndarray:
     """The degree D at which the Jacobi–Anger series of e^{-iz·x} on
-    [-1, 1] may stop, per z >= 0: the smallest D >= z - 1 whose tail bound
-    4·(z/2)^{D+1}/(D+1)! is at most CHEBYSHEV_EPS. With |J_j(z)| <=
-    (z/2)^j/j! and consecutive terms falling by z/(2(j+1)) <= 1/2 past
-    j = z, the dropped terms Σ_{j>D} 2|J_j(z)| are within that bound, and
-    |T_j| <= 1 on the interval. log j! is bounded below by Stirling's
-    j·log j - j + log(2πj)/2, so the bound only errs high. Bisection on D
-    between z - 1 and e·z + 60, where (ez/(2j))^j <= 2^{-j} meets it."""
+    [-1, 1] may stop, per z >= 0: the smallest D >= z - 1 whose bound on
+    the dropped terms Σ_{j>D} 2|J_j(z)| is at most CHEBYSHEV_EPS (|T_j| <= 1
+    on the interval). For j >= z, with x = z/j and s = √(1 - x²),
+    Kapteyn's inequality gives |J_j(z)| <= b_j = (x·e^s/(1 + s))^j, and
+    log b_j is concave in j with slope log(x/(1 + s)), so past j = D + 1
+    the b_j fall by at least the factor ρ = x/(1 + s) at j = D + 1 and the
+    tail is at most 2·b_{D+1}/(1 - ρ). D is then within 1.1× + 2 of the
+    exact tail's degree: 42/60/107/178/313/594 at z = 13/25/60/120/240/500,
+    where the exact tails give 40/58/104/175/309/588. Bisection on D
+    between z - 1 and e·z + 60, where b_j <= 2^{-j} meets it."""
     z = np.asarray(z, dtype=float)
-    half = np.log(np.where(z > 0, z, 1.0)) - math.log(2.0)  # z/2 may underflow
+    log_z = np.log(np.where(z > 0, z, 1.0))  # z/j may underflow
 
     def meets(D):
         j = D + 1.0
-        log_term = j * half - (j * np.log(j) - j + 0.5 * np.log(2.0 * np.pi * j))
-        return (z == 0) | (log_term <= math.log(CHEBYSHEV_EPS / 4.0))
+        x = np.minimum(np.exp(log_z - np.log(j)), 1.0)  # below j = z, fails anyway
+        s = np.sqrt((1.0 - x) * (1.0 + x))
+        with np.errstate(divide="ignore"):  # 1 - ρ is 0 at x = 1: no bound
+            log_tail = j * (log_z - np.log(j) + s - np.log1p(s)) - np.log(
+                (1.0 + s - x) / (1.0 + s)
+            )
+        return (z == 0) | ((j >= z) & (log_tail <= math.log(CHEBYSHEV_EPS / 2.0)))
 
     lo = np.maximum(np.ceil(z) - 2.0, -1.0)  # below every admissible D
     hi = np.ceil(math.e * z) + 60.0
@@ -460,23 +488,27 @@ def _chebyshev_degree(z: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_plan(
-    ds: core.DriftSplit, eta: np.ndarray, t: float, vectors: np.ndarray, budget: int
+    ds: core.DriftSplit, eta: np.ndarray, t: float, vectors: np.ndarray, budget: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The interval centre c, radius R and degree D of each mode η's
-    polynomial (``_chebyshev_stack``), or None when Σ vectors·D exceeds
-    ``budget``. By Weyl's bound the spectrum of H = -(η·C1h + C2h) lies in
+    polynomial (``_chebyshev_stack``), or None when its cost
+    Σ vectors·D + STEP_ROWS·max D (``_evolve_modes``) exceeds ``budget``.
+    By Weyl's bound the spectrum of H = -(η·C1h + C2h) lies in
     c ± R with c = -(η·m1 + m2), R = |η|·r1 + r2, for C1h's and C2h's
     interval midpoints m and half-widths r. C1h's are read off the split;
     when they alone already exceed the budget, C2h is not eigensolved.
     Since D >= tR - 1, a tR too large for the budget is refused before any
     degree is found."""
 
+    def cost(D):
+        return vectors @ D + STEP_ROWS * D.max(initial=0.0)
+
     def degrees(R):
         z = t * R
-        if vectors @ np.ceil(z) > budget + vectors.sum():
+        if cost(np.maximum(np.ceil(z) - 1.0, 0.0)) > budget:
             return None
         D = _chebyshev_degree(z)
-        return D if vectors @ D <= budget else None
+        return D if cost(D) <= budget else None
 
     w1 = ds.c1h_eigenvalues
     R = 0.5 * (w1[-1] - w1[0]) * np.abs(eta)
@@ -504,10 +536,11 @@ def _chebyshev_stack(
         exp(-itH) = e^{-itc}·Σ_{j<=D} (2 - δ_j0)(-i)^j J_j(tR)·T_j((H - c)/R).
 
     (-i)^j J_j(tR) is the j-th Fourier coefficient of e^{-itR·cos θ}, read
-    off one batched FFT on M >= 2D + 2 points, so aliasing adds only the
-    tail beyond D. Rows are sorted by D, and step j of the recurrence
-    T_{j+1} = 2·(H - c)/R·T_j - T_{j-1} is one product of the rows
-    (η·T_j, T_j) whose D is at least j with [-C1h | -C2h]ᵀ, one scipy
+    off FFTs on M >= 2D + 2 points, so aliasing adds only the tail beyond
+    D; they run COEF_BLOCK rows at a time, so no (rows, M) array is built
+    beside the (rows, D + 1) table. Rows are sorted by D, and step j of
+    the recurrence T_{j+1} = 2·(H - c)/R·T_j - T_{j-1} is one product of
+    the rows (η·T_j, T_j) whose D is at least j with [-C1h | -C2h]ᵀ, one scipy
     ``zgemm`` written into a spare buffer (on scipy's BLAS; see the module
     docstring). Unitary to rounding, not exactly."""
     c, R, D = plan
@@ -517,8 +550,12 @@ def _chebyshev_stack(
     top = int(D[0]) if m else 0
     M = 1 << (2 * top + 2).bit_length()
     z = (t * R)[:, None]
-    coef = np.fft.fft(np.exp(-1j * z * np.cos(2.0 * np.pi / M * np.arange(M))), axis=1)
-    coef = coef[:, : top + 1] * (np.exp(-1j * t * c) / M)[:, None]
+    cos = np.cos(2.0 * np.pi / M * np.arange(M))
+    coef = np.empty((m, top + 1), dtype=complex)
+    for b in range(0, m, COEF_BLOCK):
+        block = slice(b, b + COEF_BLOCK)
+        coef[block] = np.fft.fft(np.exp(-1j * z[block] * cos))[:, : top + 1]
+    coef *= (np.exp(-1j * t * c) / M)[:, None]
     coef[:, 1:] *= 2.0
     cur = V[order]  # T_0
     out = cur * coef[:, :1]
@@ -552,15 +589,37 @@ def _evolve_modes(
 ) -> tuple[np.ndarray, str, int | None]:
     """Y[m] = exp(-it·H_m)·X[m] for H_m = -(η_m·C1h + C2h) and the (n, r)
     vectors X[m], with the kernel that ran and its largest degree. A mode
-    whose vectors are all zero is left at zero. The polynomial
-    (``_chebyshev_stack``) costs O(D·n²) per nonzero vector and the
-    reduction (``_evolve_stack``) O(n³) per mode, so the polynomial runs
-    when Σ over the nonzero vectors of D is at most n × the live modes."""
+    whose vectors are all zero is left at zero.
+
+    The kernel is priced from measured costs. The polynomial
+    (``_chebyshev_stack``) runs one product per degree over all its rows,
+    one nonzero vector per row: a row-degree costs O(n²), and each step a
+    fixed part more, since even one row's product reads all of
+    [-C1h | -C2h]. The reduction (``_evolve_stack``) costs O(n³) per live
+    mode, whatever its vector count. In row-degrees the polynomial costs
+    Σ D + STEP_ROWS·max D over its rows, and the reduction REDUCTION_ROWS·n
+    per live mode; the polynomial runs when it is the cheaper. Timed warm
+    on 2 vCPUs (OpenBLAS 0.3, scipy's BLAS), with every row at one degree
+    D, the two kernels break even at these D/n (two runs), against the
+    rule's REDUCTION_ROWS·rows/(rows + STEP_ROWS):
+
+        rows  n = 32      65         128        256        512        rule
+        1     0.10-0.17  0.23-0.29  0.23-0.25  0.23-0.27  0.18-0.19  0.15
+        8     1.77-1.99  1.48-1.53  1.50-1.54  1.13-1.30  0.96-0.99  0.80
+        64    4.34-5.34  3.44-3.66  2.63-3.49  2.41-2.76  1.88-1.97  1.68
+        256   6.59-6.76  3.41-3.99  2.85-3.73  2.50-2.94  2.22-2.57  1.91
+
+    A step costs 9-19 row-degrees besides its rows, and a reduction
+    2.2-3.7·n row-degrees (more at n = 32, where its per-call overhead
+    counts). The rule sits below the measured break-even but at one row
+    and n = 32, so near it the reduction, which is exactly unitary, runs."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
     Y = np.zeros_like(X)
-    plan = _chebyshev_plan(ds, eta[live], t, nonzero[live].sum(axis=1), n * live.size)
+    plan = _chebyshev_plan(
+        ds, eta[live], t, nonzero[live].sum(axis=1), REDUCTION_ROWS * n * live.size
+    )
     if plan is None:
         Y[live] = _evolve_stack(_split_blocks(ds, eta[live]), X[live], t)
         return Y, "reduction", None
@@ -630,8 +689,14 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     - "real" (C1h with zero imaginary part, C2h with zero real part, on a
       symmetric mode ladder): H_{-k} = -conj(H_k), so only the modes
       k = 0..N/2 are evolved, each applied to v_k and conj(v_{-k}); the
-      k < 0 column is conj(exp(-itH_{|k|})·conj(v_k)). This holds for
-      complex states too.
+      k < 0 column is conj(exp(-itH_{|k|})·conj(v_{-k})). This holds for
+      complex states too. When every column -k is the conjugate of column
+      k bit for bit (an exact test, no tolerance), as in the start
+      ``initial_state`` builds from a real x0 and in what ``truncate``
+      leaves of it, the two vectors are one: each pair evolves v_k alone
+      and column -k is its conjugate, so the state stays exactly
+      conjugate-symmetric. Any other state, such as one from a complex x0,
+      evolves both.
     - "general": every mode is evolved.
 
     The last two run one of two kernels (``_evolve_modes`` picks it; the
@@ -645,9 +710,11 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       degree D_k ≈ t·‖H_k‖ + O(log 1/ε) in H_k, one product with
       [-C1h | -C2h] per degree shared by every mode, on scipy's BLAS;
       O(D_k·n²) per vector.
-      It runs when Σ over the evolved vectors of D_k is at most n × the
+      It runs when its measured cost, Σ over the evolved vectors of D_k
+      plus STEP_ROWS × the largest D_k, is at most REDUCTION_ROWS·n × the
       modes the reduction would decompose, which is the case for short
-      times and low modes; ``max_degree`` records the largest D_k.
+      times and low modes, with many vectors; ``max_degree`` records the
+      largest D_k.
 
     Memory is O(d² + N·d); no (N, d+1, d+1) stack is built. The Hermitian
     test runs first, so real symmetric C takes the one-matrix path.
@@ -677,14 +744,17 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
         raise InvalidInputError("a state in a drift eigenbasis needs a Hermitian C")
     elif path == "real":
         # row m is mode k = m (slot h + m); its second vector is conj(v_{-k}),
-        # at slot h - m, for k = 1..N/2-1
-        X = np.zeros((N - h, dim, 2), dtype=complex)
+        # at slot h - m, for k = 1..N/2-1, unless that equals v_k bit for bit
+        neg = vals[:, h - 1 :: -1]
+        paired = np.array_equal(neg.conj(), vals[:, h + 1 : N - 1])
+        X = np.zeros((N - h, dim, 1 if paired else 2), dtype=complex)
         X[:, :, 0] = vals[:, h:].T
-        X[1 : h + 1, :, 1] = vals[:, h - 1 :: -1].T.conj()
+        if not paired:
+            X[1 : h + 1, :, 1] = neg.T.conj()
         Y, kernel, degree = _evolve_modes(ds, eta[h:], X, t)
         out = np.empty_like(vals)
         out[:, h:] = Y[:, :, 0].T
-        out[:, h - 1 :: -1] = Y[1 : h + 1, :, 1].T.conj()
+        out[:, h - 1 :: -1] = Y[1 : h + 1, :, -1].T.conj()
     else:
         Y, kernel, degree = _evolve_modes(ds, eta, vals.T[:, :, None], t)
         out = Y[:, :, 0].T  # a Fortran-ordered view; no second copy

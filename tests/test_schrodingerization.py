@@ -632,21 +632,25 @@ class TestChebyshevKernel:
             assert 400.0 <= t * R.max() <= 550.0 and D.max() > 500
         _assert_matches(out, exact, vals)
 
-    def test_degree_meets_the_bessel_tail_bound(self):
-        # 4·(z/2)^{D+1}/(D+1)! <= CHEBYSHEV_EPS at D and not at D - 1
-        z = np.array([0.0, 1e-300, 1e-3, 1.0, 10.0, 25.0, 100.0, 500.0])
+    def test_degree_bounds_the_exact_bessel_tail(self):
+        # the exact degree, the smallest D with Σ_{j>D} 2|J_j(z)| <= EPS, from
+        # scipy.special in this process; the engine never imports it
+        import scipy.special
+
+        def exact(z):
+            j = np.arange(int(math.e * z) + 80)
+            tail = 2.0 * np.cumsum(np.abs(scipy.special.jv(j, z))[::-1])[::-1]
+            return int(np.argmax(tail[1:] <= eng.CHEBYSHEV_EPS))
+
+        z = np.array([0.0, 1e-300, 1e-3, 0.5, 1.0, 2.0, 5.0, 13.0, 25.0, 60.0,
+                      120.0, 240.0, 500.0, 1000.0])
         D = eng._chebyshev_degree(z)
         assert D[0] == D[1] == 0 and np.all(np.diff(D) >= 0)
-
-        def log_bound(z, D):
-            return math.log(4.0) + (D + 1) * math.log(z / 2.0) - math.lgamma(D + 2.0)
-
         for zi, Di in zip(z[2:], D[2:]):
-            assert Di + 1 >= zi
-            assert log_bound(zi, Di) <= math.log(eng.CHEBYSHEV_EPS)
-            assert Di == math.ceil(zi) - 1 or log_bound(zi, Di - 2) > math.log(
-                eng.CHEBYSHEV_EPS
-            )
+            Ei = exact(zi)
+            assert Ei <= Di <= 1.1 * Ei + 2, (zi, Di, Ei)
+        # past z = 25, within 4% of the exact degree
+        assert np.all(D[8:] <= 1.04 * np.array([exact(zi) for zi in z[8:]]))
 
     def test_complex_non_normal_d64_takes_the_polynomial(self, rng, decompositions):
         # the shape of the evolve-complex-d64 benchmark input: d = 64, t = 2,
@@ -691,30 +695,99 @@ class TestChebyshevKernel:
         assert (rec.path, rec.kernel) == (_STRUCTURES[structure][1], "chebyshev")
 
     @pytest.mark.filterwarnings("ignore:Hermitian drift part")
-    def test_jacobi_d127_keeps_the_reduction(self, decompositions):
+    def test_jacobi_d127_takes_the_polynomial(self, decompositions):
         # the shape of the jacobi-d127 benchmark input: real dominant
-        # A, d = 127, N = 512, t_f about 17. Its tR reaches about 240, so
-        # Σ D is about 3 × n × the live pairs; C1h's interval alone rules
-        # the polynomial out, so C2h is never eigensolved
+        # A, d = 127, N = 512, t_f about 17, tR up to about 240. Its start
+        # is real, so each live pair (k, -k) is one polynomial row, and
+        # Σ D + STEP_ROWS·max D is 1.25 × n × the live pairs, where the
+        # rule allows REDUCTION_ROWS = 2
         A, b = random_dominant(np.random.default_rng(1201), 127)
-        seen = []
-        interval = eng._spectral_interval
+        rows = []
+        stack = eng._chebyshev_stack
 
-        def recording(M):
-            seen.append(M.shape)
-            return interval(M)
+        def recording(ds, V, *args):
+            rows.append(V.shape[0])
+            return stack(ds, V, *args)
 
         decompositions.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eng, "_spectral_interval", recording)
+            mp.setattr(eng, "_chebyshev_stack", recording)
             rep = solvers.quantum_jacobi_solve(A, b, N=512)
-        assert (rep.path, rep.kernel, rep.max_degree) == ("real", "reduction", None)
-        assert seen == []
-        # truncate keeps whole pairs (k, -k) and k = 0, drops k = N/2: one
-        # reduction per live pair
+        assert (rep.path, rep.kernel) == ("real", "chebyshev")
+        # truncate keeps whole pairs (k, -k) and k = 0, drops k = N/2
         assert rep.modes_evolved % 2 == 1
-        assert decompositions.work() == ([], (rep.modes_evolved + 1) // 2)
+        assert rows == [(rep.modes_evolved + 1) // 2]
+        assert decompositions.work() == ([], 0)
         assert rep.fidelity >= 1 - 1e-9
+
+    @pytest.mark.parametrize(
+        "n, rows, ratio, kernel",
+        [(32, 1, 0.05, "chebyshev"), (32, 1, 0.5, "reduction"),
+         (128, 1, 0.05, "chebyshev"), (128, 1, 0.5, "reduction"),
+         (32, 64, 1.0, "chebyshev"), (32, 64, 6.0, "reduction"),
+         (128, 64, 1.0, "chebyshev"), (128, 64, 6.0, "reduction")],
+    )
+    def test_rule_on_the_calibration_shapes(
+        self, rng, decompositions, n, rows, ratio, kernel
+    ):
+        # every row at one degree D = ratio·n, on either side of the measured
+        # break-even (0.10–0.25·n for one row, 2.6–5.3·n for 64 rows, at
+        # these n): H = -C2h with the spectrum [-1, 1], so R = 1 and D is
+        # the degree at z = t
+        b = np.linspace(-1.0, 1.0, n)
+        ds = core.DriftSplit(C1h=np.zeros((n, n), complex), C2h=np.diag(b).astype(complex))
+        z = np.geomspace(1e-6, 8.0 * n, 20000)
+        t = float(z[np.argmax(eng._chebyshev_degree(z) >= ratio * n)])
+        eta = rng.uniform(-5.0, 5.0, rows)
+        X = rng.normal(size=(rows, n, 1)) + 1j * rng.normal(size=(rows, n, 1))
+        polynomial_rows = []
+        stack = eng._chebyshev_stack
+
+        def recording(ds, V, *args):
+            polynomial_rows.append(V.shape[0])
+            return stack(ds, V, *args)
+
+        decompositions.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "_chebyshev_stack", recording)
+            Y, ran, _ = eng._evolve_modes(ds, eta, X, t)
+        assert ran == kernel
+        reductions = rows if kernel == "reduction" else 0
+        assert polynomial_rows == ([rows] if kernel == "chebyshev" else [])
+        assert decompositions.work() == ([], reductions)
+        exact = np.exp(1j * t * b)[None, :, None] * X
+        assert np.max(np.abs(Y - exact)) <= 1e-12 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("real_x0", [True, False], ids=["real-x0", "complex-x0"])
+    @pytest.mark.parametrize(
+        "d, t, kernel", [(64, 0.5, "chebyshev"), (8, 2.0, "reduction")]
+    )
+    def test_real_path_pairs_only_a_conjugate_symmetric_state(
+        self, rng, real_x0, d, t, kernel
+    ):
+        # a real C: the start of a real x0 evolves one vector per pair and
+        # stays conjugate-symmetric bit for bit; a complex x0 keeps both
+        # vectors. Both match the per-mode reference
+        grid = eng.make_grid(32, 5.0)
+        gen = eng.generator_blocks(core.split(_real_nonnormal(rng, d)), grid)
+        x0 = rng.normal(size=d) + (0.0 if real_x0 else 1j * rng.normal(size=d))
+        v0, _ = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))
+        vectors = []
+        modes = eng._evolve_modes
+
+        def recording(ds, eta, X, t):
+            vectors.append(X.shape[2])
+            return modes(ds, eta, X, t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "_evolve_modes", recording)
+            out = eng.evolve(v0, gen.split, t)
+        assert (out.kernel, vectors) == (kernel, [1 if real_x0 else 2])
+        h = grid.N // 2 - 1
+        negative, positive = out.values[:, h - 1 :: -1], out.values[:, h + 1 : -1]
+        assert np.array_equal(negative.conj(), positive) == real_x0
+        ref = _per_mode_reference(v0.values, gen.blocks, t)
+        _assert_matches(out.values, ref, v0.values)
 
 
 def test_propagate_leaves_scipy_special_unimported():
@@ -952,6 +1025,17 @@ class TestInitialState:
         assert np.allclose(basis.W @ v0.values, plain.values, atol=1e-15)
         back = eng.transform(v0, "inverse").values
         assert np.allclose(back, eng.transform(plain, "inverse").values, atol=1e-14)
+
+    @pytest.mark.parametrize("profile", [eng.EXP_ABS, eng.SMOOTH], ids=lambda q: q.name)
+    @pytest.mark.parametrize("N", [4, 64, 512, 4096])
+    def test_real_start_is_exactly_conjugate_symmetric(self, rng, profile, N):
+        # column -k is the conjugate of column k bit for bit, k = 0 and
+        # k = N/2 are real: the test the real path of evolve runs
+        grid = eng.make_grid(N, 7.5)
+        v = eng.initial_state(rng.normal(size=5), grid, profile).values
+        h = N // 2 - 1
+        assert np.array_equal(v[:, h - 1 :: -1].conj(), v[:, h + 1 : N - 1])
+        assert not v[:, [h, N - 1]].imag.any()
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
