@@ -9,7 +9,10 @@ one of three kernels: phases in one eigenbasis for a Hermitian C, and
 otherwise per mode either a reduction to tridiagonal form (O(d³) per mode,
 exactly unitary) or, when its measured cost is lower, the Chebyshev
 (Jacobi–Anger) polynomial of degree about t·‖H_η‖ in products with C1h
-and C2h, batched over the modes (unitary to rounding). The start ψ(p)·x0 is
+and C2h, batched over the modes (unitary to rounding). Each polynomial step
+is one GEMM with the interval centre already in the matrix and the
+previous term subtracted by the GEMM's beta; for a real C it is a real
+GEMM on the float64 view of the complex vectors. The start ψ(p)·x0 is
 separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
@@ -489,16 +492,15 @@ def _chebyshev_degree(z: np.ndarray) -> np.ndarray:
 
 def _chebyshev_plan(
     ds: core.DriftSplit, eta: np.ndarray, t: float, vectors: np.ndarray, budget: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The interval centre c, radius R and degree D of each mode η's
-    polynomial (``_chebyshev_stack``), or None when its cost
-    Σ vectors·D + STEP_ROWS·max D (``_evolve_modes``) exceeds ``budget``.
-    By Weyl's bound the spectrum of H = -(η·C1h + C2h) lies in
-    c ± R with c = -(η·m1 + m2), R = |η|·r1 + r2, for C1h's and C2h's
-    interval midpoints m and half-widths r. C1h's are read off the split;
-    when they alone already exceed the budget, C2h is not eigensolved.
-    Since D >= tR - 1, a tR too large for the budget is refused before any
-    degree is found."""
+) -> tuple[float, float, np.ndarray, np.ndarray] | None:
+    """C1h's and C2h's interval midpoints m1 and m2, and the radius R and
+    degree D of each mode η's polynomial (``_chebyshev_stack``), or None
+    when its cost Σ vectors·D + STEP_ROWS·max D (``_evolve_modes``) exceeds
+    ``budget``. By Weyl's bound the spectrum of H = -(η·C1h + C2h) lies in
+    c ± R with c = -(η·m1 + m2), R = |η|·r1 + r2, for the intervals m ± r.
+    C1h's are read off the split; when they alone already exceed the
+    budget, C2h is not eigensolved. Since D >= tR - 1, a tR too large for
+    the budget is refused before any degree is found."""
 
     def cost(D):
         return vectors @ D + STEP_ROWS * D.max(initial=0.0)
@@ -519,7 +521,7 @@ def _chebyshev_plan(
     D = degrees(R)
     if D is None:
         return None
-    return -(0.5 * (w1[-1] + w1[0]) * eta + 0.5 * (hi2 + lo2)), R, D
+    return 0.5 * float(w1[-1] + w1[0]), 0.5 * (hi2 + lo2), R, D
 
 
 def _chebyshev_stack(
@@ -527,60 +529,93 @@ def _chebyshev_stack(
     V: np.ndarray,
     eta: np.ndarray,
     t: float,
-    plan: tuple[np.ndarray, np.ndarray, np.ndarray],
+    plan: tuple[float, float, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """exp(-itH)·v for each row v of V (m, n), H = -(η·C1h + C2h) at the
     row's own η, by the Chebyshev (Jacobi–Anger) expansion on the row's
-    interval c ± R (``_chebyshev_plan``), to degree D:
+    interval c ± R, c = -(η·m1 + m2) (``_chebyshev_plan``), to degree D:
 
         exp(-itH) = e^{-itc}·Σ_{j<=D} (2 - δ_j0)(-i)^j J_j(tR)·T_j((H - c)/R).
 
     (-i)^j J_j(tR) is the j-th Fourier coefficient of e^{-itR·cos θ}, read
     off FFTs on M >= 2D + 2 points, so aliasing adds only the tail beyond
-    D; they run COEF_BLOCK rows at a time, so no (rows, M) array is built
-    beside the (rows, D + 1) table. Rows are sorted by D, and step j of
-    the recurrence T_{j+1} = 2·(H - c)/R·T_j - T_{j-1} is one product of
-    the rows (η·T_j, T_j) whose D is at least j with [-C1h | -C2h]ᵀ, one scipy
-    ``zgemm`` written into a spare buffer (on scipy's BLAS; see the module
-    docstring). Unitary to rounding, not exactly."""
-    c, R, D = plan
+    D; they run COEF_BLOCK rows at a time, each block on the M of its own
+    largest D, so no (rows, M) array is built beside the (D + 1, rows)
+    table.
+
+    The vectors are the columns of C-ordered (n, k) arrays, whose float64
+    views are (n, 2k): each vector's real and imaginary parts are two real
+    columns. Rows are sorted by D, and step j of the recurrence
+    T_{j+1} = 2/R·(H - c)·T_j - T_{j-1} is one GEMM over the k vectors
+    whose D is at least j: with the centre in the matrix,
+    G = [-(C1h - m1·I) | -(C2h - m2·I)] and (H - c)·T = G·[η·T ; T], and
+    the GEMM's beta = -1 subtracts T_{j-1} in the buffer that holds it, so
+    T_{j+1} overwrites T_{j-1} (T_{-1} = 0). The buffers are copied down
+    to k columns only when k drops. On a real split (C1h.imag and
+    C2h.real exactly zero, as ``evolve_path`` tests) C2h = i·A with A real
+    antisymmetric, whose interval is symmetric, so m2 = 0 and
+    G·[η·T ; T] = [-(C1h - m1·I) | -A]·[η·T ; i·T] with a real matrix:
+    one scipy ``dgemm`` on the float64 views runs each step, at half the
+    flops of the ``zgemm`` a general split runs and about 0.6× its time
+    (see the module docstring for why scipy's BLAS). Unitary to rounding,
+    not exactly."""
+    m1, m2, R, D = plan
     m, n = V.shape
     order = np.argsort(-D, kind="stable")
-    c, R, D, eta = c[order], R[order], D[order], eta[order]
+    R, D, eta = R[order], D[order], eta[order]
     top = int(D[0]) if m else 0
-    M = 1 << (2 * top + 2).bit_length()
-    z = (t * R)[:, None]
-    cos = np.cos(2.0 * np.pi / M * np.arange(M))
-    coef = np.empty((m, top + 1), dtype=complex)
+    coef = np.empty((top + 1, m), dtype=complex)  # unset past a block's top D
     for b in range(0, m, COEF_BLOCK):
         block = slice(b, b + COEF_BLOCK)
-        coef[block] = np.fft.fft(np.exp(-1j * z[block] * cos))[:, : top + 1]
-    coef *= (np.exp(-1j * t * c) / M)[:, None]
-    coef[:, 1:] *= 2.0
-    cur = V[order]  # T_0
-    out = cur * coef[:, :1]
-    prev, spare = np.empty_like(cur), np.empty_like(cur)
-    G = np.asfortranarray(np.hstack([-ds.C1h, -ds.C2h]))  # (n, 2n)
-    scale = np.divide(1.0, R, out=np.zeros_like(R), where=R > 0)
-    stacked = np.empty((m, 2 * n), dtype=complex)
+        degree = int(D[b])
+        M = 1 << (2 * degree + 2).bit_length()
+        cos = np.cos(2.0 * np.pi / M * np.arange(M))
+        F = np.fft.fft(np.exp(-1j * (t * R[block])[:, None] * cos))[:, : degree + 1]
+        F *= (np.exp(1j * t * (eta[block] * m1 + m2)) / M)[:, None]  # e^{-itc}/M
+        F[:, 1:] *= 2.0
+        coef[: degree + 1, block] = F.T
+    # G (C order, so G.T is Fortran-ordered) and the factor on T in the
+    # lower half of the stacked columns
+    if _real_split(ds):
+        G = np.hstack([m1 * np.eye(n) - ds.C1h.real, -ds.C2h.imag])
+        gemm, dtype, unit = blas.dgemm, np.float64, 1j
+    else:
+        G = np.hstack([m1 * np.eye(n) - ds.C1h, m2 * np.eye(n) - ds.C2h])
+        gemm, dtype, unit = blas.zgemm, complex, 1.0
+    cur = np.ascontiguousarray(V[order].T, dtype=complex)  # T_0, a vector per column
+    out = cur * coef[0]
+    prev = np.zeros_like(cur)  # T_{-1}
+    stacked_buf = np.empty(2 * n * m, dtype=complex)
+    stacked = stacked_buf.reshape(2 * n, m)
+    f = np.divide(2.0, R, out=np.zeros_like(R), where=R > 0)
+    f_eta, f_unit = f * eta, f * unit
     active = np.searchsorted(-D, -np.arange(top + 1), side="right")
+    Y = np.empty((m, n), dtype=complex)
     for j in range(1, top + 1):
-        k = active[j]  # rows with D >= j; rows past k are never read again
-        # T_j = f·(H - c)·T_{j-1} - T_{j-2}, f = 1/R for j = 1 (no T_{-1})
-        # and 2/R after
-        f = (scale[:k] * (1.0 if j == 1 else 2.0))[:, None]
-        stacked[:k, :n] = cur[:k] * (f * eta[:k, None])
-        stacked[:k, n:] = cur[:k] * f
-        # the transposed views are Fortran-ordered, so zgemm copies nothing:
-        # spare[:k]ᵀ = G·stacked[:k]ᵀ
-        nxt = blas.zgemm(1.0, G, stacked[:k].T, c=spare[:k].T, overwrite_c=1).T
-        nxt -= cur[:k] * (f * c[:k, None])
-        if j > 1:
-            nxt -= prev[:k]
-        prev, cur, spare = cur, spare, prev
-        out[:k] += cur[:k] * coef[:k, j, None]
-    Y = np.empty_like(out)
-    Y[order] = out
+        k = active[j]  # vectors with D >= j; the rest are done
+        if k < cur.shape[1]:  # one copy at a time keeps the peak memory low
+            Y[order[k : cur.shape[1]]] = out[:, k:].T
+            cur = cur[:, :k].copy()
+            prev = prev[:, :k].copy()
+            out = out[:, :k].copy()
+            stacked = stacked_buf[: 2 * n * k].reshape(2 * n, k)
+        np.multiply(cur, f_eta[:k], out=stacked[:n])
+        np.multiply(cur, f_unit[:k], out=stacked[n:])
+        # T_{j+1} = 2/R·(H - c)·T_j - T_{j-1}, and T_1 = 1/R·(H - c)·T_0; the
+        # transposed views are Fortran-ordered, so the GEMM copies nothing:
+        # prevᵀ <- alpha·stackedᵀ·Gᵀ - prevᵀ
+        prev = gemm(
+            0.5 if j == 1 else 1.0,
+            stacked.view(dtype).T,
+            G.T,
+            beta=-1.0,
+            c=prev.view(dtype).T,
+            overwrite_c=1,
+        ).T.view(complex)
+        prev, cur = cur, prev
+        np.multiply(cur, coef[j, :k], out=stacked[:n])
+        out += stacked[:n]
+    Y[order[: out.shape[1]]] = out.T
     return Y
 
 
@@ -600,19 +635,27 @@ def _evolve_modes(
     Σ D + STEP_ROWS·max D over its rows, and the reduction REDUCTION_ROWS·n
     per live mode; the polynomial runs when it is the cheaper. Timed warm
     on 2 vCPUs (OpenBLAS 0.3, scipy's BLAS), with every row at one degree
-    D, the two kernels break even at these D/n (two runs), against the
-    rule's REDUCTION_ROWS·rows/(rows + STEP_ROWS):
+    D, the two kernels break even at these D/n (the range over two to five
+    runs, leaving out three single runs at more than twice their cell's
+    median), against the rule's REDUCTION_ROWS·rows/(rows + STEP_ROWS):
 
+        general split (zgemm steps)
         rows  n = 32      65         128        256        512        rule
-        1     0.10-0.17  0.23-0.29  0.23-0.25  0.23-0.27  0.18-0.19  0.15
-        8     1.77-1.99  1.48-1.53  1.50-1.54  1.13-1.30  0.96-0.99  0.80
-        64    4.34-5.34  3.44-3.66  2.63-3.49  2.41-2.76  1.88-1.97  1.68
-        256   6.59-6.76  3.41-3.99  2.85-3.73  2.50-2.94  2.22-2.57  1.91
+        1     0.19-0.23  0.31-0.38  0.51-0.61  0.32-0.47  0.18-0.24  0.15
+        8     2.13-2.39  2.20-2.31  2.27-2.39  1.77-2.42  1.15-1.37  0.80
+        64    5.98-6.05  4.66-5.38  3.92-4.00  3.10-3.18  2.06-2.17  1.68
+        256   8.89-9.44  6.71-6.74  4.92-5.33  3.36-3.55  2.21-2.30  1.91
 
-    A step costs 9-19 row-degrees besides its rows, and a reduction
-    2.2-3.7·n row-degrees (more at n = 32, where its per-call overhead
-    counts). The rule sits below the measured break-even but at one row
-    and n = 32, so near it the reduction, which is exactly unitary, runs."""
+        real split (dgemm steps)
+        1     0.25-0.36  0.44-0.70  1.03-2.63  1.19-1.88  0.34-0.51  0.15
+        8     2.59-3.39  3.58-5.21  3.20-3.80  2.27-3.92  1.78-2.33  0.80
+        64    8.97-9.62  6.14-7.25  5.49-5.54  4.11-4.69  3.03-3.58  1.68
+        256   11.4-11.7  7.99-8.24  6.80-8.28  5.15-5.86  4.04-4.37  1.91
+
+    A reduction costs 2.4-12·n row-degrees of the general polynomial and
+    4.4-13·n of the real one (more at small n, where its per-call overhead
+    counts). The rule sits below the measured break-even everywhere, so
+    near it the reduction, which is exactly unitary, runs."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
@@ -624,10 +667,16 @@ def _evolve_modes(
         Y[live] = _evolve_stack(_split_blocks(ds, eta[live]), X[live], t)
         return Y, "reduction", None
     mode, vec = np.nonzero(nonzero[live])  # mode indexes live
-    picked = tuple(a[mode] for a in plan)
+    m1, m2, R, D = plan
+    picked = (m1, m2, R[mode], D[mode])
     rows = X[live[mode], :, vec]  # one nonzero vector per row
     Y[live[mode], :, vec] = _chebyshev_stack(ds, rows, eta[live][mode], t, picked)
-    return Y, "chebyshev", int(picked[2].max(initial=0))
+    return Y, "chebyshev", int(D[mode].max(initial=0))
+
+
+def _real_split(ds: core.DriftSplit) -> bool:
+    """Whether C1h is real and C2h purely imaginary, exactly."""
+    return not ds.C1h.imag.any() and not ds.C2h.real.any()
 
 
 def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
@@ -642,11 +691,7 @@ def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
     ladder = np.pi * np.arange(-N // 2 + 1, N // 2 + 1) / grid.L
     if not ds.C2h.any() and np.array_equal(eta, ladder):
         return "hermitian"
-    if (
-        not ds.C1h.imag.any()
-        and not ds.C2h.real.any()
-        and np.array_equal(-eta[:h], eta[N - 2 : h : -1])
-    ):
+    if _real_split(ds) and np.array_equal(-eta[:h], eta[N - 2 : h : -1]):
         return "real"
     return "general"
 
@@ -707,9 +752,12 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       mode's vectors only, on scipy's LAPACK and BLAS; O(n³) per mode for
       n = d + 1, whatever t.
     - "chebyshev" (``_chebyshev_stack``): the Jacobi–Anger polynomial of
-      degree D_k ≈ t·‖H_k‖ + O(log 1/ε) in H_k, one product with
-      [-C1h | -C2h] per degree shared by every mode, on scipy's BLAS;
-      O(D_k·n²) per vector.
+      degree D_k ≈ t·‖H_k‖ + O(log 1/ε) in H_k, one GEMM per degree shared
+      by every mode, on scipy's BLAS: the centred [-(C1h - m1) | -(C2h - m2)]
+      times the stacked vectors, minus the term before through the GEMM's
+      beta = -1. On a real split that matrix is real and the GEMM is a
+      ``dgemm`` on the float64 views (about 0.6× the time of the ``zgemm``
+      a general split runs); O(D_k·n²) per vector.
       It runs when its measured cost, Σ over the evolved vectors of D_k
       plus STEP_ROWS × the largest D_k, is at most REDUCTION_ROWS·n × the
       modes the reduction would decompose, which is the case for short

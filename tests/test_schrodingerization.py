@@ -625,7 +625,7 @@ class TestChebyshevKernel:
         ds = core.DriftSplit(C1h=np.diag(a).astype(complex), C2h=np.diag(b).astype(complex))
         eta = np.array([0.0, 1.0, -3.0, 7.5, -40.0])
         vals = rng.normal(size=(n, eta.size)) + 1j * rng.normal(size=(n, eta.size))
-        out, (c, R, D) = _chebyshev(ds, vals, eta, t)
+        out, (_, _, R, D) = _chebyshev(ds, vals, eta, t)
         exact = np.exp(1j * t * (np.outer(a, eta) + b[:, None])) * vals
         assert (D.max() == 0) == (t == 0.0)
         if t == 25.0:
@@ -757,6 +757,101 @@ class TestChebyshevKernel:
         assert decompositions.work() == ([], reductions)
         exact = np.exp(1j * t * b)[None, :, None] * X
         assert np.max(np.abs(Y - exact)) <= 1e-12 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize(
+        "structure, gemm", [("real-nonnormal", "dgemm"), ("general", "zgemm")]
+    )
+    def test_each_step_is_one_gemm(self, monkeypatch, rng, structure, gemm):
+        # a real split (C1h real, C2h purely imaginary) runs every step as
+        # one real dgemm on the float64 views; any other split as one zgemm
+        d, t = 32, 0.5
+        grid = eng.make_grid(32, 5.0)
+        gen = eng.generator_blocks(core.split(_STRUCTURES[structure][0](rng, d)), grid)
+        vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
+        plan = eng._chebyshev_plan(gen.split, grid.eta, t, np.ones(32, dtype=int), np.inf)
+        calls = []
+        for name in ("dgemm", "zgemm"):
+            def counting(*args, _name=name, _gemm=getattr(eng.blas, name), **kwargs):
+                calls.append(_name)
+                return _gemm(*args, **kwargs)
+            monkeypatch.setattr(eng.blas, name, counting)
+        out = eng._chebyshev_stack(gen.split, vals.T, grid.eta, t, plan).T
+        assert calls == [gemm] * int(plan[3].max())
+        _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
+
+    @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
+    def test_propagate_eigensolves_each_part_once(self, monkeypatch, rng, structure):
+        # C1h's eigenvalues and C2h's interval, one scipy eigvalsh each; the
+        # kernel reads both midpoints off the plan
+        d, t = 32, 0.5
+        calls = []
+        eigvalsh = scipy.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", counting)
+        C = _STRUCTURES[structure][0](rng, d)
+        rec = eng.propagate(C, rng.normal(size=d), t, eng.make_grid(32, 5.0))
+        assert (rec.path, rec.kernel) == (_STRUCTURES[structure][1], "chebyshev")
+        assert calls == [(d, d), (d, d)]
+
+    @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_off_centre_intervals(self, rng, structure, t):
+        # C1h about -3·I, and for the general split a C2h about 1.5·I: each
+        # mode's interval centre c = -(η·m1 + m2) lies far outside its
+        # radius, so a centre left out of G would show at once
+        d = 12
+        C = -2.0 * np.eye(d) + 0.2 * rng.normal(size=(d, d))
+        if structure == "general":
+            C = C + 0.2j * rng.normal(size=(d, d)) + 1.5j * np.eye(d)
+        ds = core.split(C)
+        assert eng._real_split(ds) == (structure == "real-nonnormal")
+        grid = eng.make_grid(32, 5.0)
+        gen = eng.generator_blocks(ds, grid)
+        vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
+        out, (m1, m2, R, _) = _chebyshev(ds, vals, grid.eta, t)
+        assert abs(m1 + 3.0) < 0.5 and R.max() < 0.5 * np.abs(grid.eta * m1).max()
+        assert (abs(m2 - 1.5) < 0.5) if structure == "general" else m2 == 0.0
+        _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
+
+    @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
+    def test_zero_state_stays_zero(self, rng, structure):
+        # no live mode: the polynomial runs on no vector and no step
+        build, path = _STRUCTURES[structure]
+        grid = eng.make_grid(16, 4.0)
+        ds = core.split(build(rng, 5))
+        s = eng.SpectralState(values=np.zeros((5, 16), dtype=complex), grid=grid)
+        out = eng.evolve(s, ds, 1.5)
+        assert (eng.evolve_path(ds, grid), out.kernel) == (path, "chebyshev")
+        assert out.max_degree == 0
+        assert out.values.shape == (5, 16) and not out.values.any()
+
+    def test_scalar_real_split(self, monkeypatch, rng):
+        # n = 1: a real 1x1 C1h and a zero C2h are a real split. Its
+        # intervals have no width, so the plan's degrees are all 0; on
+        # intervals widened by hand the steps run dgemm on one vector's two
+        # real columns, and any interval that holds the spectrum gives
+        # the same exponential
+        ds = core.DriftSplit(C1h=np.array([[-0.7 + 0j]]), C2h=np.zeros((1, 1), complex))
+        assert eng._real_split(ds)
+        t, eta = 1.5, np.array([0.0, 1.0, -2.5, 6.0])
+        vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        exact = np.exp(-1j * t * 0.7 * eta) * vals
+        out, (m1, m2, R, D) = _chebyshev(ds, vals, eta, t)
+        assert (m1, m2) == (-0.7, 0.0) and not R.any() and not D.any()
+        _assert_matches(out, exact, vals)
+        R = 0.5 + np.abs(eta)
+        D = eng._chebyshev_degree(t * R)
+        steps = []
+        dgemm = eng.blas.dgemm
+        monkeypatch.setattr(eng.blas, "dgemm", lambda *a, **k: steps.append(1) or dgemm(*a, **k))
+        monkeypatch.setattr(eng.blas, "zgemm", None)  # a zgemm call fails
+        out = eng._chebyshev_stack(ds, vals.T, eta, t, (m1, m2, R, D)).T
+        assert len(steps) == D.max() > 10
+        _assert_matches(out, exact, vals)
 
     @pytest.mark.parametrize("real_x0", [True, False], ids=["real-x0", "complex-x0"])
     @pytest.mark.parametrize(
