@@ -4,6 +4,7 @@ JSON reports (stable key order, newline-terminated)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -210,7 +211,8 @@ def write_matrix_market(M: np.ndarray) -> str:
     """Serialise a dense matrix as coordinate Matrix Market text that
     read_matrix_market parses back to the same matrix: the nonzeros in
     row-major order, each value as the repr of its real and imaginary
-    parts."""
+    parts. No command calls it; it stays while BENCHMARK.json's per-layer
+    list names its span, which the benchmark requires to exist."""
     M = core.as_matrix(M)
     rows, cols = np.nonzero(M)
     vals = M[rows, cols]
@@ -227,6 +229,18 @@ def write_matrix_market(M: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vector_part(x, idx: int) -> float:
+    """One JSON number of entry ``idx`` as a float. ``true`` and ``false``
+    are not numbers, though Python's bool is an int, and an integer literal
+    beyond the float range does not convert."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"entry {idx} must be a number or [real, imag] pair")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParseError(f"entry {idx} is beyond the float range") from None
+
+
 def read_vector(path: str) -> np.ndarray:
     """JSON array of numbers or [real, imag] pairs."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -238,16 +252,8 @@ def read_vector(path: str) -> np.ndarray:
         raise ParseError("vector file must hold a nonempty JSON array", line=1)
     out = np.zeros(len(data), dtype=complex)
     for idx, item in enumerate(data):
-        if isinstance(item, (int, float)):
-            out[idx] = item
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(x, (int, float)) for x in item)
-        ):
-            out[idx] = complex(item[0], item[1])
-        else:
-            raise ParseError(f"entry {idx} must be a number or [real, imag] pair")
+        re_im = item if isinstance(item, list) and len(item) == 2 else (item, 0.0)
+        out[idx] = complex(*(_vector_part(x, idx) for x in re_im))
     return out
 
 
@@ -275,11 +281,20 @@ def _pairs(v: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in v]
 
 
+def _matrix_digest(M: np.ndarray) -> str:
+    """sha256 hex digest naming the input matrix: of the ASCII line
+    "<rows> <cols>", then the entries in row-major order as little-endian
+    complex128, with -0.0 read as +0.0 (an omitted entry reads as +0.0)."""
+    h = hashlib.sha256(b"%d %d\n" % M.shape)
+    h.update(np.ascontiguousarray(M + 0.0, dtype="<c16").tobytes())
+    return h.hexdigest()
+
+
 def _base_report(cfg: RunConfig, M: np.ndarray) -> dict:
     return {
         "command": cfg.command,
         "version": __version__,
-        "matrix_mm": write_matrix_market(M),
+        "matrix_sha256": _matrix_digest(M),
         "wall_time_seconds": None,
     }
 

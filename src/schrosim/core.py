@@ -166,11 +166,13 @@ def spectrum(
 ) -> tuple[np.ndarray, int, float]:
     """Dense eigenvalues of M (complex, in LAPACK order), with the index of
     the steady eigenvalue and the gap from it, as ``steady_mode`` picks
-    them. A real M (zero imaginary part) is solved in real arithmetic."""
+    them. A real M (zero imaginary part) is solved in real arithmetic. It
+    runs on scipy's LAPACK, as ``DriftSplit.c1h_eigenvalues`` does, so a
+    ``diagnose`` wakes only scipy's thread pool."""
     M = require_square(as_matrix(M), "M")
     require_dense_size(M.shape[0])
     try:
-        eigvals = np.linalg.eigvals(real_if_exact(M))
+        eigvals = scipy.linalg.eigvals(real_if_exact(M), check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     eigvals = eigvals.astype(complex, copy=False)

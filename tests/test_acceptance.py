@@ -14,6 +14,7 @@ from schrosim.cli import RunConfig
 
 from conftest import random_contractive, random_dominant, random_power_instance
 from htot_reference import assemble_Htot
+from mm_reference import write_matrix_market
 from pspace_reference import initial_warped_state
 
 
@@ -160,7 +161,7 @@ def test_criterion_3_quantum_jacobi_end_to_end(tmp_path):
             d = int(rng.integers(2, 17))
             A, b = random_dominant(rng, d)
             mpath = tmp_path / f"A{i}.mtx"
-            mpath.write_text(cli.write_matrix_market(A))
+            mpath.write_text(write_matrix_market(A))
             bpath = tmp_path / f"b{i}.json"
             bpath.write_text(json.dumps([[float(x), 0.0] for x in b]))
             out = cli.run_solve(
@@ -343,7 +344,7 @@ def test_criterion_8_cli_contract(tmp_path):
     started = time.perf_counter()
     A = [[2.0, 1.0], [1.0, 3.0]]
     mpath = tmp_path / "A.mtx"
-    mpath.write_text(cli.write_matrix_market(np.array(A)))
+    mpath.write_text(write_matrix_market(np.array(A)))
     bpath = tmp_path / "b.json"
     bpath.write_text("[1.0, 2.0]")
 
@@ -362,12 +363,12 @@ def test_criterion_8_cli_contract(tmp_path):
     rng = np.random.default_rng(808)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rt = tmp_path / "rt.mtx"
-    rt.write_text(cli.write_matrix_market(M))
+    rt.write_text(write_matrix_market(M))
     round_trip = bool(np.array_equal(cli.read_matrix_market(str(rt)), M))
 
     def error_status(A_bad, cmd="solve"):
         bad = tmp_path / "bad.mtx"
-        bad.write_text(cli.write_matrix_market(np.array(A_bad)))
+        bad.write_text(write_matrix_market(np.array(A_bad)))
         cfg = RunConfig(
             command=cmd,
             matrix_path=str(bad),

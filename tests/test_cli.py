@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -379,6 +380,38 @@ class TestReadVector:
         with pytest.raises(ParseError):
             cli.read_vector(path)
 
+    def _solve_with_rhs(self, tmp_path, rhs_text):
+        cfg = RunConfig(
+            command="solve",
+            matrix_path=mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1.0, 3.0]]),
+            rhs_path=write(tmp_path, "b.json", rhs_text),
+            output_path=str(tmp_path / "out.json"),
+        )
+        status = cli.execute(cfg)
+        return status, json.loads((tmp_path / "out.json").read_text())["error"]
+
+    @pytest.mark.parametrize(
+        "rhs_text, idx",
+        [("[true, 1.0]", 0), ("[1.0, [0.5, false]]", 1)],
+        ids=["bare", "in-pair"],
+    )
+    def test_bool_entry_is_parse_error(self, tmp_path, rhs_text, idx):
+        # a bool is an int in Python, so true once passed as the number 1
+        status, error = self._solve_with_rhs(tmp_path, rhs_text)
+        assert (status, error["code"]) == (3, "parse-error")
+        assert f"entry {idx} " in error["message"]
+
+    @pytest.mark.parametrize(
+        "rhs_text, idx",
+        [("[1" + "0" * 400 + ", 1.0]", 0), ("[1.0, [0.5, -1" + "0" * 400 + "]]", 1)],
+        ids=["bare", "in-pair"],
+    )
+    def test_integer_beyond_float_range_is_parse_error(self, tmp_path, rhs_text, idx):
+        # JSON reads the literal as an exact int, which float() cannot hold
+        status, error = self._solve_with_rhs(tmp_path, rhs_text)
+        assert (status, error["code"]) == (3, "parse-error")
+        assert f"entry {idx} " in error["message"]
+
 
 class TestRunSolve:
     def test_worked_instance(self, tmp_path):
@@ -582,6 +615,22 @@ class TestRunDiagnose:
         assert out["cost"]["sparsity"] == int(np.max(np.count_nonzero(C, axis=1)))
         assert out["cost"]["max_norm"] == np.max(np.abs(C))
 
+    def test_calls_no_numpy_eigensolver(self, tmp_path, monkeypatch):
+        # numpy and scipy each bring an OpenBLAS with its own thread pool;
+        # the drift spectrum and the domain half-width both run on scipy's
+        A = random_dominant(np.random.default_rng(17), 17)[0]
+        path = mm_real(tmp_path, "A.mtx", A)
+
+        def raiser(name):
+            def f(*args, **kwargs):
+                raise AssertionError(f"numpy.linalg.{name} called by diagnose")
+            return f
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, raiser(name))
+        out = cli.run_diagnose(RunConfig(command="diagnose", matrix_path=path))
+        assert out["t_f_predicted"] is not None and len(out["eigenvalues"]) == 18
+
 
 class TestDeterminism:
     def _run_twice(self, tmp_path, cfg_kwargs):
@@ -590,6 +639,11 @@ class TestDeterminism:
             cfg = RunConfig(output_path=str(tmp_path / name), **cfg_kwargs)
             assert cli.execute(cfg) == 0
             outputs.append((tmp_path / name).read_bytes())
+        # the report names its input by digest and no longer echoes it
+        report = json.loads(outputs[0])
+        assert "matrix_mm" not in report
+        M = cli.read_matrix_market(cfg_kwargs["matrix_path"])
+        assert report["matrix_sha256"] == cli._matrix_digest(M)
         return outputs
 
     def test_solve_byte_identical(self, tmp_path):
@@ -612,6 +666,45 @@ class TestDeterminism:
             ),
         )
         assert a == b
+
+    def test_matrix_digest(self, tmp_path):
+        def digest(header, size, entries):
+            nnz = sum(not e.startswith("%") for e in entries)
+            lines = [f"%%MatrixMarket matrix coordinate {header}", f"{size} {nnz}"]
+            path = write(tmp_path, "M.mtx", "\n".join(lines + entries) + "\n")
+            return cli._matrix_digest(cli.read_matrix_market(path))
+
+        general = digest(
+            "real general", "2 2", ["1 1 2.0", "1 2 0.5", "2 1 0.5", "2 2 3.0"]
+        )
+        # sha256 of the shape line, then the row-major complex128 bytes
+        M = np.array([[2.0, 0.5], [0.5, 3.0]], dtype="<c16")
+        assert general == hashlib.sha256(b"2 2\n" + M.tobytes()).hexdigest()
+        # the same matrix however the file stores it
+        assert general == digest(
+            "real symmetric", "2 2", ["1 1 2.0", "2 1 0.5", "2 2 3.0"]
+        )
+        assert general == digest(
+            "complex general", "2 2",
+            ["% reordered", "2 2 3.0 0.0", "2 1 0.5 -0.0", "%", "1 2 0.5 0", "1 1 2.0 0"],
+        )
+        # an explicit zero of either sign is the omitted entry
+        zeros = {
+            digest("real general", "2 2", ["1 1 2.0", "2 1 0.5", "2 2 3.0"]),
+            digest("real general", "2 2", ["1 1 2.0", "1 2 0.0", "2 1 0.5", "2 2 3.0"]),
+            digest("real general", "2 2", ["1 1 2.0", "1 2 -0.0", "2 1 0.5", "2 2 3.0"]),
+            digest("complex general", "2 2",
+                   ["1 1 2.0 0", "1 2 -0.0 -0.0", "2 1 0.5 0", "2 2 3.0 0"]),
+        }
+        assert len(zeros) == 1 and general not in zeros
+        # one ulp, or the same bytes in another shape, is another matrix
+        ulp = repr(float(np.nextafter(2.0, 3.0)))
+        assert general != digest(
+            "real general", "2 2", [f"1 1 {ulp}", "1 2 0.5", "2 1 0.5", "2 2 3.0"]
+        )
+        assert general != digest(
+            "real general", "1 4", ["1 1 2.0", "1 2 0.5", "1 3 0.5", "1 4 3.0"]
+        )
 
     @pytest.mark.parametrize(
         "command,header,entries,extra,reductions,evolve_path",
