@@ -349,7 +349,8 @@ def _propagation_section(rep) -> dict:
     """How ``propagate`` produced the answer, from a ``RecoveredState`` or a
     ``LinearSolveReport``: the start profile, the modes it evolved, the
     relative norm truncation dropped, the ``evolve`` path, its kernel and
-    the largest polynomial degree (null off the polynomial)."""
+    the largest polynomial degree in the generator (null off the
+    polynomials; see ``schrodingerization.RecoveredState``)."""
     return {
         "profile": rep.profile.name,
         "profile_negative_mass": rep.profile.negative_mass,

@@ -5,14 +5,17 @@ auxiliary coordinate p through the substitution v(t, p) = e^{-p} x(t), then
 Fourier-transformed in p. Each Fourier mode η evolves under its own small
 Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
 of unitaries and preserves the global 2-norm. ``evolve`` applies them with
-one of three kernels: phases in one eigenbasis for a Hermitian C, and
-otherwise per mode either a reduction to tridiagonal form (O(d³) per mode,
-exactly unitary) or, when its measured cost is lower, the Chebyshev
-(Jacobi–Anger) polynomial of degree about t·‖H_η‖ in products with C1h
-and C2h, batched over the modes (unitary to rounding). Each polynomial step
-is one GEMM with the interval centre already in the matrix and the
-previous term subtracted by the GEMM's beta; for a real C it is a real
-GEMM on the float64 view of the complex vectors. The start ψ(p)·x0 is
+one of four kernels: phases in one eigenbasis for a Hermitian C, and
+otherwise per mode a reduction to tridiagonal form (O(d³) per mode,
+exactly unitary) or, when its measured cost is lower, a Chebyshev
+polynomial in products with C1h and C2h, batched over the modes (unitary
+to rounding): the Jacobi–Anger series of degree about t·‖H_η‖, or the
+series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η centred in the widest
+gap of C1h's spectrum, whose degree follows the spread of |X| rather than
+that of X. Each polynomial step is one GEMM with the centre (and the
+folded kernel's shift) already in the matrix and the previous term
+subtracted by the GEMM's beta; for a real C it is a real GEMM on the
+float64 view of the complex vectors. The start ψ(p)·x0 is
 separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
@@ -26,8 +29,8 @@ with few cores a threaded call on one pool can stall until the other
 pool's threads stop spinning, so no op here wakes both pools: the
 Hermitian path, and the readout of a state in its eigenbasis, run on
 numpy's BLAS; the real and general paths (the eigenvalues of C1h and C2h,
-both kernels and ``default_domain_halfwidth`` without a basis) on
-scipy's; the transforms, the truncation and the readout of any other
+every kernel, the folded kernel's blocks and ``default_domain_halfwidth``
+without a basis) on scipy's; the transforms, the truncation and the readout of any other
 state call no BLAS.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -66,15 +69,20 @@ from .errors import (
 # relative 2-norm that ``truncate`` may drop from a spectral state: the
 # zeroed modes hold at most TRUNCATION_EPS² of its mass
 TRUNCATION_EPS = 1e-6
-# relative 2-norm the polynomial kernel may drop from a vector: its bound on
-# the Bessel tail beyond the degree it stops at
+# relative 2-norm a polynomial kernel may drop from a vector: its bound on
+# the coefficient tail beyond the degree it stops at
 CHEBYSHEV_EPS = 1e-16
-# the measured costs of the two per-mode kernels (``_evolve_modes``) in
-# row-degrees, one vector's product in one step of the polynomial: a step
-# costs STEP_ROWS row-degrees besides its rows, a mode's reduction
+# the measured costs of the per-mode kernels (``_evolve_modes``) in
+# row-degrees, one vector's product in one step of the plain polynomial: a
+# step costs STEP_ROWS row-degrees besides its rows, a mode's reduction
 # REDUCTION_ROWS·n
 STEP_ROWS = 12
 REDUCTION_ROWS = 2
+# the measured cost of one row-degree of the folded polynomial, in
+# row-degrees of the plain one: its steps multiply by three blocks, not two
+FOLD_ROWS = 1.5
+# log ρ of the Bernstein ellipses on which ``_folded_degree`` bounds the tail
+_LOG_RHO = np.geomspace(1e-3, 8.0, 64)
 # rows of polynomial coefficients transformed at a time
 COEF_BLOCK = 16
 
@@ -175,6 +183,7 @@ class SpectralState:
     time: float = 0.0
     basis: Eigenbasis | None = None
     # how ``evolve`` last moved it: its kernel and largest polynomial degree
+    # in the generator (see ``RecoveredState``)
     kernel: str | None = None
     max_degree: int | None = None
 
@@ -198,8 +207,9 @@ class RecoveredState:
     """x(t) read out of a warped state. ``propagate`` also records the
     initial profile, the number of Fourier modes it evolved, the relative
     norm it dropped (see ``truncate``), the ``evolve`` path that ran (see
-    ``evolve_path``), its kernel ("phases", "reduction" or "chebyshev") and
-    the largest polynomial degree (None off the polynomial)."""
+    ``evolve_path``), its kernel ("phases", "reduction", "chebyshev" or
+    "chebyshev-folded") and the largest polynomial degree in the generator
+    (None off the polynomials; 2·D + 1 for the folded one's D steps)."""
 
     x: np.ndarray
     state: np.ndarray
@@ -258,16 +268,21 @@ def sample_profile(profile: Profile, grid: Grid) -> np.ndarray:
 
 
 def default_domain_halfwidth(
-    C1h: np.ndarray | None, t: float, basis: Eigenbasis | None = None
+    C1h: np.ndarray | core.DriftSplit | None,
+    t: float,
+    basis: Eigenbasis | None = None,
 ) -> float:
     """Half-width rule: transport speed is bounded by the largest Hermitian
     drift eigenvalue, so L = 4 + t·ρ keeps the p > 0 region clear of
     wrap-around while holding the boundary truncation e^{-L} small. Given
-    the eigenbasis of -C1h, ρ is read from it and C1h is not used."""
-    if basis is None:  # scipy's, as on the paths that have no basis
-        eigs = scipy.linalg.eigvalsh(core.real_if_exact(C1h), check_finite=False)
-    else:
+    the eigenbasis of -C1h, ρ is read from it and C1h is not used; given a
+    DriftSplit in place of C1h, from its ``c1h_eigenvalues``."""
+    if basis is not None:
         eigs = basis.mu
+    elif isinstance(C1h, core.DriftSplit):
+        eigs = C1h.c1h_eigenvalues
+    else:  # scipy's, as on the paths that have no basis
+        eigs = scipy.linalg.eigvalsh(core.real_if_exact(C1h), check_finite=False)
     return max(float(np.pi), 4.0 + t * float(np.max(np.abs(eigs), initial=0.0)))
 
 
@@ -490,120 +505,218 @@ def _chebyshev_degree(z: np.ndarray) -> np.ndarray:
     return hi.astype(int)
 
 
+def _folded_degree(t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The degree D in y at which the folded kernel's two series may stop,
+    for ζ = X² on [lo, hi] = [c - r, c + r] (lo >= 0) and y = (ζ - c)/r:
+    the smallest D whose bound on what the cut and the FFT's aliasing drop
+    from exp(-itX) = f(X²) - i·X·g(X²), f(ζ) = cos(t√ζ) and
+    g(ζ) = sin(t√ζ)/√ζ, is at most CHEBYSHEV_EPS, over the Bernstein
+    ellipses E_ρ of ``_LOG_RHO``.
+
+    f and g are entire. With w = t√ζ, |cos w| <= e^{|Im w|} and, since
+    sin w / w = ∫_0^1 cos(sw) ds, |sin w / w| <= e^{|Im w|}; so on the
+    image of E_ρ (foci ±1, semi-axes α = (ρ + 1/ρ)/2 and β = (ρ - 1/ρ)/2)
+    |f| <= e^{tY} and |g| <= t·e^{tY}, Y the largest |Im √ζ| there. On
+    ζ = c + r·(α cos θ + iβ sin θ), with u = r cos θ + cα, Re ζ = αu - cβ²
+    and |ζ|² = u² - β²(c² - r²), so 2|Im √ζ|² = |ζ| - Re ζ is concave in
+    u, with its peak at u = αab (a = √lo, b = √hi). That peak lies on the
+    ellipse when α(b - a) <= b + a, and there Y = β(b - a)/2; otherwise
+    the left vertex θ = π is highest, Y = √max(0, rα - c). A function
+    bounded by M on E_ρ has Chebyshev coefficients |a_j| <= 2Mρ^{-j}
+    (Trefethen, ATAP Thm 8.1), so the terms past D sum to at most
+    2Mρ^{-D}/(ρ - 1); aliasing on M' > 2D + 2 points adds each of them to
+    at most two kept coefficients; and ‖X‖ <= b. D is the least with
+    6·(1 + tb)·e^{tY}·ρ^{-D}/(ρ - 1) <= CHEBYSHEV_EPS, and 0 where f and
+    g are constant on the interval (r = 0) or X·g vanishes (tb = 0).
+    Against exact coefficient tails (the half-angle Jacobi–Anger series
+    where lo = 0, FFTs at looser ε elsewhere) D is within 1.2× + 3 of the
+    exact degree."""
+    lo, hi = np.maximum(lo, 0.0)[:, None], np.asarray(hi, dtype=float)[:, None]
+    a, b = np.sqrt(lo), np.sqrt(hi)
+    rho = np.exp(_LOG_RHO)
+    alpha, beta = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    Y = np.where(
+        alpha * (b - a) <= b + a,
+        0.5 * beta * (b - a),
+        np.sqrt(np.maximum(r * alpha - c, 0.0)),
+    )
+    log_bound = t * Y + np.log(
+        6.0 * (1.0 + t * b) / (np.expm1(_LOG_RHO) * CHEBYSHEV_EPS)
+    )
+    D = np.ceil(log_bound / _LOG_RHO).min(axis=1)
+    return np.where((r[:, 0] > 0) & (t * b[:, 0] > 0), D, 0.0).astype(int)
+
+
+class _Polynomial(NamedTuple):
+    """The plan of a polynomial kernel for the rows at η: with
+    P = centre·I - C1h and Q = m2·I - C2h, H = -(η·C1h + C2h) is
+    x + η·P + Q at x = -(η·centre + m2), and the Chebyshev recurrence runs
+    in y, on [-1, 1] over the spectrum, to degree D per row:
+
+    - plain (``shift`` None): y = (η·P + Q)/R, centre the midpoint m1 of
+      C1h's interval, so R = |η|·r1 + r2 by Weyl's bound;
+    - folded (``shift`` = (κ2, κ0)): y = ((η·P + Q)² - c)/R with
+      c = κ2·η² + κ0, centre the midpoint s0 of the widest gap in C1h's
+      spectrum (``_folded_plan``).
+    """
+
+    centre: float
+    m2: float
+    R: np.ndarray
+    D: np.ndarray
+    shift: tuple[float, float] | None = None
+
+    def cost(self, vectors: np.ndarray, n: int) -> float:
+        """Its cost in plain row-degrees (``_evolve_modes``) for ``vectors``
+        per row and n×n blocks: a folded step costs FOLD_ROWS plain ones,
+        and its blocks, second coefficient table and last product by X
+        about two folded steps and 2·n row-degrees more (a least-squares
+        fit to their time at D = 0 over n = 32-256 and 8-256 rows)."""
+        if self.shift is None:
+            return float(vectors @ self.D + STEP_ROWS * self.D.max(initial=0.0))
+        D = self.D + 2.0
+        return float(FOLD_ROWS * (vectors @ D + STEP_ROWS * D.max(initial=0.0)) + 2 * n)
+
+    @property
+    def degree(self) -> int:
+        """The largest degree in H: D, or 2·D + 1 when folded."""
+        top = int(self.D.max(initial=0))
+        return top if self.shift is None else 2 * top + 1
+
+
+def _plain_plan(
+    ds: core.DriftSplit, eta: np.ndarray, t: float, c2h: tuple[float, float]
+) -> _Polynomial:
+    """The plain polynomial for the rows at η: C1h's interval m1 ± r1 read
+    off the split, C2h's interval ``c2h`` = (lo, hi), R = |η|·r1 + r2 and
+    D = ``_chebyshev_degree``(tR)."""
+    w1 = ds.c1h_eigenvalues
+    R = 0.5 * (w1[-1] - w1[0]) * np.abs(eta) + 0.5 * (c2h[1] - c2h[0])
+    m1, m2 = 0.5 * float(w1[-1] + w1[0]), 0.5 * (c2h[0] + c2h[1])
+    return _Polynomial(m1, m2, R, _chebyshev_degree(t * R))
+
+
+def _folded_plan(
+    ds: core.DriftSplit, eta: np.ndarray, t: float, c2h: tuple[float, float]
+) -> _Polynomial | None:
+    """The folded polynomial for the rows at η, or None when no row's
+    |eigenvalues| are bounded away from 0 (below).
+
+    Centred at the midpoint s0 of the widest gap g between consecutive
+    eigenvalues of C1h, P = s0·I - C1h has |eigenvalues| in [g/2, F], F the
+    largest distance from s0 to one, and Q = m2·I - C2h has norm at most
+    r2, so by Weyl's bound the eigenvalues of X = η·P + Q have modulus in
+    [a, b] = [max(0, |η|·g/2 - r2), |η|·F + r2] and those of X² lie in
+    [a², b²]. The shift c = κ2·η² + κ0 is shared by every row through the
+    blocks of ``_chebyshev_stack``: κ2 = (F² + g²/4)/2 centres [a², b²]
+    as r2/|η| → 0, and κ0, the least with c >= b²/2 on every row, keeps
+    the interval c ± R, R = max(b² - c, c - a²), inside ζ >= 0, where f
+    and g of ``_folded_degree`` stay bounded. A lone eigenvalue across a
+    gap then costs the degree little: on the Jacobi benchmark's drift,
+    one eigenvalue near 0 and the rest in [-1.16, -0.85], the largest
+    degree in H falls from about 300 to about 220, and in steps from 300
+    to 110.
+
+    Without a gap wider than 2·r2/|η| on some row (a = 0 on every row:
+    a 1×1 C1h, or C2h's spread as wide as the gap, as on random complex
+    drifts) the fold only halves the angle, at the cost of its third block,
+    and there is no plan: the plain polynomial keeps such inputs."""
+    w1 = ds.c1h_eigenvalues
+    if w1.size < 2:
+        return None
+    gaps = np.diff(w1)
+    i = int(np.argmax(gaps))
+    g, s0 = float(gaps[i]), 0.5 * float(w1[i] + w1[i + 1])
+    F = max(s0 - float(w1[0]), float(w1[-1]) - s0)
+    r2, e = 0.5 * (c2h[1] - c2h[0]), np.abs(eta)
+    a, b = np.maximum(e * (0.5 * g) - r2, 0.0), e * F + r2
+    if not a.any():
+        return None
+    kappa2 = 0.5 * (F * F + 0.25 * g * g)
+    kappa0 = float(np.max(0.5 * b * b - kappa2 * e * e, initial=0.0))
+    c = kappa2 * e * e + kappa0
+    R = np.maximum(b * b - c, c - a * a)
+    D = _folded_degree(t, c - R, c + R)
+    return _Polynomial(s0, 0.5 * (c2h[0] + c2h[1]), R, D, (kappa2, kappa0))
+
+
 def _chebyshev_plan(
     ds: core.DriftSplit, eta: np.ndarray, t: float, vectors: np.ndarray, budget: float
-) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-    """C1h's and C2h's interval midpoints m1 and m2, and the radius R and
-    degree D of each mode η's polynomial (``_chebyshev_stack``), or None
-    when its cost Σ vectors·D + STEP_ROWS·max D (``_evolve_modes``) exceeds
-    ``budget``. By Weyl's bound the spectrum of H = -(η·C1h + C2h) lies in
-    c ± R with c = -(η·m1 + m2), R = |η|·r1 + r2, for the intervals m ± r.
-    C1h's are read off the split; when they alone already exceed the
-    budget, C2h is not eigensolved. Since D >= tR - 1, a tR too large for
-    the budget is refused before any degree is found."""
-
-    def cost(D):
-        return vectors @ D + STEP_ROWS * D.max(initial=0.0)
-
-    def degrees(R):
-        z = t * R
-        if cost(np.maximum(np.ceil(z) - 1.0, 0.0)) > budget:
-            return None
-        D = _chebyshev_degree(z)
-        return D if cost(D) <= budget else None
-
-    w1 = ds.c1h_eigenvalues
-    R = 0.5 * (w1[-1] - w1[0]) * np.abs(eta)
-    if degrees(R) is None:
-        return None
-    lo2, hi2 = _spectral_interval(ds.C2h)
-    R = R + 0.5 * (hi2 - lo2)
-    D = degrees(R)
-    if D is None:
-        return None
-    return 0.5 * float(w1[-1] + w1[0]), 0.5 * (hi2 + lo2), R, D
+) -> _Polynomial | None:
+    """The cheaper of the plain and the folded polynomial for the rows at
+    η with ``vectors`` vectors each (``_Polynomial.cost``), the plain one
+    on a tie, or None when it costs more than ``budget``. C1h's
+    eigenvalues are read off the split, and C2h is eigensolved once."""
+    n = ds.C1h.shape[0]
+    c2h = _spectral_interval(ds.C2h)
+    plans = [p for p in (_plain_plan(ds, eta, t, c2h), _folded_plan(ds, eta, t, c2h)) if p]
+    best = min(plans, key=lambda p: p.cost(vectors, n))
+    return best if best.cost(vectors, n) <= budget else None
 
 
-def _chebyshev_stack(
-    ds: core.DriftSplit,
-    V: np.ndarray,
-    eta: np.ndarray,
-    t: float,
-    plan: tuple[float, float, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """exp(-itH)·v for each row v of V (m, n), H = -(η·C1h + C2h) at the
-    row's own η, by the Chebyshev (Jacobi–Anger) expansion on the row's
-    interval c ± R, c = -(η·m1 + m2) (``_chebyshev_plan``), to degree D:
+def _coefficients(sample, D: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The (max D + 1, rows) table phase·(2 - δ_j0)·c_j of the Chebyshev
+    coefficients c_j of each row's function of x = cos θ on [-1, 1],
+    ``sample(x, rows)`` for the rows of a slice, zero past each row's D,
+    so a finished row adds nothing. The rows are in descending D; each
+    COEF_BLOCK of them is read off one FFT on M >= 2D + 2 points of its
+    own largest D, so aliasing adds only terms beyond D, and no (rows, M)
+    array is built beside the table."""
+    m = D.size
+    top = int(D[0]) if m else 0
+    coef = np.zeros((top + 1, m), dtype=complex)
+    for b in range(0, m, COEF_BLOCK):
+        rows = slice(b, b + COEF_BLOCK)
+        degree = int(D[b])
+        M = 1 << (2 * degree + 2).bit_length()
+        F = np.fft.fft(sample(np.cos(2.0 * np.pi / M * np.arange(M)), rows))
+        F = F[:, : degree + 1] * (phase[rows] / M)[:, None]
+        F[:, 1:] *= 2.0
+        coef[: degree + 1, rows] = F.T
+    coef[np.arange(top + 1)[:, None] > D] = 0.0
+    return coef
 
-        exp(-itH) = e^{-itc}·Σ_{j<=D} (2 - δ_j0)(-i)^j J_j(tR)·T_j((H - c)/R).
 
-    (-i)^j J_j(tR) is the j-th Fourier coefficient of e^{-itR·cos θ}, read
-    off FFTs on M >= 2D + 2 points, so aliasing adds only the tail beyond
-    D; they run COEF_BLOCK rows at a time, each block on the M of its own
-    largest D, so no (rows, M) array is built beside the (D + 1, rows)
-    table.
+def _recurrence(gemm, dtype, G, W, coefs, T0, D) -> list[np.ndarray]:
+    """Σ_{j<=D} coef[j]·T_j(y)·v for every coefficient table of ``coefs``
+    and every column v of T0 (n, m), columns in descending D, where
+    y·v = (G·[W_0·v ; W_1·v ; ...]) / 2 for the blocks [G_0 | G_1 | ...]
+    of G (n, nb·n) and the per-column weights W (nb, m).
 
     The vectors are the columns of C-ordered (n, k) arrays, whose float64
     views are (n, 2k): each vector's real and imaginary parts are two real
-    columns. Rows are sorted by D, and step j of the recurrence
-    T_{j+1} = 2/R·(H - c)·T_j - T_{j-1} is one GEMM over the k vectors
-    whose D is at least j: with the centre in the matrix,
-    G = [-(C1h - m1·I) | -(C2h - m2·I)] and (H - c)·T = G·[η·T ; T], and
-    the GEMM's beta = -1 subtracts T_{j-1} in the buffer that holds it, so
-    T_{j+1} overwrites T_{j-1} (T_{-1} = 0). The buffers are copied down
-    to k columns only when k drops. On a real split (C1h.imag and
-    C2h.real exactly zero, as ``evolve_path`` tests) C2h = i·A with A real
-    antisymmetric, whose interval is symmetric, so m2 = 0 and
-    G·[η·T ; T] = [-(C1h - m1·I) | -A]·[η·T ; i·T] with a real matrix:
-    one scipy ``dgemm`` on the float64 views runs each step, at half the
-    flops of the ``zgemm`` a general split runs and about 0.6× its time
-    (see the module docstring for why scipy's BLAS). Unitary to rounding,
-    not exactly."""
-    m1, m2, R, D = plan
-    m, n = V.shape
-    order = np.argsort(-D, kind="stable")
-    R, D, eta = R[order], D[order], eta[order]
+    columns, so a real G runs each step as one ``dgemm`` on those views
+    and a complex G as one ``zgemm``. Step j of
+    T_{j+1} = 2y·T_j - T_{j-1} is that one GEMM with the stacked weighted
+    columns, written in place over T_{j-1} by its beta = -1 (T_{-1} = 0,
+    alpha = 1/2 gives T_1 = y·T_0). A column past its D keeps being
+    stepped, with zero coefficients, until the live columns have fallen
+    to 7/8 of the buffers; only then are the buffers copied down to them."""
+    n, m = T0.shape
+    nb = W.shape[0]
     top = int(D[0]) if m else 0
-    coef = np.empty((top + 1, m), dtype=complex)  # unset past a block's top D
-    for b in range(0, m, COEF_BLOCK):
-        block = slice(b, b + COEF_BLOCK)
-        degree = int(D[b])
-        M = 1 << (2 * degree + 2).bit_length()
-        cos = np.cos(2.0 * np.pi / M * np.arange(M))
-        F = np.fft.fft(np.exp(-1j * (t * R[block])[:, None] * cos))[:, : degree + 1]
-        F *= (np.exp(1j * t * (eta[block] * m1 + m2)) / M)[:, None]  # e^{-itc}/M
-        F[:, 1:] *= 2.0
-        coef[: degree + 1, block] = F.T
-    # G (C order, so G.T is Fortran-ordered) and the factor on T in the
-    # lower half of the stacked columns
-    if _real_split(ds):
-        G = np.hstack([m1 * np.eye(n) - ds.C1h.real, -ds.C2h.imag])
-        gemm, dtype, unit = blas.dgemm, np.float64, 1j
-    else:
-        G = np.hstack([m1 * np.eye(n) - ds.C1h, m2 * np.eye(n) - ds.C2h])
-        gemm, dtype, unit = blas.zgemm, complex, 1.0
-    cur = np.ascontiguousarray(V[order].T, dtype=complex)  # T_0, a vector per column
-    out = cur * coef[0]
+    cur = np.array(T0, dtype=complex, order="C")  # T_0, a vector per column
     prev = np.zeros_like(cur)  # T_{-1}
-    stacked_buf = np.empty(2 * n * m, dtype=complex)
-    stacked = stacked_buf.reshape(2 * n, m)
-    f = np.divide(2.0, R, out=np.zeros_like(R), where=R > 0)
-    f_eta, f_unit = f * eta, f * unit
+    acc = [cur * coef[0] for coef in coefs]
+    done = [np.empty((n, m), dtype=complex) for _ in coefs]
+    buf = np.empty(nb * n * m, dtype=complex)
     active = np.searchsorted(-D, -np.arange(top + 1), side="right")
-    Y = np.empty((m, n), dtype=complex)
+    width = m
     for j in range(1, top + 1):
-        k = active[j]  # vectors with D >= j; the rest are done
-        if k < cur.shape[1]:  # one copy at a time keeps the peak memory low
-            Y[order[k : cur.shape[1]]] = out[:, k:].T
+        k = active[j]  # columns with D >= j
+        if 8 * k <= 7 * width:  # one copy at a time keeps the peak memory low
+            for out, a in zip(done, acc):
+                out[:, k:width] = a[:, k:]
+            acc = [a[:, :k].copy() for a in acc]
             cur = cur[:, :k].copy()
             prev = prev[:, :k].copy()
-            out = out[:, :k].copy()
-            stacked = stacked_buf[: 2 * n * k].reshape(2 * n, k)
-        np.multiply(cur, f_eta[:k], out=stacked[:n])
-        np.multiply(cur, f_unit[:k], out=stacked[n:])
-        # T_{j+1} = 2/R·(H - c)·T_j - T_{j-1}, and T_1 = 1/R·(H - c)·T_0; the
-        # transposed views are Fortran-ordered, so the GEMM copies nothing:
-        # prevᵀ <- alpha·stackedᵀ·Gᵀ - prevᵀ
+            width = k
+        stacked = buf[: nb * n * width].reshape(nb * n, width)
+        for i in range(nb):
+            np.multiply(cur, W[i, :width], out=stacked[i * n : (i + 1) * n])
+        # the transposed views are Fortran-ordered, so the GEMM copies
+        # nothing: prevᵀ <- alpha·stackedᵀ·Gᵀ - prevᵀ
         prev = gemm(
             0.5 if j == 1 else 1.0,
             stacked.view(dtype).T,
@@ -613,9 +726,95 @@ def _chebyshev_stack(
             overwrite_c=1,
         ).T.view(complex)
         prev, cur = cur, prev
-        np.multiply(cur, coef[j, :k], out=stacked[:n])
-        out += stacked[:n]
-    Y[order[: out.shape[1]]] = out.T
+        for coef, a in zip(coefs, acc):
+            np.multiply(cur, coef[j, :width], out=stacked[:n])
+            a += stacked[:n]
+    for out, a in zip(done, acc):
+        out[:, :width] = a
+    return done
+
+
+def _chebyshev_stack(
+    ds: core.DriftSplit, V: np.ndarray, eta: np.ndarray, t: float, plan: _Polynomial
+) -> np.ndarray:
+    """exp(-itH)·v for each row v of V (m, n), H = -(η·C1h + C2h) at the
+    row's own η, by the polynomial ``plan`` (``_Polynomial``); with x the
+    row's centre and X = η·P + Q = H - x:
+
+    - plain: exp(-itH) = e^{-itx}·Σ_{j<=D} (2 - δ_j0)(-i)^j J_j(tR)·T_j(X/R)
+      (Jacobi–Anger), each step one GEMM with [P | Q] on (η·T_j ; T_j);
+    - folded: exp(-itX) = f(X²) - i·X·g(X²) with f(ζ) = cos(t√ζ) and
+      g(ζ) = sin(t√ζ)/√ζ, two series that share one recurrence, each step
+      one GEMM with [P² - κ2·I | PQ + QP | Q² - κ0·I] on
+      (η²·T_j ; η·T_j ; T_j), and one last GEMM with [P | Q] for X·g.
+
+    The coefficients are FFTs of e^{-itR·cos θ}, or of f and g at
+    c + R cos θ (``_coefficients``). On a real split (C1h.imag and
+    C2h.real exactly zero, as ``evolve_path`` tests) C2h = i·A with A real
+    antisymmetric, whose interval is symmetric, so m2 = 0 and Q = -i·A:
+    each block is real once the weight of Q carries its i (weights η and
+    i; η², i·η and 1), and each step is one scipy ``dgemm`` on the float64
+    views, at half the flops of a general split's ``zgemm`` and about 0.6×
+    its time. The blocks are built by scipy's GEMM too (see the module
+    docstring for why). Unitary to rounding, not exactly."""
+    centre, m2, R, D, shift = plan
+    m, n = V.shape
+    order = np.argsort(-D, kind="stable")
+    R, D, eta = R[order], D[order], eta[order]
+    phase = np.exp(1j * t * (eta * centre + m2))  # e^{-itx}
+    if _real_split(ds):
+        P, Q = centre * np.eye(n) - ds.C1h.real, -ds.C2h.imag
+        gemm, dtype, unit, unit2 = blas.dgemm, np.float64, 1j, -1.0
+    else:
+        P, Q = centre * np.eye(n) - ds.C1h, m2 * np.eye(n) - ds.C2h
+        gemm, dtype, unit, unit2 = blas.zgemm, complex, 1.0, 1.0
+    f = np.divide(2.0, R, out=np.zeros_like(R), where=R > 0)
+    if shift is None:
+        G, weights = np.hstack([P, Q]), [eta, unit]
+        coefs = [
+            _coefficients(
+                lambda x, rows: np.exp(-1j * (t * R[rows])[:, None] * x), D, phase
+            )
+        ]
+    else:
+        kappa2, kappa0 = shift
+
+        def product(A, B):  # A·B of C-ordered A and B, whose .T are Fortran-ordered
+            return gemm(1.0, B.T, A.T).T
+
+        PQ = product(P, Q)
+        G = np.hstack([
+            product(P, P) - kappa2 * np.eye(n),
+            PQ + unit2 * PQ.conj().T,  # PQ + QP, for P = Pᴴ and Q = unit2·Qᴴ
+            unit2 * product(Q, Q) - kappa0 * np.eye(n),
+        ])
+        weights = [eta * eta, unit * eta, 1.0]
+        c = kappa2 * eta * eta + kappa0
+
+        def root(x, rows):
+            return np.sqrt(np.maximum(c[rows, None] + R[rows, None] * x, 0.0))
+
+        coefs = [
+            _coefficients(lambda x, rows: np.cos(t * root(x, rows)), D, phase),
+            _coefficients(
+                lambda x, rows: t * np.sinc(t / np.pi * root(x, rows)), D, -1j * phase
+            ),
+        ]
+    W = np.array([f * w for w in weights], dtype=complex)
+    acc = _recurrence(gemm, dtype, G, W, coefs, V[order].T, D)
+    out = acc[0]
+    if shift is not None:  # f(X²)·v + X·(-i·g(X²)·v), one GEMM with [P | Q]
+        stacked = np.vstack([acc[1] * eta, acc[1] * unit])
+        out = gemm(
+            1.0,
+            stacked.view(dtype).T,
+            np.hstack([P, Q]).T,
+            beta=1.0,
+            c=out.view(dtype).T,
+            overwrite_c=1,
+        ).T.view(complex)
+    Y = np.empty((m, n), dtype=complex)
+    Y[order] = out.T
     return Y
 
 
@@ -623,39 +822,43 @@ def _evolve_modes(
     ds: core.DriftSplit, eta: np.ndarray, X: np.ndarray, t: float
 ) -> tuple[np.ndarray, str, int | None]:
     """Y[m] = exp(-it·H_m)·X[m] for H_m = -(η_m·C1h + C2h) and the (n, r)
-    vectors X[m], with the kernel that ran and its largest degree. A mode
-    whose vectors are all zero is left at zero.
+    vectors X[m], with the kernel that ran and its largest degree in H. A
+    mode whose vectors are all zero is left at zero.
 
-    The kernel is priced from measured costs. The polynomial
-    (``_chebyshev_stack``) runs one product per degree over all its rows,
+    The kernel is priced from measured costs. The polynomials
+    (``_chebyshev_stack``) run one product per degree over all their rows,
     one nonzero vector per row: a row-degree costs O(n²), and each step a
-    fixed part more, since even one row's product reads all of
-    [-C1h | -C2h]. The reduction (``_evolve_stack``) costs O(n³) per live
-    mode, whatever its vector count. In row-degrees the polynomial costs
-    Σ D + STEP_ROWS·max D over its rows, and the reduction REDUCTION_ROWS·n
-    per live mode; the polynomial runs when it is the cheaper. Timed warm
-    on 2 vCPUs (OpenBLAS 0.3, scipy's BLAS), with every row at one degree
-    D, the two kernels break even at these D/n (the range over two to five
-    runs, leaving out three single runs at more than twice their cell's
-    median), against the rule's REDUCTION_ROWS·rows/(rows + STEP_ROWS):
+    fixed part more, since even one row's product reads all of the
+    blocks. The reduction (``_evolve_stack``) costs O(n³) per live mode,
+    whatever its vector count. In plain row-degrees the plain polynomial
+    costs Σ D + STEP_ROWS·max D over its rows, the folded one FOLD_ROWS
+    times that in its own D plus its fixed part (``_Polynomial.cost``),
+    and the reduction REDUCTION_ROWS·n per live mode; the cheapest runs,
+    the plain polynomial on a tie with the folded one (``_chebyshev_plan``).
+    Timed warm on 2 vCPUs (OpenBLAS 0.3, scipy's BLAS), with every row at
+    one degree D, the plain polynomial and the reduction break even at
+    these D/n (the range over three runs), against the rule's
+    REDUCTION_ROWS·rows/(rows + STEP_ROWS):
 
         general split (zgemm steps)
         rows  n = 32      65         128        256        512        rule
-        1     0.19-0.23  0.31-0.38  0.51-0.61  0.32-0.47  0.18-0.24  0.15
-        8     2.13-2.39  2.20-2.31  2.27-2.39  1.77-2.42  1.15-1.37  0.80
-        64    5.98-6.05  4.66-5.38  3.92-4.00  3.10-3.18  2.06-2.17  1.68
-        256   8.89-9.44  6.71-6.74  4.92-5.33  3.36-3.55  2.21-2.30  1.91
+        1     0.45-0.49  0.44-0.52  0.16-0.38  0.26-1.53  0.19-0.24  0.15
+        8     2.54-2.84  2.10-2.60  2.04-2.49  1.54-2.00  1.15-1.24  0.80
+        64    4.93-5.36  3.93-5.01  3.40-4.10  2.32-3.06  2.18-2.19  1.68
+        256   7.87-9.65  4.67-5.86  4.35-4.49  3.00-3.24  2.31-2.62  1.91
 
         real split (dgemm steps)
-        1     0.25-0.36  0.44-0.70  1.03-2.63  1.19-1.88  0.34-0.51  0.15
-        8     2.59-3.39  3.58-5.21  3.20-3.80  2.27-3.92  1.78-2.33  0.80
-        64    8.97-9.62  6.14-7.25  5.49-5.54  4.11-4.69  3.03-3.58  1.68
-        256   11.4-11.7  7.99-8.24  6.80-8.28  5.15-5.86  4.04-4.37  1.91
+        1     0.61-0.86  0.74-0.83  1.02-1.84  1.31-2.91  0.39-0.48  0.15
+        8     3.24-4.19  3.71-7.26  3.79-3.90  2.49-3.39  1.93-2.11  0.80
+        64    6.92-9.31  5.33-6.07  5.33-5.48  4.08-7.59  2.64-3.49  1.68
+        256   9.93-11.1  7.30-10.2  5.31-6.35  3.91-4.81  3.15-4.53  1.91
 
-    A reduction costs 2.4-12·n row-degrees of the general polynomial and
-    4.4-13·n of the real one (more at small n, where its per-call overhead
+    A reduction costs 2.1-20·n row-degrees of the general polynomial and
+    3.1-38·n of the real one (most for one row, where a step's fixed part
     counts). The rule sits below the measured break-even everywhere, so
-    near it the reduction, which is exactly unitary, runs."""
+    near it the reduction, which is exactly unitary, runs. In the same
+    cells a folded step costs 1.45-1.56 plain ones (the quartiles of the
+    cells' medians; median 1.48), which FOLD_ROWS = 1.5 prices."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
@@ -667,11 +870,11 @@ def _evolve_modes(
         Y[live] = _evolve_stack(_split_blocks(ds, eta[live]), X[live], t)
         return Y, "reduction", None
     mode, vec = np.nonzero(nonzero[live])  # mode indexes live
-    m1, m2, R, D = plan
-    picked = (m1, m2, R[mode], D[mode])
+    picked = plan._replace(R=plan.R[mode], D=plan.D[mode])
     rows = X[live[mode], :, vec]  # one nonzero vector per row
     Y[live[mode], :, vec] = _chebyshev_stack(ds, rows, eta[live][mode], t, picked)
-    return Y, "chebyshev", int(D[mode].max(initial=0))
+    kernel = "chebyshev" if plan.shift is None else "chebyshev-folded"
+    return Y, kernel, picked.degree
 
 
 def _real_split(ds: core.DriftSplit) -> bool:
@@ -744,7 +947,7 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       evolves both.
     - "general": every mode is evolved.
 
-    The last two run one of two kernels (``_evolve_modes`` picks it; the
+    The last two run one of three kernels (``_evolve_modes`` picks it; the
     result records it as ``kernel``):
 
     - "reduction" (``_evolve_stack``): per mode, Householder
@@ -758,11 +961,19 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       beta = -1. On a real split that matrix is real and the GEMM is a
       ``dgemm`` on the float64 views (about 0.6× the time of the ``zgemm``
       a general split runs); O(D_k·n²) per vector.
-      It runs when its measured cost, Σ over the evolved vectors of D_k
-      plus STEP_ROWS × the largest D_k, is at most REDUCTION_ROWS·n × the
-      modes the reduction would decompose, which is the case for short
-      times and low modes, with many vectors; ``max_degree`` records the
-      largest D_k.
+    - "chebyshev-folded" (``_chebyshev_stack``): centred at the midpoint
+      of the widest gap in C1h's spectrum, X_k = H_k - x_k, exp(-itX_k) is
+      cos(t|X_k|) - i·X_k·sin(t|X_k|)/|X_k|, two series in X_k² of degree
+      D_k about t/2 times the spread of |X_k|, each step one GEMM with
+      [P² - κ2 | PQ + QP | Q² - κ0] (``_folded_plan``); 2·D_k + 1 in H_k.
+      An eigenvalue alone across a gap then widens |X_k| little where it
+      would double the interval of H_k.
+
+    The polynomial that runs is the cheaper by its measured cost
+    (``_evolve_modes``), if that is at most REDUCTION_ROWS·n × the modes
+    the reduction would decompose, which is the case for short times and
+    low modes, with many vectors; ``max_degree`` records the largest
+    degree in H_k.
 
     Memory is O(d² + N·d); no (N, d+1, d+1) stack is built. The Hermitian
     test runs first, so real symmetric C takes the one-matrix path.
@@ -885,8 +1096,10 @@ def propagate(
 
     On the "hermitian" path the state is kept in the eigenbasis of -C1h:
     ``basis`` when the caller has it, else one ``eigh`` here, which also
-    gives the kink speed."""
-    ds = core.split(C)  # exactly Hermitian parts, so evolve needs no check
+    gives the kink speed. C may also be given as its DriftSplit, which is
+    used as it is, with the eigenvalues it has cached."""
+    # exactly Hermitian parts, so evolve needs no check
+    ds = C if isinstance(C, core.DriftSplit) else core.split(C)
     x0 = core.as_vector(x0)
     if ds.C1h.shape[0] != x0.shape[0]:
         raise DimensionError("C and x0 dimensions differ")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import baselines, core, schrodingerization as engine
 from .errors import (
@@ -90,7 +90,8 @@ class LinearSolveReport:
     modes_evolved: int
     dropped_norm: float
     path: str  # the evolve path that ran (schrodingerization.evolve_path)
-    # its kernel and largest polynomial degree (schrodingerization.evolve)
+    # its kernel and largest polynomial degree in the generator
+    # (schrodingerization.RecoveredState)
     kernel: str
     max_degree: int | None
 
@@ -310,9 +311,7 @@ def _affine_scale(
     for _ in range(max_doublings + 1):
         C = core.augment(G, np.asarray(g) / sigma)
         ds = core.split(C)
-        top = float(
-            scipy.linalg.eigvalsh(core.real_if_exact(ds.C1h), check_finite=False).max()
-        )
+        top = float(ds.c1h_eigenvalues[-1])  # cached on the split it returns
         if top <= target:
             return sigma, C, ds
         if best_top is None or top < best_top:
@@ -379,14 +378,15 @@ def quantum_jacobi_solve(
         overlaps=overlaps, gap=gap, delta=delta, L_term=float(overlaps[2:].sum()),
         t_out=t_bound,
     )
+    # the σ search's split, with its C1h eigenvalues, serves L and the engine
     if L is None:
-        L = engine.default_domain_halfwidth(ds.C1h, t_f)
+        L = engine.default_domain_halfwidth(ds, t_f)
     grid = engine.make_grid(N, L)
 
     # only p > 0 is read out, so the smooth profile changes the success
     # probability and the error, not the answer; its Fourier coefficients
     # decay fast, so truncation leaves many modes out of the evolution
-    rec = engine.propagate(C, x0, t_f, grid, profile=engine.SMOOTH)
+    rec = engine.propagate(ds, x0, t_f, grid, profile=engine.SMOOTH)
     y = sigma * core.deaugment(rec.x)
     # map the recovered unit state back to the unscaled augmented system
     state = np.concatenate([sigma * rec.state[:d], rec.state[d:]])
@@ -395,9 +395,10 @@ def quantum_jacobi_solve(
     x_star = np.concatenate([y_star, [1.0]])
     x_star_unit = x_star / np.linalg.norm(x_star)
     fidelity = float(np.abs(np.vdot(x_star_unit, state)) ** 2)
-    residual = float(
-        np.linalg.norm(s.A @ y - s.b) / max(np.linalg.norm(s.b), 1e-300)
-    )
+    # A·y on scipy's BLAS, the pool the engine ran on: numpy's GEMV here
+    # is threaded at d = 127 and would wake the second pool
+    Ay = blas.zgemv(1.0, s.A.T, y, trans=1)  # s.A.T is Fortran-ordered
+    residual = float(np.linalg.norm(Ay - s.b) / max(np.linalg.norm(s.b), 1e-300))
     cost = quantum_cost_estimate(
         C, t_f, epsilon=1.0 / grid.N, overlap=float(np.sqrt(overlaps[0]))
     )

@@ -296,12 +296,31 @@ def _real_symmetric(rng, d):
     return np.eye(d) - 0.15 * (P + P.T) / d
 
 
+def _gapped(rng, d, real):
+    """C whose C1h has one eigenvalue near 0 across a gap from the rest, in
+    [-1.2, -0.8], as the Jacobi solve's augmented drift has; C2h is small."""
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    ev = rng.uniform(-1.2, -0.8, d)
+    ev[0] = rng.uniform(-0.05, -0.01)
+    S = (Q * ev) @ Q.T
+    K = rng.normal(size=(d, d))
+    if real:
+        return np.eye(d) + (S + S.T) / 2 + 0.1 * (K - K.T) / np.sqrt(d)
+    K = K + 1j * rng.normal(size=(d, d))
+    return np.eye(d) + (S + S.T) / 2 + 0.05j * (K + K.conj().T) / np.sqrt(d)
+
+
 # structure name -> (C builder, the evolve path it takes)
 _STRUCTURES = {
     "real-nonnormal": (_real_nonnormal, "real"),
     "complex-hermitian": (_complex_hermitian, "hermitian"),
     "real-symmetric": (_real_symmetric, "hermitian"),
     "general": (random_contractive, "general"),
+}
+# the same for C with a gap in C1h's spectrum, where the folded kernel runs
+_GAPPED = {
+    "real-gapped": (lambda rng, d: _gapped(rng, d, True), "real"),
+    "general-gapped": (lambda rng, d: _gapped(rng, d, False), "general"),
 }
 
 # path -> what it decomposes on an N-mode grid: (matrices per eigh call,
@@ -548,9 +567,10 @@ def test_evolve_matches_reference_property(structure, d, N, t, seed):
     assert np.max(drift) <= 1e-10 * mode_norms.max()
 
 
-def _chebyshev(ds, vals, eta, t):
-    """The polynomial kernel on every column of vals, with no budget."""
-    plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size, dtype=int), np.inf)
+def _chebyshev(ds, vals, eta, t, folded=False):
+    """The plain (or folded) polynomial kernel on every column of vals."""
+    build = eng._folded_plan if folded else eng._plain_plan
+    plan = build(ds, eta, t, eng._spectral_interval(ds.C2h))
     return eng._chebyshev_stack(ds, vals.T, eta, t, plan).T, plan
 
 
@@ -616,7 +636,7 @@ class TestChebyshevKernel:
         assert np.max(np.abs(back.imag)) <= 1e-14 * np.max(np.abs(back))
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 25.0])
-    def test_diagonal_generator_gets_exact_phases(self, rng, t):
+    def test_diagonal_generator_gets_exact_phases(self, rng, t, folded=False):
         # H = -(η·diag(a) + diag(b)) is diagonal, so exp(-itH) is the phase
         # e^{it(ηa + b)}; at t = 25 the largest tR is about 500
         n = 6
@@ -625,12 +645,57 @@ class TestChebyshevKernel:
         ds = core.DriftSplit(C1h=np.diag(a).astype(complex), C2h=np.diag(b).astype(complex))
         eta = np.array([0.0, 1.0, -3.0, 7.5, -40.0])
         vals = rng.normal(size=(n, eta.size)) + 1j * rng.normal(size=(n, eta.size))
-        out, (_, _, R, D) = _chebyshev(ds, vals, eta, t)
+        out, (_, _, R, D, _) = _chebyshev(ds, vals, eta, t, folded)
         exact = np.exp(1j * t * (np.outer(a, eta) + b[:, None])) * vals
         assert (D.max() == 0) == (t == 0.0)
-        if t == 25.0:
+        if t == 25.0 and not folded:
             assert 400.0 <= t * R.max() <= 550.0 and D.max() > 500
         _assert_matches(out, exact, vals)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 25.0])
+    def test_folded_diagonal_generator_gets_exact_phases(self, rng, t):
+        self.test_diagonal_generator_gets_exact_phases(rng, t, folded=True)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10])
+    def test_folded_degree_bounds_the_exact_tail(self, monkeypatch, eps):
+        # the exact degree, the smallest D with Σ_{j>D} |f_j| + b·|g_j| <= ε
+        # for the Chebyshev coefficients of f(ζ) = cos(t√ζ) and
+        # g(ζ) = sin(t√ζ)/√ζ on [lo, hi] (b = √hi), from FFTs on many more
+        # points than the degree; at these ε the FFT's rounding is far below
+        # the tail. Where lo = 0, f's coefficients are the half-angle
+        # Jacobi–Anger series 2(-1)^m J_{2m}(t√hi), checked at the kernel's ε
+        import scipy.special
+
+        def exact(t, lo, hi, bound):
+            M = 1 << (8 * bound + 64).bit_length()
+            c, r = (hi + lo) / 2, (hi - lo) / 2
+            root = np.sqrt(np.maximum(c + r * np.cos(2 * np.pi * np.arange(M) / M), 0.0))
+            f = np.abs(np.fft.rfft(np.cos(t * root)).real) / M
+            g = np.abs(np.fft.rfft(t * np.sinc(t * root / np.pi)).real) / M
+            terms = (2.0 * f + 2.0 * math.sqrt(hi) * g)[: M // 4]
+            tail = np.cumsum(terms[::-1])[::-1]
+            return int(np.argmax(tail[1:] <= eps))
+
+        cases = np.array([
+            (15.0, 0.0, 1.0), (15.0, 0.5, 1.0), (15.0, 2.0, 3.0), (15.0, 10.0, 30.0),
+            (1.0, 0.0, 1.0), (3.0, 0.2, 1.0), (50.0, 0.1, 0.3), (100.0, 10.0, 30.0),
+            (14.0, 0.05, 75.0), (14.0, 30.0, 80.0), (0.3, 0.0, 0.01),
+        ])
+        monkeypatch.setattr(eng, "CHEBYSHEV_EPS", eps)
+        for (t, lo, hi) in cases:
+            D = int(eng._folded_degree(t, np.array([lo]), np.array([hi]))[0])
+            E = exact(t, lo, hi, D)
+            assert E <= D <= 1.2 * E + 3, (t, lo, hi, D, E)
+        monkeypatch.undo()
+        for z in (1.0, 25.0, 240.0):  # lo = 0, hi = 1, f alone, at ε = 1e-16
+            m = np.arange(int(z) + 80)
+            tail = 2.0 * np.cumsum(np.abs(scipy.special.jv(2 * m, z))[::-1])[::-1]
+            E = int(np.argmax(tail[1:] <= eng.CHEBYSHEV_EPS))
+            D = int(eng._folded_degree(z, np.zeros(1), np.ones(1))[0])
+            assert E <= D <= 1.2 * E + 3, (z, D, E)
+        # no width, or nothing to step: degree 0
+        assert eng._folded_degree(2.0, np.array([0.5]), np.array([0.5]))[0] == 0
+        assert eng._folded_degree(0.0, np.array([0.5]), np.array([2.0]))[0] == 0
 
     def test_degree_bounds_the_exact_bessel_tail(self):
         # the exact degree, the smallest D with Σ_{j>D} 2|J_j(z)| <= EPS, from
@@ -672,15 +737,22 @@ class TestChebyshevKernel:
         assert fid >= 1 - 1e-9
 
     @pytest.mark.parametrize(
-        "structure, d, t", [("real-nonnormal", 64, 0.5), ("general", 32, 0.5)]
+        "structure, d, t",
+        [("real-nonnormal", 64, 0.5), ("general", 32, 0.5),
+         ("real-gapped", 64, 2.0), ("general-gapped", 32, 2.0)],
     )
     def test_polynomial_op_leaves_numpy_lapack_idle(
         self, monkeypatch, rng, structure, d, t
     ):
         # numpy and scipy each bring an OpenBLAS with its own thread pool;
-        # off the Hermitian path the half-width, the eigenvalues and the
-        # products run on scipy's, so numpy's LAPACK is never called
-        C = _STRUCTURES[structure][0](rng, d)
+        # off the Hermitian path the half-width, the eigenvalues, the folded
+        # kernel's blocks and the products run on scipy's, so numpy's LAPACK
+        # is never called. A gap in C1h's spectrum, on a grid whose modes
+        # reach past C2h's spread, takes the folded kernel
+        build, path = {**_STRUCTURES, **_GAPPED}[structure]
+        gapped = structure in _GAPPED
+        N, kernel = (64, "chebyshev-folded") if gapped else (32, "chebyshev")
+        C = build(rng, d)
         x0 = rng.normal(size=d)
 
         def raiser(name):
@@ -691,16 +763,18 @@ class TestChebyshevKernel:
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, raiser(name))
         eng.default_domain_halfwidth(core.split(C).C1h, t)
-        rec = eng.propagate(C, x0, t, eng.make_grid(32, 5.0))
-        assert (rec.path, rec.kernel) == (_STRUCTURES[structure][1], "chebyshev")
+        rec = eng.propagate(C, x0, t, eng.make_grid(N, 5.0))
+        assert (rec.path, rec.kernel) == (path, kernel)
 
     @pytest.mark.filterwarnings("ignore:Hermitian drift part")
     def test_jacobi_d127_takes_the_polynomial(self, decompositions):
         # the shape of the jacobi-d127 benchmark input: real dominant
-        # A, d = 127, N = 512, t_f about 17, tR up to about 240. Its start
-        # is real, so each live pair (k, -k) is one polynomial row, and
-        # Σ D + STEP_ROWS·max D is 1.25 × n × the live pairs, where the
-        # rule allows REDUCTION_ROWS = 2
+        # A, d = 127, N = 512, t_f about 14, tR up to about 200. Its start
+        # is real, so each live pair (k, -k) is one polynomial row. C1h has
+        # one eigenvalue near 0 and the rest in about [-1.16, -0.85], so the
+        # folded kernel's degree follows the bulk: about 100 steps, against
+        # about 250 for the plain one, whose Σ D + STEP_ROWS·max D is
+        # about 1.3 × n × the live pairs, where the rule allows 2
         A, b = random_dominant(np.random.default_rng(1201), 127)
         rows = []
         stack = eng._chebyshev_stack
@@ -713,7 +787,8 @@ class TestChebyshevKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(eng, "_chebyshev_stack", recording)
             rep = solvers.quantum_jacobi_solve(A, b, N=512)
-        assert (rep.path, rep.kernel) == ("real", "chebyshev")
+        assert (rep.path, rep.kernel) == ("real", "chebyshev-folded")
+        assert 150 < rep.max_degree < 250  # 2·D + 1 in H
         # truncate keeps whole pairs (k, -k) and k = 0, drops k = N/2
         assert rep.modes_evolved % 2 == 1
         assert rows == [(rep.modes_evolved + 1) // 2]
@@ -730,10 +805,11 @@ class TestChebyshevKernel:
     def test_rule_on_the_calibration_shapes(
         self, rng, decompositions, n, rows, ratio, kernel
     ):
-        # every row at one degree D = ratio·n, on either side of the measured
-        # break-even (0.10–0.25·n for one row, 2.6–5.3·n for 64 rows, at
-        # these n): H = -C2h with the spectrum [-1, 1], so R = 1 and D is
-        # the degree at z = t
+        # every row at one plain degree D = ratio·n, on either side of the
+        # measured break-even (0.16–0.49·n for one row, 3.4–5.4·n for 64
+        # rows, at these n): H = -C2h with the spectrum [-1, 1], so R = 1
+        # and D is the degree at z = t. C1h = 0 has no gap, so there is
+        # no folded plan
         b = np.linspace(-1.0, 1.0, n)
         ds = core.DriftSplit(C1h=np.zeros((n, n), complex), C2h=np.diag(b).astype(complex))
         z = np.geomspace(1e-6, 8.0 * n, 20000)
@@ -759,16 +835,24 @@ class TestChebyshevKernel:
         assert np.max(np.abs(Y - exact)) <= 1e-12 * np.linalg.norm(X)
 
     @pytest.mark.parametrize(
-        "structure, gemm", [("real-nonnormal", "dgemm"), ("general", "zgemm")]
+        "structure, gemm",
+        [("real-nonnormal", "dgemm"), ("general", "zgemm"),
+         ("real-gapped", "dgemm"), ("general-gapped", "zgemm")],
     )
     def test_each_step_is_one_gemm(self, monkeypatch, rng, structure, gemm):
         # a real split (C1h real, C2h purely imaginary) runs every step as
-        # one real dgemm on the float64 views; any other split as one zgemm
+        # one real dgemm on the float64 views; any other split as one zgemm.
+        # The folded kernel, on a C with a gap in C1h's spectrum, adds three
+        # for its blocks and one for the last product by X
         d, t = 32, 0.5
         grid = eng.make_grid(32, 5.0)
-        gen = eng.generator_blocks(core.split(_STRUCTURES[structure][0](rng, d)), grid)
+        folded = structure in _GAPPED
+        gen = eng.generator_blocks(
+            core.split({**_STRUCTURES, **_GAPPED}[structure][0](rng, d)), grid
+        )
         vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
-        plan = eng._chebyshev_plan(gen.split, grid.eta, t, np.ones(32, dtype=int), np.inf)
+        build = eng._folded_plan if folded else eng._plain_plan
+        plan = build(gen.split, grid.eta, t, eng._spectral_interval(gen.split.C2h))
         calls = []
         for name in ("dgemm", "zgemm"):
             def counting(*args, _name=name, _gemm=getattr(eng.blas, name), **kwargs):
@@ -776,7 +860,7 @@ class TestChebyshevKernel:
                 return _gemm(*args, **kwargs)
             monkeypatch.setattr(eng.blas, name, counting)
         out = eng._chebyshev_stack(gen.split, vals.T, grid.eta, t, plan).T
-        assert calls == [gemm] * int(plan[3].max())
+        assert calls == [gemm] * (int(plan.D.max()) + (4 if folded else 0))
         _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
@@ -812,7 +896,7 @@ class TestChebyshevKernel:
         grid = eng.make_grid(32, 5.0)
         gen = eng.generator_blocks(ds, grid)
         vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
-        out, (m1, m2, R, _) = _chebyshev(ds, vals, grid.eta, t)
+        out, (m1, m2, R, _, _) = _chebyshev(ds, vals, grid.eta, t)
         assert abs(m1 + 3.0) < 0.5 and R.max() < 0.5 * np.abs(grid.eta * m1).max()
         assert (abs(m2 - 1.5) < 0.5) if structure == "general" else m2 == 0.0
         _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
@@ -840,7 +924,7 @@ class TestChebyshevKernel:
         t, eta = 1.5, np.array([0.0, 1.0, -2.5, 6.0])
         vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         exact = np.exp(-1j * t * 0.7 * eta) * vals
-        out, (m1, m2, R, D) = _chebyshev(ds, vals, eta, t)
+        out, (m1, m2, R, D, _) = _chebyshev(ds, vals, eta, t)
         assert (m1, m2) == (-0.7, 0.0) and not R.any() and not D.any()
         _assert_matches(out, exact, vals)
         R = 0.5 + np.abs(eta)
@@ -849,7 +933,7 @@ class TestChebyshevKernel:
         dgemm = eng.blas.dgemm
         monkeypatch.setattr(eng.blas, "dgemm", lambda *a, **k: steps.append(1) or dgemm(*a, **k))
         monkeypatch.setattr(eng.blas, "zgemm", None)  # a zgemm call fails
-        out = eng._chebyshev_stack(ds, vals.T, eta, t, (m1, m2, R, D)).T
+        out = eng._chebyshev_stack(ds, vals.T, eta, t, eng._Polynomial(m1, m2, R, D)).T
         assert len(steps) == D.max() > 10
         _assert_matches(out, exact, vals)
 
@@ -932,6 +1016,39 @@ def test_both_kernels_match_reference_property(structure, d, N, t, seed):
     reduced = eng._evolve_stack(blocks, vals.T[:, :, None], t)[:, :, 0].T
     _assert_matches(poly, ref, vals)
     _assert_matches(reduced, ref, vals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    real=st.booleans(),
+    d=st.integers(2, 12),
+    t=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(real=True, d=2, t=0.0, seed=0)
+@example(real=False, d=2, t=1e-300, seed=1)
+def test_folded_kernel_matches_expm_property(real, d, t, seed):
+    """The folded kernel on a real non-normal or a general split with an
+    eigenvalue of C1h planted across a gap (``_gapped``) agrees with expm
+    per mode, and each mode's (H - x)² has its spectrum inside the
+    interval c ± R the plan encloses it in."""
+    rng = np.random.default_rng(seed)
+    ds = core.split(_gapped(rng, d, real))
+    # |η| >= 2 puts C1h's gap past C2h's spread, so the fold has a plan
+    eta = np.concatenate([[0.0], rng.uniform(2.0, 8.0, 5) * rng.choice([-1.0, 1.0], 5)])
+    V = rng.normal(size=(eta.size, d)) + 1j * rng.normal(size=(eta.size, d))
+    plan = eng._folded_plan(ds, eta, t, eng._spectral_interval(ds.C2h))
+    out = eng._chebyshev_stack(ds, V, eta, t, plan)
+    kappa2, kappa0 = plan.shift
+    for e, v, y, R in zip(eta, V, out, plan.R):
+        H = -(e * ds.C1h + ds.C2h)
+        exact = scipy.linalg.expm(-1j * t * H) @ v
+        assert np.linalg.norm(y - exact) <= 1e-13 * np.linalg.norm(v)
+        X = H + (e * plan.centre + plan.m2) * np.eye(d)
+        w = np.linalg.eigvalsh(X @ X.conj().T)  # X Hermitian: X·X† = X²
+        c = kappa2 * e * e + kappa0
+        assert c - R - 1e-12 * c <= w[0] and w[-1] <= c + R + 1e-12 * c
+        assert c - R >= -1e-15 * c
 
 
 class TestTruncate:

@@ -308,6 +308,32 @@ class TestQuantumJacobiSolve:
         with pytest.raises(ConvergenceUnsafeError):
             solvers.quantum_jacobi_solve([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
 
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    @pytest.mark.parametrize("complex_A", [False, True], ids=["real", "complex"])
+    def test_residual_on_scipy_blas_matches_numpy(self, monkeypatch, rng, complex_A):
+        # the residual's A·y is scipy's zgemv, on the BLAS pool the engine
+        # ran on; numpy's A @ y gives the same figure to rounding
+        A, b = random_dominant(rng, 12)
+        A = A + (0.5j * np.diag(rng.uniform(1.0, 2.0, 12)) if complex_A else 0.0)
+        gemv = _counting(monkeypatch, solvers.blas, "zgemv")
+        rep = solvers.quantum_jacobi_solve(A, b)
+        reference = np.linalg.norm(A @ rep.y_classical - b) / np.linalg.norm(b)
+        assert gemv == ["zgemv"]
+        assert rep.residual == pytest.approx(reference, rel=1e-10)
+        assert rep.residual <= 1e-4
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_one_split_and_one_c1h_eigensolve(self, monkeypatch, rng):
+        # the σ search splits C and eigensolves its C1h once per candidate
+        # σ; the split it keeps, with its cached eigenvalues, then serves the
+        # half-width, the kink speed and the polynomial's intervals, so the
+        # only other eigensolve is C2h's interval
+        A, b = random_dominant(rng, 12)
+        splits = _counting(monkeypatch, core, "split")
+        eigvalsh = _counting(monkeypatch, scipy.linalg, "eigvalsh")
+        solvers.quantum_jacobi_solve(A, b)
+        assert (len(splits), len(eigvalsh)) == (1, 2)
+
     def test_smooth_profile_and_truncation_reported(self, rng):
         A, b = random_dominant(rng, 12)
         rep = solvers.quantum_jacobi_solve(A, b)
