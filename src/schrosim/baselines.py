@@ -83,6 +83,5 @@ def exact_propagator(C, x0, t: float) -> np.ndarray:
     """exp((C - I)t) x0 via the dense scaling-and-squaring exponential."""
     C = core.require_square(core.as_matrix(C), "C")
     x0 = core.as_vector(x0)
-    if t < 0:
-        raise InvalidInputError(f"t must be nonnegative, got {t}")
+    t = core.require_time(t)
     return scipy.linalg.expm((C - np.eye(C.shape[0])) * t) @ x0

@@ -57,6 +57,14 @@ def real_if_exact(m: np.ndarray) -> np.ndarray:
     return m if m.imag.any() else m.real
 
 
+def require_time(t) -> float:
+    """An evolution time as a float, rejecting a negative or non-finite one."""
+    t = float(t)
+    if not 0.0 <= t < np.inf:  # NaN fails too
+        raise InvalidInputError(f"t must be finite and nonnegative, got {t}")
+    return t
+
+
 def require_dense_size(n: int) -> None:
     """Reject a dimension too large for the dense eigensolvers."""
     if n > MAX_DENSE_DIM:

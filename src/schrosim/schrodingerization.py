@@ -5,17 +5,16 @@ auxiliary coordinate p through the substitution v(t, p) = e^{-p} x(t), then
 Fourier-transformed in p. Each Fourier mode η evolves under its own small
 Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
 of unitaries and preserves the global 2-norm. ``evolve`` applies them with
-one of four kernels: phases in one eigenbasis for a Hermitian C, and
+one of three kernels: phases in one eigenbasis for a Hermitian C, and
 otherwise per mode a reduction to tridiagonal form (O(d³) per mode,
 exactly unitary) or, when its measured cost is lower, a Chebyshev
 polynomial in products with C1h and C2h, batched over the modes (unitary
-to rounding): the Jacobi–Anger series of degree about t·‖H_η‖, or the
-series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η centred in the widest
-gap of C1h's spectrum, whose degree follows the spread of |X| rather than
-that of X. Each polynomial step is one GEMM with the centre (and the
-folded kernel's shift) already in the matrix and the previous term
-subtracted by the GEMM's beta; for a real C it is a real GEMM on the
-float64 view of the complex vectors. The start ψ(p)·x0 is
+to rounding): the series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η
+centred at the midpoint of C1h's interval, so its degree follows the
+spread of |X| rather than that of X. Each polynomial step is one GEMM with the centre
+and shift already in the matrix and the previous term subtracted by the
+GEMM's beta; for a real C it is a real GEMM on the float64 view of the
+complex vectors. The start ψ(p)·x0 is
 separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
@@ -29,7 +28,7 @@ with few cores a threaded call on one pool can stall until the other
 pool's threads stop spinning, so no op here wakes both pools: the
 Hermitian path, and the readout of a state in its eigenbasis, run on
 numpy's BLAS; the real and general paths (the eigenvalues of C1h and C2h,
-every kernel, the folded kernel's blocks and ``default_domain_halfwidth``
+every kernel, the polynomial's blocks and ``default_domain_halfwidth``
 without a basis) on scipy's; the transforms, the truncation and the readout of any other
 state call no BLAS.
 
@@ -69,18 +68,15 @@ from .errors import (
 # relative 2-norm that ``truncate`` may drop from a spectral state: the
 # zeroed modes hold at most TRUNCATION_EPS² of its mass
 TRUNCATION_EPS = 1e-6
-# relative 2-norm a polynomial kernel may drop from a vector: its bound on
-# the coefficient tail beyond the degree it stops at
+# relative 2-norm the polynomial kernel may drop from a vector: its bound
+# on the coefficient tail beyond the degree it stops at
 CHEBYSHEV_EPS = 1e-16
 # the measured costs of the per-mode kernels (``_evolve_modes``) in
-# row-degrees, one vector's product in one step of the plain polynomial: a
-# step costs STEP_ROWS row-degrees besides its rows, a mode's reduction
+# row-degrees, one vector's product in one step of the polynomial: a step
+# costs STEP_ROWS row-degrees besides its rows, a mode's reduction
 # REDUCTION_ROWS·n
 STEP_ROWS = 12
-REDUCTION_ROWS = 2
-# the measured cost of one row-degree of the folded polynomial, in
-# row-degrees of the plain one: its steps multiply by three blocks, not two
-FOLD_ROWS = 1.5
+REDUCTION_ROWS = 1.33
 # log ρ of the Bernstein ellipses on which ``_folded_degree`` bounds the tail
 _LOG_RHO = np.geomspace(1e-3, 8.0, 64)
 # rows of polynomial coefficients transformed at a time
@@ -207,9 +203,9 @@ class RecoveredState:
     """x(t) read out of a warped state. ``propagate`` also records the
     initial profile, the number of Fourier modes it evolved, the relative
     norm it dropped (see ``truncate``), the ``evolve`` path that ran (see
-    ``evolve_path``), its kernel ("phases", "reduction", "chebyshev" or
-    "chebyshev-folded") and the largest polynomial degree in the generator
-    (None off the polynomials; 2·D + 1 for the folded one's D steps)."""
+    ``evolve_path``), its kernel ("phases", "reduction" or "chebyshev") and
+    the largest polynomial degree in the generator (None off the
+    polynomial; 2·D + 1 for its D steps, 0 where it is a phase)."""
 
     x: np.ndarray
     state: np.ndarray
@@ -231,8 +227,8 @@ def valid_mode_count(N: int) -> bool:
 def make_grid(N: int, L: float) -> Grid:
     if not valid_mode_count(N):
         raise InvalidInputError(f"N must be a power of two in [4, 65536], got {N}")
-    if not (L > 0):
-        raise InvalidInputError(f"L must be positive, got {L}")
+    if not 0 < L < math.inf:  # NaN fails too
+        raise InvalidInputError(f"L must be finite and positive, got {L}")
     L = float(L)
     p = -L + (2.0 * L / N) * np.arange(N)
     k = np.arange(-N // 2 + 1, N // 2 + 1)
@@ -470,41 +466,6 @@ def _spectral_interval(M: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def _chebyshev_degree(z: np.ndarray) -> np.ndarray:
-    """The degree D at which the Jacobi–Anger series of e^{-iz·x} on
-    [-1, 1] may stop, per z >= 0: the smallest D >= z - 1 whose bound on
-    the dropped terms Σ_{j>D} 2|J_j(z)| is at most CHEBYSHEV_EPS (|T_j| <= 1
-    on the interval). For j >= z, with x = z/j and s = √(1 - x²),
-    Kapteyn's inequality gives |J_j(z)| <= b_j = (x·e^s/(1 + s))^j, and
-    log b_j is concave in j with slope log(x/(1 + s)), so past j = D + 1
-    the b_j fall by at least the factor ρ = x/(1 + s) at j = D + 1 and the
-    tail is at most 2·b_{D+1}/(1 - ρ). D is then within 1.1× + 2 of the
-    exact tail's degree: 42/60/107/178/313/594 at z = 13/25/60/120/240/500,
-    where the exact tails give 40/58/104/175/309/588. Bisection on D
-    between z - 1 and e·z + 60, where b_j <= 2^{-j} meets it."""
-    z = np.asarray(z, dtype=float)
-    log_z = np.log(np.where(z > 0, z, 1.0))  # z/j may underflow
-
-    def meets(D):
-        j = D + 1.0
-        x = np.minimum(np.exp(log_z - np.log(j)), 1.0)  # below j = z, fails anyway
-        s = np.sqrt((1.0 - x) * (1.0 + x))
-        with np.errstate(divide="ignore"):  # 1 - ρ is 0 at x = 1: no bound
-            log_tail = j * (log_z - np.log(j) + s - np.log1p(s)) - np.log(
-                (1.0 + s - x) / (1.0 + s)
-            )
-        return (z == 0) | ((j >= z) & (log_tail <= math.log(CHEBYSHEV_EPS / 2.0)))
-
-    lo = np.maximum(np.ceil(z) - 2.0, -1.0)  # below every admissible D
-    hi = np.ceil(math.e * z) + 60.0
-    while np.any(open_ := hi - lo > 1):
-        mid = np.where(open_, np.floor((lo + hi) / 2.0), hi)  # >= 0
-        ok = meets(mid)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    return hi.astype(int)
-
-
 def _folded_degree(t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The degree D in y at which the folded kernel's two series may stop,
     for ζ = X² on [lo, hi] = [c - r, c + r] (lo >= 0) and y = (ζ - c)/r:
@@ -549,110 +510,97 @@ def _folded_degree(t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Polynomial(NamedTuple):
-    """The plan of a polynomial kernel for the rows at η: with
-    P = centre·I - C1h and Q = m2·I - C2h, H = -(η·C1h + C2h) is
-    x + η·P + Q at x = -(η·centre + m2), and the Chebyshev recurrence runs
-    in y, on [-1, 1] over the spectrum, to degree D per row:
-
-    - plain (``shift`` None): y = (η·P + Q)/R, centre the midpoint m1 of
-      C1h's interval, so R = |η|·r1 + r2 by Weyl's bound;
-    - folded (``shift`` = (κ2, κ0)): y = ((η·P + Q)² - c)/R with
-      c = κ2·η² + κ0, centre the midpoint s0 of the widest gap in C1h's
-      spectrum (``_folded_plan``).
-    """
+    """The plan of the polynomial kernel for the rows at η. With
+    P = centre·I - C1h and Q = m2·I - C2h, H = -(η·C1h + C2h) is x + X at
+    x = -(η·centre + m2), X = η·P + Q, and exp(-itX) = f(X²) - i·X·g(X²)
+    (``_chebyshev_stack``): two Chebyshev series in y = (X² - c)/R, on
+    [-1, 1] over the spectrum, with c = κ2·η² + κ0, to degree D per row.
+    ``degree`` is the largest degree in H: 2·max D + 1, or 0 where X·g
+    vanishes on every row (t = 0 or X = 0), so exp(-itH) is a phase."""
 
     centre: float
     m2: float
     R: np.ndarray
     D: np.ndarray
-    shift: tuple[float, float] | None = None
+    kappa2: float
+    kappa0: float
+    degree: int
 
     def cost(self, vectors: np.ndarray, n: int) -> float:
-        """Its cost in plain row-degrees (``_evolve_modes``) for ``vectors``
-        per row and n×n blocks: a folded step costs FOLD_ROWS plain ones,
-        and its blocks, second coefficient table and last product by X
-        about two folded steps and 2·n row-degrees more (a least-squares
-        fit to their time at D = 0 over n = 32-256 and 8-256 rows)."""
-        if self.shift is None:
-            return float(vectors @ self.D + STEP_ROWS * self.D.max(initial=0.0))
-        D = self.D + 2.0
-        return float(FOLD_ROWS * (vectors @ D + STEP_ROWS * D.max(initial=0.0)) + 2 * n)
-
-    @property
-    def degree(self) -> int:
-        """The largest degree in H: D, or 2·D + 1 when folded."""
-        top = int(self.D.max(initial=0))
-        return top if self.shift is None else 2 * top + 1
-
-
-def _plain_plan(
-    ds: core.DriftSplit, eta: np.ndarray, t: float, c2h: tuple[float, float]
-) -> _Polynomial:
-    """The plain polynomial for the rows at η: C1h's interval m1 ± r1 read
-    off the split, C2h's interval ``c2h`` = (lo, hi), R = |η|·r1 + r2 and
-    D = ``_chebyshev_degree``(tR)."""
-    w1 = ds.c1h_eigenvalues
-    R = 0.5 * (w1[-1] - w1[0]) * np.abs(eta) + 0.5 * (c2h[1] - c2h[0])
-    m1, m2 = 0.5 * float(w1[-1] + w1[0]), 0.5 * (c2h[0] + c2h[1])
-    return _Polynomial(m1, m2, R, _chebyshev_degree(t * R))
+        """Its cost in row-degrees (``_evolve_modes``) for ``vectors`` per
+        row and n×n blocks: its blocks, second coefficient table and last
+        product by X cost about two steps and 2·n row-degrees more than its
+        steps (the lines through the timings behind ``_evolve_modes``' tables
+        put that part at 1.2-5.2·n, the median per row count). With every D
+        at 0 no step runs and no block is built, so only the last product
+        is charged, a row-degree per vector (it reads two blocks where a
+        step reads three), and nothing when it is skipped too
+        (``degree`` 0)."""
+        if self.D.any():
+            D = self.D + 2.0
+            return float(vectors @ D + STEP_ROWS * D.max() + 2 * n)
+        return float(vectors.sum()) if self.degree else 0.0
 
 
 def _folded_plan(
-    ds: core.DriftSplit, eta: np.ndarray, t: float, c2h: tuple[float, float]
-) -> _Polynomial | None:
-    """The folded polynomial for the rows at η, or None when no row's
-    |eigenvalues| are bounded away from 0 (below).
+    ds: core.DriftSplit,
+    eta: np.ndarray,
+    t: float,
+    c2h: tuple[float, float],
+    centre: float,
+) -> _Polynomial:
+    """The polynomial for the rows at η folded about ``centre``, with C2h's
+    interval ``c2h`` = (lo, hi).
 
-    Centred at the midpoint s0 of the widest gap g between consecutive
-    eigenvalues of C1h, P = s0·I - C1h has |eigenvalues| in [g/2, F], F the
-    largest distance from s0 to one, and Q = m2·I - C2h has norm at most
-    r2, so by Weyl's bound the eigenvalues of X = η·P + Q have modulus in
-    [a, b] = [max(0, |η|·g/2 - r2), |η|·F + r2] and those of X² lie in
+    With h the distance from the centre to the nearest eigenvalue of C1h
+    (0 when one sits there) and F the largest, P = centre·I - C1h has
+    |eigenvalues| in [h, F], and Q = m2·I - C2h has norm at most r2, so by
+    Weyl's bound the eigenvalues of X = η·P + Q have modulus in
+    [a, b] = [max(0, |η|·h - r2), |η|·F + r2] and those of X² lie in
     [a², b²]. The shift c = κ2·η² + κ0 is shared by every row through the
-    blocks of ``_chebyshev_stack``: κ2 = (F² + g²/4)/2 centres [a², b²]
-    as r2/|η| → 0, and κ0, the least with c >= b²/2 on every row, keeps
-    the interval c ± R, R = max(b² - c, c - a²), inside ζ >= 0, where f
-    and g of ``_folded_degree`` stay bounded. A lone eigenvalue across a
-    gap then costs the degree little: on the Jacobi benchmark's drift,
-    one eigenvalue near 0 and the rest in [-1.16, -0.85], the largest
-    degree in H falls from about 300 to about 220, and in steps from 300
-    to 110.
-
-    Without a gap wider than 2·r2/|η| on some row (a = 0 on every row:
-    a 1×1 C1h, or C2h's spread as wide as the gap, as on random complex
-    drifts) the fold only halves the angle, at the cost of its third block,
-    and there is no plan: the plain polynomial keeps such inputs."""
+    blocks of ``_chebyshev_stack``: κ2 = (F² + h²)/2 centres [a², b²] as
+    r2/|η| → 0, and κ0, the least with c >= b²/2 on every row, keeps the
+    interval c ± R, R = max(b² - c, c - a²), inside ζ >= 0, where f and g
+    of ``_folded_degree`` stay bounded."""
     w1 = ds.c1h_eigenvalues
-    if w1.size < 2:
-        return None
-    gaps = np.diff(w1)
-    i = int(np.argmax(gaps))
-    g, s0 = float(gaps[i]), 0.5 * float(w1[i] + w1[i + 1])
-    F = max(s0 - float(w1[0]), float(w1[-1]) - s0)
+    h = float(np.min(np.abs(w1 - centre)))
+    F = max(centre - float(w1[0]), float(w1[-1]) - centre)
     r2, e = 0.5 * (c2h[1] - c2h[0]), np.abs(eta)
-    a, b = np.maximum(e * (0.5 * g) - r2, 0.0), e * F + r2
-    if not a.any():
-        return None
-    kappa2 = 0.5 * (F * F + 0.25 * g * g)
+    a, b = np.maximum(e * h - r2, 0.0), e * F + r2
+    kappa2 = 0.5 * (F * F + h * h)
     kappa0 = float(np.max(0.5 * b * b - kappa2 * e * e, initial=0.0))
     c = kappa2 * e * e + kappa0
     R = np.maximum(b * b - c, c - a * a)
     D = _folded_degree(t, c - R, c + R)
-    return _Polynomial(s0, 0.5 * (c2h[0] + c2h[1]), R, D, (kappa2, kappa0))
+    degree = 2 * int(D.max(initial=0)) + 1 if (t * b).any() else 0
+    return _Polynomial(centre, 0.5 * (c2h[0] + c2h[1]), R, D, kappa2, kappa0, degree)
 
 
 def _chebyshev_plan(
     ds: core.DriftSplit, eta: np.ndarray, t: float, vectors: np.ndarray, budget: float
 ) -> _Polynomial | None:
-    """The cheaper of the plain and the folded polynomial for the rows at
-    η with ``vectors`` vectors each (``_Polynomial.cost``), the plain one
-    on a tie, or None when it costs more than ``budget``. C1h's
-    eigenvalues are read off the split, and C2h is eigensolved once."""
-    n = ds.C1h.shape[0]
-    c2h = _spectral_interval(ds.C2h)
-    plans = [p for p in (_plain_plan(ds, eta, t, c2h), _folded_plan(ds, eta, t, c2h)) if p]
-    best = min(plans, key=lambda p: p.cost(vectors, n))
-    return best if best.cost(vectors, n) <= budget else None
+    """The polynomial for the rows at η with ``vectors`` vectors each,
+    folded about the midpoint m of C1h's interval, or None when it costs
+    more than ``budget`` (``_Polynomial.cost``). C1h's eigenvalues are read
+    off the split, and C2h is eigensolved once.
+
+    The midpoint of the widest gap never folds narrower. About a centre s
+    the spread of |X| is |η|·(F - h) + 2·r2 (less where a = 0, then b),
+    and F - h = H + |s - m| - h_s with H the interval's half-width. For the
+    midpoint s0 of the widest gap g, h_s = g/2. If m lies in that gap, its
+    nearest eigenvalue is the gap's near edge, h_m = g/2 - |s0 - m|, so the
+    spreads tie (and b at m is the lower); if not, |s0 - m| >= g/2 and the
+    spread about s0 is at least |η|·H + 2·r2, which m's never exceeds.
+    Lower in [a², b²] at the same spread, m's fold was also the one the
+    ellipse bound prices lower: on every drift with a lone eigenvalue
+    across a gap the tests build, on the Jacobi benchmark's drift (one
+    eigenvalue near 0, the rest in [-1.16, -0.85], where m lies in the
+    gap and folds the lone eigenvalue onto the bulk), and on 583 of 600
+    random spectra, the other 17 within 1.5%."""
+    w1 = ds.c1h_eigenvalues
+    centre = 0.5 * float(w1[0] + w1[-1])
+    plan = _folded_plan(ds, eta, t, _spectral_interval(ds.C2h), centre)
+    return plan if plan.cost(vectors, ds.C1h.shape[0]) <= budget else None
 
 
 def _coefficients(sample, D: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -738,26 +686,24 @@ def _chebyshev_stack(
     ds: core.DriftSplit, V: np.ndarray, eta: np.ndarray, t: float, plan: _Polynomial
 ) -> np.ndarray:
     """exp(-itH)·v for each row v of V (m, n), H = -(η·C1h + C2h) at the
-    row's own η, by the polynomial ``plan`` (``_Polynomial``); with x the
-    row's centre and X = η·P + Q = H - x:
+    row's own η, by the polynomial ``plan`` (``_Polynomial``). With x the
+    row's centre and X = η·P + Q = H - x, exp(-itX) = f(X²) - i·X·g(X²)
+    with f(ζ) = cos(t√ζ) and g(ζ) = sin(t√ζ)/√ζ: two series that share one
+    recurrence, each step one GEMM with [P² - κ2·I | PQ + QP | Q² - κ0·I]
+    on (η²·T_j ; η·T_j ; T_j), and one last GEMM with [P | Q] for X·g.
+    Where no step runs (every D 0) the blocks are not built, and where X·g
+    vanishes (``degree`` 0) the last GEMM is not made either.
 
-    - plain: exp(-itH) = e^{-itx}·Σ_{j<=D} (2 - δ_j0)(-i)^j J_j(tR)·T_j(X/R)
-      (Jacobi–Anger), each step one GEMM with [P | Q] on (η·T_j ; T_j);
-    - folded: exp(-itX) = f(X²) - i·X·g(X²) with f(ζ) = cos(t√ζ) and
-      g(ζ) = sin(t√ζ)/√ζ, two series that share one recurrence, each step
-      one GEMM with [P² - κ2·I | PQ + QP | Q² - κ0·I] on
-      (η²·T_j ; η·T_j ; T_j), and one last GEMM with [P | Q] for X·g.
-
-    The coefficients are FFTs of e^{-itR·cos θ}, or of f and g at
-    c + R cos θ (``_coefficients``). On a real split (C1h.imag and
-    C2h.real exactly zero, as ``evolve_path`` tests) C2h = i·A with A real
-    antisymmetric, whose interval is symmetric, so m2 = 0 and Q = -i·A:
-    each block is real once the weight of Q carries its i (weights η and
-    i; η², i·η and 1), and each step is one scipy ``dgemm`` on the float64
-    views, at half the flops of a general split's ``zgemm`` and about 0.6×
-    its time. The blocks are built by scipy's GEMM too (see the module
-    docstring for why). Unitary to rounding, not exactly."""
-    centre, m2, R, D, shift = plan
+    The coefficients are FFTs of f and g at c + R cos θ
+    (``_coefficients``). On a real split (C1h.imag and C2h.real exactly
+    zero, as ``evolve_path`` tests) C2h = i·A with A real antisymmetric,
+    whose interval is symmetric, so m2 = 0 and Q = -i·A: each block is
+    real once the weight of Q carries its i (weights η², i·η and 1; η and
+    i), and each step is one scipy ``dgemm`` on the float64 views, at half
+    the flops of a general split's ``zgemm`` and about 0.6× its time. The
+    blocks are built by scipy's GEMM too (see the module docstring for
+    why). Unitary to rounding, not exactly."""
+    centre, m2, R, D, kappa2, kappa0, degree = plan
     m, n = V.shape
     order = np.argsort(-D, kind="stable")
     R, D, eta = R[order], D[order], eta[order]
@@ -768,16 +714,19 @@ def _chebyshev_stack(
     else:
         P, Q = centre * np.eye(n) - ds.C1h, m2 * np.eye(n) - ds.C2h
         gemm, dtype, unit, unit2 = blas.zgemm, complex, 1.0, 1.0
-    f = np.divide(2.0, R, out=np.zeros_like(R), where=R > 0)
-    if shift is None:
-        G, weights = np.hstack([P, Q]), [eta, unit]
-        coefs = [
-            _coefficients(
-                lambda x, rows: np.exp(-1j * (t * R[rows])[:, None] * x), D, phase
-            )
-        ]
-    else:
-        kappa2, kappa0 = shift
+    c = kappa2 * eta * eta + kappa0
+
+    def root(x, rows):
+        return np.sqrt(np.maximum(c[rows, None] + R[rows, None] * x, 0.0))
+
+    coefs = [
+        _coefficients(lambda x, rows: np.cos(t * root(x, rows)), D, phase),
+        _coefficients(
+            lambda x, rows: t * np.sinc(t / np.pi * root(x, rows)), D, -1j * phase
+        ),
+    ]
+    G = None
+    if D.any():
 
         def product(A, B):  # A·B of C-ordered A and B, whose .T are Fortran-ordered
             return gemm(1.0, B.T, A.T).T
@@ -788,23 +737,11 @@ def _chebyshev_stack(
             PQ + unit2 * PQ.conj().T,  # PQ + QP, for P = Pᴴ and Q = unit2·Qᴴ
             unit2 * product(Q, Q) - kappa0 * np.eye(n),
         ])
-        weights = [eta * eta, unit * eta, 1.0]
-        c = kappa2 * eta * eta + kappa0
-
-        def root(x, rows):
-            return np.sqrt(np.maximum(c[rows, None] + R[rows, None] * x, 0.0))
-
-        coefs = [
-            _coefficients(lambda x, rows: np.cos(t * root(x, rows)), D, phase),
-            _coefficients(
-                lambda x, rows: t * np.sinc(t / np.pi * root(x, rows)), D, -1j * phase
-            ),
-        ]
-    W = np.array([f * w for w in weights], dtype=complex)
-    acc = _recurrence(gemm, dtype, G, W, coefs, V[order].T, D)
-    out = acc[0]
-    if shift is not None:  # f(X²)·v + X·(-i·g(X²)·v), one GEMM with [P | Q]
-        stacked = np.vstack([acc[1] * eta, acc[1] * unit])
+    f = np.divide(2.0, R, out=np.zeros_like(R), where=R > 0)
+    W = np.array([f * eta * eta, f * unit * eta, f], dtype=complex)
+    out, sine = _recurrence(gemm, dtype, G, W, coefs, V[order].T, D)
+    if degree:  # f(X²)·v + X·(-i·g(X²)·v), one GEMM with [P | Q]
+        stacked = np.vstack([sine * eta, sine * unit])
         out = gemm(
             1.0,
             stacked.view(dtype).T,
@@ -825,40 +762,38 @@ def _evolve_modes(
     vectors X[m], with the kernel that ran and its largest degree in H. A
     mode whose vectors are all zero is left at zero.
 
-    The kernel is priced from measured costs. The polynomials
-    (``_chebyshev_stack``) run one product per degree over all their rows,
+    The kernel is priced from measured costs. The polynomial
+    (``_chebyshev_stack``) runs one product per degree over all its rows,
     one nonzero vector per row: a row-degree costs O(n²), and each step a
-    fixed part more, since even one row's product reads all of the
-    blocks. The reduction (``_evolve_stack``) costs O(n³) per live mode,
-    whatever its vector count. In plain row-degrees the plain polynomial
-    costs Σ D + STEP_ROWS·max D over its rows, the folded one FOLD_ROWS
-    times that in its own D plus its fixed part (``_Polynomial.cost``),
-    and the reduction REDUCTION_ROWS·n per live mode; the cheapest runs,
-    the plain polynomial on a tie with the folded one (``_chebyshev_plan``).
-    Timed warm on 2 vCPUs (OpenBLAS 0.3, scipy's BLAS), with every row at
-    one degree D, the plain polynomial and the reduction break even at
-    these D/n (the range over three runs), against the rule's
-    REDUCTION_ROWS·rows/(rows + STEP_ROWS):
+    fixed part more, since even one row's product reads all three blocks.
+    The reduction (``_evolve_stack``) costs O(n³) per live mode, whatever
+    its vector count. In row-degrees the polynomial costs
+    Σ (D + 2) + STEP_ROWS·(max D + 2) + 2·n over its rows
+    (``_Polynomial.cost``), and the reduction REDUCTION_ROWS·n per live
+    mode; the cheaper runs, the polynomial on a tie. Timed warm on 2 vCPUs
+    (OpenBLAS 0.3, scipy's BLAS), with every row at one degree D, the
+    polynomial and the reduction break even at these D/n (the range over
+    three runs, each a line through the times at two D), against the
+    rule's (REDUCTION_ROWS·rows - 2)/(rows + STEP_ROWS), less 2/n:
 
         general split (zgemm steps)
-        rows  n = 32      65         128        256        512        rule
-        1     0.45-0.49  0.44-0.52  0.16-0.38  0.26-1.53  0.19-0.24  0.15
-        8     2.54-2.84  2.10-2.60  2.04-2.49  1.54-2.00  1.15-1.24  0.80
-        64    4.93-5.36  3.93-5.01  3.40-4.10  2.32-3.06  2.18-2.19  1.68
-        256   7.87-9.65  4.67-5.86  4.35-4.49  3.00-3.24  2.31-2.62  1.91
+        rows n = 32       65           128          256          512          rule
+        1    -0.07..-0.06 0.04..0.07   -0.14..-0.03 -0.04..0.23  -0.01..0.00  -0.05
+        8    1.32..1.42   1.28..1.32   1.23..2.02   1.13..1.13   0.61..0.64   0.43
+        64   3.37..3.58   2.87..3.09   2.34..2.38   1.91..2.00   1.51..1.66   1.09
+        256  4.76..5.11   3.29..3.43   2.91..3.56   1.90..2.17   1.45..1.65   1.26
 
         real split (dgemm steps)
-        1     0.61-0.86  0.74-0.83  1.02-1.84  1.31-2.91  0.39-0.48  0.15
-        8     3.24-4.19  3.71-7.26  3.79-3.90  2.49-3.39  1.93-2.11  0.80
-        64    6.92-9.31  5.33-6.07  5.33-5.48  4.08-7.59  2.64-3.49  1.68
-        256   9.93-11.1  7.30-10.2  5.31-6.35  3.91-4.81  3.15-4.53  1.91
+        1    -0.04..0.02  0.29..0.30   0.48..0.52   0.54..1.21   0.16..0.17   -0.05
+        8    1.57..1.75   2.17..2.34   2.22..4.16   1.94..1.95   1.21..1.21   0.43
+        64   4.71..5.10   3.57..3.73   3.27..3.45   2.72..2.83   1.76..2.11   1.09
+        256  5.36..5.75   4.53..4.90   4.18..5.20   3.01..3.56   2.22..2.54   1.26
 
-    A reduction costs 2.1-20·n row-degrees of the general polynomial and
-    3.1-38·n of the real one (most for one row, where a step's fixed part
-    counts). The rule sits below the measured break-even everywhere, so
-    near it the reduction, which is exactly unitary, runs. In the same
-    cells a folded step costs 1.45-1.56 plain ones (the quartiles of the
-    cells' medians; median 1.48), which FOLD_ROWS = 1.5 prices."""
+    A reduction costs 1.5-5.9·n row-degrees of the general polynomial and
+    2.1-18·n of the real one (most for one row, where a step's fixed part
+    counts). The rule sits below the measured break-even everywhere it is
+    positive, so near it the reduction, which is exactly unitary, runs;
+    one row takes the polynomial only where no step runs."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
@@ -873,8 +808,7 @@ def _evolve_modes(
     picked = plan._replace(R=plan.R[mode], D=plan.D[mode])
     rows = X[live[mode], :, vec]  # one nonzero vector per row
     Y[live[mode], :, vec] = _chebyshev_stack(ds, rows, eta[live][mode], t, picked)
-    kernel = "chebyshev" if plan.shift is None else "chebyshev-folded"
-    return Y, kernel, picked.degree
+    return Y, "chebyshev", picked.degree
 
 
 def _real_split(ds: core.DriftSplit) -> bool:
@@ -947,33 +881,30 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       evolves both.
     - "general": every mode is evolved.
 
-    The last two run one of three kernels (``_evolve_modes`` picks it; the
+    The last two run one of two kernels (``_evolve_modes`` picks it; the
     result records it as ``kernel``):
 
     - "reduction" (``_evolve_stack``): per mode, Householder
       tridiagonalisation and a real tridiagonal eigensolve, applied to the
       mode's vectors only, on scipy's LAPACK and BLAS; O(n³) per mode for
       n = d + 1, whatever t.
-    - "chebyshev" (``_chebyshev_stack``): the Jacobi–Anger polynomial of
-      degree D_k ≈ t·‖H_k‖ + O(log 1/ε) in H_k, one GEMM per degree shared
-      by every mode, on scipy's BLAS: the centred [-(C1h - m1) | -(C2h - m2)]
-      times the stacked vectors, minus the term before through the GEMM's
-      beta = -1. On a real split that matrix is real and the GEMM is a
-      ``dgemm`` on the float64 views (about 0.6× the time of the ``zgemm``
-      a general split runs); O(D_k·n²) per vector.
-    - "chebyshev-folded" (``_chebyshev_stack``): centred at the midpoint
-      of the widest gap in C1h's spectrum, X_k = H_k - x_k, exp(-itX_k) is
+    - "chebyshev" (``_chebyshev_stack``): centred at the midpoint of C1h's
+      interval (``_chebyshev_plan``), X_k = H_k - x_k, exp(-itX_k) is
       cos(t|X_k|) - i·X_k·sin(t|X_k|)/|X_k|, two series in X_k² of degree
-      D_k about t/2 times the spread of |X_k|, each step one GEMM with
-      [P² - κ2 | PQ + QP | Q² - κ0] (``_folded_plan``); 2·D_k + 1 in H_k.
-      An eigenvalue alone across a gap then widens |X_k| little where it
-      would double the interval of H_k.
+      D_k about t/2 times the spread of |X_k| (2·D_k + 1 in H_k), one GEMM
+      per degree shared by every mode, on scipy's BLAS: the blocks
+      [P² - κ2 | PQ + QP | Q² - κ0] (``_folded_plan``) times the stacked
+      vectors, minus the term before through the GEMM's beta = -1. On a
+      real split the blocks are real and the GEMM is a ``dgemm`` on the
+      float64 views (about 0.6× the time of the ``zgemm`` a general split
+      runs); O(D_k·n²) per vector. An eigenvalue alone across a gap
+      that holds the midpoint folds onto the rest, so it widens |X_k|
+      little where it would double the interval of H_k.
 
-    The polynomial that runs is the cheaper by its measured cost
-    (``_evolve_modes``), if that is at most REDUCTION_ROWS·n × the modes
-    the reduction would decompose, which is the case for short times and
-    low modes, with many vectors; ``max_degree`` records the largest
-    degree in H_k.
+    The polynomial runs when its measured cost (``_evolve_modes``) is at
+    most REDUCTION_ROWS·n × the modes the reduction would decompose, which
+    is the case for short times and low modes, with many vectors;
+    ``max_degree`` records its largest degree in H_k.
 
     Memory is O(d² + N·d); no (N, d+1, d+1) stack is built. The Hermitian
     test runs first, so real symmetric C takes the one-matrix path.
@@ -983,8 +914,7 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     vector is nonzero); ``truncate`` makes such modes. The Hermitian path
     maps a zero column to an exact zero.
     """
-    if t < 0:
-        raise InvalidInputError(f"t must be nonnegative, got {t}")
+    t = core.require_time(t)
     grid = s.grid
     eta, N, dim = grid.eta, grid.N, ds.C1h.shape[0]
     if s.values.shape != (dim, N):
@@ -1098,6 +1028,7 @@ def propagate(
     ``basis`` when the caller has it, else one ``eigh`` here, which also
     gives the kink speed. C may also be given as its DriftSplit, which is
     used as it is, with the eigenvalues it has cached."""
+    t = core.require_time(t)
     # exactly Hermitian parts, so evolve needs no check
     ds = C if isinstance(C, core.DriftSplit) else core.split(C)
     x0 = core.as_vector(x0)

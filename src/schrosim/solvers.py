@@ -339,6 +339,7 @@ def quantum_jacobi_solve(
     sufficient condition for the diagonal split to contract); with it, the
     spectral radius of the iteration matrix is checked directly instead.
     """
+    t = None if t is None else core.require_time(t)
     s = build_splitting(A, b, method=method, a=a)
     d = s.G.shape[0]
     # the augmented system is (d+1)×(d+1); reject it before any eigensolve
@@ -373,7 +374,7 @@ def quantum_jacobi_solve(
     if gap <= GAP_TIE_TOL:
         raise NoGapError(f"spectral gap {gap:.3e} is (near-)degenerate")
     t_bound = estimate_tf([overlaps[0]], gap, delta)
-    t_f = TIME_SAFETY_FACTOR * t_bound if t is None else float(t)
+    t_f = TIME_SAFETY_FACTOR * t_bound if t is None else t
     conv = ConvergenceEstimate(
         overlaps=overlaps, gap=gap, delta=delta, L_term=float(overlaps[2:].sum()),
         t_out=t_bound,
@@ -461,6 +462,7 @@ def quantum_power_method(
     to the estimated stopping time; designed for diagonalisable C with
     real positive spectrum below one (other C is best-effort)."""
     C = core.require_square(core.as_matrix(C), "C")
+    t = None if t is None else core.require_time(t)
     d = C.shape[0]
     x0 = np.ones(d) / np.sqrt(d) if x0 is None else core.as_vector(x0)
     if x0.shape[0] != d:
@@ -479,7 +481,7 @@ def quantum_power_method(
     if gamma1_sq <= 1e-15:
         raise UnreachableStateError("x0 has zero overlap with the top eigenvector")
     trace = float(np.vdot(C, C).real)  # Tr(C†C) = Σ|c_ij|²
-    t_max = estimate_tmax(gamma1_sq, gap, epsilon, trace) if t is None else float(t)
+    t_max = estimate_tmax(gamma1_sq, gap, epsilon, trace) if t is None else t
     delta = epsilon**2 / (2.0 * trace)
     conv = ConvergenceEstimate(
         overlaps=overlaps, gap=gap, delta=delta,
@@ -489,13 +491,14 @@ def quantum_power_method(
     # eigenvectors: that one decomposition gives L, kink speed and evolution
     hermitian = np.array_equal(C, C.conj().T)
     basis = engine.Eigenbasis(mu=1.0 - eigvals.real, W=V) if hermitian else None
+    # one split, with its C1h eigenvalues, serves L and the engine
+    ds = core.split(C)
     if L is None:
-        C1h = None if hermitian else core.split(C).C1h
-        L = engine.default_domain_halfwidth(C1h, t_max, basis)
+        L = engine.default_domain_halfwidth(ds, t_max, basis)
     grid = engine.make_grid(N, L)
 
     # exp-abs: 4× the success probability; on a Hermitian C truncation saves no work
-    rec = engine.propagate(C, x0, t_max, grid, profile=engine.EXP_ABS, basis=basis)
+    rec = engine.propagate(ds, x0, t_max, grid, profile=engine.EXP_ABS, basis=basis)
     lam_hat = eigenvalue_from_state(rec.state, C)
     c1 = V[:, 0]
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)

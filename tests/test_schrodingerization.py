@@ -41,9 +41,11 @@ class TestMakeGrid:
         with pytest.raises(InvalidInputError):
             eng.make_grid(N, 1.0)
 
-    def test_bad_L_rejected(self):
-        with pytest.raises(InvalidInputError):
-            eng.make_grid(8, 0.0)
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_bad_L_rejected(self, L):
+        # an infinite L would put every grid point at NaN
+        with pytest.raises(InvalidInputError, match="L must be finite and positive"):
+            eng.make_grid(8, L)
 
 
 class TestInitialWarpedState:
@@ -244,6 +246,19 @@ class TestEvolve:
         vals = rng.normal(size=(d1, grid.N)) + 1j * rng.normal(size=(d1, grid.N))
         return eng.SpectralState(values=vals, grid=grid)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_time_rejected(self, monkeypatch, rng, t):
+        # refused before any work: no plan, no kernel, no split
+        C = random_contractive(rng, 6)
+        ds = core.split(C)
+        grid = eng.make_grid(64, 5.0)
+        monkeypatch.setattr(core, "split", None)
+        monkeypatch.setattr(eng, "_evolve_modes", None)
+        with pytest.raises(InvalidInputError, match="t must be finite and nonnegative"):
+            eng.evolve(self._random_state(rng, 6, grid), ds, t)
+        with pytest.raises(InvalidInputError, match="t must be finite and nonnegative"):
+            eng.propagate(C, np.ones(6), t, grid)
+
     def test_zero_time_identity(self, rng):
         grid = eng.make_grid(16, 3.0)
         C = rng.normal(size=(3, 3))
@@ -308,6 +323,16 @@ def _gapped(rng, d, real):
         return np.eye(d) + (S + S.T) / 2 + 0.1 * (K - K.T) / np.sqrt(d)
     K = K + 1j * rng.normal(size=(d, d))
     return np.eye(d) + (S + S.T) / 2 + 0.05j * (K + K.conj().T) / np.sqrt(d)
+
+
+def _complex_d64(rng, d=64):
+    """C and x0 of the evolve-complex-d64 benchmark's shape: a complex
+    non-normal contraction whose C2h's spread swamps C1h's gaps."""
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    P = (Q * rng.uniform(0.1, 1.0, d)) @ Q.conj().T
+    B = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(d)
+    C = np.eye(d) - (P + P.conj().T) / 2.0 + 1j * (B + B.conj().T) / 2.0
+    return C, rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
 # structure name -> (C builder, the evolve path it takes)
@@ -567,10 +592,17 @@ def test_evolve_matches_reference_property(structure, d, N, t, seed):
     assert np.max(drift) <= 1e-10 * mode_norms.max()
 
 
-def _chebyshev(ds, vals, eta, t, folded=False):
-    """The plain (or folded) polynomial kernel on every column of vals."""
-    build = eng._folded_plan if folded else eng._plain_plan
-    plan = build(ds, eta, t, eng._spectral_interval(ds.C2h))
+def _chebyshev(ds, vals, eta, t, centre=None):
+    """The polynomial kernel on every column of vals, planned as ``evolve``
+    plans it, or folded about ``centre``: "gap" (the midpoint of the widest
+    gap in C1h's spectrum) or "mid" (the midpoint of its interval)."""
+    if centre is None:
+        plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
+    else:
+        w = ds.c1h_eigenvalues
+        i = int(np.argmax(np.diff(w)))
+        at = {"gap": (w[i] + w[i + 1]) / 2, "mid": (w[0] + w[-1]) / 2}[centre]
+        plan = eng._folded_plan(ds, eta, t, eng._spectral_interval(ds.C2h), at)
     return eng._chebyshev_stack(ds, vals.T, eta, t, plan).T, plan
 
 
@@ -583,8 +615,8 @@ def _assert_matches(out, ref, vals, tol=1e-12):
 
 
 class TestChebyshevKernel:
-    """The Jacobi–Anger polynomial kernel against the per-mode eigh
-    reference and exact phases, and the rule that picks it."""
+    """The polynomial kernel against the per-mode eigh reference and exact
+    phases, the plan that centres it, and the rule that picks it."""
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     @pytest.mark.parametrize("d", [16, 32, 64])
@@ -616,7 +648,7 @@ class TestChebyshevKernel:
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
         assert decompositions.work() == ([], 0)
         assert (eng.evolve_path(gen.split, grid), out.kernel) == (path, "chebyshev")
-        assert 0 < out.max_degree < d
+        assert 0 < out.max_degree <= d + 1  # 2·D + 1 in H: at most d/2 steps
         assert not out.values[:, ~vals.any(axis=0)].any()
         _assert_matches(out.values, _per_mode_reference(vals, gen.blocks, t), vals)
 
@@ -636,25 +668,26 @@ class TestChebyshevKernel:
         assert np.max(np.abs(back.imag)) <= 1e-14 * np.max(np.abs(back))
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 25.0])
-    def test_diagonal_generator_gets_exact_phases(self, rng, t, folded=False):
+    def test_diagonal_generator_gets_exact_phases(self, rng, t, centre="mid"):
         # H = -(η·diag(a) + diag(b)) is diagonal, so exp(-itH) is the phase
-        # e^{it(ηa + b)}; at t = 25 the largest tR is about 500
+        # e^{it(ηa + b)}; at t = 25 the largest t·‖X‖ is about 500
         n = 6
         a = -rng.uniform(0.0, 1.0, n)
         b = rng.uniform(-2.0, 2.0, n)
         ds = core.DriftSplit(C1h=np.diag(a).astype(complex), C2h=np.diag(b).astype(complex))
         eta = np.array([0.0, 1.0, -3.0, 7.5, -40.0])
         vals = rng.normal(size=(n, eta.size)) + 1j * rng.normal(size=(n, eta.size))
-        out, (_, _, R, D, _) = _chebyshev(ds, vals, eta, t, folded)
+        out, plan = _chebyshev(ds, vals, eta, t, centre)
         exact = np.exp(1j * t * (np.outer(a, eta) + b[:, None])) * vals
-        assert (D.max() == 0) == (t == 0.0)
-        if t == 25.0 and not folded:
-            assert 400.0 <= t * R.max() <= 550.0 and D.max() > 500
+        assert (plan.D.max() == 0) == (plan.degree == 0) == (t == 0.0)
+        if t == 25.0:
+            assert plan.D.max() > 200
         _assert_matches(out, exact, vals)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 25.0])
     def test_folded_diagonal_generator_gets_exact_phases(self, rng, t):
-        self.test_diagonal_generator_gets_exact_phases(rng, t, folded=True)
+        # the same, folded about the widest gap in a's spread
+        self.test_diagonal_generator_gets_exact_phases(rng, t, centre="gap")
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-10])
     def test_folded_degree_bounds_the_exact_tail(self, monkeypatch, eps):
@@ -697,35 +730,11 @@ class TestChebyshevKernel:
         assert eng._folded_degree(2.0, np.array([0.5]), np.array([0.5]))[0] == 0
         assert eng._folded_degree(0.0, np.array([0.5]), np.array([2.0]))[0] == 0
 
-    def test_degree_bounds_the_exact_bessel_tail(self):
-        # the exact degree, the smallest D with Σ_{j>D} 2|J_j(z)| <= EPS, from
-        # scipy.special in this process; the engine never imports it
-        import scipy.special
-
-        def exact(z):
-            j = np.arange(int(math.e * z) + 80)
-            tail = 2.0 * np.cumsum(np.abs(scipy.special.jv(j, z))[::-1])[::-1]
-            return int(np.argmax(tail[1:] <= eng.CHEBYSHEV_EPS))
-
-        z = np.array([0.0, 1e-300, 1e-3, 0.5, 1.0, 2.0, 5.0, 13.0, 25.0, 60.0,
-                      120.0, 240.0, 500.0, 1000.0])
-        D = eng._chebyshev_degree(z)
-        assert D[0] == D[1] == 0 and np.all(np.diff(D) >= 0)
-        for zi, Di in zip(z[2:], D[2:]):
-            Ei = exact(zi)
-            assert Ei <= Di <= 1.1 * Ei + 2, (zi, Di, Ei)
-        # past z = 25, within 4% of the exact degree
-        assert np.all(D[8:] <= 1.04 * np.array([exact(zi) for zi in z[8:]]))
-
     def test_complex_non_normal_d64_takes_the_polynomial(self, rng, decompositions):
         # the shape of the evolve-complex-d64 benchmark input: d = 64, t = 2,
         # N = 512 at the default half-width, the default profile
         d, t = 64, 2.0
-        Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        P = (Q * rng.uniform(0.1, 1.0, d)) @ Q.conj().T
-        B = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(d)
-        C = np.eye(d) - (P + P.conj().T) / 2.0 + 1j * (B + B.conj().T) / 2.0
-        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        C, x0 = _complex_d64(rng)
         grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
         decompositions.clear()
         rec = eng.propagate(C, x0, t, grid)
@@ -735,6 +744,46 @@ class TestChebyshevKernel:
         exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
         fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
         assert fid >= 1 - 1e-9
+
+    @pytest.mark.parametrize("structure", list(_GAPPED))
+    def test_midpoint_folds_a_lone_eigenvalue_as_the_gap_centre_does(
+        self, rng, structure
+    ):
+        # one eigenvalue of C1h apart from the rest, and the interval's
+        # midpoint in the gap: the fold about it has the same spread as the
+        # fold about the gap's own midpoint, lower down, and costs less
+        ds = core.split(_GAPPED[structure][0](rng, 32))
+        eta = eng.make_grid(64, 5.0).eta
+        plan = eng._chebyshev_plan(ds, eta, 2.0, np.ones(eta.size), np.inf)
+        w = ds.c1h_eigenvalues
+        i = int(np.argmax(np.diff(w)))
+        assert plan.centre == 0.5 * float(w[0] + w[-1])
+        assert w[i] < plan.centre < w[i + 1] == w[-1]
+        gap = eng._folded_plan(
+            ds, eta, 2.0, eng._spectral_interval(ds.C2h), 0.5 * float(w[i] + w[i + 1])
+        )
+
+        def spread(p):  # F - h of the fold about p's centre
+            return np.abs(w - p.centre).max() - np.abs(w - p.centre).min()
+
+        assert spread(plan) == pytest.approx(spread(gap), rel=1e-12)
+        assert plan.cost(np.ones(eta.size), 32) < gap.cost(np.ones(eta.size), 32)
+        assert plan.D.max() < gap.D.max()
+
+    def test_plan_folds_about_the_midpoint_without_a_gap(self, rng):
+        # the evolve-complex-d64 shape: C2h's spread swamps every gap of
+        # C1h, and folded about the interval's midpoint the polynomial's
+        # degree in H is a little above d, near the unfolded series' 59
+        t = 2.0
+        C, x0 = _complex_d64(rng)
+        ds = core.split(C)
+        grid = eng.make_grid(512, eng.default_domain_halfwidth(ds, t))
+        v0, _ = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))
+        eta = grid.eta[v0.values.any(axis=0)]
+        plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
+        w = ds.c1h_eigenvalues
+        assert plan.centre == 0.5 * float(w[0] + w[-1])
+        assert 50 <= plan.degree <= 75
 
     @pytest.mark.parametrize(
         "structure, d, t",
@@ -748,10 +797,9 @@ class TestChebyshevKernel:
         # off the Hermitian path the half-width, the eigenvalues, the folded
         # kernel's blocks and the products run on scipy's, so numpy's LAPACK
         # is never called. A gap in C1h's spectrum, on a grid whose modes
-        # reach past C2h's spread, takes the folded kernel
+        # reach past C2h's spread, folds the kernel about the gap
         build, path = {**_STRUCTURES, **_GAPPED}[structure]
-        gapped = structure in _GAPPED
-        N, kernel = (64, "chebyshev-folded") if gapped else (32, "chebyshev")
+        N = 64 if structure in _GAPPED else 32
         C = build(rng, d)
         x0 = rng.normal(size=d)
 
@@ -764,7 +812,7 @@ class TestChebyshevKernel:
             monkeypatch.setattr(np.linalg, name, raiser(name))
         eng.default_domain_halfwidth(core.split(C).C1h, t)
         rec = eng.propagate(C, x0, t, eng.make_grid(N, 5.0))
-        assert (rec.path, rec.kernel) == (path, kernel)
+        assert (rec.path, rec.kernel) == (path, "chebyshev")
 
     @pytest.mark.filterwarnings("ignore:Hermitian drift part")
     def test_jacobi_d127_takes_the_polynomial(self, decompositions):
@@ -772,9 +820,8 @@ class TestChebyshevKernel:
         # A, d = 127, N = 512, t_f about 14, tR up to about 200. Its start
         # is real, so each live pair (k, -k) is one polynomial row. C1h has
         # one eigenvalue near 0 and the rest in about [-1.16, -0.85], so the
-        # folded kernel's degree follows the bulk: about 100 steps, against
-        # about 250 for the plain one, whose Σ D + STEP_ROWS·max D is
-        # about 1.3 × n × the live pairs, where the rule allows 2
+        # kernel, folded about the gap, has a degree that follows the bulk:
+        # about 100 steps, against about 250 for an unfolded series
         A, b = random_dominant(np.random.default_rng(1201), 127)
         rows = []
         stack = eng._chebyshev_stack
@@ -787,7 +834,7 @@ class TestChebyshevKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(eng, "_chebyshev_stack", recording)
             rep = solvers.quantum_jacobi_solve(A, b, N=512)
-        assert (rep.path, rep.kernel) == ("real", "chebyshev-folded")
+        assert (rep.path, rep.kernel) == ("real", "chebyshev")
         assert 150 < rep.max_degree < 250  # 2·D + 1 in H
         # truncate keeps whole pairs (k, -k) and k = 0, drops k = N/2
         assert rep.modes_evolved % 2 == 1
@@ -797,23 +844,29 @@ class TestChebyshevKernel:
 
     @pytest.mark.parametrize(
         "n, rows, ratio, kernel",
-        [(32, 1, 0.05, "chebyshev"), (32, 1, 0.5, "reduction"),
-         (128, 1, 0.05, "chebyshev"), (128, 1, 0.5, "reduction"),
-         (32, 64, 1.0, "chebyshev"), (32, 64, 6.0, "reduction"),
-         (128, 64, 1.0, "chebyshev"), (128, 64, 6.0, "reduction")],
+        [(32, 1, 0.05, "reduction"), (128, 1, 0.05, "reduction"),
+         (32, 8, 0.2, "chebyshev"), (32, 8, 2.5, "reduction"),
+         (128, 8, 0.2, "chebyshev"), (128, 8, 2.5, "reduction"),
+         (32, 64, 0.8, "chebyshev"), (32, 64, 4.0, "reduction"),
+         (128, 64, 0.8, "chebyshev"), (128, 64, 4.0, "reduction")],
     )
     def test_rule_on_the_calibration_shapes(
         self, rng, decompositions, n, rows, ratio, kernel
     ):
-        # every row at one plain degree D = ratio·n, on either side of the
-        # measured break-even (0.16–0.49·n for one row, 3.4–5.4·n for 64
-        # rows, at these n): H = -C2h with the spectrum [-1, 1], so R = 1
-        # and D is the degree at z = t. C1h = 0 has no gap, so there is
-        # no folded plan
+        # every row at one degree D = ratio·n in X², on either side of the
+        # measured break-even (1.23–2.02·n for 8 rows, 2.34–3.58·n for 64,
+        # at these n; one row never pays for a step): H = -C2h with the
+        # spectrum [-1, 1], so C1h = 0 folds about 0 onto ζ in [0, 1] and D
+        # is the degree at t
         b = np.linspace(-1.0, 1.0, n)
         ds = core.DriftSplit(C1h=np.zeros((n, n), complex), C2h=np.diag(b).astype(complex))
-        z = np.geomspace(1e-6, 8.0 * n, 20000)
-        t = float(z[np.argmax(eng._chebyshev_degree(z) >= ratio * n)])
+        lo, t = 0.0, 8.0 * n  # bisect for the first t at that degree
+        for _ in range(60):
+            mid = 0.5 * (lo + t)
+            if eng._folded_degree(mid, np.zeros(1), np.ones(1))[0] >= ratio * n:
+                t = mid
+            else:
+                lo = mid
         eta = rng.uniform(-5.0, 5.0, rows)
         X = rng.normal(size=(rows, n, 1)) + 1j * rng.normal(size=(rows, n, 1))
         polynomial_rows = []
@@ -842,17 +895,14 @@ class TestChebyshevKernel:
     def test_each_step_is_one_gemm(self, monkeypatch, rng, structure, gemm):
         # a real split (C1h real, C2h purely imaginary) runs every step as
         # one real dgemm on the float64 views; any other split as one zgemm.
-        # The folded kernel, on a C with a gap in C1h's spectrum, adds three
-        # for its blocks and one for the last product by X
+        # Three more build the blocks and one makes the last product by X
         d, t = 32, 0.5
         grid = eng.make_grid(32, 5.0)
-        folded = structure in _GAPPED
         gen = eng.generator_blocks(
             core.split({**_STRUCTURES, **_GAPPED}[structure][0](rng, d)), grid
         )
         vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
-        build = eng._folded_plan if folded else eng._plain_plan
-        plan = build(gen.split, grid.eta, t, eng._spectral_interval(gen.split.C2h))
+        plan = eng._chebyshev_plan(gen.split, grid.eta, t, np.ones(32), np.inf)
         calls = []
         for name in ("dgemm", "zgemm"):
             def counting(*args, _name=name, _gemm=getattr(eng.blas, name), **kwargs):
@@ -860,7 +910,7 @@ class TestChebyshevKernel:
                 return _gemm(*args, **kwargs)
             monkeypatch.setattr(eng.blas, name, counting)
         out = eng._chebyshev_stack(gen.split, vals.T, grid.eta, t, plan).T
-        assert calls == [gemm] * (int(plan.D.max()) + (4 if folded else 0))
+        assert calls == [gemm] * (int(plan.D.max()) + 4)
         _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
@@ -896,8 +946,12 @@ class TestChebyshevKernel:
         grid = eng.make_grid(32, 5.0)
         gen = eng.generator_blocks(ds, grid)
         vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
-        out, (m1, m2, R, _, _) = _chebyshev(ds, vals, grid.eta, t)
-        assert abs(m1 + 3.0) < 0.5 and R.max() < 0.5 * np.abs(grid.eta * m1).max()
+        out, plan = _chebyshev(ds, vals, grid.eta, t)
+        # ‖X‖ is at most √(c + R), far below the centre's |η·centre|
+        top = np.sqrt(plan.kappa2 * grid.eta**2 + plan.kappa0 + plan.R)
+        assert abs(plan.centre + 3.0) < 0.5
+        assert top.max() < 0.5 * np.abs(grid.eta * plan.centre).max()
+        m2 = plan.m2
         assert (abs(m2 - 1.5) < 0.5) if structure == "general" else m2 == 0.0
         _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
 
@@ -914,27 +968,30 @@ class TestChebyshevKernel:
         assert out.values.shape == (5, 16) and not out.values.any()
 
     def test_scalar_real_split(self, monkeypatch, rng):
-        # n = 1: a real 1x1 C1h and a zero C2h are a real split. Its
-        # intervals have no width, so the plan's degrees are all 0; on
-        # intervals widened by hand the steps run dgemm on one vector's two
-        # real columns, and any interval that holds the spectrum gives
-        # the same exponential
+        # n = 1: a real 1x1 C1h and a zero C2h are a real split. Centred on
+        # its eigenvalue, X = 0, so the plan's degrees are all 0 and the
+        # kernel is a phase; on intervals widened by hand the blocks, the
+        # steps and the last product run dgemm on one vector's two real
+        # columns, and any interval that holds X²'s spectrum gives the same
+        # exponential
         ds = core.DriftSplit(C1h=np.array([[-0.7 + 0j]]), C2h=np.zeros((1, 1), complex))
         assert eng._real_split(ds)
         t, eta = 1.5, np.array([0.0, 1.0, -2.5, 6.0])
         vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         exact = np.exp(-1j * t * 0.7 * eta) * vals
-        out, (m1, m2, R, D, _) = _chebyshev(ds, vals, eta, t)
-        assert (m1, m2) == (-0.7, 0.0) and not R.any() and not D.any()
+        out, plan = _chebyshev(ds, vals, eta, t)
+        assert (plan.centre, plan.m2) == (-0.7, 0.0)
+        assert not plan.R.any() and not plan.D.any() and plan.degree == 0
         _assert_matches(out, exact, vals)
-        R = 0.5 + np.abs(eta)
-        D = eng._chebyshev_degree(t * R)
+        c = eta**2 + 1.0  # κ2 = κ0 = 1, and ζ = 0 inside [0, 2c]
+        D = eng._folded_degree(t, c - c, c + c)
+        wide = plan._replace(R=c, D=D, kappa2=1.0, kappa0=1.0, degree=2 * int(D.max()) + 1)
         steps = []
         dgemm = eng.blas.dgemm
         monkeypatch.setattr(eng.blas, "dgemm", lambda *a, **k: steps.append(1) or dgemm(*a, **k))
         monkeypatch.setattr(eng.blas, "zgemm", None)  # a zgemm call fails
-        out = eng._chebyshev_stack(ds, vals.T, eta, t, eng._Polynomial(m1, m2, R, D)).T
-        assert len(steps) == D.max() > 10
+        out = eng._chebyshev_stack(ds, vals.T, eta, t, wide).T
+        assert len(steps) == D.max() + 4 and D.max() > 10
         _assert_matches(out, exact, vals)
 
     @pytest.mark.parametrize("real_x0", [True, False], ids=["real-x0", "complex-x0"])
@@ -1018,35 +1075,63 @@ def test_both_kernels_match_reference_property(structure, d, N, t, seed):
     _assert_matches(reduced, ref, vals)
 
 
-@settings(max_examples=30, deadline=None)
+def _gapless_zero_c1h(rng, d, real):
+    """C = I + i·K with K Hermitian: C1h = 0, so C1h has no gap and the
+    plan's two centres coincide; K = i·A with A real antisymmetric when
+    ``real``, which makes a real split."""
+    K = rng.normal(size=(d, d))
+    if real:
+        return np.eye(d) - (K - K.T) / 2
+    K = K + 1j * rng.normal(size=(d, d))
+    return np.eye(d) + 0.5j * (K + K.conj().T)
+
+
+# drifts for the fold, each (C builder of rng, d and real): a gap planted in
+# C1h, random complex drifts with no gap, C1h = 0, and a 1x1 C
+_FOLD_DRAWS = {
+    "gapped": _gapped,
+    "random-complex": lambda rng, d, real: random_contractive(rng, d),
+    "zero-c1h": _gapless_zero_c1h,
+    "scalar": lambda rng, d, real: np.array([[rng.uniform(0, 1) + 1j * rng.normal()]]),
+}
+
+
+@settings(max_examples=40, deadline=None)
 @given(
+    draw=st.sampled_from(list(_FOLD_DRAWS)),
     real=st.booleans(),
     d=st.integers(2, 12),
     t=st.floats(0.0, 4.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(real=True, d=2, t=0.0, seed=0)
-@example(real=False, d=2, t=1e-300, seed=1)
-def test_folded_kernel_matches_expm_property(real, d, t, seed):
-    """The folded kernel on a real non-normal or a general split with an
-    eigenvalue of C1h planted across a gap (``_gapped``) agrees with expm
-    per mode, and each mode's (H - x)² has its spectrum inside the
-    interval c ± R the plan encloses it in."""
+@example(draw="gapped", real=True, d=2, t=0.0, seed=0)
+@example(draw="gapped", real=False, d=2, t=1e-300, seed=1)
+@example(draw="random-complex", real=False, d=12, t=4.0, seed=2)
+@example(draw="zero-c1h", real=True, d=5, t=2.0, seed=3)
+@example(draw="scalar", real=False, d=2, t=3.0, seed=4)
+def test_folded_kernel_matches_expm_property(draw, real, d, t, seed):
+    """The polynomial, folded about the centre its plan picks, agrees with
+    expm per mode, and each mode's (H - x)² has its spectrum inside the
+    interval c ± R the plan encloses it in: on a real non-normal or a
+    general split with an eigenvalue of C1h planted across a gap
+    (``_gapped``), and on drifts without a gap, where the fold runs about
+    the midpoint of C1h's interval: random complex ones, C1h = 0, and a
+    1x1 C."""
     rng = np.random.default_rng(seed)
-    ds = core.split(_gapped(rng, d, real))
-    # |η| >= 2 puts C1h's gap past C2h's spread, so the fold has a plan
+    ds = core.split(_FOLD_DRAWS[draw](rng, d, real))
+    n = ds.C1h.shape[0]
+    # |η| >= 2 puts a planted gap past C2h's spread, so the gap centre wins
     eta = np.concatenate([[0.0], rng.uniform(2.0, 8.0, 5) * rng.choice([-1.0, 1.0], 5)])
-    V = rng.normal(size=(eta.size, d)) + 1j * rng.normal(size=(eta.size, d))
-    plan = eng._folded_plan(ds, eta, t, eng._spectral_interval(ds.C2h))
+    V = rng.normal(size=(eta.size, n)) + 1j * rng.normal(size=(eta.size, n))
+    plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
     out = eng._chebyshev_stack(ds, V, eta, t, plan)
-    kappa2, kappa0 = plan.shift
     for e, v, y, R in zip(eta, V, out, plan.R):
         H = -(e * ds.C1h + ds.C2h)
         exact = scipy.linalg.expm(-1j * t * H) @ v
         assert np.linalg.norm(y - exact) <= 1e-13 * np.linalg.norm(v)
-        X = H + (e * plan.centre + plan.m2) * np.eye(d)
+        X = H + (e * plan.centre + plan.m2) * np.eye(n)
         w = np.linalg.eigvalsh(X @ X.conj().T)  # X Hermitian: X·X† = X²
-        c = kappa2 * e * e + kappa0
+        c = plan.kappa2 * e * e + plan.kappa0
         assert c - R - 1e-12 * c <= w[0] and w[-1] <= c + R + 1e-12 * c
         assert c - R >= -1e-15 * c
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,7 @@ from schrosim.errors import (
     UnreachableStateError,
 )
 
-from conftest import random_dominant
+from conftest import random_dominant, random_power_instance
 
 A22 = np.array([[2.0, 1.0], [1.0, 3.0]])
 B22 = np.array([1.0, 2.0])
@@ -334,6 +336,19 @@ class TestQuantumJacobiSolve:
         solvers.quantum_jacobi_solve(A, b)
         assert (len(splits), len(eigvalsh)) == (1, 2)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected_before_any_work(self, monkeypatch, rng, t):
+        A, b = random_dominant(rng, 6)
+        monkeypatch.setattr(solvers, "eigen_overlaps", None)
+        with pytest.raises(InvalidInputError, match="t must be finite"):
+            solvers.quantum_jacobi_solve(A, b, t=t)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf])
+    def test_non_finite_half_width_rejected(self, rng, L):
+        A, b = random_dominant(rng, 6)
+        with pytest.raises(InvalidInputError, match="L must be finite"):
+            solvers.quantum_jacobi_solve(A, b, L=L)
+
     def test_smooth_profile_and_truncation_reported(self, rng):
         A, b = random_dominant(rng, 12)
         rep = solvers.quantum_jacobi_solve(A, b)
@@ -507,6 +522,29 @@ class TestQuantumPowerMethod:
         assert abs(rep.eigenvalue_estimate - 0.9) <= rep.eigenvalue_error_bound
         # and bounds something: ‖C‖_F·sqrt(2 - F) was never below ‖C‖_F
         assert rep.eigenvalue_error_bound < 0.1 * np.linalg.norm(C)
+
+    @pytest.mark.parametrize("t, L", [(math.nan, None), (math.inf, None), (None, math.inf)])
+    def test_non_finite_time_or_half_width_rejected(self, rng, t, L):
+        C = random_power_instance(rng, 5)
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            solvers.quantum_power_method(C, t=t, L=L)
+
+    def test_non_hermitian_op_splits_once(self, monkeypatch):
+        # one split, with its cached C1h eigenvalues, serves L, the kink
+        # speed and the polynomial; the other eigensolve is C2h's interval.
+        # L is the one the array path gives, so the estimate is unchanged
+        C = np.array([[0.9, 0.2, 0.0], [0.0, 0.5, 0.1], [0.05, 0.0, 0.3]])
+        splits = _counting(monkeypatch, core, "split")
+        eigvalsh = _counting(monkeypatch, scipy.linalg, "eigvalsh")
+        rep = solvers.quantum_power_method(C)
+        assert (len(splits), len(eigvalsh)) == (1, 2)
+        assert rep.path == "real"
+        monkeypatch.undo()
+        L = schrodingerization.default_domain_halfwidth(core.split(C).C1h, rep.t_max_used)
+        ref = solvers.quantum_power_method(C, L=L)
+        assert rep.grid.L == L
+        assert rep.eigenvalue_estimate == ref.eigenvalue_estimate
+        assert np.array_equal(rep.state, ref.state)
 
     @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
     def test_hermitian_op_decomposes_once(self, monkeypatch, rng, complex_entries):
