@@ -299,10 +299,6 @@ def _base_report(cfg: RunConfig, M: np.ndarray) -> dict:
     }
 
 
-def _grid_section(grid: engine.Grid) -> dict:
-    return {"N": grid.N, "L": grid.L}
-
-
 # RunConfig fields set from a float option (text from the command line, a
 # float once _check_numbers has run); the option is --<field>, in lower case
 # with "-" for "_"
@@ -345,20 +341,27 @@ def _explicit_time(cfg: RunConfig) -> float | None:
     return None if cfg.t in (None, "auto") else cfg.t
 
 
-def _propagation_section(rep) -> dict:
-    """How ``propagate`` produced the answer, from a ``RecoveredState`` or a
-    ``LinearSolveReport``: the start profile, the modes it evolved, the
-    relative norm truncation dropped, the ``evolve`` path, its kernel and
-    the largest polynomial degree in the generator (null off the
-    polynomials; see ``schrodingerization.RecoveredState``)."""
+def _propagation_keys(rec: engine.RecoveredState) -> dict:
+    """The keys of a ``solve``, ``eig`` or ``evolve`` report that say how
+    ``propagate`` produced the answer: the grid, the time, the success
+    probability and the ``propagation`` section, with the start profile,
+    the modes it evolved, the relative norm truncation dropped, the
+    ``evolve`` path, its kernel and the largest polynomial degree in the
+    generator (null off the polynomial; see
+    ``schrodingerization.RecoveredState``)."""
     return {
-        "profile": rep.profile.name,
-        "profile_negative_mass": rep.profile.negative_mass,
-        "modes_evolved": rep.modes_evolved,
-        "dropped_norm": rep.dropped_norm,
-        "path": rep.path,
-        "kernel": rep.kernel,
-        "max_degree": rep.max_degree,
+        "grid": {"N": rec.grid.N, "L": rec.grid.L},
+        "t_used": rec.time,
+        "success_probability": rec.success_probability,
+        "propagation": {
+            "profile": rec.profile.name,
+            "profile_negative_mass": rec.profile.negative_mass,
+            "modes_evolved": rec.modes_evolved,
+            "dropped_norm": rec.dropped_norm,
+            "path": rec.path,
+            "kernel": rec.kernel,
+            "max_degree": rec.max_degree,
+        },
     }
 
 
@@ -383,19 +386,16 @@ def run_solve(cfg: RunConfig) -> dict:
     out = _base_report(cfg, A)
     out.update(
         {
-            "grid": _grid_section(rep.grid),
-            "t_used": rep.t_f_used,
+            **_propagation_keys(rep.propagation),
             "fidelity": rep.fidelity,
             "residual": rep.residual,
-            "success_probability": rep.success_probability,
             "state": _pairs(rep.state),
             "y": _pairs(rep.y_classical),
             "cost": asdict(rep.cost),
-            "propagation": _propagation_section(rep),
         }
     )
     if cfg.show_overlaps:
-        out["overlaps"] = [float(x) for x in rep.convergence.overlaps]
+        out["overlaps"] = [float(x) for x in rep.overlaps]
     return out
 
 
@@ -414,19 +414,16 @@ def run_eig(cfg: RunConfig) -> dict:
     out = _base_report(cfg, C)
     out.update(
         {
-            "grid": _grid_section(rep.grid),
-            "t_used": rep.t_max_used,
+            **_propagation_keys(rep.propagation),
             "fidelity": rep.fidelity,
-            "success_probability": rep.success_probability,
             "eigenvalue_estimate": [lam.real, lam.imag],
             "eigenvalue_error_bound": rep.eigenvalue_error_bound,
-            "state": _pairs(rep.state),
+            "state": _pairs(rep.propagation.state),
             "cost": asdict(rep.cost),
-            "propagation": {"path": rep.path},
         }
     )
     if cfg.show_overlaps:
-        out["overlaps"] = [float(x) for x in rep.convergence.overlaps]
+        out["overlaps"] = [float(x) for x in rep.overlaps]
     return out
 
 
@@ -438,22 +435,19 @@ def run_evolve(cfg: RunConfig) -> dict:
     t = _explicit_time(cfg)
     if t is None:
         raise InvalidInputError("evolve requires an explicit --t")
+    # one split, with its C1h eigenvalues, serves L and the engine
     ds = core.split(C)
-    L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(ds.C1h, t)
-    grid = engine.make_grid(cfg.N, L)
-    rec = engine.propagate(C, x0, t, grid)
+    L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(ds, t)
+    rec = engine.propagate(ds, x0, t, engine.make_grid(cfg.N, L))
     exact = baselines.exact_propagator(C, x0, t)
     exact_unit = exact / np.linalg.norm(exact)
     out = _base_report(cfg, C)
     out.update(
         {
-            "grid": _grid_section(grid),
-            "t_used": t,
+            **_propagation_keys(rec),
             "fidelity": float(np.abs(np.vdot(exact_unit, rec.state)) ** 2),
-            "success_probability": rec.success_probability,
             "state": _pairs(rec.state),
             "x": _pairs(rec.x),
-            "propagation": _propagation_section(rec),
         }
     )
     return out

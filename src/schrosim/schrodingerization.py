@@ -200,17 +200,19 @@ class GeneratorBlocks:
 
 @dataclass(frozen=True)
 class RecoveredState:
-    """x(t) read out of a warped state. ``propagate`` also records the
-    initial profile, the number of Fourier modes it evolved, the relative
-    norm it dropped (see ``truncate``), the ``evolve`` path that ran (see
-    ``evolve_path``), its kernel ("phases", "reduction" or "chebyshev") and
-    the largest polynomial degree in the generator (None off the
+    """x(t) read out of a warped state at ``time`` on ``grid``; the solvers'
+    reports hold it as the record of their evolution. ``propagate`` also
+    records the initial profile, the number of Fourier modes it evolved, the
+    relative norm it dropped (see ``truncate``), the ``evolve`` path that ran
+    (see ``evolve_path``), its kernel ("phases", "reduction" or "chebyshev")
+    and the largest polynomial degree in the generator (None off the
     polynomial; 2·D + 1 for its D steps, 0 where it is a phase)."""
 
     x: np.ndarray
     state: np.ndarray
     success_probability: float
     time: float
+    grid: Grid
     profile: Profile = EXP_ABS
     modes_evolved: int | None = None
     dropped_norm: float = 0.0
@@ -1003,7 +1005,7 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     env_norm = float(np.sqrt(np.sum(np.exp(-2.0 * grid.p[grid.p > 0]))))
     prob = min(1.0, (xnorm * env_norm / wnorm) ** 2) if wnorm > 0 else 0.0
     return RecoveredState(
-        x=xhat, state=xhat / xnorm, success_probability=prob, time=s.time
+        x=xhat, state=xhat / xnorm, success_probability=prob, time=s.time, grid=grid
     )
 
 

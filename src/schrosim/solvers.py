@@ -45,21 +45,10 @@ class Splitting:
     damped_jacobi: B = Λ/a,                G = I - aΛ⁻¹A,   g = aΛ⁻¹b
     """
 
-    method: str
     G: np.ndarray
     g: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    a: float | None = None
-
-
-@dataclass(frozen=True)
-class ConvergenceEstimate:
-    overlaps: np.ndarray
-    gap: float
-    delta: float
-    L_term: float
-    t_out: float
 
 
 @dataclass(frozen=True)
@@ -75,39 +64,30 @@ class CostReport:
 
 @dataclass(frozen=True)
 class LinearSolveReport:
+    """``propagation`` is the engine's record of the evolution of the
+    σ-scaled augmented system, to t_f; ``state`` is the unit state of the
+    unscaled one, σ mapped back out."""
+
     state: np.ndarray
     y_classical: np.ndarray
     residual: float
     fidelity: float
-    t_f_used: float
-    grid: engine.Grid
     cost: CostReport
-    success_probability: float
-    convergence: ConvergenceEstimate
-    # the initial warped profile, and how many Fourier modes were evolved
-    # with what relative norm dropped (schrodingerization.truncate)
-    profile: engine.Profile
-    modes_evolved: int
-    dropped_norm: float
-    path: str  # the evolve path that ran (schrodingerization.evolve_path)
-    # its kernel and largest polynomial degree in the generator
-    # (schrodingerization.RecoveredState)
-    kernel: str
-    max_degree: int | None
+    overlaps: np.ndarray  # of the start with the eigenvectors, steady first
+    propagation: engine.RecoveredState
 
 
 @dataclass(frozen=True)
 class PowerReport:
+    """``propagation`` is the engine's record of the evolution, to t_max;
+    its state is the estimated eigenvector."""
+
     eigenvalue_estimate: complex
-    state: np.ndarray
     eigenvalue_error_bound: float
-    t_max_used: float
-    grid: engine.Grid
     cost: CostReport
     fidelity: float
-    success_probability: float
-    convergence: ConvergenceEstimate
-    path: str  # the evolve path that ran (schrodingerization.evolve_path)
+    overlaps: np.ndarray  # of x0 with the eigenvectors, dominant first
+    propagation: engine.RecoveredState
 
 
 def build_splitting(A, b, method: str = "jacobi", a: float | None = None) -> Splitting:
@@ -124,11 +104,11 @@ def build_splitting(A, b, method: str = "jacobi", a: float | None = None) -> Spl
                 "A has a zero diagonal entry; the diagonal split is not invertible"
             )
         G = -(A - np.diag(diag)) / diag[:, None]
-        return Splitting("jacobi", G, b / diag, A, b)
+        return Splitting(G, b / diag, A, b)
     if method == "richardson":
         if a is None or a == 0:
             raise InvalidInputError("richardson requires a nonzero relaxation a")
-        return Splitting("richardson", I - a * A, a * b, A, b, a=a)
+        return Splitting(I - a * A, a * b, A, b)
     if method == "damped_jacobi":
         if a is None or a in (0, 1):
             raise InvalidInputError("damped_jacobi requires a not in {0, 1}")
@@ -137,7 +117,7 @@ def build_splitting(A, b, method: str = "jacobi", a: float | None = None) -> Spl
                 "A has a zero diagonal entry; the diagonal split is not invertible"
             )
         G = I - a * (A / diag[:, None])
-        return Splitting("damped_jacobi", G, a * b / diag, A, b, a=a)
+        return Splitting(G, a * b / diag, A, b)
     raise InvalidInputError(f"unknown splitting method {method!r}")
 
 
@@ -305,8 +285,11 @@ def _affine_scale(
     smallest power-of-two sigma meeting the target is used; recovery
     amplifies state error by sigma, so it is kept minimal. Returns sigma
     with its augmented C and the drift split of that C.
+
+    When no sigma up to 2**max_doublings meets the target, the Hermitian
+    part of G - I, which sigma does not change, keeps the kink too fast for
+    the readout: ConvergenceUnsafeError names the cap and what is left.
     """
-    best, best_top = None, None
     sigma = 1.0
     for _ in range(max_doublings + 1):
         C = core.augment(G, np.asarray(g) / sigma)
@@ -314,10 +297,11 @@ def _affine_scale(
         top = float(ds.c1h_eigenvalues[-1])  # cached on the split it returns
         if top <= target:
             return sigma, C, ds
-        if best_top is None or top < best_top:
-            best, best_top = (sigma, C, ds), top
         sigma *= 2.0
-    return best
+    raise ConvergenceUnsafeError(
+        f"the affine scale up to sigma = {sigma / 2:g} leaves the top Hermitian"
+        f" drift eigenvalue at {top:.3e}, above {target:g}"
+    )
 
 
 def quantum_jacobi_solve(
@@ -370,15 +354,9 @@ def quantum_jacobi_solve(
     sigma, C, ds = _affine_scale(s.G, s.g)
     x0 = np.concatenate([y0 / sigma, [1.0]])
 
-    eigvals, overlaps, _, gap = eigen_overlaps(C - np.eye(d + 1), x0, steady_hint=0j)
-    if gap <= GAP_TIE_TOL:
-        raise NoGapError(f"spectral gap {gap:.3e} is (near-)degenerate")
-    t_bound = estimate_tf([overlaps[0]], gap, delta)
+    _, overlaps, _, gap = eigen_overlaps(C - np.eye(d + 1), x0, steady_hint=0j)
+    t_bound = estimate_tf([overlaps[0]], gap, delta)  # also refuses a tied gap
     t_f = TIME_SAFETY_FACTOR * t_bound if t is None else t
-    conv = ConvergenceEstimate(
-        overlaps=overlaps, gap=gap, delta=delta, L_term=float(overlaps[2:].sum()),
-        t_out=t_bound,
-    )
     # the σ search's split, with its C1h eigenvalues, serves L and the engine
     if L is None:
         L = engine.default_domain_halfwidth(ds, t_f)
@@ -408,17 +386,9 @@ def quantum_jacobi_solve(
         y_classical=y,
         residual=residual,
         fidelity=fidelity,
-        t_f_used=t_f,
-        grid=grid,
         cost=cost,
-        success_probability=rec.success_probability,
-        convergence=conv,
-        profile=rec.profile,
-        modes_evolved=rec.modes_evolved,
-        dropped_norm=rec.dropped_norm,
-        path=rec.path,
-        kernel=rec.kernel,
-        max_degree=rec.max_degree,
+        overlaps=overlaps,
+        propagation=rec,
     )
 
 
@@ -482,11 +452,6 @@ def quantum_power_method(
         raise UnreachableStateError("x0 has zero overlap with the top eigenvector")
     trace = float(np.vdot(C, C).real)  # Tr(C†C) = Σ|c_ij|²
     t_max = estimate_tmax(gamma1_sq, gap, epsilon, trace) if t is None else t
-    delta = epsilon**2 / (2.0 * trace)
-    conv = ConvergenceEstimate(
-        overlaps=overlaps, gap=gap, delta=delta,
-        L_term=float(overlaps[2:].sum()), t_out=t_max,
-    )
     # eigen_overlaps ran eigh on a Hermitian C, and -C1h = I - C has its
     # eigenvectors: that one decomposition gives L, kink speed and evolution
     hermitian = np.array_equal(C, C.conj().T)
@@ -509,13 +474,9 @@ def quantum_power_method(
     )
     return PowerReport(
         eigenvalue_estimate=lam_hat,
-        state=rec.state,
         eigenvalue_error_bound=bound,
-        t_max_used=t_max,
-        grid=grid,
         cost=cost,
         fidelity=fidelity,
-        success_probability=rec.success_probability,
-        convergence=conv,
-        path=rec.path,
+        overlaps=overlaps,
+        propagation=rec,
     )

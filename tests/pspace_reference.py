@@ -45,7 +45,8 @@ def recover(w: eng.WarpedState, p_min: float = 0.0) -> eng.RecoveredState:
     env_norm = float(np.sqrt(np.sum(np.exp(-2.0 * grid.p[grid.p > 0]))))
     prob = min(1.0, (xnorm * env_norm / wnorm) ** 2) if wnorm > 0 else 0.0
     return eng.RecoveredState(
-        x=xhat, state=xhat / xnorm, success_probability=prob, time=w.time
+        x=xhat, state=xhat / xnorm, success_probability=prob, time=w.time,
+        grid=grid,
     )
 
 

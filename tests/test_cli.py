@@ -7,8 +7,9 @@ from pathlib import Path
 import click
 import numpy as np
 import pytest
+import scipy.linalg
 
-from schrosim import cli, core, schrodingerization as engine
+from schrosim import cli, core, schrodingerization as engine, solvers
 from schrosim.cli import RunConfig
 from schrosim.errors import ParseError
 
@@ -39,6 +40,10 @@ def mm_real(tmp_path, name, M, symmetry="general"):
 
 def vec(tmp_path, name, v):
     return write(tmp_path, name, json.dumps(list(v)))
+
+
+# a real non-normal 3x3 C, as Matrix Market entry lines
+REAL_3X3 = "1 1 0.9\n1 2 0.2\n2 2 0.5\n2 3 0.1\n3 1 0.05\n3 3 0.3\n"
 
 
 class TestReadMatrixMarket:
@@ -575,6 +580,31 @@ class TestRunEvolve:
         assert section["max_degree"] == 0
         assert report["fidelity"] >= 1 - 1e-9
 
+    def test_splits_once(self, tmp_path, monkeypatch):
+        # one split, with its cached C1h eigenvalues, serves L and the
+        # engine; the other eigensolve is C2h's interval
+        path = write(
+            tmp_path, "C.mtx",
+            f"%%MatrixMarket matrix coordinate real general\n3 3 6\n{REAL_3X3}",
+        )
+        calls = []
+        for owner, name in ((core, "split"), (scipy.linalg, "eigvalsh")):
+            def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        cfg = RunConfig(
+            command="evolve",
+            matrix_path=path,
+            x0_path=vec(tmp_path, "x0.json", [0.6, 0.0, 0.8]),
+            t=1.0,
+            N=64,
+        )
+        out = cli.run_evolve(cfg)
+        assert sorted(calls) == ["eigvalsh", "eigvalsh", "split"]
+        assert out["propagation"]["path"] == "real"
+
     def test_requires_time(self, tmp_path):
         cfg = RunConfig(
             command="evolve",
@@ -584,6 +614,61 @@ class TestRunEvolve:
             output_path=str(tmp_path / "out.json"),
         )
         assert cli.execute(cfg) == 2
+
+
+class TestPropagationSection:
+    """``solve``, ``eig`` and ``evolve`` report the engine's record of the
+    evolution, ``RecoveredState``, in one ``propagation`` section."""
+
+    @staticmethod
+    def _run(monkeypatch, command, solver=None, **kwargs):
+        """The command's report, and the solver report it was built from."""
+        reps = []
+        if solver is not None:
+            real = getattr(solvers, solver)
+
+            def recording(*args, **kw):
+                reps.append(real(*args, **kw))
+                return reps[-1]
+
+            monkeypatch.setattr(solvers, solver, recording)
+        out = getattr(cli, f"run_{command}")(RunConfig(command=command, **kwargs))
+        return out, reps[0] if reps else None
+
+    def _reports(self, tmp_path, monkeypatch):
+        A = mm_real(tmp_path, "A.mtx", [[2.0, 1.0], [1.0, 3.0]])
+        C = write(
+            tmp_path, "C.mtx",
+            f"%%MatrixMarket matrix coordinate real general\n3 3 6\n{REAL_3X3}",
+        )
+        x0 = vec(tmp_path, "x0.json", [0.6, 0.0, 0.8])
+        b = vec(tmp_path, "b.json", [1.0, 2.0])
+        return {
+            "solve": self._run(monkeypatch, "solve", "quantum_jacobi_solve",
+                               matrix_path=A, rhs_path=b),
+            "eig": self._run(monkeypatch, "eig", "quantum_power_method",
+                             matrix_path=C, x0_path=x0, N=64),
+            "evolve": self._run(monkeypatch, "evolve", matrix_path=C, x0_path=x0,
+                                t=1.0, N=64),
+        }
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_every_command_has_the_same_keys(self, tmp_path, monkeypatch):
+        keys = {cmd: sorted(out["propagation"]) for cmd, (out, _) in
+                self._reports(tmp_path, monkeypatch).items()}
+        assert keys["eig"] == keys["solve"] == keys["evolve"]
+        assert len(keys["eig"]) == 7
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_solver_reports_hold_the_record(self, tmp_path, monkeypatch):
+        reports = self._reports(tmp_path, monkeypatch)
+        for command in ("solve", "eig"):
+            out, rep = reports[command]
+            rec = rep.propagation
+            assert out["t_used"] == rec.time
+            assert out["grid"] == {"N": rec.grid.N, "L": rec.grid.L}
+            assert out["success_probability"] == rec.success_probability
+            assert out["propagation"]["path"] == rec.path
 
 
 class TestRunDiagnose:
@@ -713,8 +798,7 @@ class TestDeterminism:
             ("eig", "complex hermitian", "1 1 0.9 0.0\n2 1 0.05 -0.05\n2 2 0.5 0.0\n"
              "3 2 0.0 0.02\n3 3 0.3 0.0\n", {}, 0, "hermitian"),
             # real non-symmetric C: modes k = 0..N/2 only
-            ("eig", "real general", "1 1 0.9\n1 2 0.2\n2 2 0.5\n2 3 0.1\n3 1 0.05\n"
-             "3 3 0.3\n", {}, 33, "real"),
+            ("eig", "real general", REAL_3X3, {}, 33, "real"),
             # complex general C: every mode that carries mass, 61 of 64 from
             # the smooth default profile
             ("evolve", "complex general", "1 1 0.6 0.0\n1 2 0.1 0.2\n2 1 0.0 -0.1\n"

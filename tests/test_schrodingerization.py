@@ -834,11 +834,12 @@ class TestChebyshevKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(eng, "_chebyshev_stack", recording)
             rep = solvers.quantum_jacobi_solve(A, b, N=512)
-        assert (rep.path, rep.kernel) == ("real", "chebyshev")
-        assert 150 < rep.max_degree < 250  # 2·D + 1 in H
+        rec = rep.propagation
+        assert (rec.path, rec.kernel) == ("real", "chebyshev")
+        assert 150 < rec.max_degree < 250  # 2·D + 1 in H
         # truncate keeps whole pairs (k, -k) and k = 0, drops k = N/2
-        assert rep.modes_evolved % 2 == 1
-        assert rows == [(rep.modes_evolved + 1) // 2]
+        assert rec.modes_evolved % 2 == 1
+        assert rows == [(rec.modes_evolved + 1) // 2]
         assert decompositions.work() == ([], 0)
         assert rep.fidelity >= 1 - 1e-9
 

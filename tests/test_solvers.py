@@ -352,14 +352,15 @@ class TestQuantumJacobiSolve:
     def test_smooth_profile_and_truncation_reported(self, rng):
         A, b = random_dominant(rng, 12)
         rep = solvers.quantum_jacobi_solve(A, b)
-        assert rep.profile is schrodingerization.SMOOTH
-        assert rep.modes_evolved < rep.grid.N
-        assert 0.0 < rep.dropped_norm <= schrodingerization.TRUNCATION_EPS
+        rec = rep.propagation
+        assert rec.profile is schrodingerization.SMOOTH
+        assert rec.modes_evolved < rec.grid.N
+        assert 0.0 < rec.dropped_norm <= schrodingerization.TRUNCATION_EPS
         assert rep.fidelity >= 1 - 1e-9 and rep.residual <= 1e-4
         # ψ leaves 0.128 of the mass on p > 0 against 0.5 for e^{-|p|}; the
         # success probability falls by about that ratio
         share = 0.5 / (0.5 + schrodingerization.SMOOTH.negative_mass)
-        assert 0.05 <= rep.success_probability <= 1.1 * share
+        assert 0.05 <= rec.success_probability <= 1.1 * share
 
     @pytest.mark.filterwarnings("ignore:Hermitian drift part")
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -369,21 +370,51 @@ class TestQuantumJacobiSolve:
         # (cutting one of a pair left about 1e-8 on these inputs)
         A, b = random_dominant(np.random.default_rng(seed), 30)
         rep = solvers.quantum_jacobi_solve(A, b)
-        assert rep.modes_evolved < rep.grid.N and rep.dropped_norm > 0.0
+        rec = rep.propagation
+        assert rec.modes_evolved < rec.grid.N and rec.dropped_norm > 0.0
         assert np.max(np.abs(rep.state.imag)) <= 1e-12
         assert np.max(np.abs(rep.y_classical.imag)) <= 1e-12
 
-    def test_non_finite_readout_is_a_numerical_failure(self):
-        # a non-dominant A whose σ search ends at its cap: the readout floor
-        # lands past p = 951, where every weight e^{-p} underflows. Before,
-        # the fit divided 0 by 0 and core.deaugment reported the NaN as
-        # invalid input.
+    def test_sigma_search_at_its_cap_is_refused(self, monkeypatch):
+        # a non-dominant A whose σ search ends at its cap with C1h's top
+        # eigenvalue at 4.5: the readout floor would land past p = 951,
+        # where every weight e^{-p} underflows, so it is refused before any
+        # evolution (the engine's own underflow check is
+        # test_underflowing_readout_window_is_a_numerical_failure)
         rng = np.random.default_rng(34)
         A = 2 * np.eye(12) + 0.5 * rng.normal(size=(12, 12))
         b = rng.normal(size=12)
-        with pytest.warns(UserWarning, match="not negative semidefinite"):
-            with pytest.raises(NumericalError, match="underflow"):
-                solvers.quantum_jacobi_solve(A, b, override_convergence=True)
+        monkeypatch.setattr(schrodingerization, "propagate", None)
+        with pytest.raises(ConvergenceUnsafeError, match=r"sigma = 1024 .* 4\.5"):
+            solvers.quantum_jacobi_solve(A, b, override_convergence=True)
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_override_sample_exits_with_no_wrong_answer(self, monkeypatch):
+        # A = 2I + 0.5·Z, d = 12: the 8 inputs that reach a σ <= 16 are
+        # right and the other 32 are refused, so none exits with a wrong
+        # answer (a capped σ search left residuals of 0.07 to 1.0)
+        sigmas = []
+        scale = solvers._affine_scale
+
+        def recording(G, g):
+            found = scale(G, g)
+            sigmas.append(found[0])
+            return found
+
+        monkeypatch.setattr(solvers, "_affine_scale", recording)
+        refused = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            A = 2 * np.eye(12) + 0.5 * rng.normal(size=(12, 12))
+            b = rng.normal(size=12)
+            try:
+                rep = solvers.quantum_jacobi_solve(A, b, override_convergence=True)
+            except ConvergenceUnsafeError:
+                refused += 1
+                continue
+            assert rep.residual <= 1e-2 and rep.fidelity >= 0.999, seed
+        assert (len(sigmas), refused) == (8, 32)
+        assert max(sigmas) <= 16
 
     def test_override_uses_spectral_radius(self):
         # not diagonally dominant but r(G) = sqrt(0.24) < 1; the indefinite
@@ -486,7 +517,7 @@ class TestQuantumPowerMethod:
         rep = solvers.quantum_power_method(
             C, np.array([1.0, 1.0]) / np.sqrt(2), epsilon=0.1
         )
-        assert rep.t_max_used == pytest.approx(6.6957, abs=1e-3)
+        assert rep.propagation.time == pytest.approx(6.6957, abs=1e-3)
         assert abs(rep.eigenvalue_estimate - 0.9) <= 0.1
         delta = 0.1**2 / (2 * 1.06)
         assert rep.fidelity >= 1 - delta
@@ -537,14 +568,15 @@ class TestQuantumPowerMethod:
         splits = _counting(monkeypatch, core, "split")
         eigvalsh = _counting(monkeypatch, scipy.linalg, "eigvalsh")
         rep = solvers.quantum_power_method(C)
+        rec = rep.propagation
         assert (len(splits), len(eigvalsh)) == (1, 2)
-        assert rep.path == "real"
+        assert rec.path == "real"
         monkeypatch.undo()
-        L = schrodingerization.default_domain_halfwidth(core.split(C).C1h, rep.t_max_used)
+        L = schrodingerization.default_domain_halfwidth(core.split(C).C1h, rec.time)
         ref = solvers.quantum_power_method(C, L=L)
-        assert rep.grid.L == L
+        assert rec.grid.L == L
         assert rep.eigenvalue_estimate == ref.eigenvalue_estimate
-        assert np.array_equal(rep.state, ref.state)
+        assert np.array_equal(rec.state, ref.propagation.state)
 
     @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
     def test_hermitian_op_decomposes_once(self, monkeypatch, rng, complex_entries):
@@ -561,13 +593,14 @@ class TestQuantumPowerMethod:
         scipy_eigvalsh_calls = _counting(monkeypatch, scipy.linalg, "eigvalsh")
         split_calls = _counting(monkeypatch, core, "split")
         rep = solvers.quantum_power_method(C, x0, epsilon=0.05, N=128)
+        rec = rep.propagation
         assert (len(eigh_calls), len(split_calls)) == (1, 1)
         assert eigvalsh_calls == scipy_eigvalsh_calls == []
-        assert rep.path == "hermitian"
+        assert rec.path == "hermitian"
         assert abs(rep.eigenvalue_estimate - 0.9) <= 0.05
         # L from the same decomposition as before
         rho = np.max(np.abs(lam - 1.0))
-        assert rep.grid.L == pytest.approx(4.0 + rep.t_max_used * rho, rel=1e-12)
+        assert rec.grid.L == pytest.approx(4.0 + rec.time * rho, rel=1e-12)
 
     @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
     def test_hermitian_op_starts_from_exp_abs(self, rng, complex_entries):
@@ -583,11 +616,11 @@ class TestQuantumPowerMethod:
         eigvals, _, V, _ = solvers.eigen_overlaps(C, x0)
         basis = schrodingerization.Eigenbasis(mu=1.0 - eigvals.real, W=V)
         rec = schrodingerization.propagate(
-            C, x0, rep.t_max_used, rep.grid,
+            C, x0, rep.propagation.time, rep.propagation.grid,
             profile=schrodingerization.EXP_ABS, basis=basis,
         )
-        assert rep.success_probability == rec.success_probability
-        assert np.array_equal(rep.state, rec.state)
+        assert rep.propagation.success_probability == rec.success_probability
+        assert np.array_equal(rep.propagation.state, rec.state)
 
     @pytest.mark.parametrize("complex_entries", [0.0, 1.0], ids=["real", "complex"])
     def test_hermitian_op_runs_on_numpy_alone(self, monkeypatch, rng, complex_entries):
@@ -614,7 +647,7 @@ class TestQuantumPowerMethod:
         monkeypatch.setattr(np.linalg, "eig", raiser("numpy.linalg.eig"))
         rep = solvers.quantum_power_method(C, x0, epsilon=0.05, N=128)
         assert len(eigh_calls) <= 2
-        assert rep.path == "hermitian"
+        assert rep.propagation.path == "hermitian"
         assert abs(rep.eigenvalue_estimate - 0.9) <= 0.05
 
 
