@@ -308,10 +308,11 @@ _FLOAT_FIELDS = ("a", "L", "t", "delta", "epsilon", "alpha0_sq")
 def _check_numbers(cfg: RunConfig) -> None:
     """Parse each numeric option once and store the number. Reject a float
     option that does not parse or is not finite (NaN and infinity are not
-    JSON numbers), an assumed overlap --alpha0-sq outside (0, 1], and a
-    grid size --n that is not a power of two in [4, 65536] (the rule of
-    ``make_grid``). The command line passes these options as text, so a
-    typo gets the JSON error document."""
+    JSON numbers), an assumed overlap --alpha0-sq outside (0, 1], a
+    fidelity target --delta outside (0, 1), and a grid size --n that is not
+    a power of two in [4, 65536] (the rule of ``make_grid``). The command
+    line passes these options as text, so a typo gets the JSON error
+    document."""
     text = str(cfg.N).strip()
     N = int(text) if re.fullmatch(r"0*[0-9]{1,5}", text) else 0
     if not engine.valid_mode_count(N):
@@ -335,6 +336,8 @@ def _check_numbers(cfg: RunConfig) -> None:
         raise InvalidInputError(
             f"--alpha0-sq must be in (0, 1], got {cfg.alpha0_sq!r}"
         )
+    if not 0.0 < cfg.delta < 1.0:
+        raise InvalidInputError(f"--delta must be in (0, 1), got {cfg.delta!r}")
 
 
 def _explicit_time(cfg: RunConfig) -> float | None:
@@ -435,10 +438,14 @@ def run_evolve(cfg: RunConfig) -> dict:
     t = _explicit_time(cfg)
     if t is None:
         raise InvalidInputError("evolve requires an explicit --t")
-    # one split, with its C1h eigenvalues, serves L and the engine
+    # one split, with its C1h eigenvalues, serves L and the engine; on a
+    # Hermitian C (C2h = 0) one eigh of -C1h serves both in their place
     ds = core.split(C)
-    L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(ds, t)
-    rec = engine.propagate(ds, x0, t, engine.make_grid(cfg.N, L))
+    basis = None if ds.C2h.any() else engine.drift_eigenbasis(ds)
+    L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(
+        ds, t, basis
+    )
+    rec = engine.propagate(ds, x0, t, engine.make_grid(cfg.N, L), basis=basis)
     exact = baselines.exact_propagator(C, x0, t)
     exact_unit = exact / np.linalg.norm(exact)
     out = _base_report(cfg, C)
@@ -464,7 +471,7 @@ def run_diagnose(cfg: RunConfig) -> dict:
     rG = float(np.max(np.abs(np.delete(eigvals, steady) + 1.0)))
     sparsity, max_norm = core.sparsity_and_max_norm(drift)
     if gap > solvers.GAP_TIE_TOL:
-        t_f = solvers.estimate_tf([cfg.alpha0_sq], gap, cfg.delta)
+        t_f = solvers.estimate_tf(cfg.alpha0_sq, gap, cfg.delta)
     else:
         t_f = None
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(

@@ -284,7 +284,7 @@ def default_domain_halfwidth(
     return max(float(np.pi), 4.0 + t * float(np.max(np.abs(eigs), initial=0.0)))
 
 
-def _drift_eigenbasis(ds: core.DriftSplit) -> Eigenbasis:
+def drift_eigenbasis(ds: core.DriftSplit) -> Eigenbasis:
     """Eigendecompose -C1h, in real arithmetic when C1h is real."""
     try:
         mu, W = np.linalg.eigh(-core.real_if_exact(ds.C1h))
@@ -926,7 +926,7 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     path = evolve_path(ds, grid)
     degree = None
     if path == "hermitian":
-        basis = s.basis or _drift_eigenbasis(ds)
+        basis = s.basis or drift_eigenbasis(ds)
         out = vals.copy() if s.basis else basis.W.conj().T @ vals
         _apply_phases(out, basis.mu, grid, t)
         out = out if s.basis else basis.W @ out
@@ -1038,7 +1038,7 @@ def propagate(
         raise DimensionError("C and x0 dimensions differ")
     path = evolve_path(ds, grid)
     if path == "hermitian":
-        basis = basis or _drift_eigenbasis(ds)
+        basis = basis or drift_eigenbasis(ds)
         top = -float(np.min(basis.mu))
     else:  # evolve refuses a basis here
         top = float(ds.c1h_eigenvalues[-1])  # evolve's intervals reuse them

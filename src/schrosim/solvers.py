@@ -55,7 +55,6 @@ class Splitting:
 class CostReport:
     sparsity: int
     max_norm: float
-    t: float
     epsilon: float
     overlap: float
     predicted_query_scale: float
@@ -186,57 +185,24 @@ def _solve_eigenbasis(V: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return getrs(lu, piv, x0)[0]
 
 
-def estimate_tf(overlaps, gap: float, delta: float, L_term: float = 0.0) -> float:
-    """Evolution time after which the steady-mode fidelity reaches 1 - δ.
+def estimate_tf(alpha0_sq: float, gap: float, delta: float) -> float:
+    """Evolution time after which the steady-mode fidelity reaches 1 - δ,
+    from the squared steady-mode overlap |α₀|² of the start: all the rest,
+    1 - |α₀|², is put in the slowest-decaying competitor, which makes the
+    bound conservative, and an already-converged start gets 0.
 
-    overlaps[0] is the squared steady-mode amplitude |α₀|²; overlaps[1],
-    when present, is the subdominant |α₁|² (defaults to 1 - |α₀|², which
-    folds all residual mass into the slowest-decaying competitor and is
-    therefore conservative). A non-negligible explicit residual mass
-    L_term switches to the corrected bound with the
-    1/(1 - L(1-δ)/(|α₀|²δ)) factor; an already-converged start (log
-    argument <= 1) clamps to 0.
+    The one stopping-time bound of both solvers: the Jacobi solve passes
+    its δ in (0, 1); the power method passes δ = ε²/(2 Tr(C†C)), the
+    trace-inequality fidelity target for a Rayleigh readout within ε, which
+    exceeds 1 for a loose ε, so any δ > 0 is taken here.
     """
-    if not (0.0 < delta < 1.0):
-        raise InvalidInputError(f"delta must be in (0, 1), got {delta}")
+    if not delta > 0.0:
+        raise InvalidInputError(f"delta must be positive, got {delta}")
     if gap <= GAP_TIE_TOL:
         raise NoGapError(f"spectral gap {gap:.3e} is (near-)degenerate")
-    overlaps = np.atleast_1d(np.asarray(overlaps, dtype=float))
-    alpha0_sq = float(overlaps[0])
-    if alpha0_sq <= 0.0:
+    if alpha0_sq <= 1e-15:
         raise UnreachableStateError("zero overlap with the steady state")
-    alpha1_sq = float(overlaps[1]) if overlaps.size > 1 else 1.0 - alpha0_sq
-    L_term = float(L_term)
-    threshold = delta * alpha0_sq / (1.0 - delta)
-    if L_term <= 1e-15:
-        arg = alpha1_sq / (delta * alpha0_sq)
-    elif L_term < threshold:
-        arg = (alpha1_sq * (1.0 - delta)) / (alpha0_sq * delta)
-        arg /= 1.0 - L_term * (1.0 - delta) / (alpha0_sq * delta)
-    else:
-        # residual mass too large for the corrected bound; fold it into the
-        # subdominant amplitude, which decays no faster in the bound
-        arg = (alpha1_sq + L_term) / (delta * alpha0_sq)
-    if arg <= 1.0:
-        return 0.0
-    return float(np.log(arg) / (2.0 * gap))
-
-
-def estimate_tmax(
-    gamma1_sq: float, gap: float, epsilon: float, trace_CdagC: float
-) -> float:
-    """Evolution time after which the Rayleigh readout is within ε of the
-    dominant eigenvalue, via the trace-inequality fidelity target
-    δ = ε²/(2 Tr(C†C))."""
-    if gap <= GAP_TIE_TOL:
-        raise NoGapError(f"eigenvalue gap {gap:.3e} is (near-)degenerate")
-    if not (0.0 < gamma1_sq <= 1.0):
-        raise InvalidInputError(f"gamma1_sq must be in (0, 1], got {gamma1_sq}")
-    if epsilon <= 0.0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    if trace_CdagC <= 0.0:
-        raise InvalidInputError("trace of C†C must be positive")
-    arg = (2.0 * trace_CdagC / epsilon**2) * (1.0 / gamma1_sq - 1.0)
+    arg = (1.0 - alpha0_sq) / (delta * alpha0_sq)
     if arg <= 1.0:
         return 0.0
     return float(np.log(arg) / (2.0 * gap))
@@ -251,7 +217,8 @@ def quantum_cost_estimate(
 ) -> CostReport:
     """Query-count scaling s·‖C‖_max·t/ε with the 1/overlap retrieval
     factor; include_measurement adds the 1/ε sampling overhead of
-    eigenvalue readout."""
+    eigenvalue readout. The report leaves t out: the caller's report holds
+    it (``t_used``, or ``diagnose``'s ``t_f_predicted``)."""
     sparsity, max_norm = core.sparsity_and_max_norm(
         core.require_square(core.as_matrix(C), "C")
     )
@@ -265,7 +232,6 @@ def quantum_cost_estimate(
     return CostReport(
         sparsity=sparsity,
         max_norm=max_norm,
-        t=t,
         epsilon=epsilon,
         overlap=float(overlap),
         predicted_query_scale=float(scale),
@@ -323,6 +289,8 @@ def quantum_jacobi_solve(
     sufficient condition for the diagonal split to contract); with it, the
     spectral radius of the iteration matrix is checked directly instead.
     """
+    if not 0.0 < delta < 1.0:
+        raise InvalidInputError(f"delta must be in (0, 1), got {delta}")
     t = None if t is None else core.require_time(t)
     s = build_splitting(A, b, method=method, a=a)
     d = s.G.shape[0]
@@ -355,7 +323,7 @@ def quantum_jacobi_solve(
     x0 = np.concatenate([y0 / sigma, [1.0]])
 
     _, overlaps, _, gap = eigen_overlaps(C - np.eye(d + 1), x0, steady_hint=0j)
-    t_bound = estimate_tf([overlaps[0]], gap, delta)  # also refuses a tied gap
+    t_bound = estimate_tf(overlaps[0], gap, delta)  # also refuses a tied gap
     t_f = TIME_SAFETY_FACTOR * t_bound if t is None else t
     # the σ search's split, with its C1h eigenvalues, serves L and the engine
     if L is None:
@@ -432,6 +400,8 @@ def quantum_power_method(
     to the estimated stopping time; designed for diagonalisable C with
     real positive spectrum below one (other C is best-effort)."""
     C = core.require_square(core.as_matrix(C), "C")
+    if not epsilon > 0.0:
+        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     t = None if t is None else core.require_time(t)
     d = C.shape[0]
     x0 = np.ones(d) / np.sqrt(d) if x0 is None else core.as_vector(x0)
@@ -445,13 +415,11 @@ def quantum_power_method(
             " stopping-time bound is best-effort here",
             stacklevel=2,
         )
-    if gap <= GAP_TIE_TOL:
-        raise NoGapError(f"dominant eigenvalue gap {gap:.3e} is (near-)degenerate")
-    gamma1_sq = float(overlaps[0])
-    if gamma1_sq <= 1e-15:
-        raise UnreachableStateError("x0 has zero overlap with the top eigenvector")
     trace = float(np.vdot(C, C).real)  # Tr(C†C) = Σ|c_ij|²
-    t_max = estimate_tmax(gamma1_sq, gap, epsilon, trace) if t is None else t
+    # Tr(C†C) is 0 only on a C with no gap, which the bound refuses
+    delta = epsilon * epsilon / (2.0 * trace) if trace else math.inf
+    t_bound = estimate_tf(overlaps[0], gap, delta)  # refuses a tied gap or x0 ⊥ top
+    t_max = t_bound if t is None else t
     # eigen_overlaps ran eigh on a Hermitian C, and -C1h = I - C has its
     # eigenvectors: that one decomposition gives L, kink speed and evolution
     hermitian = np.array_equal(C, C.conj().T)
@@ -469,7 +437,7 @@ def quantum_power_method(
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)
     bound = eigenvalue_error_bound(float(np.sqrt(trace)), fidelity)
     cost = quantum_cost_estimate(
-        C, t_max, epsilon=epsilon, overlap=float(np.sqrt(gamma1_sq)),
+        C, t_max, epsilon=epsilon, overlap=float(np.sqrt(overlaps[0])),
         include_measurement=True,
     )
     return PowerReport(

@@ -209,7 +209,7 @@ def test_criterion_4_stopping_time_bounds():
             C = np.diag([1.0, 1.0 - gap])
             a0 = float(rng.uniform(0.3, 0.95))
             x0 = np.array([a0, np.sqrt(1.0 - a0**2)])
-            t_f = solvers.estimate_tf([a0**2], gap, delta)
+            t_f = solvers.estimate_tf(a0**2, gap, delta)
             xt = baselines.exact_propagator(C, x0, t_f)
             tf_ok = tf_ok and _fidelity(xt, [1.0, 0.0]) >= 1.0 - delta
     tmax_ok = True
@@ -225,7 +225,9 @@ def test_criterion_4_stopping_time_bounds():
             _, overlaps, _, _ = solvers.eigen_overlaps(C, x0, steady_hint=None)
             gamma1 = float(np.sqrt(overlaps[0]))
             trace = float(np.trace(C.conj().T @ C).real)
-            t_max = solvers.estimate_tmax(gamma1, lam[0] - lam[1], eps, trace)
+            t_max = solvers.estimate_tf(
+                gamma1, lam[0] - lam[1], eps**2 / (2.0 * trace)
+            )
             xt = baselines.exact_propagator(C, x0, t_max)
             xt = xt / np.linalg.norm(xt)
             lam_hat = solvers.eigenvalue_from_state(xt, C)

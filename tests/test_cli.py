@@ -605,6 +605,35 @@ class TestRunEvolve:
         assert sorted(calls) == ["eigvalsh", "eigvalsh", "split"]
         assert out["propagation"]["path"] == "real"
 
+    def test_hermitian_decomposes_once(self, tmp_path, monkeypatch):
+        # one eigh of -C1h serves L and the engine, on numpy's LAPACK alone:
+        # no scipy eigvalsh for the half-width wakes the other BLAS pool
+        C = [[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]]
+        calls = []
+        for owner, name in (
+            (core, "split"),
+            (np.linalg, "eigh"),
+            (np.linalg, "eigvalsh"),
+            (scipy.linalg, "eigh"),
+            (scipy.linalg, "eigvalsh"),
+        ):
+            def counting(*args, _real=getattr(owner, name), _name=name, _of=owner, **kw):
+                calls.append(f"{_of.__name__}.{_name}")
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counting)
+        cfg = RunConfig(
+            command="evolve",
+            matrix_path=mm_real(tmp_path, "C.mtx", C),
+            x0_path=vec(tmp_path, "x0.json", [0.6, 0.0, 0.8]),
+            t=1.0,
+            N=64,
+        )
+        out = cli.run_evolve(cfg)
+        assert sorted(calls) == ["numpy.linalg.eigh", "schrosim.core.split"]
+        assert out["propagation"]["path"] == "hermitian"
+        assert out["fidelity"] >= 1 - 1e-9
+
     def test_requires_time(self, tmp_path):
         cfg = RunConfig(
             command="evolve",
@@ -912,6 +941,24 @@ class TestNumericOptions:
         report = json.loads(result.output, parse_constant=not_json)
         assert report["error"]["code"] == "invalid-input"
 
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize("delta", ["0", "1.5"])
+    def test_delta_outside_unit_interval_rejected(self, tmp_path, command, delta):
+        # A's Jacobi G has eigenvalues ±1, so the drift has no gap and
+        # diagnose reaches no stopping-time bound: only the option check
+        # can refuse its --delta
+        from click.testing import CliRunner
+
+        A = mm_real(tmp_path, "A.mtx", [[1.0, -1.0], [-1.0, 1.0]])
+        rhs = ["--rhs", vec(tmp_path, "b.json", [1.0, 2.0])] if command == "solve" else []
+        result = CliRunner().invoke(
+            cli.main, [command, "--matrix", A, *rhs, "--delta", delta]
+        )
+        assert result.exit_code == 2
+        report = json.loads(result.output)
+        assert report["error"]["code"] == "invalid-input"
+        assert "--delta must be in (0, 1)" in report["error"]["message"]
+
     @pytest.mark.parametrize("n, N", [("4", 4), (" 64", 64), ("065536", 65536)])
     def test_grid_size_accepted(self, tmp_path, n, N):
         from click.testing import CliRunner
@@ -990,6 +1037,18 @@ class TestClickSurface:
             ],
         )
         assert result.exit_code == 5
+
+
+@pytest.mark.filterwarnings("ignore:Hermitian drift part")
+def test_readme_library_quick_start_runs():
+    # the README's "Quick start (library)" code block runs as it is written;
+    # its solve is the worked instance, which warns of its join speed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert abs(namespace["rep"].eigenvalue_estimate - 0.9) <= 0.1
 
 
 def test_readme_cli_flags_are_options():

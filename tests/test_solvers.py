@@ -248,47 +248,51 @@ class TestIterationMatrix:
 
 class TestEstimateTf:
     def test_two_level_formula(self):
-        assert solvers.estimate_tf([0.5], 1.0, 0.01) == pytest.approx(
+        assert solvers.estimate_tf(0.5, 1.0, 0.01) == pytest.approx(
             0.5 * np.log(100.0), abs=1e-12
         )
 
     def test_jacobi_gap_instance(self):
-        t_f = solvers.estimate_tf([0.5], 0.5917517095361369, 1e-3)
+        t_f = solvers.estimate_tf(0.5, 0.5917517095361369, 1e-3)
         assert t_f == pytest.approx(5.8367, abs=1e-3)
 
     def test_already_converged(self):
-        assert solvers.estimate_tf([1.0], 0.5, 0.01) == 0.0
-
-    def test_residual_mass_increases_time(self):
-        base = solvers.estimate_tf([0.6, 0.3], 0.5, 1e-2)
-        corrected = solvers.estimate_tf([0.6, 0.3], 0.5, 1e-2, L_term=1e-3)
-        assert corrected > base
+        assert solvers.estimate_tf(1.0, 0.5, 0.01) == 0.0
 
     def test_guards(self):
         with pytest.raises(NoGapError):
-            solvers.estimate_tf([0.5], 0.0, 0.01)
+            solvers.estimate_tf(0.5, 0.0, 0.01)
         with pytest.raises(UnreachableStateError):
-            solvers.estimate_tf([0.0], 0.5, 0.01)
+            solvers.estimate_tf(0.0, 0.5, 0.01)
+        with pytest.raises(UnreachableStateError):
+            solvers.estimate_tf(1e-16, 0.5, 0.01)
         with pytest.raises(InvalidInputError):
-            solvers.estimate_tf([0.5], 0.5, 1.5)
+            solvers.estimate_tf(0.5, 0.5, 0.0)
 
 
-class TestEstimateTmax:
+class TestEstimateTfPowerTarget:
+    """The power method's stopping time: the bound at the trace-inequality
+    fidelity target δ = ε²/(2 Tr(C†C))."""
+
+    @staticmethod
+    def _t_max(gamma1_sq, gap, epsilon, trace):
+        return solvers.estimate_tf(gamma1_sq, gap, epsilon**2 / (2.0 * trace))
+
     def test_formula(self):
-        t = solvers.estimate_tmax(0.5, 0.4, 0.1, 1.06)
+        t = self._t_max(0.5, 0.4, 0.1, 1.06)
         assert t == pytest.approx(1.25 * np.log(212.0), abs=1e-12)
 
     def test_already_aligned(self):
-        assert solvers.estimate_tmax(1.0, 0.4, 0.1, 1.06) == 0.0
+        assert self._t_max(1.0, 0.4, 0.1, 1.06) == 0.0
 
     def test_epsilon_halving_adds_log4(self):
-        t1 = solvers.estimate_tmax(0.5, 0.4, 0.1, 1.06)
-        t2 = solvers.estimate_tmax(0.5, 0.4, 0.05, 1.06)
+        t1 = self._t_max(0.5, 0.4, 0.1, 1.06)
+        t2 = self._t_max(0.5, 0.4, 0.05, 1.06)
         assert t2 - t1 == pytest.approx(np.log(4.0) / (2 * 0.4), abs=1e-12)
 
     def test_no_gap(self):
         with pytest.raises(NoGapError):
-            solvers.estimate_tmax(0.5, 0.0, 0.1, 1.0)
+            self._t_max(0.5, 0.0, 0.1, 1.0)
 
 
 class TestQuantumJacobiSolve:
@@ -309,6 +313,14 @@ class TestQuantumJacobiSolve:
     def test_non_dominant_rejected(self):
         with pytest.raises(ConvergenceUnsafeError):
             solvers.quantum_jacobi_solve([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -1e-3, math.nan])
+    def test_delta_outside_unit_interval_rejected_before_any_work(
+        self, monkeypatch, delta
+    ):
+        monkeypatch.setattr(solvers, "build_splitting", None)
+        with pytest.raises(InvalidInputError, match="delta must be in"):
+            solvers.quantum_jacobi_solve(A22, B22, delta=delta)
 
     @pytest.mark.filterwarnings("ignore:Hermitian drift part")
     @pytest.mark.parametrize("complex_A", [False, True], ids=["real", "complex"])
@@ -539,11 +551,30 @@ class TestQuantumPowerMethod:
         with pytest.raises(NoGapError):
             solvers.quantum_power_method(np.diag([0.9, 0.9, 0.5]), epsilon=0.1)
 
+    @pytest.mark.filterwarnings("ignore:spectrum of C is outside")
+    def test_zero_matrix_rejected(self):
+        # Tr(C†C) = 0 too, where δ = ε²/(2 Tr(C†C)) has no value
+        with pytest.raises(NoGapError):
+            solvers.quantum_power_method(np.zeros((2, 2)), epsilon=0.1)
+
     def test_zero_overlap_rejected(self):
         with pytest.raises(UnreachableStateError):
             solvers.quantum_power_method(
                 np.diag([0.9, 0.5]), np.array([0.0, 1.0]), epsilon=0.1
             )
+
+    def test_loose_epsilon_is_answered_at_time_zero(self):
+        # ε² > 2‖C‖_F² = 2.12 puts the fidelity target δ ≈ 1.89 above 1,
+        # which the default start already meets
+        rep = solvers.quantum_power_method(np.diag([0.9, 0.5]), epsilon=2.0)
+        assert rep.propagation.time == 0.0
+        assert abs(rep.eigenvalue_estimate - 0.9) <= 2.0
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+    def test_non_positive_epsilon_rejected_before_any_work(self, monkeypatch, epsilon):
+        monkeypatch.setattr(solvers, "eigen_overlaps", None)
+        with pytest.raises(InvalidInputError, match="epsilon must be positive"):
+            solvers.quantum_power_method(np.diag([0.9, 0.5]), epsilon=epsilon)
 
     def test_error_bound_holds(self):
         C = np.diag([0.9, 0.5])
