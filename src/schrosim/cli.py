@@ -471,7 +471,10 @@ def run_diagnose(cfg: RunConfig) -> dict:
     rG = float(np.max(np.abs(np.delete(eigvals, steady) + 1.0)))
     sparsity, max_norm = core.sparsity_and_max_norm(drift)
     if gap > solvers.GAP_TIE_TOL:
-        t_f = solvers.estimate_tf(cfg.alpha0_sq, gap, cfg.delta)
+        # the time the Jacobi solve evolves to, its margin over the bound included
+        t_f = solvers.TIME_SAFETY_FACTOR * solvers.estimate_tf(
+            cfg.alpha0_sq, gap, cfg.delta
+        )
     else:
         t_f = None
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(

@@ -20,7 +20,11 @@ separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 is linear, so ``recover`` applies it to the spectral state and no transform
 back to p runs. For a Hermitian C each mode's generator η·(-C1h) is
 diagonal in one eigenbasis W of -C1h, and the state is kept in W's
-coordinates (``Eigenbasis``): evolution is then a phase per entry.
+coordinates (``Eigenbasis``): evolution is then a phase per entry. With
+a separable start, phases and a linear readout, ``propagate`` there
+builds no state at all: x̂ is W·(c ∘ Φ) for c = W†x0 and one sum Φ_j of
+the readout weights times ψ̂ and the phases per eigenvalue μ_j
+(``_phase_readout``).
 
 numpy and scipy each link their own OpenBLAS, each with a pool of threads
 that keep spinning for about 0.1 s after a threaded call. On a machine
@@ -329,28 +333,42 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     raise InvalidInputError(f"unknown direction {direction!r}")
 
 
-def initial_state(
-    x0, grid: Grid, profile: Profile, basis: Eigenbasis | None = None
-) -> SpectralState:
-    """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
-    of the profile ψ as ``sample_profile`` puts it on the grid, seam blend included; with a basis W it is
-    (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
-    modes ``truncate`` keeps depend on ψ̂ alone.
-
-    ψ is real, so ψ̂_{-k} = conj(ψ̂_k): ψ̂ is computed for k = 0..N/2 (a real
-    FFT; the scaling of ``transform``) and mirrored, with ψ̂_0 and ψ̂_{N/2}
-    real. For a real x0 the column of -k is then the conjugate of the
-    column of k bit for bit, which is the test ``evolve`` runs to evolve
-    one vector per mode pair."""
+def _start_vector(x0) -> np.ndarray:
+    """x0 as a complex vector, refused when it is zero."""
     x0 = core.as_vector(x0)
     if np.linalg.norm(x0) == 0.0:
         raise InvalidInputError("x0 must be nonzero")
+    return x0
+
+
+def _profile_spectrum(profile: Profile, grid: Grid) -> np.ndarray:
+    """ψ̂_k for k = -N/2+1..N/2: the transform (``transform``'s scaling) of
+    the profile ψ as ``sample_profile`` puts it on the grid, seam blend
+    included.
+
+    ψ is real, so ψ̂_{-k} = conj(ψ̂_k): ψ̂ is computed for k = 0..N/2 (a real
+    FFT) and mirrored, with ψ̂_0 and ψ̂_{N/2} real."""
     sign = _bins_and_signs(grid)[1][grid.N // 2 - 1 :]  # k = 0..N/2
     # e^{+2πikl/N} sums of a real ψ are the conjugates of rfft's e^{-2πikl/N}
     half = np.fft.rfft(sample_profile(profile, grid)).conj()
     half *= (grid.dp / (2.0 * np.pi)) * sign
     half[[0, -1]] = half[[0, -1]].real
-    psi = np.concatenate([half[-2:0:-1].conj(), half])  # k = -N/2+1..N/2
+    return np.concatenate([half[-2:0:-1].conj(), half])
+
+
+def initial_state(
+    x0, grid: Grid, profile: Profile, basis: Eigenbasis | None = None
+) -> SpectralState:
+    """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
+    of the profile ψ (``_profile_spectrum``); with a basis W it is
+    (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
+    modes ``truncate`` keeps depend on ψ̂ alone.
+
+    For a real x0 the column of -k is the conjugate of the column of k bit
+    for bit, as ψ̂ is, which is the test ``evolve`` runs to evolve one
+    vector per mode pair."""
+    x0 = _start_vector(x0)
+    psi = _profile_spectrum(profile, grid)
     coeffs = x0 if basis is None else basis.W.conj().T @ x0
     return SpectralState(values=np.outer(coeffs, psi), grid=grid, basis=basis)
 
@@ -397,18 +415,28 @@ def truncate(s: SpectralState) -> tuple[SpectralState, float]:
     saves no work.
     """
     mass = np.einsum("ij,ij->j", s.values.conj(), s.values).real
-    pair = np.abs(s.grid.mode_index)  # |k|, 0..N/2
+    cut, norm = _truncation(mass, s.grid)
+    if cut is None:
+        return s, 0.0
+    values = s.values.copy()
+    values[:, cut] = 0.0
+    return replace(s, values=values), norm
+
+
+def _truncation(mass: np.ndarray, grid: Grid) -> tuple[np.ndarray | None, float]:
+    """``truncate``'s rule on the column masses ``mass`` (N,) of a state on
+    ``grid``: the mask of the columns in the mode pairs (k, -k) of least
+    combined mass whose total is at most TRUNCATION_EPS² of the whole, or
+    None when there are none, and the relative norm they hold."""
+    pair = np.abs(grid.mode_index)  # |k|, 0..N/2
     pair_mass = np.bincount(pair, weights=mass)
     order = np.argsort(pair_mass, kind="stable")
     cumulative = np.cumsum(pair_mass[order])
     total = cumulative[-1]
     dropped = int(np.searchsorted(cumulative, TRUNCATION_EPS**2 * total, "right"))
     if dropped == 0 or total == 0.0:
-        return s, 0.0
-    values = s.values.copy()
-    values[:, np.isin(pair, order[:dropped])] = 0.0
-    norm = float(np.sqrt(cumulative[dropped - 1] / total))
-    return replace(s, values=values), norm
+        return None, 0.0
+    return np.isin(pair, order[:dropped]), float(np.sqrt(cumulative[dropped - 1] / total))
 
 
 def _split_blocks(ds: core.DriftSplit, eta: np.ndarray):
@@ -835,21 +863,31 @@ def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
     return "general"
 
 
-def _apply_phases(Y: np.ndarray, mu: np.ndarray, grid: Grid, t: float) -> None:
-    """Y[j, :] *= e^{-itμ_j·η_k} in place, for a C-contiguous Y on
-    ``make_grid``'s ladder η_k = k·π/L, k = k_0..N/2 consecutive.
+def _phase_blocks(
+    mu: np.ndarray, grid: Grid, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The phases e^{-itμ_j·η_k} on ``make_grid``'s ladder η_k = k·π/L,
+    k = k_0..N/2 consecutive, as two blocks of exponentials.
 
     With the slot written as B·a + b (B about √N), k = k_0 + B·a + b, so the
-    phase is the product of an (n, N/B) and an (n, B) block of
-    exponentials: n·(N/B + B) complex exponentials instead of n·N.
+    phase of slot B·a + b is outer[j, a]·inner[j, b], for the (n, N/B)
+    block ``outer`` and the (n, B) block ``inner``: n·(N/B + B) complex
+    exponentials instead of n·N.
     """
     N = grid.N
     B = 1 << (N.bit_length() - 1) // 2
     theta = (-t * grid.deta) * mu  # phase per unit step in k
     outer = np.exp(1j * np.outer(theta, np.arange(-N // 2 + 1, N // 2 + 1, B)))
     inner = np.exp(1j * np.outer(theta, np.arange(B)))
-    blocks = Y.reshape(mu.size, N // B, B)  # [j, a, b] is mode k_0 + B·a + b
-    blocks *= outer[:, :, None]
+    return outer, inner
+
+
+def _apply_phases(Y: np.ndarray, mu: np.ndarray, grid: Grid, t: float) -> None:
+    """Y[j, :] *= e^{-itμ_j·η_k} in place (``_phase_blocks``), for a
+    C-contiguous Y on ``make_grid``'s ladder."""
+    outer, inner = _phase_blocks(mu, grid, t)
+    blocks = Y.reshape(mu.size, outer.shape[1], inner.shape[1])
+    blocks *= outer[:, :, None]  # [j, a, b] is mode k_0 + B·a + b
     blocks *= inner[:, None, :]
 
 
@@ -965,16 +1003,32 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     of the warped state v, the projection onto the positive-p subspace that
     averages out per-point discretisation noise (the recovery of Jin, Liu &
     Yu, arXiv:2212.13969); the only readout. The fit is linear in v, so it
-    is read off the spectral values Y: with u_l = e^{-p_l} on the window and
-    0 elsewhere, x̂ = Y·r, r_k = deta·(-1)^k·FFT(u)[k mod N] / ‖u‖² (then
-    W·x̂ in a basis W), and ‖v‖ = √N·deta·‖Y‖_F by Parseval. Weights that
-    all underflow or a non-finite x̂ raise NumericalError.
+    is read off the spectral values Y: x̂ = Y·r for the weights r of
+    ``_readout_weights`` (then W·x̂ in a basis W), and ‖v‖ = √N·deta·‖Y‖_F
+    by Parseval (``_recovered``).
 
     p_min shifts the readout window right: when the Hermitian drift part
     has positive eigenvalues the profile kink travels right at that speed,
     and the exponential profile only survives beyond the kink's position.
     """
-    grid = s.grid
+    r = _readout_weights(s.grid, p_min)
+    Y = s.values
+    if s.basis is not None:  # a state in the Hermitian path's basis: numpy's BLAS
+        xhat = s.basis.W @ (Y @ r)
+        ynorm = float(np.linalg.norm(Y))
+    else:  # no BLAS call, so no thread pool wakes (see the module docstring)
+        xhat = np.einsum("ij,j->i", Y, r)
+        ynorm = math.sqrt(
+            float(np.einsum("ij,ij->", Y.real, Y.real) + np.einsum("ij,ij->", Y.imag, Y.imag))
+        )
+    return _recovered(xhat, ynorm, s.grid, s.time)
+
+
+def _readout_weights(grid: Grid, p_min: float) -> np.ndarray:
+    """The weights r of ``recover``'s fit, x̂ = Y·r: with u_l = e^{-p_l} on
+    the window p_l > max(0, p_min) and 0 elsewhere,
+    r_k = deta·(-1)^k·FFT(u)[k mod N] / ‖u‖². An empty window raises
+    DegenerateRecoveryError, weights that all underflow NumericalError."""
     floor = max(0.0, p_min)
     pos = grid.p > floor
     if not np.any(pos):
@@ -986,16 +1040,14 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     if not (norm2 := u @ u) > 0.0:  # e^{-p} underflows for every p past about 745
         raise NumericalError(f"readout weights underflow beyond p > {floor:.3f}")
     m, sign = _bins_and_signs(grid)
-    r = np.fft.fft(u)[m] * (sign * (grid.deta / norm2))
-    Y = s.values
-    if s.basis is not None:  # the Hermitian path's state: numpy's BLAS
-        xhat = s.basis.W @ (Y @ r)
-        ynorm = float(np.linalg.norm(Y))
-    else:  # no BLAS call, so no thread pool wakes (see the module docstring)
-        xhat = np.einsum("ij,j->i", Y, r)
-        ynorm = math.sqrt(
-            float(np.einsum("ij,ij->", Y.real, Y.real) + np.einsum("ij,ij->", Y.imag, Y.imag))
-        )
+    return np.fft.fft(u)[m] * (sign * (grid.deta / norm2))
+
+
+def _recovered(xhat: np.ndarray, ynorm: float, grid: Grid, time: float) -> RecoveredState:
+    """The readout x̂ of a spectral state of Frobenius norm ``ynorm`` at
+    ``time``, with its success probability ‖x̂‖²·Σ_{p>0} e^{-2p} / ‖v‖²
+    (clamped to 1), ‖v‖ = √N·deta·ynorm. A non-finite x̂ raises
+    NumericalError, a zero one DegenerateRecoveryError."""
     if not np.all(np.isfinite(xhat)):
         raise NumericalError("recovered amplitude vector has non-finite entries")
     xnorm = float(np.linalg.norm(xhat))
@@ -1005,8 +1057,38 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     env_norm = float(np.sqrt(np.sum(np.exp(-2.0 * grid.p[grid.p > 0]))))
     prob = min(1.0, (xnorm * env_norm / wnorm) ** 2) if wnorm > 0 else 0.0
     return RecoveredState(
-        x=xhat, state=xhat / xnorm, success_probability=prob, time=s.time, grid=grid
+        x=xhat, state=xhat / xnorm, success_probability=prob, time=time, grid=grid
     )
+
+
+def _phase_readout(
+    x0, grid: Grid, profile: Profile, basis: Eigenbasis, t: float, p_min: float
+) -> tuple[RecoveredState, int, float]:
+    """``recover(evolve(truncate(initial_state(x0, grid, profile, basis))))``
+    for a Hermitian C, whose drift eigenbasis is ``basis``, without the
+    (d+1)×N state: the readout, the modes it evolves and the norm it drops.
+
+    The start is c⊗ψ̂ with c = W†x0 (``initial_state``), so mode k holds
+    mass ‖c‖²·|ψ̂_k|², which ``_truncation`` cuts. Evolution multiplies
+    entry (j, k) by e^{-itμ_jη_k}, and the readout is x̂ = W·(Y·r), so
+    x̂ = W·(c ∘ Φ) with Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live
+    modes: the phase blocks of ``_phase_blocks`` turn that sum into one
+    (n, B)·(B, N/B) product and a row-wise dot with the (n, N/B) block.
+    The phases have modulus 1, so ‖Y‖_F = ‖c‖·‖ψ̂‖ over the live modes.
+    Memory is O(N + d·√N); every call is numpy's."""
+    x0 = _start_vector(x0)
+    psi = _profile_spectrum(profile, grid)
+    c = basis.W.conj().T @ x0
+    mass = float(np.vdot(c, c).real) * (psi.real**2 + psi.imag**2)
+    cut, dropped = _truncation(mass, grid)
+    w = _readout_weights(grid, p_min) * psi
+    if cut is not None:
+        w[cut] = 0.0
+        mass[cut] = 0.0
+    outer, inner = _phase_blocks(basis.mu, grid, t)
+    phi = np.einsum("ja,ja->j", outer, inner @ w.reshape(outer.shape[1], -1).T)
+    rec = _recovered(basis.W @ (c * phi), math.sqrt(mass.sum()), grid, t)
+    return rec, int(np.count_nonzero(mass)), dropped
 
 
 def propagate(
@@ -1026,10 +1108,13 @@ def propagate(
     relative warped-state error is the returned ``dropped_norm`` <=
     TRUNCATION_EPS.
 
-    On the "hermitian" path the state is kept in the eigenbasis of -C1h:
+    On the "hermitian" path the work is done in the eigenbasis of -C1h:
     ``basis`` when the caller has it, else one ``eigh`` here, which also
-    gives the kink speed. C may also be given as its DriftSplit, which is
-    used as it is, with the eigenvalues it has cached."""
+    gives the kink speed. There the start, the phases and the readout are
+    folded into one sum per eigenvector (``_phase_readout``), and neither
+    the state nor ``evolve`` and ``recover`` run. C may also be given as
+    its DriftSplit, which is used as it is, with the eigenvalues it has
+    cached."""
     t = core.require_time(t)
     # exactly Hermitian parts, so evolve needs no check
     ds = C if isinstance(C, core.DriftSplit) else core.split(C)
@@ -1051,19 +1136,24 @@ def propagate(
             "past it",
             stacklevel=2,
         )
-    v0, dropped = truncate(initial_state(x0, grid, profile, basis))
-    vt = evolve(v0, ds, t)
     # the join at p = 0 travels right at the top Hermitian drift speed;
     # read only beyond it (a few cells of margin for the ringing around it)
     p_min = max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
-    rec = recover(vt, p_min=p_min)
-    modes = int(np.count_nonzero(v0.values.any(axis=0)))
+    if path == "hermitian":
+        rec, modes, dropped = _phase_readout(x0, grid, profile, basis, t, p_min)
+        kernel, degree = "phases", None
+    else:
+        v0, dropped = truncate(initial_state(x0, grid, profile, basis))
+        vt = evolve(v0, ds, t)
+        rec = recover(vt, p_min=p_min)
+        modes = int(np.count_nonzero(v0.values.any(axis=0)))
+        kernel, degree = vt.kernel, vt.max_degree
     return replace(
         rec,
         profile=profile,
         modes_evolved=modes,
         dropped_norm=dropped,
         path=path,
-        kernel=vt.kernel,
-        max_degree=vt.max_degree,
+        kernel=kernel,
+        max_degree=degree,
     )

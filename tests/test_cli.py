@@ -712,7 +712,26 @@ class TestRunDiagnose:
             1 / np.sqrt(6), abs=1e-10
         )
         assert out["gap"] == pytest.approx(0.5917517095361369, abs=1e-10)
-        assert out["t_f_predicted"] == pytest.approx(5.8367, abs=1e-3)
+        # the solve's time: TIME_SAFETY_FACTOR (4) times the bound 5.8367
+        assert out["t_f_predicted"] == pytest.approx(4 * 5.8367, abs=4e-3)
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_predicts_the_time_the_solve_evolves(self, tmp_path):
+        # given the overlap the solve itself finds, diagnose predicts its
+        # t_used, the safety factor included; this b leaves σ = 1, so the
+        # solve's augmented C is diagnose's up to the affine column
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([0.5, -0.2])
+        s = solvers.build_splitting(A, b)
+        assert solvers._affine_scale(s.G, s.g)[0] == 1.0
+        rep = solvers.quantum_jacobi_solve(A, b)
+        cfg = RunConfig(
+            command="diagnose",
+            matrix_path=mm_real(tmp_path, "A.mtx", A),
+            alpha0_sq=float(rep.overlaps[0]),
+        )
+        out = cli.run_diagnose(cfg)
+        assert out["t_f_predicted"] == pytest.approx(rep.propagation.time, rel=1e-9)
 
     @pytest.mark.parametrize("d", [3, 17, 64])
     def test_random_dominant_matches_numpy(self, tmp_path, d):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,13 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from schrosim import baselines, core, schrodingerization as eng, solvers
-from schrosim.errors import DimensionError, InvalidInputError, NumericalError
+from schrosim.errors import (
+    DegenerateRecoveryError,
+    DimensionError,
+    InvalidInputError,
+    NumericalError,
+    SchrosimError,
+)
 
 from conftest import random_contractive, random_dominant
 from htot_reference import assemble_Htot
@@ -565,6 +572,38 @@ class TestEvolvePaths:
         exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
         fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
         assert fid >= 1 - 1e-3
+
+    @pytest.mark.parametrize("structure", ["real-symmetric", "complex-hermitian"])
+    def test_hermitian_propagate_builds_no_state(self, rng, monkeypatch, structure):
+        # the start, the phases and the readout fold into one sum per
+        # eigenvector: neither evolve nor recover runs, and the peak stays
+        # far below the (d+1)×N state at d = 63
+        def refused(name):
+            def f(*args, **kwargs):
+                raise AssertionError(f"propagate called {name} on the Hermitian path")
+
+            return f
+
+        monkeypatch.setattr(eng, "evolve", refused("evolve"))
+        monkeypatch.setattr(eng, "recover", refused("recover"))
+        build, _ = _STRUCTURES[structure]
+        n, t = 64, 1.0
+        C = build(rng, n)
+        x0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ds = core.split(C)
+        grid = eng.make_grid(65536, eng.default_domain_halfwidth(ds.C1h, t))
+        state_bytes = n * grid.N * 16
+        tracemalloc.start()
+        try:
+            rec = eng.propagate(ds, x0, t, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state_bytes / 4
+        assert (rec.path, rec.kernel, rec.max_degree) == ("hermitian", "phases", None)
+        exact = scipy.linalg.expm((C - np.eye(n)) * t) @ x0
+        fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
+        assert fid >= 1 - 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -1231,8 +1270,18 @@ def test_truncation_error_within_reported_bound(structure, profile, d, N, t, see
     assert np.linalg.norm(cut - full) <= (dropped + 1e-12) * scale
 
     rec = eng.propagate(C, x0, t, grid, profile=profile)
-    assert rec.dropped_norm == dropped
-    assert rec.modes_evolved == np.count_nonzero(kept.values.any(axis=0))
+    if rec.path == "hermitian":  # a 1×1 C is Hermitian
+        # propagate builds no state there: it cuts by the masses ‖c‖²·|ψ̂_k|²,
+        # c = W†x0, which equal the state's column masses only to rounding
+        c = eng.drift_eigenbasis(ds).W.conj().T @ core.as_vector(x0)
+        psi = eng._profile_spectrum(profile, grid)
+        mass = float(np.vdot(c, c).real) * (psi.real**2 + psi.imag**2)
+        cut, norm = eng._truncation(mass, grid)
+        assert rec.dropped_norm == norm
+        assert rec.modes_evolved == N - (0 if cut is None else np.count_nonzero(cut))
+    else:
+        assert rec.dropped_norm == dropped
+        assert rec.modes_evolved == np.count_nonzero(kept.values.any(axis=0))
     exact = baselines.exact_propagator(C, x0, t)
     fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
     assert fid >= 1 - (1e-2 if profile is eng.EXP_ABS and N == 64 else 1e-3)
@@ -1300,6 +1349,125 @@ class TestRecover:
         s = eng.SpectralState(values=np.ones((2, 64), dtype=complex), grid=grid)
         with pytest.raises(NumericalError, match="underflow"):
             eng.recover(s, p_min=800.0)
+
+
+def _hermitian_spectrum(rng, d, complex_, above):
+    """An exactly Hermitian C with eigenvalues in (0, 1), real or complex;
+    with ``above`` its top eigenvalue is in (1.05, 1.3) instead, so the
+    kink drifts right and propagate's readout floor p_min is above 0."""
+    Z = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0.0)
+    Q, _ = np.linalg.qr(Z)
+    lam = rng.uniform(0.0, 1.0, d)
+    if above:
+        lam[0] = rng.uniform(1.05, 1.3)
+    C = (Q * lam) @ Q.conj().T
+    return (C + C.conj().T) / 2.0
+
+
+def _propagate_floor(ds, grid, t):
+    """The readout floor propagate picks for a Hermitian C on ``grid``."""
+    top = -float(np.min(eng.drift_eigenbasis(ds).mu))
+    return max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
+
+
+@pytest.mark.filterwarnings("ignore:Hermitian drift part")
+@settings(max_examples=60, deadline=None)
+@given(
+    complex_=st.booleans(),
+    given_basis=st.booleans(),
+    profile=st.sampled_from([eng.EXP_ABS, eng.SMOOTH]),
+    above=st.booleans(),
+    real_x0=st.booleans(),
+    d=st.integers(1, 8),
+    N=st.sampled_from([4, 8, 16, 64, 256, 1024, 4096]),
+    t=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    complex_=False, given_basis=False, profile=eng.SMOOTH, above=False, real_x0=True,
+    d=4, N=512, t=0.0, seed=3,
+)
+@example(
+    complex_=True, given_basis=True, profile=eng.EXP_ABS, above=True, real_x0=False,
+    d=5, N=4096, t=0.0, seed=4,
+)
+@example(
+    complex_=True, given_basis=False, profile=eng.SMOOTH, above=True, real_x0=False,
+    d=6, N=1024, t=3.0, seed=5,
+)
+def test_phase_readout_matches_the_state_chain_property(
+    complex_, given_basis, profile, above, real_x0, d, N, t, seed
+):
+    """On a Hermitian C, propagate's readout without a state agrees with
+    recover(evolve(truncate(initial_state(...)))) and with the p-space fit
+    of that state, and raises where that chain raises."""
+    rng = np.random.default_rng(seed)
+    C = _hermitian_spectrum(rng, d, complex_, above)
+    ds = core.split(C)
+    grid = eng.make_grid(N, eng.default_domain_halfwidth(ds.C1h, t))
+    assert eng.evolve_path(ds, grid) == "hermitian"
+    x0 = rng.normal(size=d) + (0.0 if real_x0 else 1j * rng.normal(size=d))
+    basis = eng.drift_eigenbasis(ds) if given_basis else None
+    p_min = _propagate_floor(ds, grid, t)
+    assert (p_min > 0.0) == above
+    v0, dropped = eng.truncate(eng.initial_state(x0, grid, profile, basis))
+    vt = eng.evolve(v0, ds, t)
+    try:
+        ref = eng.recover(vt, p_min)
+    except (DegenerateRecoveryError, NumericalError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            eng.propagate(C, x0, t, grid, profile, basis)
+        return
+    rec = eng.propagate(C, x0, t, grid, profile, basis)
+    assert (rec.path, rec.kernel, rec.max_degree) == ("hermitian", "phases", None)
+    assert rec.time == ref.time == t
+    for other in (ref, pspace_recover(eng.transform(vt, "inverse"), p_min)):
+        assert np.linalg.norm(rec.x - other.x) <= 1e-12 * np.linalg.norm(other.x)
+        assert rec.success_probability == pytest.approx(
+            other.success_probability, rel=1e-12
+        )
+    assert rec.modes_evolved == np.count_nonzero(v0.values.any(axis=0))
+    assert rec.dropped_norm == pytest.approx(dropped, rel=1e-9, abs=1e-300)
+
+
+class TestPhaseReadoutErrors:
+    """propagate on a Hermitian C raises where the state chain raises, with
+    the same error codes."""
+
+    def _both(self, C, x0, t, grid):
+        ds = core.split(C)
+
+        def chain():
+            v0 = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))[0]
+            return eng.recover(eng.evolve(v0, ds, t), _propagate_floor(ds, grid, t))
+
+        errors = []
+        for run in (lambda: eng.propagate(C, x0, t, grid), chain):
+            with pytest.raises(SchrosimError) as info:
+                run()
+            errors.append(info.value)
+        assert type(errors[0]) is type(errors[1])
+        assert str(errors[0]) == str(errors[1])
+        return errors[0]
+
+    def test_zero_start(self, rng):
+        C = _hermitian_spectrum(rng, 3, True, False)
+        exc = self._both(C, np.zeros(3), 1.0, eng.make_grid(64, 5.0))
+        assert exc.code == "invalid-input"
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_floor_beyond_the_grid(self):
+        # the kink at speed 0.5 reaches p = 5 by t = 10, past L = 4
+        exc = self._both(np.array([[1.5]]), np.array([1.0]), 10.0, eng.make_grid(16, 4.0))
+        assert exc.code == "degenerate-recovery"
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_underflowing_window(self):
+        # the floor lands at p = 788, where every weight e^{-p} is zero
+        exc = self._both(
+            np.array([[2.0]]), np.array([1.0]), 760.0, eng.make_grid(256, 900.0)
+        )
+        assert exc.code == "numerical-failure"
 
 
 class TestInitialState:
