@@ -5,9 +5,8 @@ auxiliary coordinate p through the substitution v(t, p) = e^{-p} x(t), then
 Fourier-transformed in p. Each Fourier mode η evolves under its own small
 Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
 of unitaries and preserves the global 2-norm. ``evolve`` applies them with
-one of three kernels: phases in one eigenbasis for a Hermitian C, and
-otherwise per mode a reduction to tridiagonal form (O(d³) per mode,
-exactly unitary) or, when its measured cost is lower, a Chebyshev
+one of two kernels: per mode a reduction to tridiagonal form (O(d³) per
+mode, exactly unitary) or, when its measured cost is lower, a Chebyshev
 polynomial in products with C1h and C2h, batched over the modes (unitary
 to rounding): the series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η
 centred at the midpoint of C1h's interval, so its degree follows the
@@ -19,22 +18,20 @@ separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
 back to p runs. For a Hermitian C each mode's generator η·(-C1h) is
-diagonal in one eigenbasis W of -C1h, and the state is kept in W's
-coordinates (``Eigenbasis``): evolution is then a phase per entry. With
-a separable start, phases and a linear readout, ``propagate`` there
-builds no state at all: x̂ is W·(c ∘ Φ) for c = W†x0 and one sum Φ_j of
-the readout weights times ψ̂ and the phases per eigenvalue μ_j
-(``_phase_readout``).
+diagonal in one eigenbasis W of -C1h (``Eigenbasis``), so evolution is a
+phase per entry in W's coordinates. With a separable start, phases and a
+linear readout, ``propagate`` there builds no state at all: x̂ is
+W·(c ∘ Φ) for c = W†x0 and one sum Φ_j of the readout weights times ψ̂
+and the phases per eigenvalue μ_j (``_phase_readout``).
 
 numpy and scipy each link their own OpenBLAS, each with a pool of threads
 that keep spinning for about 0.1 s after a threaded call. On a machine
 with few cores a threaded call on one pool can stall until the other
 pool's threads stop spinning, so no op here wakes both pools: the
-Hermitian path, and the readout of a state in its eigenbasis, run on
-numpy's BLAS; the real and general paths (the eigenvalues of C1h and C2h,
-every kernel, the polynomial's blocks and ``default_domain_halfwidth``
-without a basis) on scipy's; the transforms, the truncation and the readout of any other
-state call no BLAS.
+Hermitian phase readout runs on numpy's BLAS; the real and general paths
+(the eigenvalues of C1h and C2h, every kernel, the polynomial's blocks
+and ``default_domain_halfwidth`` without a basis) on scipy's; the
+transforms, the truncation and ``recover`` call no BLAS.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
 only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
@@ -175,13 +172,11 @@ class Eigenbasis:
 
 @dataclass
 class SpectralState:
-    """ṽ(t, η) sampled on the grid; shape (d+1, N), column j ↔ η_{k_j}. With
-    a ``basis`` the values are coordinates in its columns W: the state is W·values."""
+    """ṽ(t, η) sampled on the grid; shape (d+1, N), column j ↔ η_{k_j}."""
 
     values: np.ndarray
     grid: Grid
     time: float = 0.0
-    basis: Eigenbasis | None = None
     # how ``evolve`` last moved it: its kernel and largest polynomial degree
     # in the generator (see ``RecoveredState``)
     kernel: str | None = None
@@ -270,15 +265,16 @@ def sample_profile(profile: Profile, grid: Grid) -> np.ndarray:
 
 
 def default_domain_halfwidth(
-    C1h: np.ndarray | core.DriftSplit | None,
+    C1h: np.ndarray | core.DriftSplit,
     t: float,
     basis: Eigenbasis | None = None,
 ) -> float:
     """Half-width rule: transport speed is bounded by the largest Hermitian
     drift eigenvalue, so L = 4 + t·ρ keeps the p > 0 region clear of
-    wrap-around while holding the boundary truncation e^{-L} small. Given
-    the eigenbasis of -C1h, ρ is read from it and C1h is not used; given a
-    DriftSplit in place of C1h, from its ``c1h_eigenvalues``."""
+    wrap-around while holding the boundary truncation e^{-L} small. ρ is
+    read from the eigenbasis of -C1h when it is given (C1h is then not
+    read), else from the ``c1h_eigenvalues`` of a DriftSplit passed in
+    place of C1h, else from C1h's own eigenvalues."""
     if basis is not None:
         eigs = basis.mu
     elif isinstance(C1h, core.DriftSplit):
@@ -311,9 +307,8 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     e^{iη_k p_l} = (-1)^k·e^{2πikl/N}, so the forward map is the unscaled
     inverse FFT (``norm="forward"``), gathered from bin k mod N into mode
     order and multiplied in place by the one vector dp/2π·(-1)^k. The
-    inverse applies the state's basis, if any, scatters the modes back to
-    their bins with deta·(-1)^k folded into the scatter, then runs the
-    unscaled forward FFT.
+    inverse scatters the modes back to their bins with deta·(-1)^k folded
+    into the scatter, then runs the unscaled forward FFT.
     """
     grid = state.grid
     m, sign = _bins_and_signs(grid)
@@ -326,9 +321,8 @@ def transform(state, direction: Literal["forward", "inverse"] = "forward"):
     if direction == "inverse":
         if not isinstance(state, SpectralState):
             raise DimensionError("inverse transform expects a SpectralState")
-        vals = state.values if state.basis is None else state.basis.W @ state.values
-        X = np.empty_like(vals)
-        X[:, m] = vals * (grid.deta * sign)
+        X = np.empty_like(state.values)
+        X[:, m] = state.values * (grid.deta * sign)
         return WarpedState(values=np.fft.fft(X, axis=1), grid=grid, time=state.time)
     raise InvalidInputError(f"unknown direction {direction!r}")
 
@@ -356,21 +350,17 @@ def _profile_spectrum(profile: Profile, grid: Grid) -> np.ndarray:
     return np.concatenate([half[-2:0:-1].conj(), half])
 
 
-def initial_state(
-    x0, grid: Grid, profile: Profile, basis: Eigenbasis | None = None
-) -> SpectralState:
+def initial_state(x0, grid: Grid, profile: Profile) -> SpectralState:
     """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
-    of the profile ψ (``_profile_spectrum``); with a basis W it is
-    (W†x0)⊗ψ̂ in W's coordinates. Mode k holds mass |ψ̂_k|²·‖x0‖², so the
-    modes ``truncate`` keeps depend on ψ̂ alone.
+    of the profile ψ (``_profile_spectrum``). Mode k holds mass
+    |ψ̂_k|²·‖x0‖², so the modes ``truncate`` keeps depend on ψ̂ alone.
 
     For a real x0 the column of -k is the conjugate of the column of k bit
     for bit, as ψ̂ is, which is the test ``evolve`` runs to evolve one
     vector per mode pair."""
     x0 = _start_vector(x0)
     psi = _profile_spectrum(profile, grid)
-    coeffs = x0 if basis is None else basis.W.conj().T @ x0
-    return SpectralState(values=np.outer(coeffs, psi), grid=grid, basis=basis)
+    return SpectralState(values=np.outer(x0, psi), grid=grid)
 
 
 def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
@@ -847,12 +837,13 @@ def _real_split(ds: core.DriftSplit) -> bool:
 
 
 def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
-    """The path ``evolve`` takes for split ``ds`` on ``grid``, from exact
+    """The path ``propagate`` takes for split ``ds`` on ``grid``, from exact
     tests with no tolerance: "hermitian" when C2h is zero (C == C†) and
-    the modes are ``make_grid``'s ladder η_k = πk/L; "real" when C1h.imag
-    and C2h.real are zero and the ladder is symmetric (η_{-k} == -η_k bit
-    for bit); "general" otherwise. A C that is Hermitian or real only to
-    rounding takes a slower path."""
+    the modes are ``make_grid``'s ladder η_k = πk/L (``evolve`` runs it
+    as one of the next two); "real" when C1h.imag and C2h.real are zero
+    and the ladder is symmetric (η_{-k} == -η_k bit for bit); "general"
+    otherwise. A C that is Hermitian or real only to rounding takes a
+    slower path."""
     eta, N = grid.eta, grid.N
     h = N // 2 - 1  # slot of k = 0
     ladder = np.pi * np.arange(-N // 2 + 1, N // 2 + 1) / grid.L
@@ -882,32 +873,17 @@ def _phase_blocks(
     return outer, inner
 
 
-def _apply_phases(Y: np.ndarray, mu: np.ndarray, grid: Grid, t: float) -> None:
-    """Y[j, :] *= e^{-itμ_j·η_k} in place (``_phase_blocks``), for a
-    C-contiguous Y on ``make_grid``'s ladder."""
-    outer, inner = _phase_blocks(mu, grid, t)
-    blocks = Y.reshape(mu.size, outer.shape[1], inner.shape[1])
-    blocks *= outer[:, :, None]  # [j, a, b] is mode k_0 + B·a + b
-    blocks *= inner[:, None, :]
-
-
 def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     """Propagate each mode column of ``s`` by exp(-i·t·H_k), with
     H_k = -(η_k·C1h + C2h) built from the split ``ds`` on the state's own
-    grid ``s.grid``. Norm-preserving: exactly for the phases and the
-    reduction, to rounding for the polynomial (kernels below). C1h and C2h
-    must be Hermitian; ``core.split`` makes them so exactly.
+    grid ``s.grid``. Norm-preserving: exactly for the reduction, to
+    rounding for the polynomial (kernels below). C1h and C2h must be
+    Hermitian; ``core.split`` makes them so exactly.
 
-    The path is the one ``evolve_path`` names from ``ds`` and ``s.grid``:
+    The path is the one ``evolve_path`` names from ``ds`` and ``s.grid``,
+    except that a "hermitian" split runs as "real" when it is real and as
+    "general" otherwise (only ``propagate`` reads it out by its phases):
 
-    - "hermitian" (C2h exactly zero, on ``make_grid``'s mode ladder):
-      H_k = η_k·(-C1h), so one eigendecomposition -C1h = W·diag(μ)·W†
-      serves every mode. A state in that basis (``s.basis``, which must be
-      the eigenbasis of -C1h) evolves by the phases e^{-itη_kμ_j} alone and
-      stays in it; one without is decomposed here (in real arithmetic when
-      C1h is real) and evolves as W·(e^{-itη_kμ_j} ∘ (W†·V)). The phases
-      come from the mode ladder in two short blocks (``_apply_phases``).
-      Every call is numpy's, so the path runs on one BLAS thread pool.
     - "real" (C1h with zero imaginary part, C2h with zero real part, on a
       symmetric mode ladder): H_{-k} = -conj(H_k), so only the modes
       k = 0..N/2 are evolved, each applied to v_k and conj(v_{-k}); the
@@ -921,8 +897,8 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       evolves both.
     - "general": every mode is evolved.
 
-    The last two run one of two kernels (``_evolve_modes`` picks it; the
-    result records it as ``kernel``):
+    Both run one of two kernels (``_evolve_modes`` picks it; the result
+    records it as ``kernel``):
 
     - "reduction" (``_evolve_stack``): per mode, Householder
       tridiagonalisation and a real tridiagonal eigensolve, applied to the
@@ -946,13 +922,11 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     is the case for short times and low modes, with many vectors;
     ``max_degree`` records its largest degree in H_k.
 
-    Memory is O(d² + N·d); no (N, d+1, d+1) stack is built. The Hermitian
-    test runs first, so real symmetric C takes the one-matrix path.
+    Memory is O(d² + N·d); no (N, d+1, d+1) stack is built.
 
-    A mode whose vector is exactly zero stays zero, so those two paths do
-    not evolve it (on the real path, a pair k, -k is evolved when either
-    vector is nonzero); ``truncate`` makes such modes. The Hermitian path
-    maps a zero column to an exact zero.
+    A mode whose vector is exactly zero stays zero, so neither path
+    evolves it (on the real path, a pair k, -k is evolved when either
+    vector is nonzero); ``truncate`` makes such modes.
     """
     t = core.require_time(t)
     grid = s.grid
@@ -962,16 +936,8 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     vals = np.ascontiguousarray(s.values, dtype=complex)
     h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
     path = evolve_path(ds, grid)
-    degree = None
-    if path == "hermitian":
-        basis = s.basis or drift_eigenbasis(ds)
-        out = vals.copy() if s.basis else basis.W.conj().T @ vals
-        _apply_phases(out, basis.mu, grid, t)
-        out = out if s.basis else basis.W @ out
-        kernel = "phases"
-    elif s.basis is not None:
-        raise InvalidInputError("a state in a drift eigenbasis needs a Hermitian C")
-    elif path == "real":
+    # make_grid's ladder, which the Hermitian path needs, is symmetric
+    if path == "real" or (path == "hermitian" and _real_split(ds)):
         # row m is mode k = m (slot h + m); its second vector is conj(v_{-k}),
         # at slot h - m, for k = 1..N/2-1, unless that equals v_k bit for bit
         neg = vals[:, h - 1 :: -1]
@@ -988,12 +954,7 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
         Y, kernel, degree = _evolve_modes(ds, eta, vals.T[:, :, None], t)
         out = Y[:, :, 0].T  # a Fortran-ordered view; no second copy
     return SpectralState(
-        values=out,
-        grid=grid,
-        time=s.time + t,
-        basis=s.basis,
-        kernel=kernel,
-        max_degree=degree,
+        values=out, grid=grid, time=s.time + t, kernel=kernel, max_degree=degree
     )
 
 
@@ -1004,8 +965,9 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     averages out per-point discretisation noise (the recovery of Jin, Liu &
     Yu, arXiv:2212.13969); the only readout. The fit is linear in v, so it
     is read off the spectral values Y: x̂ = Y·r for the weights r of
-    ``_readout_weights`` (then W·x̂ in a basis W), and ‖v‖ = √N·deta·‖Y‖_F
-    by Parseval (``_recovered``).
+    ``_readout_weights``, and ‖v‖ = √N·deta·‖Y‖_F by Parseval
+    (``_recovered``). Both are einsums, which call no BLAS, so no thread
+    pool wakes (see the module docstring).
 
     p_min shifts the readout window right: when the Hermitian drift part
     has positive eigenvalues the profile kink travels right at that speed,
@@ -1013,14 +975,10 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     """
     r = _readout_weights(s.grid, p_min)
     Y = s.values
-    if s.basis is not None:  # a state in the Hermitian path's basis: numpy's BLAS
-        xhat = s.basis.W @ (Y @ r)
-        ynorm = float(np.linalg.norm(Y))
-    else:  # no BLAS call, so no thread pool wakes (see the module docstring)
-        xhat = np.einsum("ij,j->i", Y, r)
-        ynorm = math.sqrt(
-            float(np.einsum("ij,ij->", Y.real, Y.real) + np.einsum("ij,ij->", Y.imag, Y.imag))
-        )
+    xhat = np.einsum("ij,j->i", Y, r)
+    ynorm = math.sqrt(
+        float(np.einsum("ij,ij->", Y.real, Y.real) + np.einsum("ij,ij->", Y.imag, Y.imag))
+    )
     return _recovered(xhat, ynorm, s.grid, s.time)
 
 
@@ -1064,11 +1022,11 @@ def _recovered(xhat: np.ndarray, ynorm: float, grid: Grid, time: float) -> Recov
 def _phase_readout(
     x0, grid: Grid, profile: Profile, basis: Eigenbasis, t: float, p_min: float
 ) -> tuple[RecoveredState, int, float]:
-    """``recover(evolve(truncate(initial_state(x0, grid, profile, basis))))``
-    for a Hermitian C, whose drift eigenbasis is ``basis``, without the
-    (d+1)×N state: the readout, the modes it evolves and the norm it drops.
+    """``recover(evolve(truncate(initial_state(x0, grid, profile))))`` for a
+    Hermitian C, whose drift eigenbasis is ``basis``, without the (d+1)×N
+    state: the readout, the modes it evolves and the norm it drops.
 
-    The start is c⊗ψ̂ with c = W†x0 (``initial_state``), so mode k holds
+    In W's coordinates the start is c⊗ψ̂ with c = W†x0, so mode k holds
     mass ‖c‖²·|ψ̂_k|², which ``_truncation`` cuts. Evolution multiplies
     entry (j, k) by e^{-itμ_jη_k}, and the readout is x̂ = W·(Y·r), so
     x̂ = W·(c ∘ Φ) with Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live
@@ -1112,9 +1070,9 @@ def propagate(
     ``basis`` when the caller has it, else one ``eigh`` here, which also
     gives the kink speed. There the start, the phases and the readout are
     folded into one sum per eigenvector (``_phase_readout``), and neither
-    the state nor ``evolve`` and ``recover`` run. C may also be given as
-    its DriftSplit, which is used as it is, with the eigenvalues it has
-    cached."""
+    the state nor ``evolve`` and ``recover`` run. A basis given on any
+    other path is refused. C may also be given as its DriftSplit, which is
+    used as it is, with the eigenvalues it has cached."""
     t = core.require_time(t)
     # exactly Hermitian parts, so evolve needs no check
     ds = C if isinstance(C, core.DriftSplit) else core.split(C)
@@ -1125,7 +1083,12 @@ def propagate(
     if path == "hermitian":
         basis = basis or drift_eigenbasis(ds)
         top = -float(np.min(basis.mu))
-    else:  # evolve refuses a basis here
+    elif basis is not None:
+        raise InvalidInputError(
+            "a drift eigenbasis applies only to an exactly Hermitian C on "
+            "make_grid's mode ladder"
+        )
+    else:
         top = float(ds.c1h_eigenvalues[-1])  # evolve's intervals reuse them
     if top > 1e-10:
         join = "kink" if profile.m == 0 else f"C^{profile.m} join"
@@ -1143,7 +1106,7 @@ def propagate(
         rec, modes, dropped = _phase_readout(x0, grid, profile, basis, t, p_min)
         kernel, degree = "phases", None
     else:
-        v0, dropped = truncate(initial_state(x0, grid, profile, basis))
+        v0, dropped = truncate(initial_state(x0, grid, profile))
         vt = evolve(v0, ds, t)
         rec = recover(vt, p_min=p_min)
         modes = int(np.count_nonzero(v0.values.any(axis=0)))

@@ -133,7 +133,7 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     its σ search.
 
     An exactly Hermitian M (M == M† entrywise, the test that also sends
-    ``evolve`` down its one-eigh path) runs numpy's ``eigh``, in real
+    ``propagate`` down its phase readout) runs numpy's ``eigh``, in real
     arithmetic when M is real, and the overlaps are V†x0 in its orthonormal
     basis. Any other M runs scipy's ``eig`` and an LU solve; an eigenbasis
     whose reciprocal condition estimate (LAPACK gecon, from the same LU

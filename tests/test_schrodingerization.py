@@ -355,6 +355,10 @@ _GAPPED = {
     "general-gapped": (lambda rng, d: _gapped(rng, d, False), "general"),
 }
 
+# the path evolve runs a Hermitian structure on; only propagate reads a
+# Hermitian C out by its phases
+_EVOLVED_AS = {"complex-hermitian": "general", "real-symmetric": "real"}
+
 # path -> what it decomposes on an N-mode grid: (matrices per eigh call,
 # tridiagonalisations)
 _PATH_WORK = {
@@ -411,7 +415,7 @@ class TestEvolvePaths:
     tridiagonalisations it makes."""
 
     def _evolve_against_reference(
-        self, rng, decompositions, structure, d, N, L, t, tol=1e-12, work=None
+        self, rng, decompositions, structure, d, N, L, t, tol=1e-12, works=None
     ):
         build, path = _STRUCTURES[structure]
         C = build(rng, d)
@@ -422,7 +426,8 @@ class TestEvolvePaths:
         ref = _per_mode_reference(vals, gen.blocks, t)
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
-        assert decompositions.work() == (work or _PATH_WORK[path](N))
+        path_work = _PATH_WORK[_EVOLVED_AS.get(structure, path)](N)
+        assert decompositions.work() in (works or [path_work])
         scale = np.linalg.norm(vals)
         assert np.max(np.abs(out.values - ref)) <= tol * scale
         assert abs(np.linalg.norm(out.values) - scale) <= 1e-10 * scale
@@ -438,39 +443,54 @@ class TestEvolvePaths:
     @pytest.mark.parametrize("structure", list(_STRUCTURES))
     @pytest.mark.parametrize("t", [0.0, 1.5])
     def test_smallest_grid(self, rng, decompositions, structure, t):
-        # at t = 0 every polynomial degree is 0, so the real and general
-        # paths take the polynomial and reduce nothing
-        path = _STRUCTURES[structure][1]
-        work = ([], 0) if t == 0.0 and path != "hermitian" else None
+        # at t = 0 every polynomial degree is 0, so every path takes the
+        # polynomial and reduces nothing. A 2×2 Hermitian C1h has its two
+        # eigenvalues either side of its midpoint, so X² is a multiple of I
+        # and the degree is 0 up to rounding: at t > 0 either kernel may run
+        works = None
+        if t == 0.0:
+            works = [([], 0)]
+        elif structure in _EVOLVED_AS:
+            works = [([], 0), _PATH_WORK[_EVOLVED_AS[structure]](4)]
         self._evolve_against_reference(
-            rng, decompositions, structure, d=2, N=4, L=np.pi, t=t, work=work
+            rng, decompositions, structure, d=2, N=4, L=np.pi, t=t, works=works
         )
 
-    @pytest.mark.parametrize(
-        "c, eigh_calls", [(0.5, [1]), (0.5 + 0.25j, [])], ids=["real", "complex"]
-    )
+    @pytest.mark.parametrize("c", [0.5, 0.5 + 0.25j], ids=["real", "complex"])
     @pytest.mark.parametrize("t", [0.0, 1.5])
-    def test_scalar_system(self, rng, decompositions, c, eigh_calls, t):
+    def test_scalar_system(self, rng, decompositions, c, t):
         # d + 1 = 1 on every path it can take: a real scalar is symmetric
-        # (one eigh); a complex one is a phase per mode and is never
-        # tridiagonalised. The real path needs a nonzero imaginary C2h,
-        # which no 1x1 Hermitian matrix has.
+        # and a complex one is not, but on both the generator is a phase per
+        # mode, a polynomial of degree 0, and nothing is decomposed
         grid = eng.make_grid(4, np.pi)
         gen = eng.generator_blocks(core.split(np.array([[c]])), grid)
         vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         exact = np.exp(-1j * t * gen.blocks[:, 0, 0].real) * vals
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
-        assert decompositions.work() == (eigh_calls, 0)
+        assert decompositions.work() == ([], 0)
+        assert out.max_degree == 0
         assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.linalg.norm(vals)
 
     @pytest.mark.parametrize("structure", ["real-symmetric", "complex-hermitian"])
     def test_hermitian_path_at_large_phase(self, rng, decompositions, structure):
-        # phases t·μ·η up to about 10³ rad: the factorised ladder
-        # e^{-itμ(k0 + B·a + b)π/L} must keep up with the direct exponential
-        self._evolve_against_reference(
-            rng, decompositions, structure, d=8, N=512, L=20.0, t=20.0, tol=1e-11
-        )
+        # phases t·μ·η up to about 10³ rad: propagate's factorised ladder
+        # e^{-itμ(k0 + B·a + b)π/L} must keep up with the per-mode eigh
+        # reference chain read out by the p-space fit
+        d, t = 8, 20.0
+        C = _STRUCTURES[structure][0](rng, d)
+        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        grid = eng.make_grid(512, 20.0)
+        gen = eng.generator_blocks(core.split(C), grid)
+        v0, _ = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))
+        vt = eng.SpectralState(_per_mode_reference(v0.values, gen.blocks, t), grid, t)
+        ref = pspace_recover(eng.transform(vt, "inverse"), _propagate_floor(gen.split, grid, t))
+        decompositions.clear()
+        rec = eng.propagate(C, x0, t, grid)
+        assert decompositions.work() == _PATH_WORK["hermitian"](grid.N)
+        assert (rec.path, rec.kernel) == ("hermitian", "phases")
+        assert np.linalg.norm(rec.x - ref.x) <= 1e-11 * np.linalg.norm(ref.x)
+        assert rec.success_probability == pytest.approx(ref.success_probability, rel=1e-11)
 
     @pytest.mark.parametrize(
         "build, path", [(_real_symmetric, "real"), (_complex_hermitian, "general")]
@@ -1311,8 +1331,7 @@ class TestRecover:
     @pytest.mark.parametrize("p_min", [0.0, 1.7])
     def test_spectral_readout_matches_pspace_fit(self, rng, structure, p_min):
         # the fit read off the spectral values against the same fit on the
-        # warped state; on the Hermitian path both with and without the
-        # drift eigenbasis
+        # warped state
         build, path = _STRUCTURES[structure]
         d, t = 5, 2.0
         C = build(rng, d)
@@ -1320,20 +1339,16 @@ class TestRecover:
         x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         grid = eng.make_grid(128, eng.default_domain_halfwidth(ds.C1h, t))
         assert eng.evolve_path(ds, grid) == path
-        bases = [None]
-        if path == "hermitian":
-            bases.append(eng.Eigenbasis(*np.linalg.eigh(-ds.C1h)))
         for profile in (eng.EXP_ABS, eng.SMOOTH):
-            for basis in bases:
-                vt = eng.evolve(eng.initial_state(x0, grid, profile, basis), ds, t)
-                got = eng.recover(vt, p_min)
-                ref = pspace_recover(eng.transform(vt, "inverse"), p_min)
-                scale = np.linalg.norm(ref.x)
-                assert np.linalg.norm(got.x - ref.x) <= 1e-12 * scale
-                assert got.success_probability == pytest.approx(
-                    ref.success_probability, rel=1e-12
-                )
-                assert got.time == ref.time == t
+            vt = eng.evolve(eng.initial_state(x0, grid, profile), ds, t)
+            got = eng.recover(vt, p_min)
+            ref = pspace_recover(eng.transform(vt, "inverse"), p_min)
+            scale = np.linalg.norm(ref.x)
+            assert np.linalg.norm(got.x - ref.x) <= 1e-12 * scale
+            assert got.success_probability == pytest.approx(
+                ref.success_probability, rel=1e-12
+            )
+            assert got.time == ref.time == t
 
     def test_non_finite_state_is_a_numerical_failure(self):
         grid = eng.make_grid(16, 3.0)
@@ -1398,9 +1413,11 @@ def _propagate_floor(ds, grid, t):
 def test_phase_readout_matches_the_state_chain_property(
     complex_, given_basis, profile, above, real_x0, d, N, t, seed
 ):
-    """On a Hermitian C, propagate's readout without a state agrees with
-    recover(evolve(truncate(initial_state(...)))) and with the p-space fit
-    of that state, and raises where that chain raises."""
+    """On a Hermitian C, propagate's readout without a state, given the
+    drift eigenbasis or not, agrees with the state chain
+    recover(evolve(truncate(initial_state(...)))), which runs the real or
+    general kernel, and with the p-space fit of that state, and raises
+    where that chain raises."""
     rng = np.random.default_rng(seed)
     C = _hermitian_spectrum(rng, d, complex_, above)
     ds = core.split(C)
@@ -1410,7 +1427,7 @@ def test_phase_readout_matches_the_state_chain_property(
     basis = eng.drift_eigenbasis(ds) if given_basis else None
     p_min = _propagate_floor(ds, grid, t)
     assert (p_min > 0.0) == above
-    v0, dropped = eng.truncate(eng.initial_state(x0, grid, profile, basis))
+    v0, dropped = eng.truncate(eng.initial_state(x0, grid, profile))
     vt = eng.evolve(v0, ds, t)
     try:
         ref = eng.recover(vt, p_min)
@@ -1431,8 +1448,8 @@ def test_phase_readout_matches_the_state_chain_property(
 
 
 class TestPhaseReadoutErrors:
-    """propagate on a Hermitian C raises where the state chain raises, with
-    the same error codes."""
+    """propagate on a Hermitian C raises where the state chain, on the real
+    or general kernel, raises, with the same error codes."""
 
     def _both(self, C, x0, t, grid):
         ds = core.split(C)
@@ -1477,20 +1494,8 @@ class TestInitialState:
         x0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         ref = eng.transform(initial_warped_state(x0, grid, profile), "forward").values
         v0 = eng.initial_state(x0, grid, profile)
-        assert v0.basis is None and v0.time == 0.0
+        assert v0.time == 0.0
         assert np.max(np.abs(v0.values - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-    def test_start_in_a_basis_holds_its_coordinates(self, rng):
-        grid = eng.make_grid(64, 5.0)
-        C = _complex_hermitian(rng, 4)
-        basis = eng.Eigenbasis(*np.linalg.eigh(-core.split(C).C1h))
-        x0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v0 = eng.initial_state(x0, grid, eng.SMOOTH, basis)
-        plain = eng.initial_state(x0, grid, eng.SMOOTH)
-        assert v0.basis is basis
-        assert np.allclose(basis.W @ v0.values, plain.values, atol=1e-15)
-        back = eng.transform(v0, "inverse").values
-        assert np.allclose(back, eng.transform(plain, "inverse").values, atol=1e-14)
 
     @pytest.mark.parametrize("profile", [eng.EXP_ABS, eng.SMOOTH], ids=lambda q: q.name)
     @pytest.mark.parametrize("N", [4, 64, 512, 4096])
@@ -1509,8 +1514,9 @@ class TestInitialState:
 
 
 class TestDriftEigenbasis:
-    """A Hermitian C keeps its state in the eigenbasis of -C1h: one eigh,
-    no GEMM, and a basis is refused where it does not apply."""
+    """propagate reads a Hermitian C out in the eigenbasis of -C1h: one
+    eigh, none when the basis is given, and a basis is refused where it
+    does not apply."""
 
     def test_propagate_with_a_given_basis_decomposes_nothing(self, rng, decompositions):
         C = _real_symmetric(rng, 6)
@@ -1531,31 +1537,19 @@ class TestDriftEigenbasis:
         exact = scipy.linalg.expm((C - np.eye(6)) * t) @ x0
         assert np.abs(np.vdot(exact / np.linalg.norm(exact), given_.state)) ** 2 >= 1 - 1e-6
 
-    def test_evolve_in_a_basis_matches_the_plain_path(self, rng, decompositions):
-        grid = eng.make_grid(64, 5.0)
-        ds = core.split(_complex_hermitian(rng, 5))
-        vals = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
-        basis = eng.Eigenbasis(*np.linalg.eigh(-ds.C1h))
-        decompositions.clear()
-        out = eng.evolve(
-            eng.SpectralState(values=basis.W.conj().T @ vals, grid=grid, basis=basis),
-            ds, 2.5,
-        )
-        assert decompositions.work() == ([], 0)
-        assert out.basis is basis and out.time == 2.5
-        plain = eng.evolve(eng.SpectralState(values=vals, grid=grid), ds, 2.5)
-        assert plain.basis is None
-        assert np.max(np.abs(basis.W @ out.values - plain.values)) <= 1e-12 * np.linalg.norm(vals)
-
     def test_basis_refused_off_the_hermitian_path(self, rng):
-        C = _real_nonnormal(rng, 3)
-        grid = eng.make_grid(16, 4.0)
-        basis = eng.Eigenbasis(*np.linalg.eigh(-core.split(C).C1h))
-        with pytest.raises(InvalidInputError, match="Hermitian C"):
-            eng.propagate(C, np.ones(3), 1.0, grid, basis=basis)
-        s = eng.SpectralState(values=np.ones((3, 16), dtype=complex), grid=grid, basis=basis)
-        with pytest.raises(InvalidInputError, match="Hermitian C"):
-            eng.evolve(s, core.split(C), 1.0)
+        # a non-Hermitian C, and a Hermitian one on a hand-built grid off
+        # make_grid's ladder, with its own eigenbasis; the message names both
+        # conditions
+        ladder = eng.make_grid(16, 4.0)
+        off = replace(ladder, eta=ladder.eta * (1.0 + 1e-3))
+        message = "exactly Hermitian C on make_grid's mode ladder"
+        for C, grid in ((_real_nonnormal(rng, 3), ladder), (_real_symmetric(rng, 3), off)):
+            ds = core.split(C)
+            assert eng.evolve_path(ds, grid) == "real"
+            basis = eng.drift_eigenbasis(ds)
+            with pytest.raises(InvalidInputError, match=message):
+                eng.propagate(C, np.ones(3), 1.0, grid, basis=basis)
 
 
 class TestExpectation:
