@@ -516,6 +516,33 @@ class TestEvolvePaths:
         assert np.any(gen.split.C1h.imag != 0)
         assert not np.any(gen.split.C2h)
 
+    @pytest.mark.parametrize(
+        "d, t, kernel", [(64, 0.5, "chebyshev"), (8, 2.0, "reduction")]
+    )
+    def test_real_symmetric_C_evolves_on_the_real_path(self, rng, d, t, kernel):
+        # evolve runs a real Hermitian split as "real": the start of a real
+        # x0 evolves one vector per pair on a state kernel and stays
+        # conjugate-symmetric bit for bit, as on a real non-normal C
+        grid = eng.make_grid(32, 5.0)
+        gen = eng.generator_blocks(core.split(_real_symmetric(rng, d)), grid)
+        assert eng.evolve_path(gen.split, grid) == "hermitian"
+        v0, _ = eng.truncate(eng.initial_state(rng.normal(size=d), grid, eng.SMOOTH))
+        vectors = []
+        modes = eng._evolve_modes
+
+        def recording(ds, eta, X, t):
+            vectors.append(X.shape[2])
+            return modes(ds, eta, X, t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "_evolve_modes", recording)
+            out = eng.evolve(v0, gen.split, t)
+        assert (out.kernel, vectors) == (kernel, [1])
+        h = grid.N // 2 - 1
+        assert np.array_equal(out.values[:, h - 1 :: -1].conj(), out.values[:, h + 1 : -1])
+        ref = _per_mode_reference(v0.values, gen.blocks, t)
+        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(v0.values)
+
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     @pytest.mark.parametrize("N", [4, 16, 64])
     def test_zero_modes_are_not_reduced(self, rng, decompositions, structure, N):
@@ -1536,6 +1563,18 @@ class TestDriftEigenbasis:
         assert np.max(np.abs(given_.x - own.x)) <= 1e-12 * np.linalg.norm(own.x)
         exact = scipy.linalg.expm((C - np.eye(6)) * t) @ x0
         assert np.abs(np.vdot(exact / np.linalg.norm(exact), given_.state)) ** 2 >= 1 - 1e-6
+
+    def test_domain_halfwidth_reads_one_rate_from_each_source(self, rng):
+        # ρ from the eigenbasis of -C1h, from a DriftSplit's eigenvalues or
+        # from C1h itself gives one L = 4 + t·ρ; with a basis C1h is not read
+        ds = core.split(_complex_hermitian(rng, 5))
+        basis = eng.drift_eigenbasis(ds)
+        t = 2.0
+        L = 4.0 + t * np.max(np.abs(np.linalg.eigvalsh(ds.C1h)))
+        unread = np.full_like(ds.C1h, np.nan)
+        for C1h, given_ in ((ds.C1h, None), (ds, None), (unread, basis)):
+            assert eng.default_domain_halfwidth(C1h, t, given_) == pytest.approx(L, rel=1e-13)
+        assert eng.default_domain_halfwidth(ds, 0.0) == 4.0
 
     def test_basis_refused_off_the_hermitian_path(self, rng):
         # a non-Hermitian C, and a Hermitian one on a hand-built grid off
