@@ -13,14 +13,14 @@ from .errors import InvalidInputError, SingularMatrixError
 
 
 def direct_solve(A, b) -> np.ndarray:
-    """Dense factorisation solve of Ay = b (scipy's LAPACK, the runtime of
-    the Jacobi solve's per-mode kernel; the inputs are already checked)."""
+    """Dense factorisation solve of Ay = b (numpy's LAPACK, the runtime of
+    the Jacobi solve's polynomial kernel; the inputs are already checked)."""
     A = core.require_square(core.as_matrix(A), "A")
     b = core.as_vector(b)
     if A.shape[0] != b.shape[0]:
         raise InvalidInputError("A and b dimensions differ")
     try:
-        y = scipy.linalg.solve(A, b, check_finite=False)
+        y = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"A is singular: {exc}") from exc
     if not np.all(np.isfinite(y)):

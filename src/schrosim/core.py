@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateStateError,
@@ -91,10 +90,10 @@ class DriftSplit:
         """The eigenvalues of C1h, ascending and read-only, in real
         arithmetic when C1h is real; one eigensolve per split serves the
         kink speed and the polynomial intervals of ``schrodingerization``,
-        so C1h must not be changed in place once they are read. On scipy's
+        so C1h must not be changed in place once they are read. On numpy's
         LAPACK, the thread pool of the kernels they serve (see
         ``schrodingerization``)."""
-        w = scipy.linalg.eigvalsh(real_if_exact(self.C1h), check_finite=False)
+        w = np.linalg.eigvalsh(real_if_exact(self.C1h))
         w.flags.writeable = False
         return w
 
@@ -175,12 +174,12 @@ def spectrum(
     """Dense eigenvalues of M (complex, in LAPACK order), with the index of
     the steady eigenvalue and the gap from it, as ``steady_mode`` picks
     them. A real M (zero imaginary part) is solved in real arithmetic. It
-    runs on scipy's LAPACK, as ``DriftSplit.c1h_eigenvalues`` does, so a
-    ``diagnose`` wakes only scipy's thread pool."""
+    runs on numpy's LAPACK, as ``DriftSplit.c1h_eigenvalues`` does, so a
+    ``diagnose`` wakes only numpy's thread pool."""
     M = require_square(as_matrix(M), "M")
     require_dense_size(M.shape[0])
     try:
-        eigvals = scipy.linalg.eigvals(real_if_exact(M), check_finite=False)
+        eigvals = np.linalg.eigvals(real_if_exact(M))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     eigvals = eigvals.astype(complex, copy=False)

@@ -11,9 +11,9 @@ polynomial in products with C1h and C2h, batched over the modes (unitary
 to rounding): the series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η
 centred at the midpoint of C1h's interval, so its degree follows the
 spread of |X| rather than that of X. Each polynomial step is one GEMM with the centre
-and shift already in the matrix and the previous term subtracted by the
-GEMM's beta; for a real C it is a real GEMM on the float64 view of the
-complex vectors. The start ψ(p)·x0 is
+and shift already in the matrix, written into a buffer from which the
+previous term is subtracted in place; for a real C it is a real GEMM on
+the float64 view of the complex vectors. The start ψ(p)·x0 is
 separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
@@ -27,11 +27,12 @@ and the phases per eigenvalue μ_j (``_phase_readout``).
 numpy and scipy each link their own OpenBLAS, each with a pool of threads
 that keep spinning for about 0.1 s after a threaded call. On a machine
 with few cores a threaded call on one pool can stall until the other
-pool's threads stop spinning, so no op here wakes both pools: the
-Hermitian phase readout runs on numpy's BLAS; the real and general paths
-(the eigenvalues of C1h and C2h, every kernel, the polynomial's blocks
-and ``default_domain_halfwidth`` without a basis) on scipy's; the
-transforms, the truncation and ``recover`` call no BLAS.
+pool's threads stop spinning, so every path runs on numpy's pool, the one
+its callers use too: the phase readout, the eigenvalues of C1h and C2h,
+the polynomial's blocks and steps, and ``default_domain_halfwidth``. Only
+the reduction kernel (``_evolve_stack``) runs on scipy's, whose LAPACK
+wrappers alone expose the tridiagonal reduction; the transforms, the
+truncation and ``recover`` call no BLAS.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
 only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
@@ -55,7 +56,6 @@ from dataclasses import dataclass, replace
 from typing import Literal, NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from . import core
@@ -279,8 +279,8 @@ def default_domain_halfwidth(
         eigs = basis.mu
     elif isinstance(C1h, core.DriftSplit):
         eigs = C1h.c1h_eigenvalues
-    else:  # scipy's, as on the paths that have no basis
-        eigs = scipy.linalg.eigvalsh(core.real_if_exact(C1h), check_finite=False)
+    else:
+        eigs = np.linalg.eigvalsh(core.real_if_exact(C1h))
     return max(float(np.pi), 4.0 + t * float(np.max(np.abs(eigs), initial=0.0)))
 
 
@@ -448,7 +448,8 @@ def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
     eigenvector of H is formed: Q stays as its reflectors, Q = diag(1, Q')
     with Q' in QR form below the subdiagonal, applied by zunmqr, and Z is
     applied by dgemm to the real view of the vectors. The loop calls only
-    scipy's LAPACK and BLAS, so one BLAS thread pool serves it.
+    scipy's LAPACK and BLAS, since numpy exposes no tridiagonal reduction:
+    it is the one kernel off numpy's thread pool.
     """
     M, n, r = X.shape
     Y = np.empty((M, n, r), dtype=complex)
@@ -475,14 +476,13 @@ def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
 def _spectral_interval(M: np.ndarray) -> tuple[float, float]:
     """The extreme eigenvalues of a Hermitian M, in real arithmetic when M
     is real or purely imaginary: M = iA with A real antisymmetric has the
-    eigenvalues ±σ(A), so its interval is ±sqrt(λmax(AᵀA)). All on scipy's
-    LAPACK and BLAS, like the kernels the interval serves."""
+    eigenvalues ±σ(A), so its interval is ±sqrt(λmax(AᵀA)). All on numpy's
+    LAPACK and BLAS, like the polynomial the interval serves."""
     if not M.real.any():
         A = np.ascontiguousarray(M.imag)
-        AtA = blas.dgemm(1.0, A.T, A.T, trans_b=1)  # A.T is Fortran-ordered
-        top = math.sqrt(max(scipy.linalg.eigvalsh(AtA, check_finite=False)[-1], 0.0))
+        top = math.sqrt(max(np.linalg.eigvalsh(A.T @ A)[-1], 0.0))
         return -top, top
-    w = scipy.linalg.eigvalsh(core.real_if_exact(M), check_finite=False)
+    w = np.linalg.eigvalsh(core.real_if_exact(M))
     return float(w[0]), float(w[-1])
 
 
@@ -646,7 +646,7 @@ def _coefficients(sample, D: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _recurrence(gemm, dtype, G, W, coefs, T0, D) -> list[np.ndarray]:
+def _recurrence(dtype, G, W, coefs, T0, D) -> list[np.ndarray]:
     """Σ_{j<=D} coef[j]·T_j(y)·v for every coefficient table of ``coefs``
     and every column v of T0 (n, m), columns in descending D, where
     y·v = (G·[W_0·v ; W_1·v ; ...]) / 2 for the blocks [G_0 | G_1 | ...]
@@ -654,18 +654,21 @@ def _recurrence(gemm, dtype, G, W, coefs, T0, D) -> list[np.ndarray]:
 
     The vectors are the columns of C-ordered (n, k) arrays, whose float64
     views are (n, 2k): each vector's real and imaginary parts are two real
-    columns, so a real G runs each step as one ``dgemm`` on those views
-    and a complex G as one ``zgemm``. Step j of
+    columns, so a real G runs each step as one real ``matmul`` on those
+    views and a complex G as one complex ``matmul``. Step j of
     T_{j+1} = 2y·T_j - T_{j-1} is that one GEMM with the stacked weighted
-    columns, written in place over T_{j-1} by its beta = -1 (T_{-1} = 0,
-    alpha = 1/2 gives T_1 = y·T_0). A column past its D keeps being
-    stepped, with zero coefficients, until the live columns have fallen
-    to 7/8 of the buffers; only then are the buffers copied down to them."""
+    columns, written into a spare buffer from which T_{j-1} is subtracted
+    in place (the first step is halved instead: T_1 = y·T_0). numpy's GEMM
+    takes no beta, so the buffers of T_{j-1}, T_j and T_{j+1} rotate. A
+    column past its D keeps being stepped, with zero coefficients, until
+    the live columns have fallen to 7/8 of the buffers; only then are the
+    buffers copied down to them."""
     n, m = T0.shape
     nb = W.shape[0]
     top = int(D[0]) if m else 0
     cur = np.array(T0, dtype=complex, order="C")  # T_0, a vector per column
     prev = np.zeros_like(cur)  # T_{-1}
+    nxt = np.empty_like(cur)  # T_{j+1}
     acc = [cur * coef[0] for coef in coefs]
     done = [np.empty((n, m), dtype=complex) for _ in coefs]
     buf = np.empty(nb * n * m, dtype=complex)
@@ -679,21 +682,18 @@ def _recurrence(gemm, dtype, G, W, coefs, T0, D) -> list[np.ndarray]:
             acc = [a[:, :k].copy() for a in acc]
             cur = cur[:, :k].copy()
             prev = prev[:, :k].copy()
+            nxt = np.empty_like(cur)
             width = k
         stacked = buf[: nb * n * width].reshape(nb * n, width)
         for i in range(nb):
             np.multiply(cur, W[i, :width], out=stacked[i * n : (i + 1) * n])
-        # the transposed views are Fortran-ordered, so the GEMM copies
-        # nothing: prevᵀ <- alpha·stackedᵀ·Gᵀ - prevᵀ
-        prev = gemm(
-            0.5 if j == 1 else 1.0,
-            stacked.view(dtype).T,
-            G.T,
-            beta=-1.0,
-            c=prev.view(dtype).T,
-            overwrite_c=1,
-        ).T.view(complex)
-        prev, cur = cur, prev
+        # every operand is C-ordered, so the GEMM copies nothing
+        np.matmul(G, stacked.view(dtype), out=nxt.view(dtype))
+        if j == 1:
+            nxt *= 0.5
+        else:
+            nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
         for coef, a in zip(coefs, acc):
             np.multiply(cur, coef[j, :width], out=stacked[:n])
             a += stacked[:n]
@@ -719,10 +719,10 @@ def _chebyshev_stack(
     zero, as ``evolve_path`` tests) C2h = i·A with A real antisymmetric,
     whose interval is symmetric, so m2 = 0 and Q = -i·A: each block is
     real once the weight of Q carries its i (weights η², i·η and 1; η and
-    i), and each step is one scipy ``dgemm`` on the float64 views, at half
-    the flops of a general split's ``zgemm`` and about 0.6× its time. The
-    blocks are built by scipy's GEMM too (see the module docstring for
-    why). Unitary to rounding, not exactly."""
+    i), and each step is one real ``matmul`` on the float64 views, at half
+    the flops of a general split's complex one and about 0.6× its time.
+    The blocks and every product are numpy's GEMM (see the module
+    docstring for why). Unitary to rounding, not exactly."""
     centre, m2, R, D, kappa2, kappa0, degree = plan
     m, n = V.shape
     order = np.argsort(-D, kind="stable")
@@ -730,10 +730,10 @@ def _chebyshev_stack(
     phase = np.exp(1j * t * (eta * centre + m2))  # e^{-itx}
     if _real_split(ds):
         P, Q = centre * np.eye(n) - ds.C1h.real, -ds.C2h.imag
-        gemm, dtype, unit, unit2 = blas.dgemm, np.float64, 1j, -1.0
+        dtype, unit, unit2 = np.float64, 1j, -1.0
     else:
         P, Q = centre * np.eye(n) - ds.C1h, m2 * np.eye(n) - ds.C2h
-        gemm, dtype, unit, unit2 = blas.zgemm, complex, 1.0, 1.0
+        dtype, unit, unit2 = complex, 1.0, 1.0
     c = kappa2 * eta * eta + kappa0
 
     def root(x, rows):
@@ -747,29 +747,18 @@ def _chebyshev_stack(
     ]
     G = None
     if D.any():
-
-        def product(A, B):  # A·B of C-ordered A and B, whose .T are Fortran-ordered
-            return gemm(1.0, B.T, A.T).T
-
-        PQ = product(P, Q)
+        PQ = np.matmul(P, Q)
         G = np.hstack([
-            product(P, P) - kappa2 * np.eye(n),
+            np.matmul(P, P) - kappa2 * np.eye(n),
             PQ + unit2 * PQ.conj().T,  # PQ + QP, for P = Pᴴ and Q = unit2·Qᴴ
-            unit2 * product(Q, Q) - kappa0 * np.eye(n),
+            unit2 * np.matmul(Q, Q) - kappa0 * np.eye(n),
         ])
     f = np.divide(2.0, R, out=np.zeros_like(R), where=R > 0)
     W = np.array([f * eta * eta, f * unit * eta, f], dtype=complex)
-    out, sine = _recurrence(gemm, dtype, G, W, coefs, V[order].T, D)
+    out, sine = _recurrence(dtype, G, W, coefs, V[order].T, D)
     if degree:  # f(X²)·v + X·(-i·g(X²)·v), one GEMM with [P | Q]
         stacked = np.vstack([sine * eta, sine * unit])
-        out = gemm(
-            1.0,
-            stacked.view(dtype).T,
-            np.hstack([P, Q]).T,
-            beta=1.0,
-            c=out.view(dtype).T,
-            overwrite_c=1,
-        ).T.view(complex)
+        out += np.matmul(np.hstack([P, Q]), stacked.view(dtype)).view(complex)
     Y = np.empty((m, n), dtype=complex)
     Y[order] = out.T
     return Y
@@ -791,29 +780,31 @@ def _evolve_modes(
     Σ (D + 2) + STEP_ROWS·(max D + 2) + 2·n over its rows
     (``_Polynomial.cost``), and the reduction REDUCTION_ROWS·n per live
     mode; the cheaper runs, the polynomial on a tie. Timed warm on 2 vCPUs
-    (OpenBLAS 0.3, scipy's BLAS), with every row at one degree D, the
-    polynomial and the reduction break even at these D/n (the range over
-    three runs, each a line through the times at two D), against the
-    rule's (REDUCTION_ROWS·rows - 2)/(rows + STEP_ROWS), less 2/n:
+    (OpenBLAS 0.3), with every row at one degree D, the polynomial and the
+    reduction break even at these D/n (the range over three runs, each a
+    line through the times at two D), against the rule's
+    (REDUCTION_ROWS·rows - 2)/(rows + STEP_ROWS), less 2/n. The cells
+    marked * have their steps on numpy's ``matmul`` and T_{j-1} subtracted
+    after it, as now; the rest were timed on scipy's GEMM with beta = -1:
 
-        general split (zgemm steps)
+        general split (complex steps, zgemm)
         rows n = 32       65           128          256          512          rule
         1    -0.07..-0.06 0.04..0.07   -0.14..-0.03 -0.04..0.23  -0.01..0.00  -0.05
-        8    1.32..1.42   1.28..1.32   1.23..2.02   1.13..1.13   0.61..0.64   0.43
-        64   3.37..3.58   2.87..3.09   2.34..2.38   1.91..2.00   1.51..1.66   1.09
-        256  4.76..5.11   3.29..3.43   2.91..3.56   1.90..2.17   1.45..1.65   1.26
+        8    1.32..1.42   2.60..3.85*  0.86..1.73*  1.13..1.13   0.61..0.64   0.43
+        64   3.37..3.58   2.96..3.36*  1.67..2.51*  1.91..2.00   1.51..1.66   1.09
+        256  4.76..5.11   3.51..4.01*  2.04..2.67*  1.90..2.17   1.45..1.65   1.26
 
-        real split (dgemm steps)
+        real split (real steps, dgemm)
         1    -0.04..0.02  0.29..0.30   0.48..0.52   0.54..1.21   0.16..0.17   -0.05
-        8    1.57..1.75   2.17..2.34   2.22..4.16   1.94..1.95   1.21..1.21   0.43
-        64   4.71..5.10   3.57..3.73   3.27..3.45   2.72..2.83   1.76..2.11   1.09
-        256  5.36..5.75   4.53..4.90   4.18..5.20   3.01..3.56   2.22..2.54   1.26
+        8    1.57..1.75   1.77..4.89*  1.53..2.06*  1.94..1.95   1.21..1.21   0.43
+        64   4.71..5.10   3.17..3.99*  2.86..3.79*  2.72..2.83   1.76..2.11   1.09
+        256  5.36..5.75   3.61..5.86*  2.97..4.60*  3.01..3.56   2.22..2.54   1.26
 
-    A reduction costs 1.5-5.9·n row-degrees of the general polynomial and
-    2.1-18·n of the real one (most for one row, where a step's fixed part
-    counts). The rule sits below the measured break-even everywhere it is
-    positive, so near it the reduction, which is exactly unitary, runs;
-    one row takes the polynomial only where no step runs."""
+    On scipy's GEMM a reduction cost 1.5-5.9·n row-degrees of the general
+    polynomial and 2.1-18·n of the real one (most for one row, where a
+    step's fixed part counts). The rule sits below the measured break-even
+    everywhere it is positive, so near it the reduction, which is exactly
+    unitary, runs; one row takes the polynomial only where no step runs."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
@@ -908,11 +899,11 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       interval (``_chebyshev_plan``), X_k = H_k - x_k, exp(-itX_k) is
       cos(t|X_k|) - i·X_k·sin(t|X_k|)/|X_k|, two series in X_k² of degree
       D_k about t/2 times the spread of |X_k| (2·D_k + 1 in H_k), one GEMM
-      per degree shared by every mode, on scipy's BLAS: the blocks
+      per degree shared by every mode, on numpy's BLAS: the blocks
       [P² - κ2 | PQ + QP | Q² - κ0] (``_folded_plan``) times the stacked
-      vectors, minus the term before through the GEMM's beta = -1. On a
-      real split the blocks are real and the GEMM is a ``dgemm`` on the
-      float64 views (about 0.6× the time of the ``zgemm`` a general split
+      vectors, minus the term before, subtracted in place. On a real split
+      the blocks are real and the GEMM is a real ``matmul`` on the
+      float64 views (about 0.6× the time of the complex one a general split
       runs); O(D_k·n²) per vector. An eigenvalue alone across a gap
       that holds the midpoint folds onto the rest, so it widens |X_k|
       little where it would double the interval of H_k.
@@ -966,8 +957,8 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     Yu, arXiv:2212.13969); the only readout. The fit is linear in v, so it
     is read off the spectral values Y: x̂ = Y·r for the weights r of
     ``_readout_weights``, and ‖v‖ = √N·deta·‖Y‖_F by Parseval
-    (``_recovered``). Both are einsums, which call no BLAS, so no thread
-    pool wakes (see the module docstring).
+    (``_recovered``). Both are einsums, which call no BLAS, so the readout
+    adds no threaded call to the op (see the module docstring).
 
     p_min shifts the readout window right: when the Hermitian drift part
     has positive eigenvalues the profile kink travels right at that speed,

@@ -10,8 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from . import baselines, core, schrodingerization as engine
 from .errors import (
@@ -25,7 +23,7 @@ from .errors import (
 
 GAP_TIE_TOL = 1e-10
 DEFAULT_N = 512
-# below this reciprocal condition estimate of the eigenbasis, the overlaps
+# below this reciprocal condition number of the eigenbasis, the overlaps
 # of x0 are rounding noise and the stopping time built on them is unsafe
 EIGENBASIS_MIN_RCOND = 1e-10
 
@@ -135,10 +133,10 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     An exactly Hermitian M (M == M† entrywise, the test that also sends
     ``propagate`` down its phase readout) runs numpy's ``eigh``, in real
     arithmetic when M is real, and the overlaps are V†x0 in its orthonormal
-    basis. Any other M runs scipy's ``eig`` and an LU solve; an eigenbasis
-    whose reciprocal condition estimate (LAPACK gecon, from the same LU
-    factors) is below EIGENBASIS_MIN_RCOND raises NumericalError, because
-    the overlaps would be rounding noise.
+    basis. Any other M runs numpy's ``eig`` and the overlaps are V⁻¹x0; an
+    eigenbasis whose 1-norm reciprocal condition number is below
+    EIGENBASIS_MIN_RCOND raises NumericalError, because the overlaps would
+    be rounding noise.
     """
     M = core.require_square(core.as_matrix(M), "M")
     core.require_dense_size(M.shape[0])
@@ -148,7 +146,7 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
         if hermitian:
             eigvals, V = np.linalg.eigh(core.real_if_exact(M))
         else:
-            eigvals, V = scipy.linalg.eig(core.real_if_exact(M), check_finite=False)
+            eigvals, V = np.linalg.eig(core.real_if_exact(M))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     eigvals = eigvals.astype(complex, copy=False)
@@ -172,17 +170,21 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
 
 
 def _solve_eigenbasis(V: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """V⁻¹x0 by LU, rejecting a V that is singular or whose 1-norm
-    reciprocal condition estimate is below EIGENBASIS_MIN_RCOND."""
-    getrf, gecon, getrs = lapack.get_lapack_funcs(("getrf", "gecon", "getrs"), (V,))
-    lu, piv, info = getrf(V)
-    rcond = gecon(lu, np.abs(V).sum(axis=0).max(), norm="1")[0] if info == 0 else 0.0
-    if rcond < EIGENBASIS_MIN_RCOND:
+    """V⁻¹x0, rejecting a V that is singular or whose 1-norm reciprocal
+    condition number 1/(‖V‖₁‖V⁻¹‖₁) is below EIGENBASIS_MIN_RCOND. It is
+    exact to rounding, and LAPACK's gecon estimate of it is never lower, so
+    this refuses every V that estimate would."""
+    try:
+        Vinv = np.linalg.inv(V)
+        rcond = 1.0 / (np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1))
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    if not rcond >= EIGENBASIS_MIN_RCOND:  # a NaN V⁻¹ gives a NaN rcond
         raise NumericalError(
             f"eigenbasis is numerically defective (reciprocal condition"
-            f" estimate {rcond:.1e} < {EIGENBASIS_MIN_RCOND:.0e})"
+            f" number {rcond:.2e} < {EIGENBASIS_MIN_RCOND:.0e})"
         )
-    return getrs(lu, piv, x0)[0]
+    return Vinv @ x0
 
 
 def estimate_tf(alpha0_sq: float, gap: float, delta: float) -> float:
@@ -297,11 +299,7 @@ def quantum_jacobi_solve(
     # the augmented system is (d+1)×(d+1); reject it before any eigensolve
     core.require_dense_size(d + 1)
     if override_convergence:
-        rG = (
-            float(np.max(np.abs(scipy.linalg.eigvals(s.G, check_finite=False))))
-            if s.G.size
-            else 0.0
-        )
+        rG = float(np.max(np.abs(np.linalg.eigvals(s.G)))) if s.G.size else 0.0
         if rG >= 1.0:
             raise ConvergenceUnsafeError(
                 f"iteration matrix spectral radius {rG:.4f} >= 1"
@@ -342,10 +340,7 @@ def quantum_jacobi_solve(
     x_star = np.concatenate([y_star, [1.0]])
     x_star_unit = x_star / np.linalg.norm(x_star)
     fidelity = float(np.abs(np.vdot(x_star_unit, state)) ** 2)
-    # A·y on scipy's BLAS, the pool the engine ran on: numpy's GEMV here
-    # is threaded at d = 127 and would wake the second pool
-    Ay = blas.zgemv(1.0, s.A.T, y, trans=1)  # s.A.T is Fortran-ordered
-    residual = float(np.linalg.norm(Ay - s.b) / max(np.linalg.norm(s.b), 1e-300))
+    residual = float(np.linalg.norm(s.A @ y - s.b) / max(np.linalg.norm(s.b), 1e-300))
     cost = quantum_cost_estimate(
         C, t_f, epsilon=1.0 / grid.N, overlap=float(np.sqrt(overlaps[0]))
     )

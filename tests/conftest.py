@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 
 def random_contractive(rng, d):
@@ -33,6 +34,23 @@ def random_power_instance(rng, d):
     if np.max(np.abs(ev.imag)) > 1e-9 or np.any(ev.real <= 0) or np.max(ev.real) >= 1:
         return random_power_instance(rng, d)
     return C
+
+
+def refuse_scipy_linalg(monkeypatch):
+    """Make every public function of scipy.linalg, scipy.linalg.blas and
+    scipy.linalg.lapack raise, so a test shows that an op runs on numpy's
+    LAPACK and BLAS alone: numpy and scipy each bring an OpenBLAS with its
+    own thread pool."""
+
+    def raiser(name):
+        def f(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return f
+
+    for module in (scipy.linalg, scipy.linalg.lapack, scipy.linalg.blas):
+        for name, obj in list(vars(module).items()):
+            if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
+                monkeypatch.setattr(module, name, raiser(f"{module.__name__}.{name}"))
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from schrosim.cli import RunConfig
 from schrosim.errors import ParseError
 
 import mm_reference
-from conftest import random_dominant
+from conftest import random_dominant, refuse_scipy_linalg
 
 
 def write(tmp_path, name, text):
@@ -588,7 +588,7 @@ class TestRunEvolve:
             f"%%MatrixMarket matrix coordinate real general\n3 3 6\n{REAL_3X3}",
         )
         calls = []
-        for owner, name in ((core, "split"), (scipy.linalg, "eigvalsh")):
+        for owner, name in ((core, "split"), (np.linalg, "eigvalsh")):
             def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -748,20 +748,22 @@ class TestRunDiagnose:
         assert out["cost"]["sparsity"] == int(np.max(np.count_nonzero(C, axis=1)))
         assert out["cost"]["max_norm"] == np.max(np.abs(C))
 
-    def test_calls_no_numpy_eigensolver(self, tmp_path, monkeypatch):
+    def test_runs_on_numpy_alone(self, tmp_path, monkeypatch):
         # numpy and scipy each bring an OpenBLAS with its own thread pool;
-        # the drift spectrum and the domain half-width both run on scipy's
+        # the drift spectrum (one eigvals) and the domain half-width (one
+        # eigvalsh) both run on numpy's, and nothing in scipy.linalg runs
         A = random_dominant(np.random.default_rng(17), 17)[0]
         path = mm_real(tmp_path, "A.mtx", A)
-
-        def raiser(name):
-            def f(*args, **kwargs):
-                raise AssertionError(f"numpy.linalg.{name} called by diagnose")
-            return f
-
+        refuse_scipy_linalg(monkeypatch)
+        calls = []
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, raiser(name))
+            def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
         out = cli.run_diagnose(RunConfig(command="diagnose", matrix_path=path))
+        assert sorted(calls) == ["eigvals", "eigvalsh"]
         assert out["t_f_predicted"] is not None and len(out["eigenvalues"]) == 18
 
 

@@ -22,7 +22,7 @@ from schrosim.errors import (
     SchrosimError,
 )
 
-from conftest import random_contractive, random_dominant
+from conftest import random_contractive, random_dominant, refuse_scipy_linalg
 from htot_reference import assemble_Htot
 from pspace_reference import (
     expectation_without_recovery,
@@ -876,26 +876,19 @@ class TestChebyshevKernel:
         [("real-nonnormal", 64, 0.5), ("general", 32, 0.5),
          ("real-gapped", 64, 2.0), ("general-gapped", 32, 2.0)],
     )
-    def test_polynomial_op_leaves_numpy_lapack_idle(
+    def test_polynomial_op_runs_on_numpy_alone(
         self, monkeypatch, rng, structure, d, t
     ):
         # numpy and scipy each bring an OpenBLAS with its own thread pool;
         # off the Hermitian path the half-width, the eigenvalues, the folded
-        # kernel's blocks and the products run on scipy's, so numpy's LAPACK
-        # is never called. A gap in C1h's spectrum, on a grid whose modes
-        # reach past C2h's spread, folds the kernel about the gap
+        # kernel's blocks and the products run on numpy's, so nothing in
+        # scipy.linalg is called. A gap in C1h's spectrum, on a grid whose
+        # modes reach past C2h's spread, folds the kernel about the gap
         build, path = {**_STRUCTURES, **_GAPPED}[structure]
         N = 64 if structure in _GAPPED else 32
         C = build(rng, d)
         x0 = rng.normal(size=d)
-
-        def raiser(name):
-            def f(*args, **kwargs):
-                raise AssertionError(f"numpy.linalg.{name} called off the Hermitian path")
-            return f
-
-        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, raiser(name))
+        refuse_scipy_linalg(monkeypatch)
         eng.default_domain_halfwidth(core.split(C).C1h, t)
         rec = eng.propagate(C, x0, t, eng.make_grid(N, 5.0))
         assert (rec.path, rec.kernel) == (path, "chebyshev")
@@ -981,8 +974,9 @@ class TestChebyshevKernel:
     )
     def test_each_step_is_one_gemm(self, monkeypatch, rng, structure, gemm):
         # a real split (C1h real, C2h purely imaginary) runs every step as
-        # one real dgemm on the float64 views; any other split as one zgemm.
-        # Three more build the blocks and one makes the last product by X
+        # one real matmul (dgemm) on the float64 views; any other split as
+        # one complex matmul (zgemm). Three more build the blocks and one
+        # makes the last product by X
         d, t = 32, 0.5
         grid = eng.make_grid(32, 5.0)
         gen = eng.generator_blocks(
@@ -991,28 +985,32 @@ class TestChebyshevKernel:
         vals = rng.normal(size=(d, 32)) + 1j * rng.normal(size=(d, 32))
         plan = eng._chebyshev_plan(gen.split, grid.eta, t, np.ones(32), np.inf)
         calls = []
-        for name in ("dgemm", "zgemm"):
-            def counting(*args, _name=name, _gemm=getattr(eng.blas, name), **kwargs):
-                calls.append(_name)
-                return _gemm(*args, **kwargs)
-            monkeypatch.setattr(eng.blas, name, counting)
+        matmul = np.matmul
+
+        def counting(a, b, **kwargs):
+            calls.append({np.float64: "dgemm", np.complex128: "zgemm"}[a.dtype.type])
+            assert b.dtype == a.dtype
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
         out = eng._chebyshev_stack(gen.split, vals.T, grid.eta, t, plan).T
+        monkeypatch.undo()
         assert calls == [gemm] * (int(plan.D.max()) + 4)
         _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     def test_propagate_eigensolves_each_part_once(self, monkeypatch, rng, structure):
-        # C1h's eigenvalues and C2h's interval, one scipy eigvalsh each; the
+        # C1h's eigenvalues and C2h's interval, one numpy eigvalsh each; the
         # kernel reads both midpoints off the plan
         d, t = 32, 0.5
         calls = []
-        eigvalsh = scipy.linalg.eigvalsh
+        eigvalsh = np.linalg.eigvalsh
 
         def counting(*args, **kwargs):
             calls.append(np.shape(args[0]))
             return eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         C = _STRUCTURES[structure][0](rng, d)
         rec = eng.propagate(C, rng.normal(size=d), t, eng.make_grid(32, 5.0))
         assert (rec.path, rec.kernel) == (_STRUCTURES[structure][1], "chebyshev")
@@ -1058,9 +1056,9 @@ class TestChebyshevKernel:
         # n = 1: a real 1x1 C1h and a zero C2h are a real split. Centred on
         # its eigenvalue, X = 0, so the plan's degrees are all 0 and the
         # kernel is a phase; on intervals widened by hand the blocks, the
-        # steps and the last product run dgemm on one vector's two real
-        # columns, and any interval that holds X²'s spectrum gives the same
-        # exponential
+        # steps and the last product run a real matmul on one vector's two
+        # real columns, and any interval that holds X²'s spectrum gives the
+        # same exponential
         ds = core.DriftSplit(C1h=np.array([[-0.7 + 0j]]), C2h=np.zeros((1, 1), complex))
         assert eng._real_split(ds)
         t, eta = 1.5, np.array([0.0, 1.0, -2.5, 6.0])
@@ -1074,11 +1072,17 @@ class TestChebyshevKernel:
         D = eng._folded_degree(t, c - c, c + c)
         wide = plan._replace(R=c, D=D, kappa2=1.0, kappa0=1.0, degree=2 * int(D.max()) + 1)
         steps = []
-        dgemm = eng.blas.dgemm
-        monkeypatch.setattr(eng.blas, "dgemm", lambda *a, **k: steps.append(1) or dgemm(*a, **k))
-        monkeypatch.setattr(eng.blas, "zgemm", None)  # a zgemm call fails
+        matmul = np.matmul
+
+        def counting(a, b, **kwargs):
+            steps.append((a.dtype, b.dtype))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
         out = eng._chebyshev_stack(ds, vals.T, eta, t, wide).T
-        assert len(steps) == D.max() + 4 and D.max() > 10
+        monkeypatch.undo()
+        assert D.max() > 10
+        assert steps == [(np.float64, np.float64)] * (int(D.max()) + 4)
         _assert_matches(out, exact, vals)
 
     @pytest.mark.parametrize("real_x0", [True, False], ids=["real-x0", "complex-x0"])
