@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__, baselines, core, schrodingerization as engine, solvers
-from .errors import InvalidInputError, ParseError, SchrosimError
+from .errors import InvalidInputError, NoGapError, ParseError, SchrosimError
 
 _HEADER_FIELDS = {"real", "complex"}
 # symmetry -> the value stored at (j, i) for an entry a at (i, j)
@@ -438,14 +438,11 @@ def run_evolve(cfg: RunConfig) -> dict:
     t = _explicit_time(cfg)
     if t is None:
         raise InvalidInputError("evolve requires an explicit --t")
-    # one split, with its C1h eigenvalues, serves L and the engine; on a
-    # Hermitian C (C2h = 0) one eigh of -C1h serves both in their place
+    # one split, with its C1h eigenvalues (on a Hermitian C its one eigh of
+    # C1h), serves L and the engine
     ds = core.split(C)
-    basis = None if ds.C2h.any() else engine.drift_eigenbasis(ds)
-    L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(
-        ds, t, basis
-    )
-    rec = engine.propagate(ds, x0, t, engine.make_grid(cfg.N, L), basis=basis)
+    L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(ds, t)
+    rec = engine.propagate(ds, x0, t, engine.make_grid(cfg.N, L))
     exact = baselines.exact_propagator(C, x0, t)
     exact_unit = exact / np.linalg.norm(exact)
     out = _base_report(cfg, C)
@@ -470,15 +467,13 @@ def run_diagnose(cfg: RunConfig) -> dict:
     # is the largest |λ + 1| over the other eigenvalues
     rG = float(np.max(np.abs(np.delete(eigvals, steady) + 1.0)))
     sparsity, max_norm = core.sparsity_and_max_norm(drift)
-    if gap > solvers.GAP_TIE_TOL:
+    try:
         # the time the Jacobi solve evolves to, its margin over the bound included
-        t_f = solvers.TIME_SAFETY_FACTOR * solvers.estimate_tf(
-            cfg.alpha0_sq, gap, cfg.delta
-        )
-    else:
+        t_f = solvers._jacobi_time(cfg.alpha0_sq, gap, cfg.delta)
+    except NoGapError:
         t_f = None
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(
-        core.split(C).C1h, t_f if t_f is not None else 0.0
+        core.split(C), t_f if t_f is not None else 0.0
     )
     out = _base_report(cfg, A)
     out.update(
@@ -486,7 +481,7 @@ def run_diagnose(cfg: RunConfig) -> dict:
             "diag_dominant": core.is_diagonally_dominant(A),
             "iteration_spectral_radius": rG,
             "gap": gap,
-            "eigenvalues": _pairs(eigvals),
+            "eigenvalues": _pairs(np.sort_complex(eigvals)),
             "sparsity": sparsity,
             "max_norm": max_norm,
             "recommended_grid": {"N": cfg.N, "L": L},

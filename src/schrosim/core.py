@@ -86,13 +86,26 @@ class DriftSplit:
     C2h: np.ndarray
 
     @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """C1h = W·diag(w)·W† as (w, W), w ascending, both read-only, in real
+        arithmetic when C1h is real. On a Hermitian C (C2h = 0) W diagonalises
+        every mode's generator η·(-C1h), so this one decomposition serves the
+        overlaps, the half-width, the kink speed and the phase readout."""
+        try:
+            w, W = np.linalg.eigh(real_if_exact(self.C1h))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
+        w.flags.writeable = W.flags.writeable = False
+        return w, W
+
+    @cached_property
     def c1h_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of C1h, ascending and read-only, in real
-        arithmetic when C1h is real; one eigensolve per split serves the
-        kink speed and the polynomial intervals of ``schrodingerization``,
-        so C1h must not be changed in place once they are read. On numpy's
-        LAPACK, the thread pool of the kernels they serve (see
-        ``schrodingerization``)."""
+        """The eigenvalues of C1h, ascending and read-only: ``eigh``'s when C2h
+        is zero, else one numpy ``eigvalsh``, in real arithmetic when C1h is
+        real. They serve the kink speed and the polynomial intervals of
+        ``schrodingerization``, so C1h must not be changed once they are read."""
+        if not self.C2h.any():
+            return self.eigh[0]
         w = np.linalg.eigvalsh(real_if_exact(self.C1h))
         w.flags.writeable = False
         return w

@@ -18,11 +18,12 @@ separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
 (``initial_state``); the readout, a least-squares fit of the p > 0 region,
 is linear, so ``recover`` applies it to the spectral state and no transform
 back to p runs. For a Hermitian C each mode's generator η·(-C1h) is
-diagonal in one eigenbasis W of -C1h (``Eigenbasis``), so evolution is a
-phase per entry in W's coordinates. With a separable start, phases and a
-linear readout, ``propagate`` there builds no state at all: x̂ is
-W·(c ∘ Φ) for c = W†x0 and one sum Φ_j of the readout weights times ψ̂
-and the phases per eigenvalue μ_j (``_phase_readout``).
+diagonal in the eigenbasis W of C1h = W·diag(w)·W† that the drift split
+caches (``core.DriftSplit.eigh``), so evolution is a phase per entry in
+W's coordinates. With a separable start, phases and a linear readout,
+``propagate`` there builds no state at all: x̂ is W·(c ∘ Φ) for c = W†x0
+and one sum Φ_j of the readout weights times ψ̂ and the phases per
+eigenvalue μ_j = -w_j (``_phase_readout``).
 
 numpy and scipy each link their own OpenBLAS, each with a pool of threads
 that keep spinning for about 0.1 s after a threaded call. On a machine
@@ -161,15 +162,6 @@ class WarpedState:
     time: float = 0.0
 
 
-@dataclass(frozen=True)
-class Eigenbasis:
-    """-C1h = W·diag(mu)·W† with W unitary, for a Hermitian C (C2h = 0):
-    the coordinates in which every mode's generator η_k·(-C1h) is diagonal."""
-
-    mu: np.ndarray
-    W: np.ndarray
-
-
 @dataclass
 class SpectralState:
     """ṽ(t, η) sampled on the grid; shape (d+1, N), column j ↔ η_{k_j}."""
@@ -264,33 +256,17 @@ def sample_profile(profile: Profile, grid: Grid) -> np.ndarray:
     return psi
 
 
-def default_domain_halfwidth(
-    C1h: np.ndarray | core.DriftSplit,
-    t: float,
-    basis: Eigenbasis | None = None,
-) -> float:
+def default_domain_halfwidth(C1h: np.ndarray | core.DriftSplit, t: float) -> float:
     """Half-width rule: transport speed is bounded by the largest Hermitian
     drift eigenvalue, so L = 4 + t·ρ keeps the p > 0 region clear of
     wrap-around while holding the boundary truncation e^{-L} small. ρ is
-    read from the eigenbasis of -C1h when it is given (C1h is then not
-    read), else from the ``c1h_eigenvalues`` of a DriftSplit passed in
-    place of C1h, else from C1h's own eigenvalues."""
-    if basis is not None:
-        eigs = basis.mu
-    elif isinstance(C1h, core.DriftSplit):
+    read from the ``c1h_eigenvalues`` of a DriftSplit passed in place of
+    C1h, else from C1h's own eigenvalues."""
+    if isinstance(C1h, core.DriftSplit):
         eigs = C1h.c1h_eigenvalues
     else:
         eigs = np.linalg.eigvalsh(core.real_if_exact(C1h))
     return max(float(np.pi), 4.0 + t * float(np.max(np.abs(eigs), initial=0.0)))
-
-
-def drift_eigenbasis(ds: core.DriftSplit) -> Eigenbasis:
-    """Eigendecompose -C1h, in real arithmetic when C1h is real."""
-    try:
-        mu, W = np.linalg.eigh(-core.real_if_exact(ds.C1h))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
-    return Eigenbasis(mu=mu, W=W)
 
 
 def _bins_and_signs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -1011,42 +987,40 @@ def _recovered(xhat: np.ndarray, ynorm: float, grid: Grid, time: float) -> Recov
 
 
 def _phase_readout(
-    x0, grid: Grid, profile: Profile, basis: Eigenbasis, t: float, p_min: float
+    x0, grid: Grid, profile: Profile, ds: core.DriftSplit, t: float, p_min: float
 ) -> tuple[RecoveredState, int, float]:
     """``recover(evolve(truncate(initial_state(x0, grid, profile))))`` for a
-    Hermitian C, whose drift eigenbasis is ``basis``, without the (d+1)×N
-    state: the readout, the modes it evolves and the norm it drops.
+    Hermitian C, whose split ``ds`` has C1h = W·diag(λ)·W† (``ds.eigh``),
+    without the (d+1)×N state: the readout, the modes it evolves and the
+    norm it drops.
 
-    In W's coordinates the start is c⊗ψ̂ with c = W†x0, so mode k holds
-    mass ‖c‖²·|ψ̂_k|², which ``_truncation`` cuts. Evolution multiplies
-    entry (j, k) by e^{-itμ_jη_k}, and the readout is x̂ = W·(Y·r), so
-    x̂ = W·(c ∘ Φ) with Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live
-    modes: the phase blocks of ``_phase_blocks`` turn that sum into one
-    (n, B)·(B, N/B) product and a row-wise dot with the (n, N/B) block.
+    -C1h = W·diag(μ)·W† with μ = -λ. In W's coordinates the start is c⊗ψ̂
+    with c = W†x0, so mode k holds mass ‖c‖²·|ψ̂_k|², which ``_truncation``
+    cuts. Evolution multiplies entry (j, k) by e^{-itμ_jη_k}, and the
+    readout is x̂ = W·(Y·r), so x̂ = W·(c ∘ Φ) with
+    Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live modes: the phase blocks
+    of ``_phase_blocks`` turn that sum into one (n, B)·(B, N/B) product
+    and a row-wise dot with the (n, N/B) block.
     The phases have modulus 1, so ‖Y‖_F = ‖c‖·‖ψ̂‖ over the live modes.
     Memory is O(N + d·√N); every call is numpy's."""
     x0 = _start_vector(x0)
     psi = _profile_spectrum(profile, grid)
-    c = basis.W.conj().T @ x0
+    lam, W = ds.eigh
+    c = W.conj().T @ x0
     mass = float(np.vdot(c, c).real) * (psi.real**2 + psi.imag**2)
     cut, dropped = _truncation(mass, grid)
     w = _readout_weights(grid, p_min) * psi
     if cut is not None:
         w[cut] = 0.0
         mass[cut] = 0.0
-    outer, inner = _phase_blocks(basis.mu, grid, t)
+    outer, inner = _phase_blocks(-lam, grid, t)
     phi = np.einsum("ja,ja->j", outer, inner @ w.reshape(outer.shape[1], -1).T)
-    rec = _recovered(basis.W @ (c * phi), math.sqrt(mass.sum()), grid, t)
+    rec = _recovered(W @ (c * phi), math.sqrt(mass.sum()), grid, t)
     return rec, int(np.count_nonzero(mass)), dropped
 
 
 def propagate(
-    C,
-    x0,
-    t: float,
-    grid: Grid,
-    profile: Profile = SMOOTH,
-    basis: Eigenbasis | None = None,
+    C, x0, t: float, grid: Grid, profile: Profile = SMOOTH
 ) -> RecoveredState:
     """End-to-end: the transformed start state x0⊗ψ̂ of ``profile``
     (``SMOOTH`` by default, seam-blended by ``sample_profile``),
@@ -1057,13 +1031,12 @@ def propagate(
     relative warped-state error is the returned ``dropped_norm`` <=
     TRUNCATION_EPS.
 
-    On the "hermitian" path the work is done in the eigenbasis of -C1h:
-    ``basis`` when the caller has it, else one ``eigh`` here, which also
-    gives the kink speed. There the start, the phases and the readout are
-    folded into one sum per eigenvector (``_phase_readout``), and neither
-    the state nor ``evolve`` and ``recover`` run. A basis given on any
-    other path is refused. C may also be given as its DriftSplit, which is
-    used as it is, with the eigenvalues it has cached."""
+    On the "hermitian" path the work is done in the eigenbasis of C1h,
+    the split's one ``eigh``, which also gives the kink speed. There the
+    start, the phases and the readout are folded into one sum per
+    eigenvector (``_phase_readout``), and neither the state nor ``evolve``
+    and ``recover`` run. C may also be given as its DriftSplit, which is
+    used as it is, with the decompositions it has cached."""
     t = core.require_time(t)
     # exactly Hermitian parts, so evolve needs no check
     ds = C if isinstance(C, core.DriftSplit) else core.split(C)
@@ -1071,16 +1044,8 @@ def propagate(
     if ds.C1h.shape[0] != x0.shape[0]:
         raise DimensionError("C and x0 dimensions differ")
     path = evolve_path(ds, grid)
-    if path == "hermitian":
-        basis = basis or drift_eigenbasis(ds)
-        top = -float(np.min(basis.mu))
-    elif basis is not None:
-        raise InvalidInputError(
-            "a drift eigenbasis applies only to an exactly Hermitian C on "
-            "make_grid's mode ladder"
-        )
-    else:
-        top = float(ds.c1h_eigenvalues[-1])  # evolve's intervals reuse them
+    # evolve's intervals, or on a Hermitian C the phase readout, reuse them
+    top = float(ds.c1h_eigenvalues[-1])
     if top > 1e-10:
         join = "kink" if profile.m == 0 else f"C^{profile.m} join"
         warnings.warn(
@@ -1094,7 +1059,7 @@ def propagate(
     # read only beyond it (a few cells of margin for the ringing around it)
     p_min = max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
     if path == "hermitian":
-        rec, modes, dropped = _phase_readout(x0, grid, profile, basis, t, p_min)
+        rec, modes, dropped = _phase_readout(x0, grid, profile, ds, t, p_min)
         kernel, degree = "phases", None
     else:
         v0, dropped = truncate(initial_state(x0, grid, profile))

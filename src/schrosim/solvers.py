@@ -130,20 +130,28 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     method is rejected here; the Jacobi solve rejects one earlier, before
     its σ search.
 
-    An exactly Hermitian M (M == M† entrywise, the test that also sends
-    ``propagate`` down its phase readout) runs numpy's ``eigh``, in real
-    arithmetic when M is real, and the overlaps are V†x0 in its orthonormal
-    basis. Any other M runs numpy's ``eig`` and the overlaps are V⁻¹x0; an
-    eigenbasis whose 1-norm reciprocal condition number is below
-    EIGENBASIS_MIN_RCOND raises NumericalError, because the overlaps would
-    be rounding noise.
+    M may also be the DriftSplit of a C, standing for M = C - I as in
+    ``propagate``. On a split with C2h == 0 (a Hermitian C) the split's
+    cached ``eigh`` of C1h serves, the one decomposition ``propagate`` and
+    ``default_domain_halfwidth`` read too; any other split runs ``eig`` of
+    C1h + i·C2h. An array M that is exactly Hermitian (M == M† entrywise)
+    runs numpy's ``eigh``, any other numpy's ``eig``, in real arithmetic
+    when M is real. A Hermitian M's overlaps are V†x0 in its orthonormal
+    basis; any other M's are V⁻¹x0, and an eigenbasis whose 1-norm
+    reciprocal condition number is below EIGENBASIS_MIN_RCOND raises
+    NumericalError, because the overlaps would be rounding noise.
     """
+    ds = M if isinstance(M, core.DriftSplit) else None
+    if ds is not None:  # C1h alone is C - I when C2h == 0, and Hermitian
+        M = ds.C1h + 1j * ds.C2h if ds.C2h.any() else ds.C1h
     M = core.require_square(core.as_matrix(M), "M")
     core.require_dense_size(M.shape[0])
     x0 = core.as_vector(x0)
     hermitian = np.array_equal(M, M.conj().T)
     try:
-        if hermitian:
+        if hermitian and ds is not None:
+            eigvals, V = ds.eigh
+        elif hermitian:
             eigvals, V = np.linalg.eigh(core.real_if_exact(M))
         else:
             eigvals, V = np.linalg.eig(core.real_if_exact(M))
@@ -208,6 +216,12 @@ def estimate_tf(alpha0_sq: float, gap: float, delta: float) -> float:
     if arg <= 1.0:
         return 0.0
     return float(np.log(arg) / (2.0 * gap))
+
+
+def _jacobi_time(alpha0_sq: float, gap: float, delta: float) -> float:
+    """The time the Jacobi solve evolves to: TIME_SAFETY_FACTOR times the
+    bound of ``estimate_tf``, which refuses a tied gap with NoGapError."""
+    return TIME_SAFETY_FACTOR * estimate_tf(alpha0_sq, gap, delta)
 
 
 def quantum_cost_estimate(
@@ -321,8 +335,8 @@ def quantum_jacobi_solve(
     x0 = np.concatenate([y0 / sigma, [1.0]])
 
     _, overlaps, _, gap = eigen_overlaps(C - np.eye(d + 1), x0, steady_hint=0j)
-    t_bound = estimate_tf(overlaps[0], gap, delta)  # also refuses a tied gap
-    t_f = TIME_SAFETY_FACTOR * t_bound if t is None else t
+    t_safe = _jacobi_time(overlaps[0], gap, delta)  # also refuses a tied gap
+    t_f = t_safe if t is None else t
     # the σ search's split, with its C1h eigenvalues, serves L and the engine
     if L is None:
         L = engine.default_domain_halfwidth(ds, t_f)
@@ -402,8 +416,11 @@ def quantum_power_method(
     x0 = np.ones(d) / np.sqrt(d) if x0 is None else core.as_vector(x0)
     if x0.shape[0] != d:
         raise InvalidInputError(f"x0 has length {x0.shape[0]}, expected {d}")
-    eigvals, overlaps, V, gap = eigen_overlaps(C, x0)
-    re = eigvals.real
+    # one split serves the overlaps, L and the engine; on a Hermitian C
+    # its one eigh of C1h serves them all
+    ds = core.split(C)
+    eigvals, overlaps, V, gap = eigen_overlaps(ds, x0)
+    re = eigvals.real + 1.0  # eigvals are of C - I
     if np.max(np.abs(eigvals.imag)) > 1e-8 or re.min() <= 0 or re.max() >= 1.0:
         warnings.warn(
             "spectrum of C is outside the real positive (0, 1) class; the"
@@ -415,18 +432,12 @@ def quantum_power_method(
     delta = epsilon * epsilon / (2.0 * trace) if trace else math.inf
     t_bound = estimate_tf(overlaps[0], gap, delta)  # refuses a tied gap or x0 ⊥ top
     t_max = t_bound if t is None else t
-    # eigen_overlaps ran eigh on a Hermitian C, and -C1h = I - C has its
-    # eigenvectors: that one decomposition gives L, kink speed and evolution
-    hermitian = np.array_equal(C, C.conj().T)
-    basis = engine.Eigenbasis(mu=1.0 - eigvals.real, W=V) if hermitian else None
-    # one split, with its C1h eigenvalues, serves L and the engine
-    ds = core.split(C)
     if L is None:
-        L = engine.default_domain_halfwidth(ds, t_max, basis)
+        L = engine.default_domain_halfwidth(ds, t_max)
     grid = engine.make_grid(N, L)
 
     # exp-abs: 4× the success probability; on a Hermitian C truncation saves no work
-    rec = engine.propagate(ds, x0, t_max, grid, profile=engine.EXP_ABS, basis=basis)
+    rec = engine.propagate(ds, x0, t_max, grid, profile=engine.EXP_ABS)
     lam_hat = eigenvalue_from_state(rec.state, C)
     c1 = V[:, 0]
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)

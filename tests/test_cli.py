@@ -748,6 +748,18 @@ class TestRunDiagnose:
         assert out["cost"]["sparsity"] == int(np.max(np.count_nonzero(C, axis=1)))
         assert out["cost"]["max_norm"] == np.max(np.abs(C))
 
+    def test_eigenvalues_sorted_by_real_then_imaginary_part(self, tmp_path):
+        # LAPACK's order depends on the build (here it can put the complex
+        # pair first); the report sorts by real part, then imaginary part
+        A = np.array([[3.0, -1.0, 1.0], [1.0, 3.0, 1.0], [-1.0, 1.0, 4.0]])
+        cfg = RunConfig(command="diagnose", matrix_path=mm_real(tmp_path, "A.mtx", A))
+        pairs = cli.run_diagnose(cfg)["eigenvalues"]
+        assert pairs == sorted(pairs)
+        G = -(A - np.diag(np.diag(A))) / np.diag(A)[:, None]
+        ref = np.sort_complex(np.append(np.linalg.eigvals(G) - 1.0, 0.0))
+        got = np.array([complex(*z) for z in pairs])
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
     def test_runs_on_numpy_alone(self, tmp_path, monkeypatch):
         # numpy and scipy each bring an OpenBLAS with its own thread pool;
         # the drift spectrum (one eigvals) and the domain half-width (one

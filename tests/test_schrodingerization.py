@@ -368,6 +368,14 @@ _PATH_WORK = {
 }
 
 
+def _evolved_work(structure, N):
+    """What evolve decomposes for ``structure`` on an N-mode grid: its
+    path's reductions and, on a Hermitian C, the split's one eigh of C1h,
+    whose eigenvalues the polynomial plan reads."""
+    _, reductions = _PATH_WORK[_EVOLVED_AS.get(structure, _STRUCTURES[structure][1])](N)
+    return ([1] if structure in _EVOLVED_AS else []), reductions
+
+
 def _per_mode_reference(values, blocks, t):
     """exp(-itH_k)·v_k one mode at a time, each block decomposed on its own."""
     out = np.empty_like(values)
@@ -426,8 +434,7 @@ class TestEvolvePaths:
         ref = _per_mode_reference(vals, gen.blocks, t)
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
-        path_work = _PATH_WORK[_EVOLVED_AS.get(structure, path)](N)
-        assert decompositions.work() in (works or [path_work])
+        assert decompositions.work() in (works or [_evolved_work(structure, N)])
         scale = np.linalg.norm(vals)
         assert np.max(np.abs(out.values - ref)) <= tol * scale
         assert abs(np.linalg.norm(out.values) - scale) <= 1e-10 * scale
@@ -448,10 +455,11 @@ class TestEvolvePaths:
         # eigenvalues either side of its midpoint, so X² is a multiple of I
         # and the degree is 0 up to rounding: at t > 0 either kernel may run
         works = None
+        unreduced = ([1] if structure in _EVOLVED_AS else [], 0)
         if t == 0.0:
-            works = [([], 0)]
+            works = [unreduced]
         elif structure in _EVOLVED_AS:
-            works = [([], 0), _PATH_WORK[_EVOLVED_AS[structure]](4)]
+            works = [unreduced, _evolved_work(structure, 4)]
         self._evolve_against_reference(
             rng, decompositions, structure, d=2, N=4, L=np.pi, t=t, works=works
         )
@@ -461,14 +469,15 @@ class TestEvolvePaths:
     def test_scalar_system(self, rng, decompositions, c, t):
         # d + 1 = 1 on every path it can take: a real scalar is symmetric
         # and a complex one is not, but on both the generator is a phase per
-        # mode, a polynomial of degree 0, and nothing is decomposed
+        # mode, a polynomial of degree 0, and no mode is decomposed; the
+        # real scalar's split takes its one eigh of C1h
         grid = eng.make_grid(4, np.pi)
         gen = eng.generator_blocks(core.split(np.array([[c]])), grid)
         vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         exact = np.exp(-1j * t * gen.blocks[:, 0, 0].real) * vals
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
-        assert decompositions.work() == ([], 0)
+        assert decompositions.work() == ([] if np.imag(c) else [1], 0)
         assert out.max_degree == 0
         assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.linalg.norm(vals)
 
@@ -505,7 +514,7 @@ class TestEvolvePaths:
         vals = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, 2.0)
-        assert decompositions.work() == _PATH_WORK[path](16)
+        assert decompositions.work() == ([1], _PATH_WORK[path](16)[1])
         ref = _per_mode_reference(vals, gen.blocks, 2.0)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(vals)
 
@@ -1324,7 +1333,7 @@ def test_truncation_error_within_reported_bound(structure, profile, d, N, t, see
     if rec.path == "hermitian":  # a 1×1 C is Hermitian
         # propagate builds no state there: it cuts by the masses ‖c‖²·|ψ̂_k|²,
         # c = W†x0, which equal the state's column masses only to rounding
-        c = eng.drift_eigenbasis(ds).W.conj().T @ core.as_vector(x0)
+        c = ds.eigh[1].conj().T @ core.as_vector(x0)
         psi = eng._profile_spectrum(profile, grid)
         mass = float(np.vdot(c, c).real) * (psi.real**2 + psi.imag**2)
         cut, norm = eng._truncation(mass, grid)
@@ -1412,7 +1421,7 @@ def _hermitian_spectrum(rng, d, complex_, above):
 
 def _propagate_floor(ds, grid, t):
     """The readout floor propagate picks for a Hermitian C on ``grid``."""
-    top = -float(np.min(eng.drift_eigenbasis(ds).mu))
+    top = float(ds.eigh[0][-1])
     return max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
 
 
@@ -1420,7 +1429,6 @@ def _propagate_floor(ds, grid, t):
 @settings(max_examples=60, deadline=None)
 @given(
     complex_=st.booleans(),
-    given_basis=st.booleans(),
     profile=st.sampled_from([eng.EXP_ABS, eng.SMOOTH]),
     above=st.booleans(),
     real_x0=st.booleans(),
@@ -1430,32 +1438,30 @@ def _propagate_floor(ds, grid, t):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(
-    complex_=False, given_basis=False, profile=eng.SMOOTH, above=False, real_x0=True,
+    complex_=False, profile=eng.SMOOTH, above=False, real_x0=True,
     d=4, N=512, t=0.0, seed=3,
 )
 @example(
-    complex_=True, given_basis=True, profile=eng.EXP_ABS, above=True, real_x0=False,
+    complex_=True, profile=eng.EXP_ABS, above=True, real_x0=False,
     d=5, N=4096, t=0.0, seed=4,
 )
 @example(
-    complex_=True, given_basis=False, profile=eng.SMOOTH, above=True, real_x0=False,
+    complex_=True, profile=eng.SMOOTH, above=True, real_x0=False,
     d=6, N=1024, t=3.0, seed=5,
 )
 def test_phase_readout_matches_the_state_chain_property(
-    complex_, given_basis, profile, above, real_x0, d, N, t, seed
+    complex_, profile, above, real_x0, d, N, t, seed
 ):
-    """On a Hermitian C, propagate's readout without a state, given the
-    drift eigenbasis or not, agrees with the state chain
-    recover(evolve(truncate(initial_state(...)))), which runs the real or
-    general kernel, and with the p-space fit of that state, and raises
-    where that chain raises."""
+    """On a Hermitian C, propagate's readout without a state agrees with
+    the state chain recover(evolve(truncate(initial_state(...)))), which
+    runs the real or general kernel, and with the p-space fit of that
+    state, and raises where that chain raises."""
     rng = np.random.default_rng(seed)
     C = _hermitian_spectrum(rng, d, complex_, above)
     ds = core.split(C)
     grid = eng.make_grid(N, eng.default_domain_halfwidth(ds.C1h, t))
     assert eng.evolve_path(ds, grid) == "hermitian"
     x0 = rng.normal(size=d) + (0.0 if real_x0 else 1j * rng.normal(size=d))
-    basis = eng.drift_eigenbasis(ds) if given_basis else None
     p_min = _propagate_floor(ds, grid, t)
     assert (p_min > 0.0) == above
     v0, dropped = eng.truncate(eng.initial_state(x0, grid, profile))
@@ -1464,9 +1470,9 @@ def test_phase_readout_matches_the_state_chain_property(
         ref = eng.recover(vt, p_min)
     except (DegenerateRecoveryError, NumericalError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            eng.propagate(C, x0, t, grid, profile, basis)
+            eng.propagate(C, x0, t, grid, profile)
         return
-    rec = eng.propagate(C, x0, t, grid, profile, basis)
+    rec = eng.propagate(C, x0, t, grid, profile)
     assert (rec.path, rec.kernel, rec.max_degree) == ("hermitian", "phases", None)
     assert rec.time == ref.time == t
     for other in (ref, pspace_recover(eng.transform(vt, "inverse"), p_min)):
@@ -1545,54 +1551,44 @@ class TestInitialState:
 
 
 class TestDriftEigenbasis:
-    """propagate reads a Hermitian C out in the eigenbasis of -C1h: one
-    eigh, none when the basis is given, and a basis is refused where it
-    does not apply."""
-
-    def test_propagate_with_a_given_basis_decomposes_nothing(self, rng, decompositions):
-        C = _real_symmetric(rng, 6)
-        x0 = rng.normal(size=6)
-        t = 3.0
-        grid = eng.make_grid(256, eng.default_domain_halfwidth(core.split(C).C1h, t))
-        decompositions.clear()
-        own = eng.propagate(C, x0, t, grid)
-        assert decompositions.work() == ([1], 0)
-        # the eigenvectors of C serve -C1h = I - C
-        lam, V = np.linalg.eigh(C)
-        basis = eng.Eigenbasis(mu=1.0 - lam, W=V)
-        decompositions.clear()
-        given_ = eng.propagate(C, x0, t, grid, basis=basis)
-        assert decompositions.work() == ([], 0)
-        assert given_.path == own.path == "hermitian"
-        assert np.max(np.abs(given_.x - own.x)) <= 1e-12 * np.linalg.norm(own.x)
-        exact = scipy.linalg.expm((C - np.eye(6)) * t) @ x0
-        assert np.abs(np.vdot(exact / np.linalg.norm(exact), given_.state)) ** 2 >= 1 - 1e-6
+    """On a Hermitian C the split's one eigh of C1h serves the half-width,
+    the kink speed and the phase readout."""
 
     def test_domain_halfwidth_reads_one_rate_from_each_source(self, rng):
-        # ρ from the eigenbasis of -C1h, from a DriftSplit's eigenvalues or
-        # from C1h itself gives one L = 4 + t·ρ; with a basis C1h is not read
+        # ρ from a DriftSplit's eigenvalues or from C1h itself gives one
+        # L = 4 + t·ρ
         ds = core.split(_complex_hermitian(rng, 5))
-        basis = eng.drift_eigenbasis(ds)
         t = 2.0
         L = 4.0 + t * np.max(np.abs(np.linalg.eigvalsh(ds.C1h)))
-        unread = np.full_like(ds.C1h, np.nan)
-        for C1h, given_ in ((ds.C1h, None), (ds, None), (unread, basis)):
-            assert eng.default_domain_halfwidth(C1h, t, given_) == pytest.approx(L, rel=1e-13)
+        for source in (ds.C1h, ds):
+            assert eng.default_domain_halfwidth(source, t) == pytest.approx(L, rel=1e-13)
         assert eng.default_domain_halfwidth(ds, 0.0) == 4.0
 
-    def test_basis_refused_off_the_hermitian_path(self, rng):
-        # a non-Hermitian C, and a Hermitian one on a hand-built grid off
-        # make_grid's ladder, with its own eigenbasis; the message names both
-        # conditions
-        ladder = eng.make_grid(16, 4.0)
-        off = replace(ladder, eta=ladder.eta * (1.0 + 1e-3))
-        message = "exactly Hermitian C on make_grid's mode ladder"
-        for C, grid in ((_real_nonnormal(rng, 3), ladder), (_real_symmetric(rng, 3), off)):
-            ds = core.split(C)
-            assert eng.evolve_path(ds, grid) == "real"
-            basis = eng.drift_eigenbasis(ds)
-            with pytest.raises(InvalidInputError, match=message):
-                eng.propagate(C, np.ones(3), 1.0, grid, basis=basis)
+    @pytest.mark.parametrize("structure", ["real-symmetric", "complex-hermitian"])
+    def test_one_split_decomposes_once(self, rng, monkeypatch, structure):
+        # the overlaps, the half-width and the propagation of one split run
+        # one numpy eigh between them, and no eigvalsh or eig
+        C = _STRUCTURES[structure][0](rng, 6)
+        x0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        calls = []
+        for name in ("eigh", "eigvalsh", "eig"):
+            def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        ds = core.split(C)
+        eigvals = solvers.eigen_overlaps(ds, x0)[0]
+        t = 2.0
+        rec = eng.propagate(ds, x0, t, eng.make_grid(256, eng.default_domain_halfwidth(ds, t)))
+        assert calls == ["eigh"]
+        assert rec.path == "hermitian"
+        lam, W = ds.eigh
+        assert np.array_equal(np.sort(eigvals.real), lam)
+        assert not W.flags.writeable and not lam.flags.writeable
+        monkeypatch.undo()
+        exact = scipy.linalg.expm((C - np.eye(6)) * t) @ x0
+        assert np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2 >= 1 - 1e-6
 
 
 class TestExpectation:

@@ -150,6 +150,26 @@ class TestEigenOverlaps:
         solvers.eigen_overlaps(M, rng.normal(size=9))
         assert (eig_calls, eigh_calls) == (["eig"], [])
 
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-normal"])
+    def test_split_matches_the_array_form(self, rng, hermitian):
+        # a DriftSplit stands for M = C - I: on a Hermitian C the split's
+        # eigh of C1h runs, on any other C eig of C1h + i·C2h, each C - I
+        # to rounding
+        if hermitian:
+            C = _exact_hermitian(rng, 7, 1.0)
+        else:
+            P = rng.normal(size=(7, 7)) + 2.0 * np.eye(7)
+            C = P @ np.diag(np.linspace(0.1, 0.9, 7)) @ np.linalg.inv(P)
+        x0 = rng.normal(size=7) + 1j * rng.normal(size=7)
+        eigvals, overlaps, V, gap = solvers.eigen_overlaps(core.split(C), x0)
+        ref_vals, ref_overlaps, ref_V, ref_gap = solvers.eigen_overlaps(C - np.eye(7), x0)
+        scale = np.max(np.abs(ref_vals))
+        assert np.max(np.abs(eigvals - ref_vals)) <= 1e-12 * scale
+        assert np.max(np.abs(overlaps - ref_overlaps)) <= 1e-10
+        assert abs(gap - ref_gap) <= 1e-12 * scale
+        # unit eigenvectors, equal up to a phase
+        assert np.allclose(np.abs(np.sum(V.conj() * ref_V, axis=0)), 1.0, atol=1e-10)
+
     def test_defective_eigenbasis_rejected(self):
         # the Jacobi drift of [[2, 1], [0, 3]] has a nilpotent G: its two
         # unit eigenvectors are parallel to rounding
@@ -670,11 +690,10 @@ class TestQuantumPowerMethod:
         C = (C + C.conj().T) / 2
         x0 = Q[:, 0] + 0.5 * Q[:, 1:].sum(axis=1)
         rep = solvers.quantum_power_method(C, x0, epsilon=0.05, N=128)
-        eigvals, _, V, _ = solvers.eigen_overlaps(C, x0)
-        basis = schrodingerization.Eigenbasis(mu=1.0 - eigvals.real, W=V)
+        # propagate on C's split reads the eigh the power method's overlaps read
         rec = schrodingerization.propagate(
-            C, x0, rep.propagation.time, rep.propagation.grid,
-            profile=schrodingerization.EXP_ABS, basis=basis,
+            core.split(C), x0, rep.propagation.time, rep.propagation.grid,
+            profile=schrodingerization.EXP_ABS,
         )
         assert rep.propagation.success_probability == rec.success_probability
         assert np.array_equal(rep.propagation.state, rec.state)
