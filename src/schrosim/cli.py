@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__, baselines, core, schrodingerization as engine, solvers
-from .errors import InvalidInputError, NoGapError, ParseError, SchrosimError
+from .errors import InvalidInputError, ParseError, SchrosimError
 
 _HEADER_FIELDS = {"real", "complex"}
 # symmetry -> the value stored at (j, i) for an entry a at (i, j)
@@ -467,11 +467,13 @@ def run_diagnose(cfg: RunConfig) -> dict:
     # is the largest |λ + 1| over the other eigenvalues
     rG = float(np.max(np.abs(np.delete(eigvals, steady) + 1.0)))
     sparsity, max_norm = core.sparsity_and_max_norm(drift)
-    try:
-        # the time the Jacobi solve evolves to, its margin over the bound included
-        t_f = solvers._jacobi_time(cfg.alpha0_sq, gap, cfg.delta)
-    except NoGapError:
-        t_f = None
+    # the time the Jacobi solve evolves to, its margin over the bound
+    # included; a tied gap, which the solve refuses, has none (null)
+    t_f = (
+        None
+        if gap <= solvers.GAP_TIE_TOL
+        else solvers._jacobi_time(cfg.alpha0_sq, gap, cfg.delta)
+    )
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(
         core.split(C), t_f if t_f is not None else 0.0
     )

@@ -15,12 +15,13 @@ and shift already in the matrix, written into a buffer from which the
 previous term is subtracted in place; for a real C it is a real GEMM on
 the float64 view of the complex vectors. The start ψ(p)·x0 is
 separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
-(``initial_state``); the readout, a least-squares fit of the p > 0 region,
-is linear, so ``recover`` applies it to the spectral state and no transform
-back to p runs. For a Hermitian C each mode's generator η·(-C1h) is
-diagonal in the eigenbasis W of C1h = W·diag(w)·W† that the drift split
-caches (``core.DriftSplit.eigh``), so evolution is a phase per entry in
-W's coordinates. With a separable start, phases and a linear readout,
+(``initial_state``) and the modes it cuts depend on ψ̂ alone; the readout,
+a least-squares fit of the p > 0 region, is linear, so ``recover``
+applies it to the spectral state and no transform back to p runs. For a
+Hermitian C each mode's generator η·(-C1h) is diagonal in the eigenbasis
+W of C1h = W·diag(w)·W† that the drift split caches
+(``core.DriftSplit.eigh``), so evolution is a phase per entry in W's
+coordinates. With a separable start, phases and a linear readout,
 ``propagate`` there builds no state at all: x̂ is W·(c ∘ Φ) for c = W†x0
 and one sum Φ_j of the readout weights times ψ̂ and the phases per
 eigenvalue μ_j = -w_j (``_phase_readout``).
@@ -40,8 +41,8 @@ only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
 the paper's e^{-|p|} has a kink at p = 0, ``SMOOTH`` is C^6 there and, as
 ``sample_profile`` puts it on a grid, C^8 across the periodic seam at ±L,
 so its Fourier coefficients decay fast and the modes that carry almost no
-mass can be left out of the evolution (``truncate``). ``propagate`` starts
-from ``SMOOTH`` unless told otherwise.
+mass can be left out of the evolution (``_start_spectrum``). ``propagate``
+starts from ``SMOOTH`` unless told otherwise.
 
 Fourier convention: the forward transform maps e^{-|p|} to 1/(π(1+η²)) in
 the continuum limit, i.e. ṽ(η) = (1/2π) ∫ e^{+iηp} v(p) dp. The sign of
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -67,7 +69,7 @@ from .errors import (
     NumericalError,
 )
 
-# relative 2-norm that ``truncate`` may drop from a spectral state: the
+# relative 2-norm that ``initial_state`` may drop from the start: the
 # zeroed modes hold at most TRUNCATION_EPS² of its mass
 TRUNCATION_EPS = 1e-6
 # relative 2-norm the polynomial kernel may drop from a vector: its bound
@@ -130,19 +132,34 @@ EXP_ABS = Profile("exp-abs", 1.0, 0)
 SMOOTH = Profile("smooth-a5-m6", 5.0, 6)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform p-grid on [-L, L) with its Fourier modes.
 
     p_l = -L + l·(2L/N) for l = 0..N-1; η_k = πk/L for k = -N/2+1..N/2.
-    The unit-spaced mode ladder is the special case L = π.
+    The unit-spaced mode ladder is the special case L = π. The arrays are
+    read-only and made from N and L alone, so every grid is its ladder.
     """
 
     N: int
     L: float
-    p: np.ndarray
-    eta: np.ndarray
-    mode_index: np.ndarray  # integer k for each η slot, -N/2+1..N/2
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return _read_only(-self.L + self.dp * np.arange(self.N))
+
+    @cached_property
+    def mode_index(self) -> np.ndarray:  # the integer k of each η slot
+        return _read_only(np.arange(-self.N // 2 + 1, self.N // 2 + 1))
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return _read_only(np.pi * self.mode_index / self.L)
 
     @property
     def dp(self) -> float:
@@ -194,10 +211,10 @@ class RecoveredState:
     """x(t) read out of a warped state at ``time`` on ``grid``; the solvers'
     reports hold it as the record of their evolution. ``propagate`` also
     records the initial profile, the number of Fourier modes it evolved, the
-    relative norm it dropped (see ``truncate``), the ``evolve`` path that ran
-    (see ``evolve_path``), its kernel ("phases", "reduction" or "chebyshev")
-    and the largest polynomial degree in the generator (None off the
-    polynomial; 2·D + 1 for its D steps, 0 where it is a phase)."""
+    relative norm its cut dropped (see ``initial_state``), the ``evolve``
+    path that ran (see ``evolve_path``), its kernel ("phases", "reduction"
+    or "chebyshev") and the largest polynomial degree in the generator (None
+    off the polynomial; 2·D + 1 for its D steps, 0 where it is a phase)."""
 
     x: np.ndarray
     state: np.ndarray
@@ -222,10 +239,7 @@ def make_grid(N: int, L: float) -> Grid:
         raise InvalidInputError(f"N must be a power of two in [4, 65536], got {N}")
     if not 0 < L < math.inf:  # NaN fails too
         raise InvalidInputError(f"L must be finite and positive, got {L}")
-    L = float(L)
-    p = -L + (2.0 * L / N) * np.arange(N)
-    k = np.arange(-N // 2 + 1, N // 2 + 1)
-    return Grid(N=N, L=L, p=p, eta=np.pi * k / L, mode_index=k)
+    return Grid(N=N, L=float(L))
 
 
 def sample_profile(profile: Profile, grid: Grid) -> np.ndarray:
@@ -326,17 +340,30 @@ def _profile_spectrum(profile: Profile, grid: Grid) -> np.ndarray:
     return np.concatenate([half[-2:0:-1].conj(), half])
 
 
-def initial_state(x0, grid: Grid, profile: Profile) -> SpectralState:
-    """The transform of v(0, p) = ψ(p)·x0: x0⊗ψ̂, from one length-N transform
-    of the profile ψ (``_profile_spectrum``). Mode k holds mass
-    |ψ̂_k|²·‖x0‖², so the modes ``truncate`` keeps depend on ψ̂ alone.
+def _start_spectrum(profile: Profile, grid: Grid) -> tuple[np.ndarray, float]:
+    """ψ̂ (``_profile_spectrum``) cut by ``_truncation`` on |ψ̂_k|², and the
+    norm it drops: mode k of x0⊗ψ̂, in any unitary basis of x0, holds mass
+    ‖x0‖²·|ψ̂_k|², so this is the cut of every start on the grid."""
+    psi = _profile_spectrum(profile, grid)
+    cut, dropped = _truncation(psi.real**2 + psi.imag**2, grid)
+    if cut is not None:
+        psi[cut] = 0.0
+    return psi, dropped
+
+
+def initial_state(x0, grid: Grid, profile: Profile) -> tuple[SpectralState, float]:
+    """The transform x0⊗ψ̂ of v(0, p) = ψ(p)·x0 with ψ̂ cut by
+    ``_start_spectrum``, and the relative norm the cut drops, at most
+    TRUNCATION_EPS. Evolution is unitary per mode and the transform a
+    scaled unitary, so that is the exact relative 2-norm error the cut adds
+    to the warped state at any time.
 
     For a real x0 the column of -k is the conjugate of the column of k bit
     for bit, as ψ̂ is, which is the test ``evolve`` runs to evolve one
     vector per mode pair."""
     x0 = _start_vector(x0)
-    psi = _profile_spectrum(profile, grid)
-    return SpectralState(values=np.outer(x0, psi), grid=grid)
+    psi, dropped = _start_spectrum(profile, grid)
+    return SpectralState(values=np.outer(x0, psi), grid=grid), dropped
 
 
 def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
@@ -365,35 +392,15 @@ def _lapack(name: str, *args, **kwargs):
     return out
 
 
-def truncate(s: SpectralState) -> tuple[SpectralState, float]:
-    """Zero the mode pairs (k, -k) of least combined mass whose total mass
-    is at most TRUNCATION_EPS² of the state's; k = 0 and k = N/2 have no
-    partner and count alone. Returns the state and the relative norm
-    zeroed, at most TRUNCATION_EPS. Evolution is unitary per mode and the
-    transform is a scaled unitary, so that norm is also the exact relative
-    2-norm error truncation adds to the warped state at any time.
-
-    Whole pairs keep a real state real: for real C and real x0 the column
-    of -k is the conjugate of the column of k, so cutting one of the two
-    would leave an imaginary part, and would cost the exact symmetry on
-    which the real path of ``evolve`` evolves one vector per pair. That
-    path evolves a pair when either column is nonzero, so a half pair
-    saves no work.
-    """
-    mass = np.einsum("ij,ij->j", s.values.conj(), s.values).real
-    cut, norm = _truncation(mass, s.grid)
-    if cut is None:
-        return s, 0.0
-    values = s.values.copy()
-    values[:, cut] = 0.0
-    return replace(s, values=values), norm
-
-
 def _truncation(mass: np.ndarray, grid: Grid) -> tuple[np.ndarray | None, float]:
-    """``truncate``'s rule on the column masses ``mass`` (N,) of a state on
-    ``grid``: the mask of the columns in the mode pairs (k, -k) of least
-    combined mass whose total is at most TRUNCATION_EPS² of the whole, or
-    None when there are none, and the relative norm they hold."""
+    """The cut of the column masses ``mass`` (N,) of a state on ``grid``:
+    the mask of the columns in the mode pairs (k, -k) of least combined
+    mass whose total is at most TRUNCATION_EPS² of the whole, or None when
+    there are none, and the relative norm they hold. k = 0 and k = N/2
+    have no partner and count alone. Whole pairs keep the start of a real
+    x0 conjugate-symmetric, on which the real path of ``evolve`` evolves
+    one vector per pair; that path evolves a pair when either column is
+    nonzero, so a half pair would save no work."""
     pair = np.abs(grid.mode_index)  # |k|, 0..N/2
     pair_mass = np.bincount(pair, weights=mass)
     order = np.argsort(pair_mass, kind="stable")
@@ -692,7 +699,7 @@ def _chebyshev_stack(
 
     The coefficients are FFTs of f and g at c + R cos θ
     (``_coefficients``). On a real split (C1h.imag and C2h.real exactly
-    zero, as ``evolve_path`` tests) C2h = i·A with A real antisymmetric,
+    zero, as ``_real_split`` tests) C2h = i·A with A real antisymmetric,
     whose interval is symmetric, so m2 = 0 and Q = -i·A: each block is
     real once the weight of Q carries its i (weights η², i·η and 1; η and
     i), and each step is one real ``matmul`` on the float64 views, at half
@@ -803,22 +810,15 @@ def _real_split(ds: core.DriftSplit) -> bool:
     return not ds.C1h.imag.any() and not ds.C2h.real.any()
 
 
-def evolve_path(ds: core.DriftSplit, grid: Grid) -> str:
-    """The path ``propagate`` takes for split ``ds`` on ``grid``, from exact
-    tests with no tolerance: "hermitian" when C2h is zero (C == C†) and
-    the modes are ``make_grid``'s ladder η_k = πk/L (``evolve`` runs it
-    as one of the next two); "real" when C1h.imag and C2h.real are zero
-    and the ladder is symmetric (η_{-k} == -η_k bit for bit); "general"
-    otherwise. A C that is Hermitian or real only to rounding takes a
-    slower path."""
-    eta, N = grid.eta, grid.N
-    h = N // 2 - 1  # slot of k = 0
-    ladder = np.pi * np.arange(-N // 2 + 1, N // 2 + 1) / grid.L
-    if not ds.C2h.any() and np.array_equal(eta, ladder):
+def evolve_path(ds: core.DriftSplit) -> str:
+    """The path ``propagate`` takes for split ``ds``, from exact tests with
+    no tolerance: "hermitian" when C2h is zero (C == C†; ``evolve`` runs
+    it as one of the next two); "real" when C1h.imag and C2h.real are
+    zero; "general" otherwise. A C that is Hermitian or real only to
+    rounding takes a slower path."""
+    if not ds.C2h.any():
         return "hermitian"
-    if _real_split(ds) and np.array_equal(-eta[:h], eta[N - 2 : h : -1]):
-        return "real"
-    return "general"
+    return "real" if _real_split(ds) else "general"
 
 
 def _phase_blocks(
@@ -847,19 +847,19 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     rounding for the polynomial (kernels below). C1h and C2h must be
     Hermitian; ``core.split`` makes them so exactly.
 
-    The path is the one ``evolve_path`` names from ``ds`` and ``s.grid``,
-    except that a "hermitian" split runs as "real" when it is real and as
-    "general" otherwise (only ``propagate`` reads it out by its phases):
+    The path is "real" when ``_real_split`` holds and "general" otherwise;
+    a split ``evolve_path`` names "hermitian" runs as one of the two (only
+    ``propagate`` reads it out by its phases):
 
-    - "real" (C1h with zero imaginary part, C2h with zero real part, on a
-      symmetric mode ladder): H_{-k} = -conj(H_k), so only the modes
-      k = 0..N/2 are evolved, each applied to v_k and conj(v_{-k}); the
-      k < 0 column is conj(exp(-itH_{|k|})·conj(v_{-k})). This holds for
-      complex states too. When every column -k is the conjugate of column
-      k bit for bit (an exact test, no tolerance), as in the start
-      ``initial_state`` builds from a real x0 and in what ``truncate``
-      leaves of it, the two vectors are one: each pair evolves v_k alone
-      and column -k is its conjugate, so the state stays exactly
+    - "real" (C1h with zero imaginary part, C2h with zero real part; a
+      grid's ladder η_k = πk/L has η_{-k} = -η_k bit for bit):
+      H_{-k} = -conj(H_k), so only the modes k = 0..N/2 are evolved, each
+      applied to v_k and conj(v_{-k}); the k < 0 column is
+      conj(exp(-itH_{|k|})·conj(v_{-k})). This holds for complex states
+      too. When every column -k is the conjugate of column k bit for bit
+      (an exact test, no tolerance), as in the cut start ``initial_state``
+      builds from a real x0, the two vectors are one: each pair evolves
+      v_k alone and column -k is its conjugate, so the state stays exactly
       conjugate-symmetric. Any other state, such as one from a complex x0,
       evolves both.
     - "general": every mode is evolved.
@@ -893,7 +893,7 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
 
     A mode whose vector is exactly zero stays zero, so neither path
     evolves it (on the real path, a pair k, -k is evolved when either
-    vector is nonzero); ``truncate`` makes such modes.
+    vector is nonzero); ``initial_state``'s cut makes such modes.
     """
     t = core.require_time(t)
     grid = s.grid
@@ -902,9 +902,7 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
         raise DimensionError("state and drift split dimensions differ")
     vals = np.ascontiguousarray(s.values, dtype=complex)
     h = N // 2 - 1  # slot of k = 0; slots h+1..N-1 hold k = 1..N/2
-    path = evolve_path(ds, grid)
-    # make_grid's ladder, which the Hermitian path needs, is symmetric
-    if path == "real" or (path == "hermitian" and _real_split(ds)):
+    if _real_split(ds):
         # row m is mode k = m (slot h + m); its second vector is conj(v_{-k}),
         # at slot h - m, for k = 1..N/2-1, unless that equals v_k bit for bit
         neg = vals[:, h - 1 :: -1]
@@ -989,47 +987,42 @@ def _recovered(xhat: np.ndarray, ynorm: float, grid: Grid, time: float) -> Recov
 def _phase_readout(
     x0, grid: Grid, profile: Profile, ds: core.DriftSplit, t: float, p_min: float
 ) -> tuple[RecoveredState, int, float]:
-    """``recover(evolve(truncate(initial_state(x0, grid, profile))))`` for a
-    Hermitian C, whose split ``ds`` has C1h = W·diag(λ)·W† (``ds.eigh``),
-    without the (d+1)×N state: the readout, the modes it evolves and the
-    norm it drops.
+    """``recover(evolve(initial_state(x0, grid, profile)))`` for a Hermitian
+    C, whose split ``ds`` has C1h = W·diag(λ)·W† (``ds.eigh``), without the
+    (d+1)×N state: the readout, the modes it evolves and the norm it drops.
 
     -C1h = W·diag(μ)·W† with μ = -λ. In W's coordinates the start is c⊗ψ̂
-    with c = W†x0, so mode k holds mass ‖c‖²·|ψ̂_k|², which ``_truncation``
-    cuts. Evolution multiplies entry (j, k) by e^{-itμ_jη_k}, and the
-    readout is x̂ = W·(Y·r), so x̂ = W·(c ∘ Φ) with
-    Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live modes: the phase blocks
-    of ``_phase_blocks`` turn that sum into one (n, B)·(B, N/B) product
-    and a row-wise dot with the (n, N/B) block.
-    The phases have modulus 1, so ‖Y‖_F = ‖c‖·‖ψ̂‖ over the live modes.
+    with c = W†x0 and ψ̂ cut by ``_start_spectrum``. Evolution multiplies
+    entry (j, k) by e^{-itμ_jη_k}, and the readout is x̂ = W·(Y·r), so
+    x̂ = W·(c ∘ Φ) with Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live
+    modes: the phase blocks of ``_phase_blocks`` turn that sum into one
+    (n, B)·(B, N/B) product and a row-wise dot with the (n, N/B) block.
+    The phases have modulus 1, so ‖Y‖_F = ‖c‖·‖ψ̂‖.
     Memory is O(N + d·√N); every call is numpy's."""
     x0 = _start_vector(x0)
-    psi = _profile_spectrum(profile, grid)
+    psi, dropped = _start_spectrum(profile, grid)
     lam, W = ds.eigh
     c = W.conj().T @ x0
-    mass = float(np.vdot(c, c).real) * (psi.real**2 + psi.imag**2)
-    cut, dropped = _truncation(mass, grid)
     w = _readout_weights(grid, p_min) * psi
-    if cut is not None:
-        w[cut] = 0.0
-        mass[cut] = 0.0
     outer, inner = _phase_blocks(-lam, grid, t)
     phi = np.einsum("ja,ja->j", outer, inner @ w.reshape(outer.shape[1], -1).T)
-    rec = _recovered(W @ (c * phi), math.sqrt(mass.sum()), grid, t)
-    return rec, int(np.count_nonzero(mass)), dropped
+    ynorm = float(np.linalg.norm(c) * np.linalg.norm(psi))
+    rec = _recovered(W @ (c * phi), ynorm, grid, t)
+    return rec, int(np.count_nonzero(psi)), dropped
 
 
 def propagate(
     C, x0, t: float, grid: Grid, profile: Profile = SMOOTH
 ) -> RecoveredState:
     """End-to-end: the transformed start state x0⊗ψ̂ of ``profile``
-    (``SMOOTH`` by default, seam-blended by ``sample_profile``),
-    truncation, per-mode unitary evolution and the spectral readout.
+    (``SMOOTH`` by default, seam-blended by ``sample_profile``) with its
+    cut modes zeroed, per-mode unitary evolution and the spectral readout.
     Approximates e^{(C-I)t} x0 with error set by the p-grid resolution
     (time evolution is exact per mode, to rounding and the polynomial's
-    CHEBYSHEV_EPS) and by the truncation, whose
-    relative warped-state error is the returned ``dropped_norm`` <=
-    TRUNCATION_EPS.
+    CHEBYSHEV_EPS) and by the cut, whose relative warped-state error is
+    the returned ``dropped_norm`` <= TRUNCATION_EPS. The cut depends on
+    the profile and the grid alone (``_start_spectrum``), so
+    ``dropped_norm`` and ``modes_evolved`` do not depend on x0 or C.
 
     On the "hermitian" path the work is done in the eigenbasis of C1h,
     the split's one ``eigh``, which also gives the kink speed. There the
@@ -1043,7 +1036,7 @@ def propagate(
     x0 = core.as_vector(x0)
     if ds.C1h.shape[0] != x0.shape[0]:
         raise DimensionError("C and x0 dimensions differ")
-    path = evolve_path(ds, grid)
+    path = evolve_path(ds)
     # evolve's intervals, or on a Hermitian C the phase readout, reuse them
     top = float(ds.c1h_eigenvalues[-1])
     if top > 1e-10:
@@ -1062,7 +1055,7 @@ def propagate(
         rec, modes, dropped = _phase_readout(x0, grid, profile, ds, t, p_min)
         kernel, degree = "phases", None
     else:
-        v0, dropped = truncate(initial_state(x0, grid, profile))
+        v0, dropped = initial_state(x0, grid, profile)
         vt = evolve(v0, ds, t)
         rec = recover(vt, p_min=p_min)
         modes = int(np.count_nonzero(v0.values.any(axis=0)))

@@ -32,6 +32,10 @@ EIGENBASIS_MIN_RCOND = 1e-10
 # evolves a fixed multiple of it so the residual (a harsher metric than
 # fidelity, since it sees the full transient amplitude) also settles.
 TIME_SAFETY_FACTOR = 4.0
+# ``_affine_scale`` doubles sigma, at most AFFINE_MAX_DOUBLINGS times, until
+# the top Hermitian drift eigenvalue is at most AFFINE_TARGET
+AFFINE_TARGET = 0.05
+AFFINE_MAX_DOUBLINGS = 10
 
 
 @dataclass(frozen=True)
@@ -255,34 +259,33 @@ def quantum_cost_estimate(
     )
 
 
-def _affine_scale(
-    G, g, target: float = 0.05, max_doublings: int = 10
-) -> tuple[float, np.ndarray, core.DriftSplit]:
+def _affine_scale(G, g) -> tuple[float, np.ndarray, core.DriftSplit]:
     """Pick sigma so the drift of the augmented system [[G, g/sigma],[0,1]]
     has a nearly negative semidefinite Hermitian part.
 
     The rescaling is the similarity diag(I, 1/sigma), so the spectrum and
     gap are unchanged, but a large affine column otherwise contributes a
     sizeable positive Hermitian eigenvalue (the readout kink speed). The
-    smallest power-of-two sigma meeting the target is used; recovery
+    smallest power-of-two sigma meeting AFFINE_TARGET is used; recovery
     amplifies state error by sigma, so it is kept minimal. Returns sigma
     with its augmented C and the drift split of that C.
 
-    When no sigma up to 2**max_doublings meets the target, the Hermitian
-    part of G - I, which sigma does not change, keeps the kink too fast for
-    the readout: ConvergenceUnsafeError names the cap and what is left.
+    When no sigma up to 2**AFFINE_MAX_DOUBLINGS meets the target, the
+    Hermitian part of G - I, which sigma does not change, keeps the kink
+    too fast for the readout: ConvergenceUnsafeError names the cap and
+    what is left.
     """
     sigma = 1.0
-    for _ in range(max_doublings + 1):
+    for _ in range(AFFINE_MAX_DOUBLINGS + 1):
         C = core.augment(G, np.asarray(g) / sigma)
         ds = core.split(C)
         top = float(ds.c1h_eigenvalues[-1])  # cached on the split it returns
-        if top <= target:
+        if top <= AFFINE_TARGET:
             return sigma, C, ds
         sigma *= 2.0
     raise ConvergenceUnsafeError(
         f"the affine scale up to sigma = {sigma / 2:g} leaves the top Hermitian"
-        f" drift eigenvalue at {top:.3e}, above {target:g}"
+        f" drift eigenvalue at {top:.3e}, above {AFFINE_TARGET:g}"
     )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from schrosim import cli, core, schrodingerization as engine, solvers
+from schrosim import cli, core, errors, schrodingerization as engine, solvers
 from schrosim.cli import RunConfig
 from schrosim.errors import ParseError
 
@@ -747,6 +747,23 @@ class TestRunDiagnose:
         C[d, d] = 1.0
         assert out["cost"]["sparsity"] == int(np.max(np.count_nonzero(C, axis=1)))
         assert out["cost"]["max_norm"] == np.max(np.abs(C))
+
+    def test_tied_gap_raises_nothing(self, tmp_path, monkeypatch):
+        # G = [[0, -1], [-1, 0]] has eigenvalues ±1, so the gap ties: the
+        # report says so with a null time, and no error is made on the way
+        made = []
+        init = errors.SchrosimError.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(errors.SchrosimError, "__init__", counting)
+        A = mm_real(tmp_path, "A.mtx", [[1.0, 1.0], [1.0, 1.0]])
+        out = cli.run_diagnose(RunConfig(command="diagnose", matrix_path=A))
+        assert out["gap"] <= solvers.GAP_TIE_TOL
+        assert out["t_f_predicted"] is None and "cost" not in out
+        assert made == []
 
     def test_eigenvalues_sorted_by_real_then_imaginary_part(self, tmp_path):
         # LAPACK's order depends on the build (here it can put the complex

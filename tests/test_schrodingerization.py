@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -429,7 +428,7 @@ class TestEvolvePaths:
         C = build(rng, d)
         grid = eng.make_grid(N, L)
         gen = eng.generator_blocks(core.split(C), grid)
-        assert eng.evolve_path(gen.split, grid) == path
+        assert eng.evolve_path(gen.split) == path
         vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
         ref = _per_mode_reference(vals, gen.blocks, t)
         decompositions.clear()
@@ -491,7 +490,7 @@ class TestEvolvePaths:
         x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         grid = eng.make_grid(512, 20.0)
         gen = eng.generator_blocks(core.split(C), grid)
-        v0, _ = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))
+        v0, _ = eng.initial_state(x0, grid, eng.SMOOTH)
         vt = eng.SpectralState(_per_mode_reference(v0.values, gen.blocks, t), grid, t)
         ref = pspace_recover(eng.transform(vt, "inverse"), _propagate_floor(gen.split, grid, t))
         decompositions.clear()
@@ -500,23 +499,6 @@ class TestEvolvePaths:
         assert (rec.path, rec.kernel) == ("hermitian", "phases")
         assert np.linalg.norm(rec.x - ref.x) <= 1e-11 * np.linalg.norm(ref.x)
         assert rec.success_probability == pytest.approx(ref.success_probability, rel=1e-11)
-
-    @pytest.mark.parametrize(
-        "build, path", [(_real_symmetric, "real"), (_complex_hermitian, "general")]
-    )
-    def test_hermitian_C_off_the_ladder(self, rng, decompositions, build, path):
-        # the Hermitian path builds its phases from η_k = πk/L; on a
-        # hand-built grid with any other η a Hermitian C is reduced per mode
-        grid = eng.make_grid(16, 3.0)
-        grid = replace(grid, eta=grid.eta * (1.0 + 1e-3))
-        gen = eng.generator_blocks(core.split(build(rng, 4)), grid)
-        assert eng.evolve_path(gen.split, grid) == path
-        vals = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
-        decompositions.clear()
-        out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, 2.0)
-        assert decompositions.work() == ([1], _PATH_WORK[path](16)[1])
-        ref = _per_mode_reference(vals, gen.blocks, 2.0)
-        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(vals)
 
     def test_complex_hermitian_path_has_complex_C1h(self, rng, decompositions):
         gen = self._evolve_against_reference(
@@ -534,8 +516,8 @@ class TestEvolvePaths:
         # conjugate-symmetric bit for bit, as on a real non-normal C
         grid = eng.make_grid(32, 5.0)
         gen = eng.generator_blocks(core.split(_real_symmetric(rng, d)), grid)
-        assert eng.evolve_path(gen.split, grid) == "hermitian"
-        v0, _ = eng.truncate(eng.initial_state(rng.normal(size=d), grid, eng.SMOOTH))
+        assert eng.evolve_path(gen.split) == "hermitian"
+        v0, _ = eng.initial_state(rng.normal(size=d), grid, eng.SMOOTH)
         vectors = []
         modes = eng._evolve_modes
 
@@ -742,7 +724,7 @@ class TestChebyshevKernel:
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
         assert decompositions.work() == ([], 0)
-        assert (eng.evolve_path(gen.split, grid), out.kernel) == (path, "chebyshev")
+        assert (eng.evolve_path(gen.split), out.kernel) == (path, "chebyshev")
         assert 0 < out.max_degree <= d + 1  # 2·D + 1 in H: at most d/2 steps
         assert not out.values[:, ~vals.any(axis=0)].any()
         _assert_matches(out.values, _per_mode_reference(vals, gen.blocks, t), vals)
@@ -750,12 +732,12 @@ class TestChebyshevKernel:
     def test_real_input_stays_conjugate_symmetric(self, rng):
         # a real warped state has conjugate columns k and -k; the real path
         # evolves both under H_k, so they stay conjugate. k = N/2 has no
-        # partner on the grid, so it is zeroed, as truncate does
+        # partner on the grid, so it is zeroed, as initial_state's cut does
         d, t = 64, 0.5
         grid = eng.make_grid(32, 5.0)
         x0 = rng.normal(size=d)
         ds = core.split(_real_nonnormal(rng, d))
-        v0 = eng.initial_state(x0, grid, eng.SMOOTH)
+        v0, _ = eng.initial_state(x0, grid, eng.SMOOTH)
         v0.values[:, -1] = 0.0
         out = eng.evolve(v0, ds, t)
         assert out.kernel == "chebyshev"
@@ -873,7 +855,7 @@ class TestChebyshevKernel:
         C, x0 = _complex_d64(rng)
         ds = core.split(C)
         grid = eng.make_grid(512, eng.default_domain_halfwidth(ds, t))
-        v0, _ = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))
+        v0, _ = eng.initial_state(x0, grid, eng.SMOOTH)
         eta = grid.eta[v0.values.any(axis=0)]
         plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
         w = ds.c1h_eigenvalues
@@ -925,7 +907,7 @@ class TestChebyshevKernel:
         rec = rep.propagation
         assert (rec.path, rec.kernel) == ("real", "chebyshev")
         assert 150 < rec.max_degree < 250  # 2·D + 1 in H
-        # truncate keeps whole pairs (k, -k) and k = 0, drops k = N/2
+        # the cut keeps whole pairs (k, -k) and k = 0, drops k = N/2
         assert rec.modes_evolved % 2 == 1
         assert rows == [(rec.modes_evolved + 1) // 2]
         assert decompositions.work() == ([], 0)
@@ -1057,7 +1039,7 @@ class TestChebyshevKernel:
         ds = core.split(build(rng, 5))
         s = eng.SpectralState(values=np.zeros((5, 16), dtype=complex), grid=grid)
         out = eng.evolve(s, ds, 1.5)
-        assert (eng.evolve_path(ds, grid), out.kernel) == (path, "chebyshev")
+        assert (eng.evolve_path(ds), out.kernel) == (path, "chebyshev")
         assert out.max_degree == 0
         assert out.values.shape == (5, 16) and not out.values.any()
 
@@ -1107,7 +1089,7 @@ class TestChebyshevKernel:
         grid = eng.make_grid(32, 5.0)
         gen = eng.generator_blocks(core.split(_real_nonnormal(rng, d)), grid)
         x0 = rng.normal(size=d) + (0.0 if real_x0 else 1j * rng.normal(size=d))
-        v0, _ = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))
+        v0, _ = eng.initial_state(x0, grid, eng.SMOOTH)
         vectors = []
         modes = eng._evolve_modes
 
@@ -1236,24 +1218,25 @@ def test_folded_kernel_matches_expm_property(draw, real, d, t, seed):
         assert c - R >= -1e-15 * c
 
 
+def _uncut_start(x0, grid, profile=eng.SMOOTH):
+    """The start x0⊗ψ̂ with no mode cut."""
+    return eng.SpectralState(np.outer(x0, eng._profile_spectrum(profile, grid)), grid)
+
+
 class TestTruncate:
     def test_drops_the_least_massive_modes_up_to_eps_squared(self):
         grid = eng.make_grid(8, 3.0)  # slots hold k = -3..4
         # pairs by |k|: 0 -> 6e-13, 1 -> 0.5, 2 -> 2e-13 + 9e-13,
         # 3 -> 1e-13 + 2e-13, 4 -> 0.5
         mass = np.array([1e-13, 2e-13, 0.25, 6e-13, 0.25, 9e-13, 2e-13, 0.5])
-        vals = np.sqrt(mass)[None, :] * np.array([[0.6], [0.8j]])
-        s = eng.SpectralState(values=vals, grid=grid, time=1.5)
-        out, dropped = eng.truncate(s)
+        cut, dropped = eng._truncation(mass, grid)
         # the pair ±3 and k = 0 (9e-13) fit under 1e-12 of the total mass;
         # adding the pair ±2 does not. Single columns ranked alone would cut
         # k = -2 (2e-13) and keep k = 2.
         kept = np.ones(8, dtype=bool)
         kept[[0, 3, 6]] = False
-        assert not out.values[:, ~kept].any()
-        assert np.array_equal(out.values[:, kept], vals[:, kept])
+        assert np.array_equal(cut, ~kept)
         assert dropped == pytest.approx(np.sqrt(9e-13 / mass.sum()), rel=1e-12)
-        assert out.time == 1.5 and not np.array_equal(s.values, out.values)
 
     @pytest.mark.parametrize("N", [8, 64, 512])
     def test_zeroes_whole_conjugate_pairs(self, rng, N):
@@ -1261,9 +1244,7 @@ class TestTruncate:
         # together, while k = 0 and k = N/2 have no partner
         grid = eng.make_grid(N, 5.0)
         mass = 10.0 ** -rng.permutation(np.linspace(0.0, 20.0, N))
-        s = eng.SpectralState(values=np.sqrt(mass)[None, :].astype(complex), grid=grid)
-        out, dropped = eng.truncate(s)
-        zero = ~out.values.any(axis=0)
+        zero, dropped = eng._truncation(mass, grid)
         h = N // 2 - 1  # slot of k = 0
         assert 0.0 < dropped <= eng.TRUNCATION_EPS
         assert np.array_equal(zero[h + 1 : N - 1], zero[h - 1 :: -1])
@@ -1275,9 +1256,30 @@ class TestTruncate:
         # e^{-|p|} keeps every mode on these grids, so the power method and
         # plain propagation run exactly the arithmetic they ran before
         x0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v0 = eng.initial_state(x0, eng.make_grid(N, L), eng.EXP_ABS)
-        out, dropped = eng.truncate(v0)
-        assert out is v0 and dropped == 0.0
+        grid = eng.make_grid(N, L)
+        v0, dropped = eng.initial_state(x0, grid, eng.EXP_ABS)
+        full = _uncut_start(x0, grid, eng.EXP_ABS)
+        assert np.array_equal(v0.values, full.values) and dropped == 0.0
+
+    @pytest.mark.filterwarnings("ignore:Hermitian drift part")
+    def test_cut_depends_on_the_profile_and_grid_alone(self):
+        # mode k of the start holds ‖x0‖²·|ψ̂_k|², so the cut, and the norm
+        # it drops, is the same bit for bit for a scaled or complex x0 and
+        # for a Hermitian C (read out by its phases in W's coordinates) or a
+        # non-normal one (read out of the state)
+        rng = np.random.default_rng(0)
+        d, t, grid = 4, 1.0, eng.make_grid(128, 8.0)
+        drifts = [_real_symmetric(rng, d), _complex_hermitian(rng, d),
+                  _real_nonnormal(rng, d), random_contractive(rng, d)]
+        x0 = rng.normal(size=d)
+        starts = [x0, 3.7 * x0, x0 + 1j * rng.normal(size=d)]
+        psi, dropped = eng._start_spectrum(eng.SMOOTH, grid)
+        assert 0.0 < dropped <= eng.TRUNCATION_EPS
+        for C in drifts:
+            for x in starts:
+                rec = eng.propagate(C, x, t, grid)
+                assert rec.dropped_norm == dropped
+                assert rec.modes_evolved == np.count_nonzero(psi) < grid.N
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     def test_smooth_profile_drops_modes_within_the_bound(self, rng, structure):
@@ -1290,9 +1292,9 @@ class TestTruncate:
         assert kept.modes_evolved < 512 * 2 // 3
         assert 0.0 < kept.dropped_norm <= eng.TRUNCATION_EPS
         # the zeroed modes account for the whole warped-state difference
-        v0 = eng.initial_state(x0, grid, eng.SMOOTH)
-        full = eng.transform(eng.evolve(v0, ds, t), "inverse").values
-        cut = eng.transform(eng.evolve(eng.truncate(v0)[0], ds, t), "inverse").values
+        full = eng.transform(eng.evolve(_uncut_start(x0, grid), ds, t), "inverse").values
+        v0 = eng.initial_state(x0, grid, eng.SMOOTH)[0]
+        cut = eng.transform(eng.evolve(v0, ds, t), "inverse").values
         error = np.linalg.norm(cut - full) / np.linalg.norm(full)
         assert error == pytest.approx(kept.dropped_norm, rel=1e-6)
         plain = eng.propagate(C, x0, t, grid, profile=eng.EXP_ABS)
@@ -1320,28 +1322,21 @@ def test_truncation_error_within_reported_bound(structure, profile, d, N, t, see
     x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     ds = core.split(C)
     grid = eng.make_grid(N, eng.default_domain_halfwidth(ds.C1h, t))
-    # the start state propagate builds, so the dropped norms agree exactly
-    v0 = eng.initial_state(x0, grid, profile)
-    kept, dropped = eng.truncate(v0)
+    # the uncut start, and the cut one propagate builds, so the dropped
+    # norms agree exactly
+    v0 = _uncut_start(x0, grid, profile)
+    kept, dropped = eng.initial_state(x0, grid, profile)
     assert dropped <= eng.TRUNCATION_EPS
     full = eng.transform(eng.evolve(v0, ds, t), "inverse").values
     cut = eng.transform(eng.evolve(kept, ds, t), "inverse").values
     scale = np.linalg.norm(full)
     assert np.linalg.norm(cut - full) <= (dropped + 1e-12) * scale
 
+    # on every path, the Hermitian one of a 1×1 C included, the cut is
+    # initial_state's
     rec = eng.propagate(C, x0, t, grid, profile=profile)
-    if rec.path == "hermitian":  # a 1×1 C is Hermitian
-        # propagate builds no state there: it cuts by the masses ‖c‖²·|ψ̂_k|²,
-        # c = W†x0, which equal the state's column masses only to rounding
-        c = ds.eigh[1].conj().T @ core.as_vector(x0)
-        psi = eng._profile_spectrum(profile, grid)
-        mass = float(np.vdot(c, c).real) * (psi.real**2 + psi.imag**2)
-        cut, norm = eng._truncation(mass, grid)
-        assert rec.dropped_norm == norm
-        assert rec.modes_evolved == N - (0 if cut is None else np.count_nonzero(cut))
-    else:
-        assert rec.dropped_norm == dropped
-        assert rec.modes_evolved == np.count_nonzero(kept.values.any(axis=0))
+    modes = np.count_nonzero(kept.values.any(axis=0))
+    assert (rec.dropped_norm, rec.modes_evolved) == (dropped, modes)
     exact = baselines.exact_propagator(C, x0, t)
     fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
     assert fid >= 1 - (1e-2 if profile is eng.EXP_ABS and N == 64 else 1e-3)
@@ -1378,9 +1373,9 @@ class TestRecover:
         ds = core.split(C)
         x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         grid = eng.make_grid(128, eng.default_domain_halfwidth(ds.C1h, t))
-        assert eng.evolve_path(ds, grid) == path
+        assert eng.evolve_path(ds) == path
         for profile in (eng.EXP_ABS, eng.SMOOTH):
-            vt = eng.evolve(eng.initial_state(x0, grid, profile), ds, t)
+            vt = eng.evolve(eng.initial_state(x0, grid, profile)[0], ds, t)
             got = eng.recover(vt, p_min)
             ref = pspace_recover(eng.transform(vt, "inverse"), p_min)
             scale = np.linalg.norm(ref.x)
@@ -1453,18 +1448,18 @@ def test_phase_readout_matches_the_state_chain_property(
     complex_, profile, above, real_x0, d, N, t, seed
 ):
     """On a Hermitian C, propagate's readout without a state agrees with
-    the state chain recover(evolve(truncate(initial_state(...)))), which
+    the state chain recover(evolve(initial_state(...))), which
     runs the real or general kernel, and with the p-space fit of that
     state, and raises where that chain raises."""
     rng = np.random.default_rng(seed)
     C = _hermitian_spectrum(rng, d, complex_, above)
     ds = core.split(C)
     grid = eng.make_grid(N, eng.default_domain_halfwidth(ds.C1h, t))
-    assert eng.evolve_path(ds, grid) == "hermitian"
+    assert eng.evolve_path(ds) == "hermitian"
     x0 = rng.normal(size=d) + (0.0 if real_x0 else 1j * rng.normal(size=d))
     p_min = _propagate_floor(ds, grid, t)
     assert (p_min > 0.0) == above
-    v0, dropped = eng.truncate(eng.initial_state(x0, grid, profile))
+    v0, dropped = eng.initial_state(x0, grid, profile)
     vt = eng.evolve(v0, ds, t)
     try:
         ref = eng.recover(vt, p_min)
@@ -1492,7 +1487,7 @@ class TestPhaseReadoutErrors:
         ds = core.split(C)
 
         def chain():
-            v0 = eng.truncate(eng.initial_state(x0, grid, eng.SMOOTH))[0]
+            v0 = eng.initial_state(x0, grid, eng.SMOOTH)[0]
             return eng.recover(eng.evolve(v0, ds, t), _propagate_floor(ds, grid, t))
 
         errors = []
@@ -1530,9 +1525,15 @@ class TestInitialState:
         grid = eng.make_grid(256, 7.5)
         x0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         ref = eng.transform(initial_warped_state(x0, grid, profile), "forward").values
-        v0 = eng.initial_state(x0, grid, profile)
-        assert v0.time == 0.0
+        v0 = _uncut_start(x0, grid, profile)
         assert np.max(np.abs(v0.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # the cut start keeps those columns and holds dropped_norm less
+        cut, dropped = eng.initial_state(x0, grid, profile)
+        kept = cut.values.any(axis=0)
+        assert cut.time == 0.0
+        assert np.array_equal(cut.values[:, kept], v0.values[:, kept])
+        lost = np.linalg.norm(v0.values[:, ~kept]) / np.linalg.norm(v0.values)
+        assert lost == pytest.approx(dropped, rel=1e-9, abs=1e-300)
 
     @pytest.mark.parametrize("profile", [eng.EXP_ABS, eng.SMOOTH], ids=lambda q: q.name)
     @pytest.mark.parametrize("N", [4, 64, 512, 4096])
@@ -1540,7 +1541,7 @@ class TestInitialState:
         # column -k is the conjugate of column k bit for bit, k = 0 and
         # k = N/2 are real: the test the real path of evolve runs
         grid = eng.make_grid(N, 7.5)
-        v = eng.initial_state(rng.normal(size=5), grid, profile).values
+        v = eng.initial_state(rng.normal(size=5), grid, profile)[0].values
         h = N // 2 - 1
         assert np.array_equal(v[:, h - 1 :: -1].conj(), v[:, h + 1 : N - 1])
         assert not v[:, [h, N - 1]].imag.any()
