@@ -101,10 +101,11 @@ class DriftSplit:
     @cached_property
     def c1h_eigenvalues(self) -> np.ndarray:
         """The eigenvalues of C1h, ascending and read-only: ``eigh``'s when C2h
-        is zero, else one numpy ``eigvalsh``, in real arithmetic when C1h is
-        real. They serve the kink speed and the polynomial intervals of
-        ``schrodingerization``, so C1h must not be changed once they are read."""
-        if not self.C2h.any():
+        is zero or ``eigh`` has already run, else one numpy ``eigvalsh``, in
+        real arithmetic when C1h is real. They serve the kink speed and the
+        polynomial intervals of ``schrodingerization``, so C1h must not be
+        changed once they are read."""
+        if not self.C2h.any() or "eigh" in vars(self):
             return self.eigh[0]
         w = np.linalg.eigvalsh(real_if_exact(self.C1h))
         w.flags.writeable = False

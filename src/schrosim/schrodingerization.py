@@ -10,31 +10,35 @@ mode, exactly unitary) or, when its measured cost is lower, a Chebyshev
 polynomial in products with C1h and C2h, batched over the modes (unitary
 to rounding): the series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η
 centred at the midpoint of C1h's interval, so its degree follows the
-spread of |X| rather than that of X. Each polynomial step is one GEMM with the centre
-and shift already in the matrix, written into a buffer from which the
-previous term is subtracted in place; for a real C it is a real GEMM on
-the float64 view of the complex vectors. The start ψ(p)·x0 is
-separable, so its transform x0⊗ψ̂ takes one length-N transform of ψ
-(``initial_state``) and the modes it cuts depend on ψ̂ alone; the readout,
-a least-squares fit of the p > 0 region, is linear, so ``recover``
-applies it to the spectral state and no transform back to p runs. For a
-Hermitian C each mode's generator η·(-C1h) is diagonal in the eigenbasis
-W of C1h = W·diag(w)·W† that the drift split caches
-(``core.DriftSplit.eigh``), so evolution is a phase per entry in W's
-coordinates. With a separable start, phases and a linear readout,
-``propagate`` there builds no state at all: x̂ is W·(c ∘ Φ) for c = W†x0
-and one sum Φ_j of the readout weights times ψ̂ and the phases per
-eigenvalue μ_j = -w_j (``_phase_readout``).
+spread of |X| rather than that of X. The polynomial steps in the
+eigenbasis W of C1h = W·diag(w)·W† that the drift split caches
+(``core.DriftSplit.eigh``), where C1h is diagonal: each step is one GEMM
+with two blocks and one elementwise product with a diagonal, written into
+a buffer from which the previous term is subtracted in place; for a real
+C the GEMM is a real one on the float64 view of the complex vectors.
+Each kernel returns its rows Y read out by a matrix ρ, Σ_rows ρ_row ⊗
+Y_row, summed as they are made; ``evolve`` reads out by the identity,
+which is the state. The start ψ(p)·x0 is separable, so its transform
+x0⊗ψ̂ takes one length-N transform of ψ (``initial_state``) and the modes
+it cuts depend on ψ̂ alone; the readout, a least-squares fit of the p > 0
+region, is linear, so ``recover`` applies it to the spectral state and no
+transform back to p runs. ``propagate`` builds no state at all: it hands
+the fit's weights to the kernel as ρ (``_kernel_readout``). For a
+Hermitian C each mode's generator η·(-C1h) is diagonal in W, so
+evolution is a phase per entry in W's coordinates, and x̂ is W·(c ∘ Φ)
+for c = W†x0 and one sum Φ_j of the readout weights times ψ̂ and the
+phases per eigenvalue μ_j = -w_j (``_phase_readout``).
 
 numpy and scipy each link their own OpenBLAS, each with a pool of threads
 that keep spinning for about 0.1 s after a threaded call. On a machine
 with few cores a threaded call on one pool can stall until the other
 pool's threads stop spinning, so every path runs on numpy's pool, the one
 its callers use too: the phase readout, the eigenvalues of C1h and C2h,
-the polynomial's blocks and steps, and ``default_domain_halfwidth``. Only
-the reduction kernel (``_evolve_stack``) runs on scipy's, whose LAPACK
-wrappers alone expose the tridiagonal reduction; the transforms, the
-truncation and ``recover`` call no BLAS.
+the polynomial's eigenbasis (``DriftSplit.eigh``), blocks and steps, and
+``default_domain_halfwidth``. Only the reduction kernel
+(``_evolve_stack``) runs on scipy's, whose LAPACK wrappers alone expose
+the tridiagonal reduction; the transforms, the truncation, the
+reduction's readout and ``recover`` call no BLAS.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
 only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
@@ -422,9 +426,11 @@ def _split_blocks(ds: core.DriftSplit, eta: np.ndarray):
         yield H
 
 
-def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
+def _evolve_stack(blocks, X: np.ndarray, t: float, readout=None) -> np.ndarray:
     """Y[m] = exp(-it·H_m)·X[m] for the m-th matrix of ``blocks`` (Hermitian,
-    Fortran order, overwritten) and the (n, r) vectors X[m].
+    Fortran order, overwritten) and the (n, r) vectors X[m]; with a
+    ``readout`` (M, r, q) its sum Σ_{m,v} readout[m, v] ⊗ Y[m, :, v], (q, n),
+    instead (``_evolve_modes``).
 
     zhetrd (lower) reduces H = Q·T·Q† with T real tridiagonal and dstevd
     gives T = Z·diag(w)·Zᵀ, so exp(-itH)·x = Q·Z·e^{-itw}·Zᵀ·Q†·x. No
@@ -432,28 +438,29 @@ def _evolve_stack(blocks, X: np.ndarray, t: float) -> np.ndarray:
     with Q' in QR form below the subdiagonal, applied by zunmqr, and Z is
     applied by dgemm to the real view of the vectors. The loop calls only
     scipy's LAPACK and BLAS, since numpy exposes no tridiagonal reduction:
-    it is the one kernel off numpy's thread pool.
+    it is the one kernel off numpy's thread pool. The readout's sum is an
+    einsum, which calls no BLAS.
     """
     M, n, r = X.shape
     Y = np.empty((M, n, r), dtype=complex)
     if n == 1:
         for m, H in enumerate(blocks):
             Y[m] = np.exp(-1j * t * H[0, 0].real) * X[m]
-        return Y
-    lwork = int(_lapack("zhetrd_lwork", n, lower=1)[0].real)
-    for m, H in enumerate(blocks):
-        c, d, e, tau = _lapack("zhetrd", H, lower=1, lwork=lwork, overwrite_a=1)
-        w, Z = _lapack("dstevd", d, e)
-        refl = np.asfortranarray(c[1:, :-1])
-        x = np.array(X[m])  # C order: its real view is (n, 2r)
-        x[1:] = _lapack("zunmqr", "L", "C", refl, tau, x[1:], r)[0]
-        # dgemm sees the real view transposed, (2r, n): xᵀ·Z = (Zᵀ·x)ᵀ
-        x = blas.dgemm(1.0, x.view(np.float64).T, Z).T.view(complex)
-        x *= np.exp(-1j * t * w)[:, None]
-        x = blas.dgemm(1.0, x.view(np.float64).T, Z, trans_b=1).T.view(complex)
-        Y[m, 0] = x[0]
-        Y[m, 1:] = _lapack("zunmqr", "L", "N", refl, tau, x[1:], r)[0]
-    return Y
+    else:
+        lwork = int(_lapack("zhetrd_lwork", n, lower=1)[0].real)
+        for m, H in enumerate(blocks):
+            c, d, e, tau = _lapack("zhetrd", H, lower=1, lwork=lwork, overwrite_a=1)
+            w, Z = _lapack("dstevd", d, e)
+            refl = np.asfortranarray(c[1:, :-1])
+            x = np.array(X[m])  # C order: its real view is (n, 2r)
+            x[1:] = _lapack("zunmqr", "L", "C", refl, tau, x[1:], r)[0]
+            # dgemm sees the real view transposed, (2r, n): xᵀ·Z = (Zᵀ·x)ᵀ
+            x = blas.dgemm(1.0, x.view(np.float64).T, Z).T.view(complex)
+            x *= np.exp(-1j * t * w)[:, None]
+            x = blas.dgemm(1.0, x.view(np.float64).T, Z, trans_b=1).T.view(complex)
+            Y[m, 0] = x[0]
+            Y[m, 1:] = _lapack("zunmqr", "L", "N", refl, tau, x[1:], r)[0]
+    return Y if readout is None else np.einsum("mvq,mnv->qn", readout, Y)
 
 
 def _spectral_interval(M: np.ndarray) -> tuple[float, float]:
@@ -529,19 +536,27 @@ class _Polynomial(NamedTuple):
     kappa0: float
     degree: int
 
-    def cost(self, vectors: np.ndarray, n: int) -> float:
+    def cost(self, vectors: np.ndarray, n: int, decomposed: bool = False) -> float:
         """Its cost in row-degrees (``_evolve_modes``) for ``vectors`` per
         row and n×n blocks: its blocks, second coefficient table and last
         product by X cost about two steps and 2·n row-degrees more than its
         steps (the lines through the timings behind ``_evolve_modes``' tables
-        put that part at 1.2-5.2·n, the median per row count). With every D
-        at 0 no step runs and no block is built, so only the last product
-        is charged, a row-degree per vector (it reads two blocks where a
-        step reads three), and nothing when it is skipped too
+        put that part at 1.2-5.2·n, the median per row count). Its steps run
+        in C1h's eigenbasis (``_chebyshev_stack``), which adds, by flop count
+        against the 2n² multiply-adds of a row-degree (one vector's product
+        with the two blocks of a step): the two basis products, n² per
+        vector into the basis and at most n² per vector out, one row-degree
+        per vector; and, unless the split has it cached (``decomposed``),
+        the ``eigh`` of C1h, 4/3·n³ flops to reduce it to tridiagonal form,
+        at most 4/3·n³ to divide and conquer and 2·n³ to transform back,
+        7/3·n³ multiply-adds or 7/6·n row-degrees. With every D at 0 no step
+        runs and nothing is decomposed or built, so only the last product is
+        charged, a row-degree per vector, and nothing when it is skipped too
         (``degree`` 0)."""
         if self.D.any():
             D = self.D + 2.0
-            return float(vectors @ D + STEP_ROWS * D.max() + 2 * n)
+            eigh = 0.0 if decomposed else 7.0 / 6.0 * n
+            return float(vectors @ (D + 1.0) + STEP_ROWS * D.max() + 2 * n + eigh)
         return float(vectors.sum()) if self.degree else 0.0
 
 
@@ -603,7 +618,8 @@ def _chebyshev_plan(
     w1 = ds.c1h_eigenvalues
     centre = 0.5 * float(w1[0] + w1[-1])
     plan = _folded_plan(ds, eta, t, _spectral_interval(ds.C2h), centre)
-    return plan if plan.cost(vectors, ds.C1h.shape[0]) <= budget else None
+    cost = plan.cost(vectors, ds.C1h.shape[0], decomposed="eigh" in vars(ds))
+    return plan if cost <= budget else None
 
 
 def _coefficients(sample, D: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -629,83 +645,105 @@ def _coefficients(sample, D: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _recurrence(dtype, G, W, coefs, T0, D) -> list[np.ndarray]:
-    """Σ_{j<=D} coef[j]·T_j(y)·v for every coefficient table of ``coefs``
-    and every column v of T0 (n, m), columns in descending D, where
-    y·v = (G·[W_0·v ; W_1·v ; ...]) / 2 for the blocks [G_0 | G_1 | ...]
-    of G (n, nb·n) and the per-column weights W (nb, m).
+def _recurrence(dtype, G, W, diag, T0, D, R, identity) -> np.ndarray:
+    """Σ_j T_j(y)·R[j], the terms T_j(y)·v of every column v of T0 (n, m)
+    (columns in descending D) read out by the weights R[j] (m, c) of each
+    degree j <= max D: one (n, c) sum, or with ``identity`` each column's
+    own (n, m, c) sum Σ_j T_j(y)·v ⊗ R[j, v]. Here
+    2y·v = G·[W_0∘v ; W_1∘v] + diag∘v for the blocks [G_0 | G_1] of G
+    (n, 2n), the per-column weights W (2, m) and the real ``diag``, (n, m)
+    with each column doubled to (n, 2m) to act on the float64 view.
 
     The vectors are the columns of C-ordered (n, k) arrays, whose float64
     views are (n, 2k): each vector's real and imaginary parts are two real
     columns, so a real G runs each step as one real ``matmul`` on those
     views and a complex G as one complex ``matmul``. Step j of
     T_{j+1} = 2y·T_j - T_{j-1} is that one GEMM with the stacked weighted
-    columns, written into a spare buffer from which T_{j-1} is subtracted
-    in place (the first step is halved instead: T_1 = y·T_0). numpy's GEMM
-    takes no beta, so the buffers of T_{j-1}, T_j and T_{j+1} rotate. A
-    column past its D keeps being stepped, with zero coefficients, until
-    the live columns have fallen to 7/8 of the buffers; only then are the
-    buffers copied down to them."""
+    columns, written into a spare buffer, to which diag∘T_j is added and
+    from which T_{j-1} is subtracted in place (the first step is halved
+    instead: T_1 = y·T_0). numpy's GEMM takes no beta, so the buffers of
+    T_{j-1}, T_j and T_{j+1} rotate. Each term is read out as it is made:
+    one skinny GEMM T_j·R[j] into the sum, or with ``identity`` the
+    elementwise product that GEMM is for a diagonal readout, so no m×m
+    matrix is built. R[j] is zero past a column's D, so a finished column
+    adds nothing; it keeps being stepped until the live columns have
+    fallen to 7/8 of the buffers, and only then are they copied down."""
     n, m = T0.shape
-    nb = W.shape[0]
     top = int(D[0]) if m else 0
-    cur = np.array(T0, dtype=complex, order="C")  # T_0, a vector per column
+    cur = T0  # T_0, a vector per column
     prev = np.zeros_like(cur)  # T_{-1}
     nxt = np.empty_like(cur)  # T_{j+1}
-    acc = [cur * coef[0] for coef in coefs]
-    done = [np.empty((n, m), dtype=complex) for _ in coefs]
-    buf = np.empty(nb * n * m, dtype=complex)
+    acc = cur[:, :, None] * R[0] if identity else np.matmul(cur, R[0])
+    buf = np.empty(2 * n * m, dtype=complex)
     active = np.searchsorted(-D, -np.arange(top + 1), side="right")
     width = m
     for j in range(1, top + 1):
         k = active[j]  # columns with D >= j
         if 8 * k <= 7 * width:  # one copy at a time keeps the peak memory low
-            for out, a in zip(done, acc):
-                out[:, k:width] = a[:, k:]
-            acc = [a[:, :k].copy() for a in acc]
             cur = cur[:, :k].copy()
             prev = prev[:, :k].copy()
             nxt = np.empty_like(cur)
+            diag = diag[:, : 2 * k].copy()
             width = k
-        stacked = buf[: nb * n * width].reshape(nb * n, width)
-        for i in range(nb):
-            np.multiply(cur, W[i, :width], out=stacked[i * n : (i + 1) * n])
+        stacked = buf[: 2 * n * width].reshape(2 * n, width)
+        np.multiply(cur, W[0, :width], out=stacked[:n])
+        np.multiply(cur, W[1, :width], out=stacked[n:])
         # every operand is C-ordered, so the GEMM copies nothing
         np.matmul(G, stacked.view(dtype), out=nxt.view(dtype))
+        scaled = buf[: n * width].view(np.float64).reshape(n, 2 * width)
+        np.multiply(cur.view(np.float64), diag, out=scaled)
+        np.add(nxt.view(np.float64), scaled, out=nxt.view(np.float64))
         if j == 1:
             nxt *= 0.5
         else:
             nxt -= prev
         prev, cur, nxt = cur, nxt, prev
-        for coef, a in zip(coefs, acc):
-            np.multiply(cur, coef[j, :width], out=stacked[:n])
-            a += stacked[:n]
-    for out, a in zip(done, acc):
-        out[:, :width] = a
-    return done
+        if identity:
+            acc[:, :width] += cur[:, :, None] * R[j, :width]
+        else:
+            acc += np.matmul(cur, R[j, :width])
+    return acc
 
 
 def _chebyshev_stack(
-    ds: core.DriftSplit, V: np.ndarray, eta: np.ndarray, t: float, plan: _Polynomial
+    ds: core.DriftSplit,
+    V: np.ndarray,
+    eta: np.ndarray,
+    t: float,
+    plan: _Polynomial,
+    readout: np.ndarray | None = None,
 ) -> np.ndarray:
     """exp(-itH)·v for each row v of V (m, n), H = -(η·C1h + C2h) at the
-    row's own η, by the polynomial ``plan`` (``_Polynomial``). With x the
-    row's centre and X = η·P + Q = H - x, exp(-itX) = f(X²) - i·X·g(X²)
-    with f(ζ) = cos(t√ζ) and g(ζ) = sin(t√ζ)/√ζ: two series that share one
-    recurrence, each step one GEMM with [P² - κ2·I | PQ + QP | Q² - κ0·I]
-    on (η²·T_j ; η·T_j ; T_j), and one last GEMM with [P | Q] for X·g.
-    Where no step runs (every D 0) the blocks are not built, and where X·g
-    vanishes (``degree`` 0) the last GEMM is not made either.
+    row's own η, by the polynomial ``plan`` (``_Polynomial``), as rows
+    (m, n); with a ``readout`` (m, q) their sum Σ_rows readout[row] ⊗
+    exp(-itH)·v, (q, n), instead, so no row is kept. With x the row's
+    centre and X = η·P + Q = H - x, exp(-itX) = f(X²) - i·X·g(X²) with
+    f(ζ) = cos(t√ζ) and g(ζ) = sin(t√ζ)/√ζ: two series that share one
+    recurrence (``_recurrence``), and one last GEMM with [P | Q] for X·g.
+
+    The steps run in the eigenbasis B of C1h (``DriftSplit.eigh``), where
+    P = centre·I - C1h is the diagonal p = centre - w and Q is
+    Q̃ = B†·Q·B: each step is one GEMM with [p∘Q̃ + Q̃∘p | Q̃² - κ0·I] on
+    (η·T_j ; T_j) and one elementwise product with (p² - κ2)⊗η² for the
+    block P² - κ2·I, a third fewer flops than the three blocks P² - κ2·I,
+    PQ + QP and Q² - κ0·I of the original basis. The rows enter the
+    basis by one product with B† and the result leaves it by one with B.
+    Each term is read out as it is made: the f series by the readout, the
+    g series by the readout and by η times it, which the last GEMM turns
+    into X·g. ``evolve`` reads out by the identity, which returns the rows.
+    Where no step runs (every D 0) nothing is decomposed and no block is
+    built: the last product runs in the original basis, and where X·g
+    vanishes (``degree`` 0) it is not made either.
 
     The coefficients are FFTs of f and g at c + R cos θ
     (``_coefficients``). On a real split (C1h.imag and C2h.real exactly
     zero, as ``_real_split`` tests) C2h = i·A with A real antisymmetric,
-    whose interval is symmetric, so m2 = 0 and Q = -i·A: each block is
-    real once the weight of Q carries its i (weights η², i·η and 1; η and
-    i), and each step is one real ``matmul`` on the float64 views, at half
-    the flops of a general split's complex one and about 0.6× its time.
-    The blocks and every product are numpy's GEMM (see the module
-    docstring for why). Unitary to rounding, not exactly."""
+    whose interval is symmetric, so m2 = 0 and Q = -i·A, and B is real:
+    each block is real once the weight of Q carries its i (weights i·η and
+    1; η and i), and each step and basis product is one real ``matmul``
+    on the float64 views, at half the flops of a general split's complex
+    one. The eigendecomposition, the blocks and every product are numpy's
+    (see the module docstring for why). Unitary to rounding, not exactly."""
     centre, m2, R, D, kappa2, kappa0, degree = plan
     m, n = V.shape
     order = np.argsort(-D, kind="stable")
@@ -722,87 +760,137 @@ def _chebyshev_stack(
     def root(x, rows):
         return np.sqrt(np.maximum(c[rows, None] + R[rows, None] * x, 0.0))
 
-    coefs = [
-        _coefficients(lambda x, rows: np.cos(t * root(x, rows)), D, phase),
-        _coefficients(
-            lambda x, rows: t * np.sinc(t / np.pi * root(x, rows)), D, -1j * phase
-        ),
-    ]
-    G = None
-    if D.any():
-        PQ = np.matmul(P, Q)
-        G = np.hstack([
-            np.matmul(P, P) - kappa2 * np.eye(n),
-            PQ + unit2 * PQ.conj().T,  # PQ + QP, for P = Pᴴ and Q = unit2·Qᴴ
-            unit2 * np.matmul(Q, Q) - kappa0 * np.eye(n),
-        ])
+    cos = _coefficients(lambda x, rows: np.cos(t * root(x, rows)), D, phase)
+    sin = _coefficients(
+        lambda x, rows: t * np.sinc(t / np.pi * root(x, rows)), D, -1j * phase
+    )
     f = np.divide(2.0, R, out=np.zeros_like(R), where=R > 0)
-    W = np.array([f * eta * eta, f * unit * eta, f], dtype=complex)
-    out, sine = _recurrence(dtype, G, W, coefs, V[order].T, D)
+    T = np.array(V[order].T, dtype=complex, order="C")
+    B = G = diag = None
+    if D.any():
+        w, B = ds.eigh
+        B = B.astype(dtype, copy=False)
+        p = centre - w
+        P, Q = np.diag(p), np.matmul(B.conj().T, np.matmul(Q, B))
+        T = _times(B.conj().T, T, dtype)
+        G = np.hstack([
+            (p[:, None] + p) * Q,  # p∘Q̃ + Q̃∘p
+            unit2 * np.matmul(Q, Q) - kappa0 * np.eye(n),  # (unit·Q̃)² - κ0·I
+        ])
+        diag = np.repeat(np.outer(p * p - kappa2, f * eta * eta), 2, axis=1)
+    W = np.array([f * unit * eta, f], dtype=complex)
+    if readout is None:
+        acc = _recurrence(dtype, G, W, diag, T, D, np.stack([cos, sin], axis=2), True)
+        out, sine = acc[:, :, 0], acc[:, :, 1]
+        sine_eta = sine * eta
+    else:
+        rho = readout[order]
+        reads = np.concatenate(
+            [rho * cos[:, :, None], rho * (sin * eta)[:, :, None], rho * sin[:, :, None]],
+            axis=2,
+        )
+        acc = _recurrence(dtype, G, W, diag, T, D, reads, False)
+        out, sine_eta, sine = np.split(acc, 3, axis=1)
+    out = np.array(out, order="C")
     if degree:  # f(X²)·v + X·(-i·g(X²)·v), one GEMM with [P | Q]
-        stacked = np.vstack([sine * eta, sine * unit])
-        out += np.matmul(np.hstack([P, Q]), stacked.view(dtype)).view(complex)
+        out += _times(np.hstack([P, Q]), np.vstack([sine_eta, sine * unit]), dtype)
+    if B is not None:
+        out = _times(B, out, dtype)
+    if readout is not None:
+        return out.T
     Y = np.empty((m, n), dtype=complex)
     Y[order] = out.T
     return Y
 
 
+def _times(A: np.ndarray, X: np.ndarray, dtype) -> np.ndarray:
+    """A·X for a C-ordered complex X: one real ``matmul`` on X's float64
+    view when ``dtype`` is float64 (A real), else one complex one."""
+    return np.matmul(A, X.view(dtype)).view(complex)
+
+
 def _evolve_modes(
-    ds: core.DriftSplit, eta: np.ndarray, X: np.ndarray, t: float
+    ds: core.DriftSplit,
+    eta: np.ndarray,
+    X: np.ndarray,
+    t: float,
+    readout: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str, int | None]:
     """Y[m] = exp(-it·H_m)·X[m] for H_m = -(η_m·C1h + C2h) and the (n, r)
     vectors X[m], with the kernel that ran and its largest degree in H. A
-    mode whose vectors are all zero is left at zero.
+    mode whose vectors are all zero is left at zero. With a ``readout``
+    (M, r, q) it is read out instead of returned: the (q, n) sum
+    Σ_{m,v} readout[m, v] ⊗ Y[m, :, v], made by each kernel as it runs.
 
     The kernel is priced from measured costs. The polynomial
     (``_chebyshev_stack``) runs one product per degree over all its rows,
     one nonzero vector per row: a row-degree costs O(n²), and each step a
-    fixed part more, since even one row's product reads all three blocks.
-    The reduction (``_evolve_stack``) costs O(n³) per live mode, whatever
-    its vector count. In row-degrees the polynomial costs
-    Σ (D + 2) + STEP_ROWS·(max D + 2) + 2·n over its rows
-    (``_Polynomial.cost``), and the reduction REDUCTION_ROWS·n per live
-    mode; the cheaper runs, the polynomial on a tie. Timed warm on 2 vCPUs
-    (OpenBLAS 0.3), with every row at one degree D, the polynomial and the
-    reduction break even at these D/n (the range over three runs, each a
-    line through the times at two D), against the rule's
-    (REDUCTION_ROWS·rows - 2)/(rows + STEP_ROWS), less 2/n. The cells
-    marked * have their steps on numpy's ``matmul`` and T_{j-1} subtracted
-    after it, as now; the rest were timed on scipy's GEMM with beta = -1:
+    fixed part more, since even one row's product reads both blocks. It
+    also decomposes C1h once, O(n³), unless the split has. The reduction
+    (``_evolve_stack``) costs O(n³) per live mode, whatever its vector
+    count. In row-degrees the polynomial costs
+    Σ (D + 3) + STEP_ROWS·(max D + 2) + 2·n + 7/6·n over its rows
+    (``_Polynomial.cost``; the last term is the ``eigh``), and the
+    reduction REDUCTION_ROWS·n per live mode; the cheaper runs, the
+    polynomial on a tie. Timed warm on 2 vCPUs (OpenBLAS 0.3), with every
+    row at one degree D, the polynomial and the reduction break even at
+    these D/n (the range over three runs, each a line through the times at
+    two D), against the rule's (REDUCTION_ROWS·rows - 19/6)/(rows +
+    STEP_ROWS), less at most 3/n. The cells marked * had their steps on
+    numpy's ``matmul`` with three blocks and T_{j-1} subtracted after it;
+    the cells marked † were re-timed on the kernel as it is now, two
+    blocks and a diagonal in C1h's eigenbasis with the ``eigh`` in the
+    time, on random splits with a dense C1h; the rest were timed on
+    scipy's GEMM with three blocks and beta = -1:
 
         general split (complex steps, zgemm)
-        rows n = 32       65           128          256          512          rule
-        1    -0.07..-0.06 0.04..0.07   -0.14..-0.03 -0.04..0.23  -0.01..0.00  -0.05
-        8    1.32..1.42   2.60..3.85*  0.86..1.73*  1.13..1.13   0.61..0.64   0.43
-        64   3.37..3.58   2.96..3.36*  1.67..2.51*  1.91..2.00   1.51..1.66   1.09
-        256  4.76..5.11   3.51..4.01*  2.04..2.67*  1.90..2.17   1.45..1.65   1.26
+        rows n = 32        65           128           256          512          rule
+        1    -1.12..-0.72† 0.04..0.07   -9.73..-1.66† -0.04..0.23  -0.01..0.00  -0.14
+        8    0.56..0.74†   2.60..3.85*  0.68..0.99†   1.13..1.13   0.61..0.64   0.37
+        64   3.67..4.86†   2.96..3.36*  2.47..2.59†   1.91..2.00   1.51..1.66   1.08
+        256  4.76..5.11    3.51..4.01*  2.04..2.67*   1.90..2.17   1.45..1.65   1.26
 
         real split (real steps, dgemm)
-        1    -0.04..0.02  0.29..0.30   0.48..0.52   0.54..1.21   0.16..0.17   -0.05
-        8    1.57..1.75   1.77..4.89*  1.53..2.06*  1.94..1.95   1.21..1.21   0.43
-        64   4.71..5.10   3.17..3.99*  2.86..3.79*  2.72..2.83   1.76..2.11   1.09
-        256  5.36..5.75   3.61..5.86*  2.97..4.60*  3.01..3.56   2.22..2.54   1.26
+        1    -0.56..2.11†  0.29..0.30   -1.90..-0.13† 0.54..1.21   0.16..0.17   -0.14
+        8    1.25..1.36†   1.77..4.89*  1.86..2.53†   1.94..1.95   1.21..1.21   0.37
+        64   3.41..6.44†   3.17..3.99*  3.15..3.50†   2.72..2.83   1.76..2.11   1.08
+        256  5.36..5.75    3.61..5.86*  2.97..4.60*   3.01..3.56   2.22..2.54   1.26
 
-    On scipy's GEMM a reduction cost 1.5-5.9·n row-degrees of the general
-    polynomial and 2.1-18·n of the real one (most for one row, where a
-    step's fixed part counts). The rule sits below the measured break-even
-    everywhere it is positive, so near it the reduction, which is exactly
-    unitary, runs; one row takes the polynomial only where no step runs."""
+    The † cells on the three-block kernel before it, timed the same way:
+    general -0.22..-0.03, 1.06..1.47, 1.81..2.55 at n = 32 and
+    0.05..0.12, 1.13..1.30, 2.54..2.68 at n = 128 for 1, 8 and 64 rows;
+    real -0.04..0.02, 1.55..1.80, 4.10..4.52 and 0.51..0.55, 2.22..2.33,
+    3.41..3.71. The eigenbasis moved the break-even down where the
+    ``eigh`` is a large part (few rows) and up where the steps are (many
+    rows at small n); one row's cells are noisy, as both kernels take
+    well under a millisecond there. On scipy's GEMM a reduction cost
+    1.5-5.9·n row-degrees of the general polynomial and 2.1-18·n of the
+    real one (most for one row, where a step's fixed part counts). The
+    rule sits below the measured break-even everywhere it is positive, so
+    near it the reduction, which is exactly unitary, runs; one row takes
+    the polynomial only where no step runs."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
-    Y = np.zeros_like(X)
     plan = _chebyshev_plan(
         ds, eta[live], t, nonzero[live].sum(axis=1), REDUCTION_ROWS * n * live.size
     )
     if plan is None:
-        Y[live] = _evolve_stack(_split_blocks(ds, eta[live]), X[live], t)
-        return Y, "reduction", None
-    mode, vec = np.nonzero(nonzero[live])  # mode indexes live
-    picked = plan._replace(R=plan.R[mode], D=plan.D[mode])
-    rows = X[live[mode], :, vec]  # one nonzero vector per row
-    Y[live[mode], :, vec] = _chebyshev_stack(ds, rows, eta[live][mode], t, picked)
-    return Y, "chebyshev", picked.degree
+        rows, kernel, degree = (live,), "reduction", None
+        read = None if readout is None else readout[live]
+        out = _evolve_stack(_split_blocks(ds, eta[live]), X[live], t, read)
+    else:
+        mode, vec = np.nonzero(nonzero[live])  # mode indexes live
+        rows, kernel = (live[mode], slice(None), vec), "chebyshev"
+        picked = plan._replace(R=plan.R[mode], D=plan.D[mode])
+        read = None if readout is None else readout[live[mode], vec]
+        out = _chebyshev_stack(ds, X[rows], eta[live][mode], t, picked, read)
+        degree = picked.degree
+    if readout is None:  # the identity: each row's vectors where they came from
+        Y = np.zeros_like(X)
+        Y[rows] = out
+        out = Y
+    return out, kernel, degree
 
 
 def _real_split(ds: core.DriftSplit) -> bool:
@@ -875,14 +963,20 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       interval (``_chebyshev_plan``), X_k = H_k - x_k, exp(-itX_k) is
       cos(t|X_k|) - i·X_k·sin(t|X_k|)/|X_k|, two series in X_k² of degree
       D_k about t/2 times the spread of |X_k| (2·D_k + 1 in H_k), one GEMM
-      per degree shared by every mode, on numpy's BLAS: the blocks
-      [P² - κ2 | PQ + QP | Q² - κ0] (``_folded_plan``) times the stacked
-      vectors, minus the term before, subtracted in place. On a real split
-      the blocks are real and the GEMM is a real ``matmul`` on the
-      float64 views (about 0.6× the time of the complex one a general split
-      runs); O(D_k·n²) per vector. An eigenvalue alone across a gap
-      that holds the midpoint folds onto the rest, so it widens |X_k|
-      little where it would double the interval of H_k.
+      per degree shared by every mode, on numpy's BLAS, in the eigenbasis
+      of C1h (``DriftSplit.eigh``, decomposed once when a step runs), where
+      P = centre·I - C1h is the diagonal p: the blocks
+      [p∘Q̃ + Q̃∘p | Q̃² - κ0] (``_folded_plan``) times the stacked vectors,
+      plus the diagonal (p² - κ2)·η² times the vectors, minus the term
+      before, subtracted in place. On a real split the basis and the blocks
+      are real and the GEMM is a real ``matmul`` on the float64 views;
+      O(D_k·n²) per vector. An eigenvalue alone across a gap that holds the
+      midpoint folds onto the rest, so it widens |X_k| little where it
+      would double the interval of H_k.
+
+    ``evolve`` reads each kernel out by the identity, so it returns the
+    rows themselves (``_evolve_modes``); ``propagate`` reads them out by
+    ``recover``'s weights instead and does not call ``evolve``.
 
     The polynomial runs when its measured cost (``_evolve_modes``) is at
     most REDUCTION_ROWS·n × the modes the reduction would decompose, which
@@ -933,6 +1027,10 @@ def recover(s: SpectralState, p_min: float = 0.0) -> RecoveredState:
     ``_readout_weights``, and ‖v‖ = √N·deta·‖Y‖_F by Parseval
     (``_recovered``). Both are einsums, which call no BLAS, so the readout
     adds no threaded call to the op (see the module docstring).
+    ``propagate`` applies the same weights inside the kernel
+    (``_kernel_readout``), or to the phases on a Hermitian C
+    (``_phase_readout``), so it never calls ``recover``, which serves a
+    state that ``evolve`` made.
 
     p_min shifts the readout window right: when the Hermitian drift part
     has positive eigenvalues the profile kink travels right at that speed,
@@ -1011,6 +1109,53 @@ def _phase_readout(
     return rec, int(np.count_nonzero(psi)), dropped
 
 
+def _kernel_readout(
+    x0, grid: Grid, profile: Profile, ds: core.DriftSplit, t: float, p_min: float
+) -> tuple[RecoveredState, int, float, str, int | None]:
+    """``recover(evolve(initial_state(x0, grid, profile)))`` on the real and
+    general paths without the (d+1)×N state: the readout, the modes it
+    evolves, the norm it drops, and the kernel that ran with its largest
+    degree.
+
+    The start's rows are ψ̂_k·x0 for the modes the cut keeps, and the kernel
+    (``_evolve_modes``) reads them out by ``recover``'s weights r as it
+    evolves them: x̂ = Σ_k r_k·exp(-itH_k)·ψ̂_k·x0. The general path has one
+    readout column. The real path evolves the modes k = 0..N/2 alone (see
+    ``evolve``) and reads them out into two columns: r_k, and conj(r_{-k})
+    for the partner -k, whose evolved vector is the conjugate of the row's,
+    so x̂ is the first column plus the conjugate of the second. For a real
+    x0 the row ψ̂_k·x0 serves both, as conj(ψ̂_{-k}·x0) = ψ̂_k·x0; a complex
+    x0 adds conj(ψ̂_{-k}·x0) as a second vector. Evolution is unitary, so
+    the warped norm is the start's, ‖Y‖_F = ‖x0‖·‖ψ̂‖, and no (d+1)×N state
+    is built: only the kept rows, which the kernel evolves."""
+    x0 = _start_vector(x0)
+    psi, dropped = _start_spectrum(profile, grid)
+    r = _readout_weights(grid, p_min)
+    real = _real_split(ds)
+    h = grid.N // 2 - 1  # slot of k = 0
+    kept = np.flatnonzero(psi)
+    if real:
+        kept = kept[kept >= h]  # k = 0..N/2
+    X = (psi[kept, None] * x0)[:, :, None]
+    readout = r[kept, None, None]
+    if real:
+        partnered = (kept > h) & (kept < grid.N - 1)  # 0 < k < N/2
+        # conj(r_{-k}), r_{-k} at slot 2h - (h + k)
+        back = np.where(partnered, r[np.where(partnered, 2 * h - kept, 0)].conj(), 0.0)
+        if x0.imag.any():  # a second vector conj(ψ̂_{-k}·x0) = ψ̂_k·conj(x0)
+            second = np.where(partnered[:, None], psi[kept, None] * x0.conj(), 0.0)
+            X = np.concatenate([X, second[:, :, None]], axis=2)
+            readout = np.zeros((kept.size, 2, 2), dtype=complex)
+            readout[:, 0, 0], readout[:, 1, 1] = r[kept], back
+        else:
+            readout = np.stack([r[kept], back], axis=1)[:, None, :]
+    out, kernel, degree = _evolve_modes(ds, grid.eta[kept], X, t, readout)
+    xhat = out[0] + out[1].conj() if real else out[0]
+    ynorm = float(np.linalg.norm(x0) * np.linalg.norm(psi))
+    rec = _recovered(xhat, ynorm, grid, t)
+    return rec, int(np.count_nonzero(psi)), dropped, kernel, degree
+
+
 def propagate(
     C, x0, t: float, grid: Grid, profile: Profile = SMOOTH
 ) -> RecoveredState:
@@ -1024,20 +1169,27 @@ def propagate(
     the profile and the grid alone (``_start_spectrum``), so
     ``dropped_norm`` and ``modes_evolved`` do not depend on x0 or C.
 
+    No path builds the (d+1)×N state or calls ``evolve`` or ``recover``.
     On the "hermitian" path the work is done in the eigenbasis of C1h,
     the split's one ``eigh``, which also gives the kink speed. There the
     start, the phases and the readout are folded into one sum per
-    eigenvector (``_phase_readout``), and neither the state nor ``evolve``
-    and ``recover`` run. C may also be given as its DriftSplit, which is
-    used as it is, with the decompositions it has cached."""
+    eigenvector (``_phase_readout``). On the "real" and "general" paths
+    the kept modes' rows ψ̂_k·x0 go to ``evolve``'s kernels, which read
+    them out by ``recover``'s weights as they evolve them
+    (``_kernel_readout``), so the readout is a sum the kernel adds up, and
+    the warped norm is the start's ‖x0‖·‖ψ̂‖: evolution is unitary to
+    rounding and to the polynomial's CHEBYSHEV_EPS per row, so the norm of
+    the evolved state is not measured. C may also be given as its
+    DriftSplit, which is used as it is, with the decompositions it has
+    cached."""
     t = core.require_time(t)
-    # exactly Hermitian parts, so evolve needs no check
+    # exactly Hermitian parts, so the kernels need no check
     ds = C if isinstance(C, core.DriftSplit) else core.split(C)
     x0 = core.as_vector(x0)
     if ds.C1h.shape[0] != x0.shape[0]:
         raise DimensionError("C and x0 dimensions differ")
     path = evolve_path(ds)
-    # evolve's intervals, or on a Hermitian C the phase readout, reuse them
+    # the polynomial's intervals, or on a Hermitian C the phase readout, reuse them
     top = float(ds.c1h_eigenvalues[-1])
     if top > 1e-10:
         join = "kink" if profile.m == 0 else f"C^{profile.m} join"
@@ -1055,11 +1207,9 @@ def propagate(
         rec, modes, dropped = _phase_readout(x0, grid, profile, ds, t, p_min)
         kernel, degree = "phases", None
     else:
-        v0, dropped = initial_state(x0, grid, profile)
-        vt = evolve(v0, ds, t)
-        rec = recover(vt, p_min=p_min)
-        modes = int(np.count_nonzero(v0.values.any(axis=0)))
-        kernel, degree = vt.kernel, vt.max_degree
+        rec, modes, dropped, kernel, degree = _kernel_readout(
+            x0, grid, profile, ds, t, p_min
+        )
     return replace(
         rec,
         profile=profile,

@@ -76,6 +76,25 @@ class TestSplit:
         assert np.allclose(ds.C1h, 0.0)
         assert np.allclose(ds.C2h, 0.0)
 
+    def test_c1h_eigenvalues_read_a_finished_eigh(self, monkeypatch):
+        # C2h != 0: eigvalsh unless the split's eigh has already run, whose
+        # eigenvalues are then read and no second eigensolve runs
+        C = [[0.5, 0.25], [0.0, 1.0]]
+        first, second = core.split(C), core.split(C)
+        lam, _ = second.eigh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert second.c1h_eigenvalues is lam
+        assert not calls
+        assert np.allclose(first.c1h_eigenvalues, lam, rtol=0.0, atol=1e-15)
+        assert len(calls) == 1
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 32), st.integers(-5, 5))
     def test_reconstruction_and_hermiticity(self, seed, d, exponent):

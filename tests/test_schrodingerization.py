@@ -706,7 +706,7 @@ class TestChebyshevKernel:
         ref = _per_mode_reference(vals, gen.blocks, t)
         decompositions.clear()
         out, _ = _chebyshev(gen.split, vals, grid.eta, t)
-        assert decompositions.work() == ([], 0)
+        assert decompositions.work() == ([1], 0)  # C1h's eigenbasis, no mode
         _assert_matches(out, ref, vals)
 
     @pytest.mark.parametrize(
@@ -723,7 +723,7 @@ class TestChebyshevKernel:
         vals[:, rng.random(32) < 0.3] = 0.0
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
-        assert decompositions.work() == ([], 0)
+        assert decompositions.work() == ([1], 0)
         assert (eng.evolve_path(gen.split), out.kernel) == (path, "chebyshev")
         assert 0 < out.max_degree <= d + 1  # 2·D + 1 in H: at most d/2 steps
         assert not out.values[:, ~vals.any(axis=0)].any()
@@ -815,7 +815,7 @@ class TestChebyshevKernel:
         grid = eng.make_grid(512, eng.default_domain_halfwidth(core.split(C).C1h, t))
         decompositions.clear()
         rec = eng.propagate(C, x0, t, grid)
-        assert decompositions.work() == ([], 0)
+        assert decompositions.work() == ([1], 0)
         assert (rec.path, rec.kernel) == ("general", "chebyshev")
         assert rec.max_degree < d + 1 and rec.modes_evolved < 128
         exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
@@ -910,7 +910,7 @@ class TestChebyshevKernel:
         # the cut keeps whole pairs (k, -k) and k = 0, drops k = N/2
         assert rec.modes_evolved % 2 == 1
         assert rows == [(rec.modes_evolved + 1) // 2]
-        assert decompositions.work() == ([], 0)
+        assert decompositions.work() == ([1], 0)
         assert rep.fidelity >= 1 - 1e-9
 
     @pytest.mark.parametrize(
@@ -954,7 +954,8 @@ class TestChebyshevKernel:
         assert ran == kernel
         reductions = rows if kernel == "reduction" else 0
         assert polynomial_rows == ([rows] if kernel == "chebyshev" else [])
-        assert decompositions.work() == ([], reductions)
+        # the polynomial steps in C1h's eigenbasis: one eigh, no mode reduced
+        assert decompositions.work() == ([1] if kernel == "chebyshev" else [], reductions)
         exact = np.exp(1j * t * b)[None, :, None] * X
         assert np.max(np.abs(Y - exact)) <= 1e-12 * np.linalg.norm(X)
 
@@ -966,8 +967,9 @@ class TestChebyshevKernel:
     def test_each_step_is_one_gemm(self, monkeypatch, rng, structure, gemm):
         # a real split (C1h real, C2h purely imaginary) runs every step as
         # one real matmul (dgemm) on the float64 views; any other split as
-        # one complex matmul (zgemm). Three more build the blocks and one
-        # makes the last product by X
+        # one complex matmul (zgemm). Two more take Q into C1h's eigenbasis,
+        # one builds Q̃², one takes the rows into the basis, one makes the
+        # last product by X and one takes the result back
         d, t = 32, 0.5
         grid = eng.make_grid(32, 5.0)
         gen = eng.generator_blocks(
@@ -986,7 +988,7 @@ class TestChebyshevKernel:
         monkeypatch.setattr(np, "matmul", counting)
         out = eng._chebyshev_stack(gen.split, vals.T, grid.eta, t, plan).T
         monkeypatch.undo()
-        assert calls == [gemm] * (int(plan.D.max()) + 4)
+        assert calls == [gemm] * (int(plan.D.max()) + 6)
         _assert_matches(out, _per_mode_reference(vals, gen.blocks, t), vals)
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
@@ -1046,10 +1048,10 @@ class TestChebyshevKernel:
     def test_scalar_real_split(self, monkeypatch, rng):
         # n = 1: a real 1x1 C1h and a zero C2h are a real split. Centred on
         # its eigenvalue, X = 0, so the plan's degrees are all 0 and the
-        # kernel is a phase; on intervals widened by hand the blocks, the
-        # steps and the last product run a real matmul on one vector's two
-        # real columns, and any interval that holds X²'s spectrum gives the
-        # same exponential
+        # kernel is a phase; on intervals widened by hand the basis
+        # products, the blocks, the steps and the last product run a real
+        # matmul on one vector's two real columns, and any interval that
+        # holds X²'s spectrum gives the same exponential
         ds = core.DriftSplit(C1h=np.array([[-0.7 + 0j]]), C2h=np.zeros((1, 1), complex))
         assert eng._real_split(ds)
         t, eta = 1.5, np.array([0.0, 1.0, -2.5, 6.0])
@@ -1073,7 +1075,7 @@ class TestChebyshevKernel:
         out = eng._chebyshev_stack(ds, vals.T, eta, t, wide).T
         monkeypatch.undo()
         assert D.max() > 10
-        assert steps == [(np.float64, np.float64)] * (int(D.max()) + 4)
+        assert steps == [(np.float64, np.float64)] * (int(D.max()) + 6)
         _assert_matches(out, exact, vals)
 
     @pytest.mark.parametrize("real_x0", [True, False], ids=["real-x0", "complex-x0"])
@@ -1216,6 +1218,128 @@ def test_folded_kernel_matches_expm_property(draw, real, d, t, seed):
         c = plan.kappa2 * e * e + plan.kappa0
         assert c - R - 1e-12 * c <= w[0] and w[-1] <= c + R + 1e-12 * c
         assert c - R >= -1e-15 * c
+
+
+class TestKernelReadout:
+    """propagate off the Hermitian path reads x̂ out inside the kernel: the
+    same x̂ and success probability as the state chain and the per-mode
+    eigh reference, with neither evolve nor recover called."""
+
+    @pytest.mark.parametrize(
+        "structure, real_x0, vectors",
+        [("real-nonnormal", True, 1), ("real-nonnormal", False, 2), ("general", False, 1)],
+        ids=["real-paired", "real-unpaired", "general"],
+    )
+    def test_matches_the_state_chain_and_reference(
+        self, rng, monkeypatch, structure, real_x0, vectors
+    ):
+        d, t = 64, 0.5
+        build, path = _STRUCTURES[structure]
+        C = build(rng, d)
+        x0 = rng.normal(size=d) + (0.0 if real_x0 else 1j * rng.normal(size=d))
+        grid = eng.make_grid(32, 5.0)
+        gen = eng.generator_blocks(core.split(C), grid)
+        p_min = _propagate_floor(gen.split, grid, t)
+        v0, dropped = eng.initial_state(x0, grid, eng.SMOOTH)
+        vt = eng.evolve(v0, gen.split, t)
+        chain = eng.recover(vt, p_min)
+        ref = eng.recover(
+            eng.SpectralState(_per_mode_reference(v0.values, gen.blocks, t), grid, t), p_min
+        )
+        seen = []
+        modes = eng._evolve_modes
+
+        def recording(ds, eta, X, t, readout=None):
+            seen.append((X.shape[2], None if readout is None else readout.shape[1:]))
+            return modes(ds, eta, X, t, readout)
+
+        monkeypatch.setattr(eng, "_evolve_modes", recording)
+        rec = eng.propagate(C, x0, t, grid)
+        # one row per pair on the real path, read out into two columns
+        assert seen == [(vectors, (vectors, 2 if path == "real" else 1))]
+        assert (rec.path, rec.kernel, vt.kernel) == (path, "chebyshev", "chebyshev")
+        assert rec.max_degree == vt.max_degree
+        assert (rec.modes_evolved, rec.dropped_norm) == (
+            np.count_nonzero(v0.values.any(axis=0)), dropped
+        )
+        for other in (chain, ref):
+            assert np.linalg.norm(rec.x - other.x) <= 1e-12 * np.linalg.norm(other.x)
+            assert rec.success_probability == pytest.approx(
+                other.success_probability, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
+    @pytest.mark.parametrize("d, kernel", [(64, "chebyshev"), (8, "reduction")])
+    def test_propagate_calls_neither_evolve_nor_recover(
+        self, rng, monkeypatch, structure, d, kernel
+    ):
+        def refused(name):
+            def f(*args, **kwargs):
+                raise AssertionError(f"propagate called {name}")
+
+            return f
+
+        monkeypatch.setattr(eng, "evolve", refused("evolve"))
+        monkeypatch.setattr(eng, "recover", refused("recover"))
+        C = _STRUCTURES[structure][0](rng, d)
+        x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        t = 0.5 if kernel == "chebyshev" else 2.0
+        rec = eng.propagate(C, x0, t, eng.make_grid(32, 5.0))
+        assert (rec.path, rec.kernel) == (_STRUCTURES[structure][1], kernel)
+        exact = scipy.linalg.expm((C - np.eye(d)) * t) @ x0
+        fid = np.abs(np.vdot(exact / np.linalg.norm(exact), rec.state)) ** 2
+        assert fid >= 1 - 1e-3
+
+
+def _repeated_c1h(rng, d, real):
+    """C whose C1h has an eigenvalue repeated about d/2 times, the rest in
+    [-1.2, -0.2], and a C2h of the real or general kind."""
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    ev = rng.uniform(-1.2, -0.2, d)
+    ev[: max(2, d // 2)] = ev[0]
+    S = (Q * ev) @ Q.T
+    K = rng.normal(size=(d, d))
+    if real:
+        return np.eye(d) + (S + S.T) / 2 + 0.3 * (K - K.T) / np.sqrt(d)
+    K = K + 1j * rng.normal(size=(d, d))
+    return np.eye(d) + (S + S.T) / 2 + 0.3j * (K + K.conj().T) / np.sqrt(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    real=st.booleans(),
+    repeated=st.booleans(),
+    d=st.integers(2, 24),
+    t=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(real=True, repeated=True, d=2, t=1.0, seed=0)
+@example(real=False, repeated=True, d=24, t=4.0, seed=1)
+def test_eigenbasis_polynomial_matches_the_reduction_property(real, repeated, d, t, seed):
+    """The polynomial, stepped in C1h's eigenbasis, matches the reduction
+    on every row, and the two kernels' readouts match: on random real and
+    general splits, and on C1h with an eigenvalue repeated about d/2 times."""
+    rng = np.random.default_rng(seed)
+    if repeated:
+        C = _repeated_c1h(rng, d, real)
+    else:
+        C = _STRUCTURES["real-nonnormal" if real else "general"][0](rng, d)
+    ds = core.split(C)
+    assert eng._real_split(ds) == real
+    eta = eng.make_grid(16, float(rng.uniform(np.pi, 8.0))).eta
+    V = rng.normal(size=(eta.size, d)) + 1j * rng.normal(size=(eta.size, d))
+    readout = rng.normal(size=(eta.size, 2)) + 1j * rng.normal(size=(eta.size, 2))
+    plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
+    rows = eng._chebyshev_stack(ds, V, eta, t, plan)
+    read = eng._chebyshev_stack(ds, V, eta, t, plan, readout)
+    reduced = eng._evolve_stack(eng._split_blocks(ds, eta), V[:, :, None], t)[:, :, 0]
+    reduced_read = eng._evolve_stack(
+        eng._split_blocks(ds, eta), V[:, :, None], t, readout[:, None, :]
+    )
+    _assert_matches(rows.T, reduced.T, V.T)
+    scale = np.linalg.norm(readout) * np.linalg.norm(V)
+    for got in (read, reduced_read):
+        assert np.max(np.abs(got - readout.T @ reduced)) <= 1e-12 * scale
 
 
 def _uncut_start(x0, grid, profile=eng.SMOOTH):
