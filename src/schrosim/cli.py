@@ -474,8 +474,10 @@ def run_diagnose(cfg: RunConfig) -> dict:
         if gap <= solvers.GAP_TIE_TOL
         else solvers._jacobi_time(cfg.alpha0_sq, gap, cfg.delta)
     )
+    # C1h as an array, so one eigvalsh: no eigenvector is read here, and a
+    # split with C2h == 0 (a symmetric G) would run its full eigh
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(
-        core.split(C), t_f if t_f is not None else 0.0
+        core.split(C).C1h, t_f if t_f is not None else 0.0
     )
     out = _base_report(cfg, A)
     out.update(

@@ -413,7 +413,9 @@ def _truncation(mass: np.ndarray, grid: Grid) -> tuple[np.ndarray | None, float]
     dropped = int(np.searchsorted(cumulative, TRUNCATION_EPS**2 * total, "right"))
     if dropped == 0 or total == 0.0:
         return None, 0.0
-    return np.isin(pair, order[:dropped]), float(np.sqrt(cumulative[dropped - 1] / total))
+    cut = np.zeros(pair_mass.size, dtype=bool)
+    cut[order[:dropped]] = True
+    return cut[pair], float(np.sqrt(cumulative[dropped - 1] / total))
 
 
 def _split_blocks(ds: core.DriftSplit, eta: np.ndarray):
@@ -913,19 +915,28 @@ def _phase_blocks(
     mu: np.ndarray, grid: Grid, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The phases e^{-itμ_j·η_k} on ``make_grid``'s ladder η_k = k·π/L,
-    k = k_0..N/2 consecutive, as two blocks of exponentials.
+    k = k_0..N/2 consecutive, as two blocks of powers.
 
     With the slot written as B·a + b (B about √N), k = k_0 + B·a + b, so the
     phase of slot B·a + b is outer[j, a]·inner[j, b], for the (n, N/B)
-    block ``outer`` and the (n, B) block ``inner``: n·(N/B + B) complex
-    exponentials instead of n·N.
+    block ``outer`` = e^{iθ_j·k_0}·(e^{iθ_j·B})^a and the (n, B) block
+    ``inner`` = (e^{iθ_j})^b, θ_j = -tμ_j·π/L: cumulative products along
+    the rows, from 3n complex exponentials. Their about √N roundings add
+    little to the error that the size of the argument θ_j·k sets, as in a
+    direct exponential of it.
     """
     N = grid.N
     B = 1 << (N.bit_length() - 1) // 2
     theta = (-t * grid.deta) * mu  # phase per unit step in k
-    outer = np.exp(1j * np.outer(theta, np.arange(-N // 2 + 1, N // 2 + 1, B)))
-    inner = np.exp(1j * np.outer(theta, np.arange(B)))
-    return outer, inner
+    blocks = []
+    for first, step, count in (
+        (np.exp(1j * (theta * (1 - N // 2))), np.exp(1j * (theta * B)), N // B),
+        (1.0, np.exp(1j * theta), B),
+    ):
+        P = np.empty((theta.size, count), dtype=complex)
+        P[:, 0], P[:, 1:] = first, step[:, None]
+        blocks.append(np.cumprod(P, axis=1, out=P))
+    return tuple(blocks)
 
 
 def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
@@ -1068,14 +1079,17 @@ def _recovered(xhat: np.ndarray, ynorm: float, grid: Grid, time: float) -> Recov
     """The readout x̂ of a spectral state of Frobenius norm ``ynorm`` at
     ``time``, with its success probability ‖x̂‖²·Σ_{p>0} e^{-2p} / ‖v‖²
     (clamped to 1), ‖v‖ = √N·deta·ynorm. A non-finite x̂ raises
-    NumericalError, a zero one DegenerateRecoveryError."""
+    NumericalError, a zero one DegenerateRecoveryError. The points p > 0
+    are j·dp for j = 1..N/2-1 (p_{N/2} = -L + (N/2)·dp is exactly 0 for a
+    power-of-two N), so Σ_{p>0} e^{-2p} is a geometric series."""
     if not np.all(np.isfinite(xhat)):
         raise NumericalError("recovered amplitude vector has non-finite entries")
     xnorm = float(np.linalg.norm(xhat))
     if xnorm < 1e-300:
         raise DegenerateRecoveryError("recovered amplitude vector has zero norm")
     wnorm = math.sqrt(grid.N) * grid.deta * ynorm
-    env_norm = float(np.sqrt(np.sum(np.exp(-2.0 * grid.p[grid.p > 0]))))
+    q = -2.0 * grid.dp  # Σ_{j=1}^{N/2-1} e^{jq}
+    env_norm = math.sqrt(math.exp(q) * math.expm1(q * (grid.N // 2 - 1)) / math.expm1(q))
     prob = min(1.0, (xnorm * env_norm / wnorm) ** 2) if wnorm > 0 else 0.0
     return RecoveredState(
         x=xhat, state=xhat / xnorm, success_probability=prob, time=time, grid=grid

@@ -147,11 +147,13 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     """
     ds = M if isinstance(M, core.DriftSplit) else None
     if ds is not None:  # C1h alone is C - I when C2h == 0, and Hermitian
-        M = ds.C1h + 1j * ds.C2h if ds.C2h.any() else ds.C1h
+        hermitian = not ds.C2h.any()
+        M = ds.C1h if hermitian else ds.C1h + 1j * ds.C2h
     M = core.require_square(core.as_matrix(M), "M")
     core.require_dense_size(M.shape[0])
     x0 = core.as_vector(x0)
-    hermitian = np.array_equal(M, M.conj().T)
+    if ds is None:
+        hermitian = np.array_equal(M, M.conj().T)
     try:
         if hermitian and ds is not None:
             eigvals, V = ds.eigh
@@ -166,10 +168,9 @@ def eigen_overlaps(M, x0, steady_hint: complex | None = None):
     if not hermitian:
         V = V / np.linalg.norm(V, axis=0)
     lead, gap = core.steady_mode(eigvals, steady_hint)
-    order = [lead] + sorted(
-        (j for j in range(eigvals.size) if j != lead),
-        key=lambda j: -eigvals[j].real,
-    )
+    # the rest by descending real part, ties in index order
+    order = np.argsort(-eigvals.real, kind="stable")
+    order = np.concatenate([[lead], order[order != lead]])
     eigvals = eigvals[order]
     V = V[:, order]
     coeffs = V.conj().T @ x0 if hermitian else _solve_eigenbasis(V, x0)
@@ -374,12 +375,13 @@ def quantum_jacobi_solve(
 
 def eigenvalue_from_state(state, C) -> complex:
     """Rayleigh readout ⟨s|C|s⟩ assembled from the two Hermitian
-    observables (C+C†)/2 and (C−C†)/(2i), each measured separately."""
+    observables (C+C†)/2 = C1h + I and (C−C†)/(2i) = C2h, each measured
+    separately: ⟨s|C1h|s⟩ + ⟨s|s⟩ and ⟨s|C2h|s⟩. C may also be given as
+    its DriftSplit, as in ``propagate``; an array C is split once."""
     state = core.as_vector(state)
-    C = core.require_square(core.as_matrix(C), "C")
-    Ch = C.conj().T
-    re = float(np.real(np.vdot(state, ((C + Ch) / 2) @ state)))
-    im = float(np.real(np.vdot(state, ((C - Ch) / 2j) @ state)))
+    ds = C if isinstance(C, core.DriftSplit) else core.split(C)
+    re = float(np.vdot(state, ds.C1h @ state).real + np.vdot(state, state).real)
+    im = float(np.vdot(state, ds.C2h @ state).real)
     return complex(re, im)
 
 
@@ -441,7 +443,7 @@ def quantum_power_method(
 
     # exp-abs: 4× the success probability; on a Hermitian C truncation saves no work
     rec = engine.propagate(ds, x0, t_max, grid, profile=engine.EXP_ABS)
-    lam_hat = eigenvalue_from_state(rec.state, C)
+    lam_hat = eigenvalue_from_state(rec.state, ds)
     c1 = V[:, 0]
     fidelity = float(np.abs(np.vdot(c1, rec.state)) ** 2)
     bound = eigenvalue_error_bound(float(np.sqrt(trace)), fidelity)

@@ -42,6 +42,19 @@ def vec(tmp_path, name, v):
     return write(tmp_path, name, json.dumps(list(v)))
 
 
+def _counting_spectra(monkeypatch):
+    """Record the name of each numpy eigh, eigvalsh, eig and eigvals call;
+    returns the list of names."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 # a real non-normal 3x3 C, as Matrix Market entry lines
 REAL_3X3 = "1 1 0.9\n1 2 0.2\n2 2 0.5\n2 3 0.1\n3 1 0.05\n3 3 0.3\n"
 
@@ -784,16 +797,32 @@ class TestRunDiagnose:
         A = random_dominant(np.random.default_rng(17), 17)[0]
         path = mm_real(tmp_path, "A.mtx", A)
         refuse_scipy_linalg(monkeypatch)
-        calls = []
-        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-            def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+        calls = _counting_spectra(monkeypatch)
         out = cli.run_diagnose(RunConfig(command="diagnose", matrix_path=path))
         assert sorted(calls) == ["eigvals", "eigvalsh"]
         assert out["t_f_predicted"] is not None and len(out["eigenvalues"]) == 18
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric-G", "general-G"])
+    def test_half_width_reads_eigenvalues_alone(self, tmp_path, monkeypatch, symmetric):
+        # L reads C1h's eigenvalues and no eigenvector: one eigvalsh and no
+        # eigh, also where a symmetric A with a constant diagonal makes G,
+        # and so C, symmetric, whose split would run its full eigh
+        d = 40
+        M = np.random.default_rng(40).uniform(-1.0, 1.0, (d, d))
+        M = (M + M.T) / 2 if symmetric else M
+        np.fill_diagonal(M, 0.0)
+        A = M + 2.0 * d * np.eye(d)  # diagonally dominant
+        path = mm_real(tmp_path, "A.mtx", A)
+        calls = _counting_spectra(monkeypatch)
+        out = cli.run_diagnose(RunConfig(command="diagnose", matrix_path=path))
+        assert sorted(calls) == ["eigvals", "eigvalsh"]
+        monkeypatch.undo()
+        # the value the split's own eigenvalues give, eigh's when C2h == 0
+        s = solvers.build_splitting(A, np.zeros(d))
+        ds = core.split(core.augment(s.G, s.g))
+        assert (not ds.C2h.any()) == symmetric
+        L = engine.default_domain_halfwidth(ds, out["t_f_predicted"])
+        assert out["recommended_grid"]["L"] == pytest.approx(L, rel=1e-12)
 
 
 class TestDeterminism:

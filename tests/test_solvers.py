@@ -1,9 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from schrosim import baselines, core, schrodingerization, solvers
@@ -217,6 +218,91 @@ class TestEigenOverlaps:
         else:
             with pytest.raises(NumericalError, match="reciprocal condition number 9.99e-11"):
                 solvers._solve_eigenbasis(V, x0)
+
+
+_ORDER_KINDS = ("hermitian-diagonal", "hermitian-rotated", "triangular-blocks", "real-random")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(_ORDER_KINDS),
+    values=st.lists(st.sampled_from([-0.9, -0.5, 0.0, 0.3]), min_size=1, max_size=6),
+    complex_entries=st.booleans(),
+    as_split=st.booleans(),
+    hint=st.sampled_from([None, 0j, -0.5 + 0j]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    kind="hermitian-diagonal", values=[0.3, -0.5, 0.3, -0.5, 0.0],
+    complex_entries=False, as_split=False, hint=None, seed=0,
+)
+@example(
+    kind="triangular-blocks", values=[-0.5, 0.0, -0.5],
+    complex_entries=True, as_split=False, hint=-0.5 + 0j, seed=1,
+)
+@example(
+    kind="real-random", values=[0.0] * 6,
+    complex_entries=False, as_split=True, hint=None, seed=2,
+)
+def test_eigen_overlaps_order_is_the_stable_sort_property(
+    kind, values, complex_entries, as_split, hint, seed
+):
+    """eigen_overlaps puts the steady eigenvalue first and the rest by
+    descending real part, ties in the order the eigensolver returned them:
+    the order of the stable sort [lead] + sorted(rest, key=-Re λ), on
+    arrays and on splits. The exact ties come from a diagonal with repeated
+    entries, from 2×2 triangular blocks with a repeated diagonal entry
+    across blocks, and from the conjugate pairs of a real eig."""
+    rng = np.random.default_rng(seed)
+    d = len(values)
+    lam = np.array(values)
+    if kind == "hermitian-diagonal":
+        M = np.diag(lam)
+    elif kind == "hermitian-rotated":
+        Z = rng.normal(size=(d, d)) + 1j * complex_entries * rng.normal(size=(d, d))
+        Q, _ = np.linalg.qr(Z)
+        M = (Q * lam) @ Q.conj().T
+        M = (M + M.conj().T) / 2
+    elif kind == "triangular-blocks":  # blocks [[a, u], [0, a + 0.25]]
+        M = np.diag(lam).astype(complex)
+        for j in range(0, d - 1, 2):
+            M[j + 1, j + 1] = lam[j] + 0.25
+            M[j, j + 1] = rng.normal() + 1j * complex_entries * rng.normal()
+        perm = rng.permutation(d)
+        M = M[perm][:, perm]
+    else:
+        M = rng.normal(size=(d, d))
+    x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    arg = core.split(M + np.eye(d)) if as_split else M
+    seen = []
+
+    def recording(f):
+        def wrapper(*args, **kwargs):
+            out = f(*args, **kwargs)
+            seen.append((f.__name__, out))
+            return out
+        return wrapper
+
+    with (
+        mock.patch.object(np.linalg, "eig", recording(np.linalg.eig)),
+        mock.patch.object(np.linalg, "eigh", recording(np.linalg.eigh)),
+    ):
+        try:
+            eigvals, _, V, gap = solvers.eigen_overlaps(arg, x0, hint)
+        except NumericalError:  # an eigenbasis too ill-conditioned to expand in
+            return
+    [(name, (raw, W))] = seen
+    raw = raw.astype(complex)
+    W = W.astype(complex)
+    if name == "eig":
+        W = W / np.linalg.norm(W, axis=0)
+    lead, gap_ref = core.steady_mode(raw, hint)
+    order = [lead] + sorted(
+        (j for j in range(d) if j != lead), key=lambda j: -raw[j].real
+    )
+    assert np.array_equal(eigvals, raw[order])
+    assert np.array_equal(V, W[:, order])
+    assert gap == gap_ref
 
 
 class TestBuildSplitting:
@@ -567,6 +653,36 @@ class TestEigenvalueFromState:
         s /= np.linalg.norm(s)
         lam = solvers.eigenvalue_from_state(s, C)
         assert abs(lam - np.vdot(s, C @ s)) <= 1e-12 * d
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    structure=st.sampled_from(["hermitian", "real non-normal", "complex non-normal"]),
+    d=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_readout_matches_the_observable_formula_property(structure, d, seed):
+    """On a split, ⟨s|C1h|s⟩ + ⟨s|s⟩ + i·⟨s|C2h|s⟩ is the readout from
+    the observables (C+C†)/2 and (C−C†)/(2i) built from C, to 1e-13 of
+    max(1, |λ|); an array C gives the split's value bit for bit."""
+    rng = np.random.default_rng(seed)
+    if structure == "hermitian":
+        C = _exact_hermitian(rng, d, 1.0)
+    else:
+        C = rng.uniform(-1, 1, (d, d))
+        if structure == "complex non-normal":
+            C = C + 1j * rng.uniform(-1, 1, (d, d))
+    s = rng.normal(size=d) + 1j * rng.normal(size=d)
+    s /= np.linalg.norm(s)
+    Ch = C.conj().T
+    ref = complex(
+        np.vdot(s, ((C + Ch) / 2) @ s).real, np.vdot(s, ((C - Ch) / 2j) @ s).real
+    )
+    lam = solvers.eigenvalue_from_state(s, core.split(C))
+    assert abs(lam - ref) <= 1e-13 * max(1.0, abs(ref))
+    assert lam == solvers.eigenvalue_from_state(s, C)
+    if structure == "hermitian":
+        assert lam.imag == 0.0
 
 
 class TestQuantumPowerMethod:
