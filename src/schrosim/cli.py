@@ -438,8 +438,7 @@ def run_evolve(cfg: RunConfig) -> dict:
     t = _explicit_time(cfg)
     if t is None:
         raise InvalidInputError("evolve requires an explicit --t")
-    # one split, with its C1h eigenvalues (on a Hermitian C its one eigh of
-    # C1h), serves L and the engine
+    # one split, with its one eigh of C1h, serves L and the engine
     ds = core.split(C)
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(ds, t)
     rec = engine.propagate(ds, x0, t, engine.make_grid(cfg.N, L))
@@ -475,7 +474,7 @@ def run_diagnose(cfg: RunConfig) -> dict:
         else solvers._jacobi_time(cfg.alpha0_sq, gap, cfg.delta)
     )
     # C1h as an array, so one eigvalsh: no eigenvector is read here, and a
-    # split with C2h == 0 (a symmetric G) would run its full eigh
+    # split would run its full eigh
     L = cfg.L if cfg.L is not None else engine.default_domain_halfwidth(
         core.split(C).C1h, t_f if t_f is not None else 0.0
     )

@@ -80,7 +80,9 @@ def hermiticity_defect(m: np.ndarray) -> float:
 @dataclass(frozen=True)
 class DriftSplit:
     """Hermitian decomposition of the drift: C - I = C1h + i·C2h with
-    C1h = (C+C†)/2 - I and C2h = (C−C†)/(2i), both Hermitian."""
+    C1h = (C+C†)/2 - I and C2h = (C−C†)/(2i), both Hermitian, and the one
+    eigendecomposition of C1h (``eigh``) that every reader of C1h's
+    spectrum shares."""
 
     C1h: np.ndarray
     C2h: np.ndarray
@@ -88,28 +90,18 @@ class DriftSplit:
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """C1h = W·diag(w)·W† as (w, W), w ascending, both read-only, in real
-        arithmetic when C1h is real. On a Hermitian C (C2h = 0) W diagonalises
-        every mode's generator η·(-C1h), so this one decomposition serves the
-        overlaps, the half-width, the kink speed and the phase readout."""
+        arithmetic when C1h is real: the split's one decomposition of C1h.
+        Its eigenvalues serve the kink speed, the half-width, the affine
+        scale and the polynomial's fold and interval, and W is the
+        polynomial's basis; on a Hermitian C (C2h = 0) W diagonalises every
+        mode's generator η·(-C1h), so it also serves the overlaps and the
+        phase readout. C1h must not be changed once it has run."""
         try:
             w, W = np.linalg.eigh(real_if_exact(self.C1h))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition of C1h failed: {exc}") from exc
         w.flags.writeable = W.flags.writeable = False
         return w, W
-
-    @cached_property
-    def c1h_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of C1h, ascending and read-only: ``eigh``'s when C2h
-        is zero or ``eigh`` has already run, else one numpy ``eigvalsh``, in
-        real arithmetic when C1h is real. They serve the kink speed and the
-        polynomial intervals of ``schrodingerization``, so C1h must not be
-        changed once they are read."""
-        if not self.C2h.any() or "eigh" in vars(self):
-            return self.eigh[0]
-        w = np.linalg.eigvalsh(real_if_exact(self.C1h))
-        w.flags.writeable = False
-        return w
 
 
 def augment(G, g) -> np.ndarray:
@@ -188,8 +180,8 @@ def spectrum(
     """Dense eigenvalues of M (complex, in LAPACK order), with the index of
     the steady eigenvalue and the gap from it, as ``steady_mode`` picks
     them. A real M (zero imaginary part) is solved in real arithmetic. It
-    runs on numpy's LAPACK, as ``DriftSplit.c1h_eigenvalues`` does, so a
-    ``diagnose`` wakes only numpy's thread pool."""
+    runs on numpy's LAPACK, as ``DriftSplit.eigh`` does, so a ``diagnose``
+    wakes only numpy's thread pool."""
     M = require_square(as_matrix(M), "M")
     require_dense_size(M.shape[0])
     try:

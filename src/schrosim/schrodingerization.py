@@ -10,9 +10,10 @@ mode, exactly unitary) or, when its measured cost is lower, a Chebyshev
 polynomial in products with C1h and C2h, batched over the modes (unitary
 to rounding): the series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η
 centred at the midpoint of C1h's interval, so its degree follows the
-spread of |X| rather than that of X. The polynomial steps in the
-eigenbasis W of C1h = W·diag(w)·W† that the drift split caches
-(``core.DriftSplit.eigh``), where C1h is diagonal: each step is one GEMM
+spread of |X| rather than that of X. The drift split's one
+decomposition of C1h = W·diag(w)·W† (``core.DriftSplit.eigh``) gives w to
+the kink speed, the half-width and the polynomial's fold, and W to the
+polynomial as the basis it steps in, where C1h is diagonal: each step is one GEMM
 with two blocks and one elementwise product with a diagonal, written into
 a buffer from which the previous term is subtracted in place; for a real
 C the GEMM is a real one on the float64 view of the complex vectors.
@@ -33,9 +34,9 @@ numpy and scipy each link their own OpenBLAS, each with a pool of threads
 that keep spinning for about 0.1 s after a threaded call. On a machine
 with few cores a threaded call on one pool can stall until the other
 pool's threads stop spinning, so every path runs on numpy's pool, the one
-its callers use too: the phase readout, the eigenvalues of C1h and C2h,
-the polynomial's eigenbasis (``DriftSplit.eigh``), blocks and steps, and
-``default_domain_halfwidth``. Only the reduction kernel
+its callers use too: the phase readout, the decomposition of C1h
+(``DriftSplit.eigh``), the eigenvalues of C2h, the polynomial's blocks
+and steps, and ``default_domain_halfwidth``. Only the reduction kernel
 (``_evolve_stack``) runs on scipy's, whose LAPACK wrappers alone expose
 the tridiagonal reduction; the transforms, the truncation, the
 reduction's readout and ``recover`` call no BLAS.
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, NamedTuple
 
@@ -278,10 +279,11 @@ def default_domain_halfwidth(C1h: np.ndarray | core.DriftSplit, t: float) -> flo
     """Half-width rule: transport speed is bounded by the largest Hermitian
     drift eigenvalue, so L = 4 + t·ρ keeps the p > 0 region clear of
     wrap-around while holding the boundary truncation e^{-L} small. ρ is
-    read from the ``c1h_eigenvalues`` of a DriftSplit passed in place of
-    C1h, else from C1h's own eigenvalues."""
+    read from the eigenvalues of the ``eigh`` of a DriftSplit passed in
+    place of C1h, else from one ``eigvalsh`` of C1h, which decomposes no
+    eigenvector."""
     if isinstance(C1h, core.DriftSplit):
-        eigs = C1h.c1h_eigenvalues
+        eigs = C1h.eigh[0]
     else:
         eigs = np.linalg.eigvalsh(core.real_if_exact(C1h))
     return max(float(np.pi), 4.0 + t * float(np.max(np.abs(eigs), initial=0.0)))
@@ -441,27 +443,24 @@ def _evolve_stack(blocks, X: np.ndarray, t: float, readout=None) -> np.ndarray:
     applied by dgemm to the real view of the vectors. The loop calls only
     scipy's LAPACK and BLAS, since numpy exposes no tridiagonal reduction:
     it is the one kernel off numpy's thread pool. The readout's sum is an
-    einsum, which calls no BLAS.
+    einsum, which calls no BLAS. n >= 2: on a 1×1 split every degree of the
+    polynomial is 0, so ``_evolve_modes`` never reduces one.
     """
     M, n, r = X.shape
     Y = np.empty((M, n, r), dtype=complex)
-    if n == 1:
-        for m, H in enumerate(blocks):
-            Y[m] = np.exp(-1j * t * H[0, 0].real) * X[m]
-    else:
-        lwork = int(_lapack("zhetrd_lwork", n, lower=1)[0].real)
-        for m, H in enumerate(blocks):
-            c, d, e, tau = _lapack("zhetrd", H, lower=1, lwork=lwork, overwrite_a=1)
-            w, Z = _lapack("dstevd", d, e)
-            refl = np.asfortranarray(c[1:, :-1])
-            x = np.array(X[m])  # C order: its real view is (n, 2r)
-            x[1:] = _lapack("zunmqr", "L", "C", refl, tau, x[1:], r)[0]
-            # dgemm sees the real view transposed, (2r, n): xᵀ·Z = (Zᵀ·x)ᵀ
-            x = blas.dgemm(1.0, x.view(np.float64).T, Z).T.view(complex)
-            x *= np.exp(-1j * t * w)[:, None]
-            x = blas.dgemm(1.0, x.view(np.float64).T, Z, trans_b=1).T.view(complex)
-            Y[m, 0] = x[0]
-            Y[m, 1:] = _lapack("zunmqr", "L", "N", refl, tau, x[1:], r)[0]
+    lwork = int(_lapack("zhetrd_lwork", n, lower=1)[0].real)
+    for m, H in enumerate(blocks):
+        c, d, e, tau = _lapack("zhetrd", H, lower=1, lwork=lwork, overwrite_a=1)
+        w, Z = _lapack("dstevd", d, e)
+        refl = np.asfortranarray(c[1:, :-1])
+        x = np.array(X[m])  # C order: its real view is (n, 2r)
+        x[1:] = _lapack("zunmqr", "L", "C", refl, tau, x[1:], r)[0]
+        # dgemm sees the real view transposed, (2r, n): xᵀ·Z = (Zᵀ·x)ᵀ
+        x = blas.dgemm(1.0, x.view(np.float64).T, Z).T.view(complex)
+        x *= np.exp(-1j * t * w)[:, None]
+        x = blas.dgemm(1.0, x.view(np.float64).T, Z, trans_b=1).T.view(complex)
+        Y[m, 0] = x[0]
+        Y[m, 1:] = _lapack("zunmqr", "L", "N", refl, tau, x[1:], r)[0]
     return Y if readout is None else np.einsum("mvq,mnv->qn", readout, Y)
 
 
@@ -538,7 +537,7 @@ class _Polynomial(NamedTuple):
     kappa0: float
     degree: int
 
-    def cost(self, vectors: np.ndarray, n: int, decomposed: bool = False) -> float:
+    def cost(self, vectors: np.ndarray, n: int) -> float:
         """Its cost in row-degrees (``_evolve_modes``) for ``vectors`` per
         row and n×n blocks: its blocks, second coefficient table and last
         product by X cost about two steps and 2·n row-degrees more than its
@@ -548,17 +547,14 @@ class _Polynomial(NamedTuple):
         against the 2n² multiply-adds of a row-degree (one vector's product
         with the two blocks of a step): the two basis products, n² per
         vector into the basis and at most n² per vector out, one row-degree
-        per vector; and, unless the split has it cached (``decomposed``),
-        the ``eigh`` of C1h, 4/3·n³ flops to reduce it to tridiagonal form,
-        at most 4/3·n³ to divide and conquer and 2·n³ to transform back,
-        7/3·n³ multiply-adds or 7/6·n row-degrees. With every D at 0 no step
-        runs and nothing is decomposed or built, so only the last product is
-        charged, a row-degree per vector, and nothing when it is skipped too
-        (``degree`` 0)."""
+        per vector. The ``eigh`` of C1h that gives the basis is not charged:
+        the plan reads its eigenvalues, so it has run before either kernel
+        is priced. With every D at 0 no step runs and no block is built, so
+        only the last product is charged, a row-degree per vector, and
+        nothing when it is skipped too (``degree`` 0)."""
         if self.D.any():
             D = self.D + 2.0
-            eigh = 0.0 if decomposed else 7.0 / 6.0 * n
-            return float(vectors @ (D + 1.0) + STEP_ROWS * D.max() + 2 * n + eigh)
+            return float(vectors @ (D + 1.0) + STEP_ROWS * D.max() + 2 * n)
         return float(vectors.sum()) if self.degree else 0.0
 
 
@@ -582,7 +578,7 @@ def _folded_plan(
     r2/|η| → 0, and κ0, the least with c >= b²/2 on every row, keeps the
     interval c ± R, R = max(b² - c, c - a²), inside ζ >= 0, where f and g
     of ``_folded_degree`` stay bounded."""
-    w1 = ds.c1h_eigenvalues
+    w1 = ds.eigh[0]
     h = float(np.min(np.abs(w1 - centre)))
     F = max(centre - float(w1[0]), float(w1[-1]) - centre)
     r2, e = 0.5 * (c2h[1] - c2h[0]), np.abs(eta)
@@ -602,7 +598,7 @@ def _chebyshev_plan(
     """The polynomial for the rows at η with ``vectors`` vectors each,
     folded about the midpoint m of C1h's interval, or None when it costs
     more than ``budget`` (``_Polynomial.cost``). C1h's eigenvalues are read
-    off the split, and C2h is eigensolved once.
+    off the split's ``eigh``, and C2h is eigensolved once.
 
     The midpoint of the widest gap never folds narrower. About a centre s
     the spread of |X| is |η|·(F - h) + 2·r2 (less where a = 0, then b),
@@ -617,11 +613,10 @@ def _chebyshev_plan(
     eigenvalue near 0, the rest in [-1.16, -0.85], where m lies in the
     gap and folds the lone eigenvalue onto the bulk), and on 583 of 600
     random spectra, the other 17 within 1.5%."""
-    w1 = ds.c1h_eigenvalues
+    w1 = ds.eigh[0]
     centre = 0.5 * float(w1[0] + w1[-1])
     plan = _folded_plan(ds, eta, t, _spectral_interval(ds.C2h), centre)
-    cost = plan.cost(vectors, ds.C1h.shape[0], decomposed="eigh" in vars(ds))
-    return plan if cost <= budget else None
+    return plan if plan.cost(vectors, ds.C1h.shape[0]) <= budget else None
 
 
 def _coefficients(sample, D: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -733,8 +728,8 @@ def _chebyshev_stack(
     Each term is read out as it is made: the f series by the readout, the
     g series by the readout and by η times it, which the last GEMM turns
     into X·g. ``evolve`` reads out by the identity, which returns the rows.
-    Where no step runs (every D 0) nothing is decomposed and no block is
-    built: the last product runs in the original basis, and where X·g
+    Where no step runs (every D 0) no block is built and the basis is not
+    used: the last product runs in the original basis, and where X·g
     vanishes (``degree`` 0) it is not made either.
 
     The coefficients are FFTs of f and g at c + R cos θ
@@ -827,50 +822,46 @@ def _evolve_modes(
     The kernel is priced from measured costs. The polynomial
     (``_chebyshev_stack``) runs one product per degree over all its rows,
     one nonzero vector per row: a row-degree costs O(n²), and each step a
-    fixed part more, since even one row's product reads both blocks. It
-    also decomposes C1h once, O(n³), unless the split has. The reduction
-    (``_evolve_stack``) costs O(n³) per live mode, whatever its vector
-    count. In row-degrees the polynomial costs
-    Σ (D + 3) + STEP_ROWS·(max D + 2) + 2·n + 7/6·n over its rows
-    (``_Polynomial.cost``; the last term is the ``eigh``), and the
-    reduction REDUCTION_ROWS·n per live mode; the cheaper runs, the
-    polynomial on a tie. Timed warm on 2 vCPUs (OpenBLAS 0.3), with every
-    row at one degree D, the polynomial and the reduction break even at
-    these D/n (the range over three runs, each a line through the times at
-    two D), against the rule's (REDUCTION_ROWS·rows - 19/6)/(rows +
-    STEP_ROWS), less at most 3/n. The cells marked * had their steps on
-    numpy's ``matmul`` with three blocks and T_{j-1} subtracted after it;
-    the cells marked † were re-timed on the kernel as it is now, two
-    blocks and a diagonal in C1h's eigenbasis with the ``eigh`` in the
-    time, on random splits with a dense C1h; the rest were timed on
-    scipy's GEMM with three blocks and beta = -1:
+    fixed part more, since even one row's product reads both blocks. The
+    reduction (``_evolve_stack``) costs O(n³) per live mode, whatever its
+    vector count. The ``eigh`` of C1h is charged to neither: the plan
+    reads its eigenvalues, so it has run before either kernel is priced.
+    In row-degrees the polynomial costs Σ (D + 3) + STEP_ROWS·(max D + 2)
+    + 2·n over its rows (``_Polynomial.cost``), and the reduction
+    REDUCTION_ROWS·n per live mode; the cheaper runs, the polynomial on a
+    tie. Timed warm on 2 vCPUs (OpenBLAS 0.3), with every row at one
+    degree D, the polynomial and the reduction break even at these D/n
+    (the range over three runs, each a line through the times at two D),
+    against the rule's (REDUCTION_ROWS·rows - 2)/(rows + STEP_ROWS), less
+    at most 3/n. The cells marked * had their steps on numpy's ``matmul``
+    with three blocks and T_{j-1} subtracted after it; the cells marked †
+    were re-timed on the kernel as it is now, two blocks and a diagonal in
+    C1h's eigenbasis, with the ``eigh`` outside both kernels' time (the
+    least of 21 runs each), on random splits with a dense C1h; the rest
+    were timed on scipy's GEMM with three blocks and beta = -1:
 
         general split (complex steps, zgemm)
         rows n = 32        65           128           256          512          rule
-        1    -1.12..-0.72† 0.04..0.07   -9.73..-1.66† -0.04..0.23  -0.01..0.00  -0.14
-        8    0.56..0.74†   2.60..3.85*  0.68..0.99†   1.13..1.13   0.61..0.64   0.37
-        64   3.67..4.86†   2.96..3.36*  2.47..2.59†   1.91..2.00   1.51..1.66   1.08
+        1    -0.72..-0.10† 0.04..0.07   -0.06..0.11†  -0.04..0.23  -0.01..0.00  -0.05
+        8    0.94..1.35†   2.60..3.85*  1.28..1.36†   1.13..1.13   0.61..0.64   0.43
+        64   2.53..4.06†   2.96..3.36*  2.29..2.72†   1.91..2.00   1.51..1.66   1.09
         256  4.76..5.11    3.51..4.01*  2.04..2.67*   1.90..2.17   1.45..1.65   1.26
 
         real split (real steps, dgemm)
-        1    -0.56..2.11†  0.29..0.30   -1.90..-0.13† 0.54..1.21   0.16..0.17   -0.14
-        8    1.25..1.36†   1.77..4.89*  1.86..2.53†   1.94..1.95   1.21..1.21   0.37
-        64   3.41..6.44†   3.17..3.99*  3.15..3.50†   2.72..2.83   1.76..2.11   1.08
+        1    -0.06..0.01†  0.29..0.30   0.45..0.54†   0.54..1.21   0.16..0.17   -0.05
+        8    1.26..1.68†   1.77..4.89*  2.13..2.88†   1.94..1.95   1.21..1.21   0.43
+        64   2.67..3.95†   3.17..3.99*  3.07..3.17†   2.72..2.83   1.76..2.11   1.09
         256  5.36..5.75    3.61..5.86*  2.97..4.60*   3.01..3.56   2.22..2.54   1.26
 
-    The † cells on the three-block kernel before it, timed the same way:
-    general -0.22..-0.03, 1.06..1.47, 1.81..2.55 at n = 32 and
-    0.05..0.12, 1.13..1.30, 2.54..2.68 at n = 128 for 1, 8 and 64 rows;
-    real -0.04..0.02, 1.55..1.80, 4.10..4.52 and 0.51..0.55, 2.22..2.33,
-    3.41..3.71. The eigenbasis moved the break-even down where the
-    ``eigh`` is a large part (few rows) and up where the steps are (many
-    rows at small n); one row's cells are noisy, as both kernels take
-    well under a millisecond there. On scipy's GEMM a reduction cost
-    1.5-5.9·n row-degrees of the general polynomial and 2.1-18·n of the
-    real one (most for one row, where a step's fixed part counts). The
-    rule sits below the measured break-even everywhere it is positive, so
-    near it the reduction, which is exactly unitary, runs; one row takes
-    the polynomial only where no step runs."""
+    One row's cells are noisy, as both kernels take well under a
+    millisecond there. On scipy's GEMM a reduction cost 1.5-5.9·n
+    row-degrees of the general polynomial and 2.1-18·n of the real one
+    (most for one row, where a step's fixed part counts). The rule sits
+    below the measured break-even everywhere it is positive, so near it
+    the reduction, which is exactly unitary, runs. For one row it is
+    below -2/n, so the polynomial runs only where no step runs, and the
+    reduction wherever one would: at n = 32 on a general split, whose
+    break-even lies at or below 0, that is the cheaper kernel too."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
@@ -975,7 +966,8 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
       cos(t|X_k|) - i·X_k·sin(t|X_k|)/|X_k|, two series in X_k² of degree
       D_k about t/2 times the spread of |X_k| (2·D_k + 1 in H_k), one GEMM
       per degree shared by every mode, on numpy's BLAS, in the eigenbasis
-      of C1h (``DriftSplit.eigh``, decomposed once when a step runs), where
+      of C1h (``DriftSplit.eigh``, the split's one decomposition, whose
+      eigenvalues the plan reads on either kernel), where
       P = centre·I - C1h is the diagonal p: the blocks
       [p∘Q̃ + Q̃∘p | Q̃² - κ0] (``_folded_plan``) times the stacked vectors,
       plus the diagonal (p² - κ2)·η² times the vectors, minus the term
@@ -1075,13 +1067,16 @@ def _readout_weights(grid: Grid, p_min: float) -> np.ndarray:
     return np.fft.fft(u)[m] * (sign * (grid.deta / norm2))
 
 
-def _recovered(xhat: np.ndarray, ynorm: float, grid: Grid, time: float) -> RecoveredState:
+def _recovered(
+    xhat: np.ndarray, ynorm: float, grid: Grid, time: float, **record
+) -> RecoveredState:
     """The readout x̂ of a spectral state of Frobenius norm ``ynorm`` at
     ``time``, with its success probability ‖x̂‖²·Σ_{p>0} e^{-2p} / ‖v‖²
-    (clamped to 1), ‖v‖ = √N·deta·ynorm. A non-finite x̂ raises
-    NumericalError, a zero one DegenerateRecoveryError. The points p > 0
-    are j·dp for j = 1..N/2-1 (p_{N/2} = -L + (N/2)·dp is exactly 0 for a
-    power-of-two N), so Σ_{p>0} e^{-2p} is a geometric series."""
+    (clamped to 1), ‖v‖ = √N·deta·ynorm, and the ``record`` fields of
+    ``RecoveredState``. A non-finite x̂ raises NumericalError, a zero one
+    DegenerateRecoveryError. The points p > 0 are j·dp for j = 1..N/2-1
+    (p_{N/2} = -L + (N/2)·dp is exactly 0 for a power-of-two N), so
+    Σ_{p>0} e^{-2p} is a geometric series."""
     if not np.all(np.isfinite(xhat)):
         raise NumericalError("recovered amplitude vector has non-finite entries")
     xnorm = float(np.linalg.norm(xhat))
@@ -1092,59 +1087,47 @@ def _recovered(xhat: np.ndarray, ynorm: float, grid: Grid, time: float) -> Recov
     env_norm = math.sqrt(math.exp(q) * math.expm1(q * (grid.N // 2 - 1)) / math.expm1(q))
     prob = min(1.0, (xnorm * env_norm / wnorm) ** 2) if wnorm > 0 else 0.0
     return RecoveredState(
-        x=xhat, state=xhat / xnorm, success_probability=prob, time=time, grid=grid
+        x=xhat, state=xhat / xnorm, success_probability=prob, time=time, grid=grid, **record
     )
 
 
-def _phase_readout(
-    x0, grid: Grid, profile: Profile, ds: core.DriftSplit, t: float, p_min: float
-) -> tuple[RecoveredState, int, float]:
-    """``recover(evolve(initial_state(x0, grid, profile)))`` for a Hermitian
-    C, whose split ``ds`` has C1h = W·diag(λ)·W† (``ds.eigh``), without the
-    (d+1)×N state: the readout, the modes it evolves and the norm it drops.
+def _phase_readout(x0, psi, r, ds: core.DriftSplit, grid: Grid, t: float) -> np.ndarray:
+    """The readout x̂ of ``recover(evolve(initial_state(x0, grid, profile)))``
+    for a Hermitian C, whose split ``ds`` has C1h = W·diag(λ)·W†
+    (``ds.eigh``), from the cut ψ̂ of the profile and ``recover``'s weights
+    r, without the (d+1)×N state.
 
     -C1h = W·diag(μ)·W† with μ = -λ. In W's coordinates the start is c⊗ψ̂
-    with c = W†x0 and ψ̂ cut by ``_start_spectrum``. Evolution multiplies
-    entry (j, k) by e^{-itμ_jη_k}, and the readout is x̂ = W·(Y·r), so
-    x̂ = W·(c ∘ Φ) with Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live
-    modes: the phase blocks of ``_phase_blocks`` turn that sum into one
-    (n, B)·(B, N/B) product and a row-wise dot with the (n, N/B) block.
-    The phases have modulus 1, so ‖Y‖_F = ‖c‖·‖ψ̂‖.
-    Memory is O(N + d·√N); every call is numpy's."""
-    x0 = _start_vector(x0)
-    psi, dropped = _start_spectrum(profile, grid)
+    with c = W†x0. Evolution multiplies entry (j, k) by e^{-itμ_jη_k}, and
+    the readout is x̂ = W·(Y·r), so x̂ = W·(c ∘ Φ) with
+    Φ_j = Σ_k r_k·ψ̂_k·e^{-itμ_jη_k} over the live modes: the phase blocks
+    of ``_phase_blocks`` turn that sum into one (n, B)·(B, N/B) product and
+    a row-wise dot with the (n, N/B) block. Memory is O(N + d·√N); every
+    call is numpy's."""
     lam, W = ds.eigh
-    c = W.conj().T @ x0
-    w = _readout_weights(grid, p_min) * psi
     outer, inner = _phase_blocks(-lam, grid, t)
-    phi = np.einsum("ja,ja->j", outer, inner @ w.reshape(outer.shape[1], -1).T)
-    ynorm = float(np.linalg.norm(c) * np.linalg.norm(psi))
-    rec = _recovered(W @ (c * phi), ynorm, grid, t)
-    return rec, int(np.count_nonzero(psi)), dropped
+    phi = np.einsum("ja,ja->j", outer, inner @ (r * psi).reshape(outer.shape[1], -1).T)
+    return W @ ((W.conj().T @ x0) * phi)
 
 
 def _kernel_readout(
-    x0, grid: Grid, profile: Profile, ds: core.DriftSplit, t: float, p_min: float
-) -> tuple[RecoveredState, int, float, str, int | None]:
-    """``recover(evolve(initial_state(x0, grid, profile)))`` on the real and
-    general paths without the (d+1)×N state: the readout, the modes it
-    evolves, the norm it drops, and the kernel that ran with its largest
-    degree.
+    x0, psi, r, ds: core.DriftSplit, grid: Grid, t: float
+) -> tuple[np.ndarray, str, int | None]:
+    """The readout x̂ of ``recover(evolve(initial_state(x0, grid, profile)))``
+    on the real and general paths, from the cut ψ̂ of the profile and
+    ``recover``'s weights r, without the (d+1)×N state, with the kernel that
+    ran and its largest degree.
 
     The start's rows are ψ̂_k·x0 for the modes the cut keeps, and the kernel
-    (``_evolve_modes``) reads them out by ``recover``'s weights r as it
-    evolves them: x̂ = Σ_k r_k·exp(-itH_k)·ψ̂_k·x0. The general path has one
-    readout column. The real path evolves the modes k = 0..N/2 alone (see
+    (``_evolve_modes``) reads them out by r as it evolves them:
+    x̂ = Σ_k r_k·exp(-itH_k)·ψ̂_k·x0. The general path has one readout
+    column. The real path evolves the modes k = 0..N/2 alone (see
     ``evolve``) and reads them out into two columns: r_k, and conj(r_{-k})
     for the partner -k, whose evolved vector is the conjugate of the row's,
     so x̂ is the first column plus the conjugate of the second. For a real
     x0 the row ψ̂_k·x0 serves both, as conj(ψ̂_{-k}·x0) = ψ̂_k·x0; a complex
-    x0 adds conj(ψ̂_{-k}·x0) as a second vector. Evolution is unitary, so
-    the warped norm is the start's, ‖Y‖_F = ‖x0‖·‖ψ̂‖, and no (d+1)×N state
-    is built: only the kept rows, which the kernel evolves."""
-    x0 = _start_vector(x0)
-    psi, dropped = _start_spectrum(profile, grid)
-    r = _readout_weights(grid, p_min)
+    x0 adds conj(ψ̂_{-k}·x0) as a second vector. Only the kept rows are
+    built, which the kernel evolves."""
     real = _real_split(ds)
     h = grid.N // 2 - 1  # slot of k = 0
     kept = np.flatnonzero(psi)
@@ -1164,10 +1147,7 @@ def _kernel_readout(
         else:
             readout = np.stack([r[kept], back], axis=1)[:, None, :]
     out, kernel, degree = _evolve_modes(ds, grid.eta[kept], X, t, readout)
-    xhat = out[0] + out[1].conj() if real else out[0]
-    ynorm = float(np.linalg.norm(x0) * np.linalg.norm(psi))
-    rec = _recovered(xhat, ynorm, grid, t)
-    return rec, int(np.count_nonzero(psi)), dropped, kernel, degree
+    return (out[0] + out[1].conj() if real else out[0]), kernel, degree
 
 
 def propagate(
@@ -1184,27 +1164,28 @@ def propagate(
     ``dropped_norm`` and ``modes_evolved`` do not depend on x0 or C.
 
     No path builds the (d+1)×N state or calls ``evolve`` or ``recover``.
-    On the "hermitian" path the work is done in the eigenbasis of C1h,
-    the split's one ``eigh``, which also gives the kink speed. There the
-    start, the phases and the readout are folded into one sum per
-    eigenvector (``_phase_readout``). On the "real" and "general" paths
-    the kept modes' rows ψ̂_k·x0 go to ``evolve``'s kernels, which read
-    them out by ``recover``'s weights as they evolve them
-    (``_kernel_readout``), so the readout is a sum the kernel adds up, and
-    the warped norm is the start's ‖x0‖·‖ψ̂‖: evolution is unitary to
-    rounding and to the polynomial's CHEBYSHEV_EPS per row, so the norm of
-    the evolved state is not measured. C may also be given as its
-    DriftSplit, which is used as it is, with the decompositions it has
-    cached."""
+    The start's cut ψ̂ and ``recover``'s weights are made once, here, and
+    each path returns x̂. The split's one ``eigh`` of C1h gives the kink
+    speed on every path. On the "hermitian" path the work is done in its
+    eigenbasis: the start, the phases and the readout are folded into one
+    sum per eigenvector (``_phase_readout``). On the "real" and "general"
+    paths the kept modes' rows ψ̂_k·x0 go to ``evolve``'s kernels, which
+    read them out by the weights as they evolve them (``_kernel_readout``),
+    so the readout is a sum the kernel adds up. On every path the warped
+    norm is the start's ‖x0‖·‖ψ̂‖: evolution is a phase in an orthonormal
+    basis, or unitary to rounding and to the polynomial's CHEBYSHEV_EPS per
+    row, so the norm of the evolved state is not measured. C may also be
+    given as its DriftSplit, which is used as it is, with the
+    decomposition it has cached."""
     t = core.require_time(t)
     # exactly Hermitian parts, so the kernels need no check
     ds = C if isinstance(C, core.DriftSplit) else core.split(C)
-    x0 = core.as_vector(x0)
+    x0 = _start_vector(x0)
     if ds.C1h.shape[0] != x0.shape[0]:
         raise DimensionError("C and x0 dimensions differ")
     path = evolve_path(ds)
     # the polynomial's intervals, or on a Hermitian C the phase readout, reuse them
-    top = float(ds.c1h_eigenvalues[-1])
+    top = float(ds.eigh[0][-1])
     if top > 1e-10:
         join = "kink" if profile.m == 0 else f"C^{profile.m} join"
         warnings.warn(
@@ -1217,19 +1198,14 @@ def propagate(
     # the join at p = 0 travels right at the top Hermitian drift speed;
     # read only beyond it (a few cells of margin for the ringing around it)
     p_min = max(0.0, top) * t + 4.0 * grid.dp if top > 1e-10 else 0.0
+    psi, dropped = _start_spectrum(profile, grid)
+    r = _readout_weights(grid, p_min)
     if path == "hermitian":
-        rec, modes, dropped = _phase_readout(x0, grid, profile, ds, t, p_min)
-        kernel, degree = "phases", None
+        xhat, kernel, degree = _phase_readout(x0, psi, r, ds, grid, t), "phases", None
     else:
-        rec, modes, dropped, kernel, degree = _kernel_readout(
-            x0, grid, profile, ds, t, p_min
-        )
-    return replace(
-        rec,
-        profile=profile,
-        modes_evolved=modes,
-        dropped_norm=dropped,
-        path=path,
-        kernel=kernel,
-        max_degree=degree,
+        xhat, kernel, degree = _kernel_readout(x0, psi, r, ds, grid, t)
+    ynorm = float(np.linalg.norm(x0) * np.linalg.norm(psi))  # the start's
+    return _recovered(
+        xhat, ynorm, grid, t, profile=profile, modes_evolved=int(np.count_nonzero(psi)),
+        dropped_norm=dropped, path=path, kernel=kernel, max_degree=degree,
     )

@@ -280,7 +280,7 @@ def _affine_scale(G, g) -> tuple[float, np.ndarray, core.DriftSplit]:
     for _ in range(AFFINE_MAX_DOUBLINGS + 1):
         C = core.augment(G, np.asarray(g) / sigma)
         ds = core.split(C)
-        top = float(ds.c1h_eigenvalues[-1])  # cached on the split it returns
+        top = float(ds.eigh[0][-1])  # cached on the split it returns
         if top <= AFFINE_TARGET:
             return sigma, C, ds
         sigma *= 2.0
@@ -341,7 +341,7 @@ def quantum_jacobi_solve(
     _, overlaps, _, gap = eigen_overlaps(C - np.eye(d + 1), x0, steady_hint=0j)
     t_safe = _jacobi_time(overlaps[0], gap, delta)  # also refuses a tied gap
     t_f = t_safe if t is None else t
-    # the σ search's split, with its C1h eigenvalues, serves L and the engine
+    # the σ search's split, with its eigh of C1h, serves L and the engine
     if L is None:
         L = engine.default_domain_halfwidth(ds, t_f)
     grid = engine.make_grid(N, L)
@@ -421,8 +421,8 @@ def quantum_power_method(
     x0 = np.ones(d) / np.sqrt(d) if x0 is None else core.as_vector(x0)
     if x0.shape[0] != d:
         raise InvalidInputError(f"x0 has length {x0.shape[0]}, expected {d}")
-    # one split serves the overlaps, L and the engine; on a Hermitian C
-    # its one eigh of C1h serves them all
+    # one split, with its one eigh of C1h, serves L and the engine, and on a
+    # Hermitian C the overlaps too
     ds = core.split(C)
     eigvals, overlaps, V, gap = eigen_overlaps(ds, x0)
     re = eigvals.real + 1.0  # eigvals are of C - I

@@ -594,14 +594,16 @@ class TestRunEvolve:
         assert report["fidelity"] >= 1 - 1e-9
 
     def test_splits_once(self, tmp_path, monkeypatch):
-        # one split, with its cached C1h eigenvalues, serves L and the
-        # engine; the other eigensolve is C2h's interval
+        # one split, with its cached eigh of C1h, serves L and the engine;
+        # the other eigensolve is C2h's interval
         path = write(
             tmp_path, "C.mtx",
             f"%%MatrixMarket matrix coordinate real general\n3 3 6\n{REAL_3X3}",
         )
         calls = []
-        for owner, name in ((core, "split"), (np.linalg, "eigvalsh")):
+        for owner, name in (
+            (core, "split"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")
+        ):
             def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -615,7 +617,7 @@ class TestRunEvolve:
             N=64,
         )
         out = cli.run_evolve(cfg)
-        assert sorted(calls) == ["eigvalsh", "eigvalsh", "split"]
+        assert sorted(calls) == ["eigh", "eigvalsh", "split"]
         assert out["propagation"]["path"] == "real"
 
     def test_hermitian_decomposes_once(self, tmp_path, monkeypatch):

@@ -359,20 +359,19 @@ _GAPPED = {
 _EVOLVED_AS = {"complex-hermitian": "general", "real-symmetric": "real"}
 
 # path -> what it decomposes on an N-mode grid: (matrices per eigh call,
-# tridiagonalisations)
+# tridiagonalisations). Every path takes the split's one eigh of C1h, whose
+# eigenvalues the kink speed and the polynomial plan read
 _PATH_WORK = {
     "hermitian": lambda N: ([1], 0),
-    "real": lambda N: ([], N // 2 + 1),
-    "general": lambda N: ([], N),
+    "real": lambda N: ([1], N // 2 + 1),
+    "general": lambda N: ([1], N),
 }
 
 
 def _evolved_work(structure, N):
-    """What evolve decomposes for ``structure`` on an N-mode grid: its
-    path's reductions and, on a Hermitian C, the split's one eigh of C1h,
-    whose eigenvalues the polynomial plan reads."""
-    _, reductions = _PATH_WORK[_EVOLVED_AS.get(structure, _STRUCTURES[structure][1])](N)
-    return ([1] if structure in _EVOLVED_AS else []), reductions
+    """What evolve decomposes for ``structure`` on an N-mode grid: the
+    split's one eigh of C1h and the reductions of the path it runs on."""
+    return _PATH_WORK[_EVOLVED_AS.get(structure, _STRUCTURES[structure][1])](N)
 
 
 def _per_mode_reference(values, blocks, t):
@@ -454,7 +453,7 @@ class TestEvolvePaths:
         # eigenvalues either side of its midpoint, so X² is a multiple of I
         # and the degree is 0 up to rounding: at t > 0 either kernel may run
         works = None
-        unreduced = ([1] if structure in _EVOLVED_AS else [], 0)
+        unreduced = ([1], 0)
         if t == 0.0:
             works = [unreduced]
         elif structure in _EVOLVED_AS:
@@ -468,16 +467,17 @@ class TestEvolvePaths:
     def test_scalar_system(self, rng, decompositions, c, t):
         # d + 1 = 1 on every path it can take: a real scalar is symmetric
         # and a complex one is not, but on both the generator is a phase per
-        # mode, a polynomial of degree 0, and no mode is decomposed; the
-        # real scalar's split takes its one eigh of C1h
+        # mode, a polynomial of degree 0 that costs nothing, so no mode is
+        # reduced at any t; the split takes its one eigh of C1h, whose
+        # eigenvalue the plan reads
         grid = eng.make_grid(4, np.pi)
         gen = eng.generator_blocks(core.split(np.array([[c]])), grid)
         vals = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         exact = np.exp(-1j * t * gen.blocks[:, 0, 0].real) * vals
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, t)
-        assert decompositions.work() == ([] if np.imag(c) else [1], 0)
-        assert out.max_degree == 0
+        assert decompositions.work() == ([1], 0)
+        assert (out.kernel, out.max_degree) == ("chebyshev", 0)
         assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.linalg.norm(vals)
 
     @pytest.mark.parametrize("structure", ["real-symmetric", "complex-hermitian"])
@@ -556,7 +556,7 @@ class TestEvolvePaths:
             )
         decompositions.clear()
         out = eng.evolve(eng.SpectralState(values=vals, grid=grid), gen.split, 1.7)
-        assert decompositions.work() == ([], expected)
+        assert decompositions.work() == ([1], expected)
         assert not out.values[:, ~live].any()
         ref = _per_mode_reference(vals, gen.blocks, 1.7)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.linalg.norm(vals)
@@ -676,7 +676,7 @@ def _chebyshev(ds, vals, eta, t, centre=None):
     if centre is None:
         plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
     else:
-        w = ds.c1h_eigenvalues
+        w = ds.eigh[0]
         i = int(np.argmax(np.diff(w)))
         at = {"gap": (w[i] + w[i + 1]) / 2, "mid": (w[0] + w[-1]) / 2}[centre]
         plan = eng._folded_plan(ds, eta, t, eng._spectral_interval(ds.C2h), at)
@@ -832,7 +832,7 @@ class TestChebyshevKernel:
         ds = core.split(_GAPPED[structure][0](rng, 32))
         eta = eng.make_grid(64, 5.0).eta
         plan = eng._chebyshev_plan(ds, eta, 2.0, np.ones(eta.size), np.inf)
-        w = ds.c1h_eigenvalues
+        w = ds.eigh[0]
         i = int(np.argmax(np.diff(w)))
         assert plan.centre == 0.5 * float(w[0] + w[-1])
         assert w[i] < plan.centre < w[i + 1] == w[-1]
@@ -858,7 +858,7 @@ class TestChebyshevKernel:
         v0, _ = eng.initial_state(x0, grid, eng.SMOOTH)
         eta = grid.eta[v0.values.any(axis=0)]
         plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
-        w = ds.c1h_eigenvalues
+        w = ds.eigh[0]
         assert plan.centre == 0.5 * float(w[0] + w[-1])
         assert 50 <= plan.degree <= 75
 
@@ -954,8 +954,9 @@ class TestChebyshevKernel:
         assert ran == kernel
         reductions = rows if kernel == "reduction" else 0
         assert polynomial_rows == ([rows] if kernel == "chebyshev" else [])
-        # the polynomial steps in C1h's eigenbasis: one eigh, no mode reduced
-        assert decompositions.work() == ([1] if kernel == "chebyshev" else [], reductions)
+        # the plan reads C1h's eigenvalues off its one eigh, which is also
+        # the basis the polynomial steps in: one eigh on either kernel
+        assert decompositions.work() == ([1], reductions)
         exact = np.exp(1j * t * b)[None, :, None] * X
         assert np.max(np.abs(Y - exact)) <= 1e-12 * np.linalg.norm(X)
 
@@ -993,21 +994,21 @@ class TestChebyshevKernel:
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     def test_propagate_eigensolves_each_part_once(self, monkeypatch, rng, structure):
-        # C1h's eigenvalues and C2h's interval, one numpy eigvalsh each; the
-        # kernel reads both midpoints off the plan
+        # C1h by the split's one numpy eigh, which gives the kink speed, the
+        # plan's fold and the kernel's basis, and C2h's interval by one numpy
+        # eigvalsh; the kernel reads both midpoints off the plan
         d, t = 32, 0.5
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         C = _STRUCTURES[structure][0](rng, d)
         rec = eng.propagate(C, rng.normal(size=d), t, eng.make_grid(32, 5.0))
         assert (rec.path, rec.kernel) == (_STRUCTURES[structure][1], "chebyshev")
-        assert calls == [(d, d), (d, d)]
+        assert calls == [("eigh", (d, d)), ("eigvalsh", (d, d))]
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -1146,17 +1147,21 @@ def test_propagate_leaves_scipy_special_unimported():
 @example(structure="real-nonnormal", d=2, N=4, t=5e-324, seed=1)
 def test_both_kernels_match_reference_property(structure, d, N, t, seed):
     """The polynomial and the reduction, each called directly on every
-    mode, agree with the per-mode eigh reference and keep every mode's norm."""
+    mode, agree with the per-mode eigh reference and keep every mode's norm.
+    The reduction is called for d >= 2 only: ``_evolve_modes`` sends a 1×1
+    split to the polynomial, whose degree is 0 there
+    (``TestEvolvePaths.test_scalar_system``)."""
     rng = np.random.default_rng(seed)
     grid = eng.make_grid(N, float(rng.uniform(np.pi, 8.0)))
     gen = eng.generator_blocks(core.split(_STRUCTURES[structure][0](rng, d)), grid)
     vals = rng.normal(size=(d, N)) + 1j * rng.normal(size=(d, N))
     ref = _per_mode_reference(vals, gen.blocks, t)
     poly, _ = _chebyshev(gen.split, vals, grid.eta, t)
-    blocks = eng._split_blocks(gen.split, grid.eta)
-    reduced = eng._evolve_stack(blocks, vals.T[:, :, None], t)[:, :, 0].T
     _assert_matches(poly, ref, vals)
-    _assert_matches(reduced, ref, vals)
+    if d >= 2:
+        blocks = eng._split_blocks(gen.split, grid.eta)
+        reduced = eng._evolve_stack(blocks, vals.T[:, :, None], t)[:, :, 0].T
+        _assert_matches(reduced, ref, vals)
 
 
 def _gapless_zero_c1h(rng, d, real):

@@ -72,7 +72,8 @@ class TestRealArithmetic:
     )
     def test_hermitian_drift_eigvalsh_dtype(self, monkeypatch, rng, imag, driver_dtype):
         # σ search, domain half-width and propagate's kink speed each take
-        # the top eigenvalue of C1h; a real C1h goes to the real driver
+        # the top eigenvalue of C1h, the split's eigh or the array form's
+        # eigvalsh; a real C1h goes to the real driver of either
         G = 0.2 * (rng.normal(size=(5, 5)) + 1j * imag * rng.normal(size=(5, 5)))
         g = rng.normal(size=5)
         eigvalsh = np.linalg.eigvalsh
@@ -80,16 +81,18 @@ class TestRealArithmetic:
 
         def recording(f):
             def wrapper(a, **kwargs):
-                seen.append(a.dtype)
+                seen.append((f.__name__, a.dtype))
                 return f(a, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording(eigvalsh))
-        monkeypatch.setattr(scipy.linalg, "eigvalsh", recording(scipy.linalg.eigvalsh))
+        for owner in (np.linalg, scipy.linalg):
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
         sigma, C, ds = solvers._affine_scale(G, g)
         L = schrodingerization.default_domain_halfwidth(ds.C1h, 2.0)
         schrodingerization.propagate(C, np.ones(6), 2.0, schrodingerization.make_grid(16, L))
-        assert len(seen) >= 3 and set(seen) == {np.dtype(driver_dtype)}
+        assert {name for name, _ in seen} == {"eigh", "eigvalsh"}
+        assert len(seen) >= 3 and {dtype for _, dtype in seen} == {np.dtype(driver_dtype)}
         # the complex computation, as before the real-arithmetic rule
         rho = np.max(np.abs(eigvalsh(ds.C1h)))
         assert L == pytest.approx(max(np.pi, 4.0 + 2.0 * rho), rel=1e-12)
@@ -458,15 +461,17 @@ class TestQuantumJacobiSolve:
 
     @pytest.mark.filterwarnings("ignore:Hermitian drift part")
     def test_one_split_and_one_c1h_eigensolve(self, monkeypatch, rng):
-        # the σ search splits C and eigensolves its C1h once per candidate
-        # σ; the split it keeps, with its cached eigenvalues, then serves the
-        # half-width, the kink speed and the polynomial's intervals, so the
-        # only other eigensolve is C2h's interval
+        # the σ search splits C and eigensolves its C1h, by the split's
+        # eigh, once per candidate σ; the split it keeps, with that cached
+        # eigh, then serves the half-width, the kink speed, the polynomial's
+        # fold and its basis, so the only other eigensolve of the drift is
+        # C2h's interval
         A, b = random_dominant(rng, 12)
         splits = _counting(monkeypatch, core, "split")
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
         eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
         solvers.quantum_jacobi_solve(A, b)
-        assert (len(splits), len(eigvalsh)) == (1, 2)
+        assert (len(splits), len(eigh), len(eigvalsh)) == (1, 1, 1)
 
     @pytest.mark.filterwarnings("ignore:Hermitian drift part")
     def test_polynomial_solve_runs_on_numpy_alone(self, monkeypatch):
@@ -754,15 +759,17 @@ class TestQuantumPowerMethod:
             solvers.quantum_power_method(C, t=t, L=L)
 
     def test_non_hermitian_op_splits_once(self, monkeypatch):
-        # one split, with its cached C1h eigenvalues, serves L, the kink
-        # speed and the polynomial; the other eigensolve is C2h's interval.
-        # L is the one the array path gives, so the estimate is unchanged
+        # one split, with its cached eigh of C1h, serves L, the kink speed
+        # and the polynomial; the other eigensolve of the drift is C2h's
+        # interval. L is the one the array path gives, so the estimate is
+        # unchanged
         C = np.array([[0.9, 0.2, 0.0], [0.0, 0.5, 0.1], [0.05, 0.0, 0.3]])
         splits = _counting(monkeypatch, core, "split")
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
         eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
         rep = solvers.quantum_power_method(C)
         rec = rep.propagation
-        assert (len(splits), len(eigvalsh)) == (1, 2)
+        assert (len(splits), len(eigh), len(eigvalsh)) == (1, 1, 1)
         assert rec.path == "real"
         monkeypatch.undo()
         L = schrodingerization.default_domain_halfwidth(core.split(C).C1h, rec.time)
