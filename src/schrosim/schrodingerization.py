@@ -5,12 +5,12 @@ auxiliary coordinate p through the substitution v(t, p) = e^{-p} x(t), then
 Fourier-transformed in p. Each Fourier mode η evolves under its own small
 Hermitian generator -(η·C1h + C2h), so the whole evolution is a direct sum
 of unitaries and preserves the global 2-norm. ``evolve`` applies them with
-one of two kernels: per mode a reduction to tridiagonal form (O(d³) per
-mode, exactly unitary) or, when its measured cost is lower, a Chebyshev
-polynomial in products with C1h and C2h, batched over the modes (unitary
-to rounding): the series of cos(t|X|) and sin(t|X|)/|X| in X², X = H_η
-centred at the midpoint of C1h's interval, so its degree follows the
-spread of |X| rather than that of X. The drift split's one
+one of two kernels, both unitary to rounding: per mode an
+eigendecomposition, stacked over the modes (O(d³) per mode), or, when its
+measured cost is lower, a Chebyshev polynomial in products with C1h and
+C2h, batched over the modes: the series of cos(t|X|) and sin(t|X|)/|X| in
+X², X = H_η centred at the midpoint of C1h's interval, so its degree
+follows the spread of |X| rather than that of X. The drift split's one
 decomposition of C1h = W·diag(w)·W† (``core.DriftSplit.eigh``) gives w to
 the kink speed, the half-width and the polynomial's fold, and W to the
 polynomial as the basis it steps in, where C1h is diagonal: each step is one GEMM
@@ -30,16 +30,10 @@ evolution is a phase per entry in W's coordinates, and x̂ is W·(c ∘ Φ)
 for c = W†x0 and one sum Φ_j of the readout weights times ψ̂ and the
 phases per eigenvalue μ_j = -w_j (``_phase_readout``).
 
-numpy and scipy each link their own OpenBLAS, each with a pool of threads
-that keep spinning for about 0.1 s after a threaded call. On a machine
-with few cores a threaded call on one pool can stall until the other
-pool's threads stop spinning, so every path runs on numpy's pool, the one
-its callers use too: the phase readout, the decomposition of C1h
-(``DriftSplit.eigh``), the eigenvalues of C2h, the polynomial's blocks
-and steps, and ``default_domain_halfwidth``. Only the reduction kernel
-(``_evolve_stack``) runs on scipy's, whose LAPACK wrappers alone expose
-the tridiagonal reduction; the transforms, the truncation, the
-reduction's readout and ``recover`` call no BLAS.
+The engine imports nothing from scipy. scipy links its own OpenBLAS, whose
+threads keep spinning for about 0.1 s after a threaded call, and on a
+machine with few cores a call on numpy's pool can stall behind them; so
+all of the engine's LAPACK and BLAS is numpy's, the pool its callers use.
 
 The p < 0 half of the initial profile is free: x(t) is read from p > 0
 only, where the profile is e^{-p}. ``Profile`` names the extensions in use;
@@ -64,7 +58,6 @@ from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from . import core
 from .errors import (
@@ -82,10 +75,14 @@ TRUNCATION_EPS = 1e-6
 CHEBYSHEV_EPS = 1e-16
 # the measured costs of the per-mode kernels (``_evolve_modes``) in
 # row-degrees, one vector's product in one step of the polynomial: a step
-# costs STEP_ROWS row-degrees besides its rows, a mode's reduction
+# costs STEP_ROWS row-degrees besides its rows, a mode's ``eigh``
 # REDUCTION_ROWS·n
 STEP_ROWS = 12
 REDUCTION_ROWS = 1.33
+# bytes of generators the ``eigh`` kernel decomposes at a time, in chunks of
+# EIGH_BYTES // (16·n²) modes; their eigenvectors take as many again. Chunks
+# of 1 and 16 MiB were no faster at n = 8-128 (2 vCPUs)
+EIGH_BYTES = 1 << 18
 # log ρ of the Bernstein ellipses on which ``_folded_degree`` bounds the tail
 _LOG_RHO = np.geomspace(1e-3, 8.0, 64)
 # rows of polynomial coefficients transformed at a time
@@ -217,8 +214,8 @@ class RecoveredState:
     reports hold it as the record of their evolution. ``propagate`` also
     records the initial profile, the number of Fourier modes it evolved, the
     relative norm its cut dropped (see ``initial_state``), the ``evolve``
-    path that ran (see ``evolve_path``), its kernel ("phases", "reduction"
-    or "chebyshev") and the largest polynomial degree in the generator (None
+    path that ran (see ``evolve_path``), its kernel ("phases", "eigh" or
+    "chebyshev") and the largest polynomial degree in the generator (None
     off the polynomial; 2·D + 1 for its D steps, 0 where it is a phase)."""
 
     x: np.ndarray
@@ -385,17 +382,15 @@ def generator_blocks(ds: core.DriftSplit, grid: Grid) -> GeneratorBlocks:
             raise InvalidInputError(
                 f"{name} is not Hermitian (defect {defect:.2e})"
             )
-    blocks = -(grid.eta[:, None, None] * ds.C1h[None] + ds.C2h[None])
-    return GeneratorBlocks(blocks=blocks, grid=grid, split=ds)
+    return GeneratorBlocks(blocks=_generators(ds, grid.eta), grid=grid, split=ds)
 
 
-def _lapack(name: str, *args, **kwargs):
-    """Call ``scipy.linalg.lapack.<name>`` and drop its trailing info,
-    raising NumericalError when it is nonzero."""
-    *out, info = getattr(lapack, name)(*args, **kwargs)
-    if info != 0:
-        raise NumericalError(f"LAPACK {name} failed (info {info})")
-    return out
+def _generators(ds: core.DriftSplit, eta: np.ndarray) -> np.ndarray:
+    """H = -(η·C1h + C2h) for each η, as one complex (M, n, n) stack,
+    built in place."""
+    H = np.multiply(-eta[:, None, None], ds.C1h, dtype=complex)
+    H -= ds.C2h
+    return H
 
 
 def _truncation(mass: np.ndarray, grid: Grid) -> tuple[np.ndarray | None, float]:
@@ -420,48 +415,40 @@ def _truncation(mass: np.ndarray, grid: Grid) -> tuple[np.ndarray | None, float]
     return cut[pair], float(np.sqrt(cumulative[dropped - 1] / total))
 
 
-def _split_blocks(ds: core.DriftSplit, eta: np.ndarray):
-    """H = -(η·C1h + C2h) for each η, one Fortran-ordered matrix at a time."""
-    A = np.asfortranarray(-ds.C1h, dtype=complex)
-    B = np.asfortranarray(-ds.C2h, dtype=complex)
-    for e in eta:
-        H = A * e
-        H += B
-        yield H
+def _evolve_stack(
+    ds: core.DriftSplit, eta: np.ndarray, X: np.ndarray, t: float, readout=None
+) -> np.ndarray:
+    """Y[m] = exp(-it·H_m)·X[m] for H_m = -(η_m·C1h + C2h) and the (n, r)
+    vectors X[m]; with a ``readout`` (M, r, q) its sum
+    Σ_{m,v} readout[m, v] ⊗ Y[m, :, v], (q, n), instead (``_evolve_modes``).
 
-
-def _evolve_stack(blocks, X: np.ndarray, t: float, readout=None) -> np.ndarray:
-    """Y[m] = exp(-it·H_m)·X[m] for the m-th matrix of ``blocks`` (Hermitian,
-    Fortran order, overwritten) and the (n, r) vectors X[m]; with a
-    ``readout`` (M, r, q) its sum Σ_{m,v} readout[m, v] ⊗ Y[m, :, v], (q, n),
-    instead (``_evolve_modes``).
-
-    zhetrd (lower) reduces H = Q·T·Q† with T real tridiagonal and dstevd
-    gives T = Z·diag(w)·Zᵀ, so exp(-itH)·x = Q·Z·e^{-itw}·Zᵀ·Q†·x. No
-    eigenvector of H is formed: Q stays as its reflectors, Q = diag(1, Q')
-    with Q' in QR form below the subdiagonal, applied by zunmqr, and Z is
-    applied by dgemm to the real view of the vectors. The loop calls only
-    scipy's LAPACK and BLAS, since numpy exposes no tridiagonal reduction:
-    it is the one kernel off numpy's thread pool. The readout's sum is an
-    einsum, which calls no BLAS. n >= 2: on a 1×1 split every degree of the
-    polynomial is 0, so ``_evolve_modes`` never reduces one.
-    """
+    The modes run in chunks of EIGH_BYTES // (16·n²), so no (M, n, n) stack
+    is built: each chunk's generators are one stack, decomposed by one
+    stacked ``np.linalg.eigh``, H = V·diag(w)·V†, and applied as
+    exp(-itH)·x = V·(e^{-itw} ∘ V†·x) by two stacked ``matmul``s, all on
+    numpy's LAPACK and BLAS. V†·x is read as the conjugate of x†·V, so no
+    conjugate of V is made. A failed decomposition raises NumericalError.
+    The readout's sum is an einsum per chunk, which calls no BLAS."""
     M, n, r = X.shape
-    Y = np.empty((M, n, r), dtype=complex)
-    lwork = int(_lapack("zhetrd_lwork", n, lower=1)[0].real)
-    for m, H in enumerate(blocks):
-        c, d, e, tau = _lapack("zhetrd", H, lower=1, lwork=lwork, overwrite_a=1)
-        w, Z = _lapack("dstevd", d, e)
-        refl = np.asfortranarray(c[1:, :-1])
-        x = np.array(X[m])  # C order: its real view is (n, 2r)
-        x[1:] = _lapack("zunmqr", "L", "C", refl, tau, x[1:], r)[0]
-        # dgemm sees the real view transposed, (2r, n): xᵀ·Z = (Zᵀ·x)ᵀ
-        x = blas.dgemm(1.0, x.view(np.float64).T, Z).T.view(complex)
-        x *= np.exp(-1j * t * w)[:, None]
-        x = blas.dgemm(1.0, x.view(np.float64).T, Z, trans_b=1).T.view(complex)
-        Y[m, 0] = x[0]
-        Y[m, 1:] = _lapack("zunmqr", "L", "N", refl, tau, x[1:], r)[0]
-    return Y if readout is None else np.einsum("mvq,mnv->qn", readout, Y)
+    step = max(1, EIGH_BYTES // (16 * n * n))
+    if readout is None:
+        Y = np.empty((M, n, r), dtype=complex)
+    else:
+        Y = np.zeros((readout.shape[2], n), dtype=complex)
+    for lo in range(0, M, step):
+        part = slice(lo, lo + step)
+        try:
+            w, V = np.linalg.eigh(_generators(ds, eta[part]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigh of a mode generator failed: {exc}") from exc
+        Z = np.matmul(X[part].conj().swapaxes(1, 2), V).conj()  # (V†·x)ᵀ, (m, r, n)
+        Z *= np.exp(-1j * t * w)[:, None, :]
+        Z = np.matmul(V, Z.swapaxes(1, 2))
+        if readout is None:
+            Y[part] = Z
+        else:
+            Y += np.einsum("mvq,mnv->qn", readout[part], Z)
+    return Y
 
 
 def _spectral_interval(M: np.ndarray) -> tuple[float, float]:
@@ -823,45 +810,54 @@ def _evolve_modes(
     (``_chebyshev_stack``) runs one product per degree over all its rows,
     one nonzero vector per row: a row-degree costs O(n²), and each step a
     fixed part more, since even one row's product reads both blocks. The
-    reduction (``_evolve_stack``) costs O(n³) per live mode, whatever its
-    vector count. The ``eigh`` of C1h is charged to neither: the plan
-    reads its eigenvalues, so it has run before either kernel is priced.
-    In row-degrees the polynomial costs Σ (D + 3) + STEP_ROWS·(max D + 2)
-    + 2·n over its rows (``_Polynomial.cost``), and the reduction
-    REDUCTION_ROWS·n per live mode; the cheaper runs, the polynomial on a
-    tie. Timed warm on 2 vCPUs (OpenBLAS 0.3), with every row at one
-    degree D, the polynomial and the reduction break even at these D/n
-    (the range over three runs, each a line through the times at two D),
-    against the rule's (REDUCTION_ROWS·rows - 2)/(rows + STEP_ROWS), less
-    at most 3/n. The cells marked * had their steps on numpy's ``matmul``
-    with three blocks and T_{j-1} subtracted after it; the cells marked †
-    were re-timed on the kernel as it is now, two blocks and a diagonal in
-    C1h's eigenbasis, with the ``eigh`` outside both kernels' time (the
-    least of 21 runs each), on random splits with a dense C1h; the rest
-    were timed on scipy's GEMM with three blocks and beta = -1:
+    ``eigh`` kernel (``_evolve_stack``) costs O(n³) per live mode,
+    whatever its vector count. The ``eigh`` of C1h is charged to neither:
+    the plan reads its eigenvalues, so it has run before either kernel is
+    priced. In row-degrees the polynomial costs Σ (D + 3) + STEP_ROWS·(max
+    D + 2) + 2·n over its rows (``_Polynomial.cost``), and the ``eigh``
+    kernel REDUCTION_ROWS·n per live mode; the cheaper runs, the
+    polynomial on a tie. Timed warm on 2 vCPUs (numpy 2.4, OpenBLAS 0.3),
+    with every row at one degree D, the two break even at these D/n (the
+    range over three runs, each a line through the least of up to 21
+    times at two D; random splits with a dense C1h):
 
         general split (complex steps, zgemm)
-        rows n = 32        65           128           256          512          rule
-        1    -0.72..-0.10† 0.04..0.07   -0.06..0.11†  -0.04..0.23  -0.01..0.00  -0.05
-        8    0.94..1.35†   2.60..3.85*  1.28..1.36†   1.13..1.13   0.61..0.64   0.43
-        64   2.53..4.06†   2.96..3.36*  2.29..2.72†   1.91..2.00   1.51..1.66   1.09
-        256  4.76..5.11    3.51..4.01*  2.04..2.67*   1.90..2.17   1.45..1.65   1.26
+        n    rows = 1      8              64             256
+        4    -3.14..-1.59  -18.85..-1.92  -0.85..-0.66   -0.00..0.05
+        8    -1.35..-1.31  -0.45..-0.36   1.37..1.52     2.25..2.39
+        16   -0.49..-0.43  0.83..0.85     3.23..3.40     4.12..12.07
+        32   -0.19..-0.14  0.58..2.22     2.47..2.70     3.56..3.82
+        65   0.25..0.67    1.73..2.04     4.02..4.31     4.54..4.72
+        128  0.47..0.85    3.41..4.98     5.76..10.59    5.09..5.49
+        256  -1.75..0.71   2.68..3.47     3.96..4.45     3.63..4.24
+        512  0.45..0.56    1.82..2.19     3.62..3.82     3.37..4.03
 
         real split (real steps, dgemm)
-        1    -0.06..0.01†  0.29..0.30   0.45..0.54†   0.54..1.21   0.16..0.17   -0.05
-        8    1.26..1.68†   1.77..4.89*  2.13..2.88†   1.94..1.95   1.21..1.21   0.43
-        64   2.67..3.95†   3.17..3.99*  3.07..3.17†   2.72..2.83   1.76..2.11   1.09
-        256  5.36..5.75    3.61..5.86*  2.97..4.60*   3.01..3.56   2.22..2.54   1.26
+        4    -2.97..-2.74  -2.10..-1.87   -0.88..0.75    0.13..0.17
+        8    -23.99..-1.10 -0.47..-0.43   1.51..1.63     2.38..2.50
+        16   -0.50..-0.44  0.86..7.52     3.65..3.94     4.86..5.06
+        32   -0.05..-0.04  1.39..1.45     3.50..3.67     4.05..4.35
+        65   0.42..0.50    2.52..2.72     1.95..3.93     4.73..5.08
+        128  1.19..1.43    4.48..15.83    6.71..10.59    5.10..6.22
+        256  1.33..2.36    3.10..4.71     5.03..5.25     5.53..5.61
+        512  0.58..0.67    3.05..3.16     3.97..5.73     4.85..6.39
 
-    One row's cells are noisy, as both kernels take well under a
-    millisecond there. On scipy's GEMM a reduction cost 1.5-5.9·n
-    row-degrees of the general polynomial and 2.1-18·n of the real one
-    (most for one row, where a step's fixed part counts). The rule sits
-    below the measured break-even everywhere it is positive, so near it
-    the reduction, which is exactly unitary, runs. For one row it is
-    below -2/n, so the polynomial runs only where no step runs, and the
-    reduction wherever one would: at n = 32 on a general split, whose
-    break-even lies at or below 0, that is the cheaper kernel too."""
+    The rule's break-even is (REDUCTION_ROWS·rows - 2)/(rows + STEP_ROWS),
+    less at most 3/n: -0.05, 0.43, 1.09 and 1.26 for 1, 8, 64 and 256
+    rows. The cells with few rows or small n are noisy, as both kernels
+    take well under a millisecond there. Where the rule gives the
+    polynomial a step, it sits below the measured break-even, so near it
+    the ``eigh`` kernel runs, except at n <= 8 for D = 1 or 2, where timed
+    directly the steps cost more than the decomposition: n = 4 with 64
+    rows (0.39-0.41 ms against 0.30-0.31) and 256 rows (1.15-1.23 ms
+    against 0.87-1.09), and n = 8 with 8 rows (0.20-0.22 ms against 0.14).
+    The polynomial's fixed 0.2 ms per call is no multiple of n, so no
+    pair of constants puts those cells right and keeps the polynomial at
+    D = 0.8·n for n = 32 and 64 rows, where it is three times faster. For
+    one row the rule is below -2/n, so the polynomial runs only where no
+    step runs, and the ``eigh`` kernel wherever one would: at n <= 32,
+    whose one-row break-even lies below 0, that is the cheaper kernel
+    too."""
     n = X.shape[1]
     nonzero = X.any(axis=1)  # (M, r)
     live = np.flatnonzero(nonzero.any(axis=1))
@@ -869,9 +865,9 @@ def _evolve_modes(
         ds, eta[live], t, nonzero[live].sum(axis=1), REDUCTION_ROWS * n * live.size
     )
     if plan is None:
-        rows, kernel, degree = (live,), "reduction", None
+        rows, kernel, degree = (live,), "eigh", None
         read = None if readout is None else readout[live]
-        out = _evolve_stack(_split_blocks(ds, eta[live]), X[live], t, read)
+        out = _evolve_stack(ds, eta[live], X[live], t, read)
     else:
         mode, vec = np.nonzero(nonzero[live])  # mode indexes live
         rows, kernel = (live[mode], slice(None), vec), "chebyshev"
@@ -933,8 +929,8 @@ def _phase_blocks(
 def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     """Propagate each mode column of ``s`` by exp(-i·t·H_k), with
     H_k = -(η_k·C1h + C2h) built from the split ``ds`` on the state's own
-    grid ``s.grid``. Norm-preserving: exactly for the reduction, to
-    rounding for the polynomial (kernels below). C1h and C2h must be
+    grid ``s.grid``. Norm-preserving to rounding, and for the polynomial
+    to its CHEBYSHEV_EPS (kernels below). C1h and C2h must be
     Hermitian; ``core.split`` makes them so exactly.
 
     The path is "real" when ``_real_split`` holds and "general" otherwise;
@@ -957,10 +953,9 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     Both run one of two kernels (``_evolve_modes`` picks it; the result
     records it as ``kernel``):
 
-    - "reduction" (``_evolve_stack``): per mode, Householder
-      tridiagonalisation and a real tridiagonal eigensolve, applied to the
-      mode's vectors only, on scipy's LAPACK and BLAS; O(n³) per mode for
-      n = d + 1, whatever t.
+    - "eigh" (``_evolve_stack``): per mode, an eigendecomposition of H_k,
+      stacked over a chunk of modes, applied to the mode's vectors only, on
+      numpy's LAPACK and BLAS; O(n³) per mode for n = d + 1, whatever t.
     - "chebyshev" (``_chebyshev_stack``): centred at the midpoint of C1h's
       interval (``_chebyshev_plan``), X_k = H_k - x_k, exp(-itX_k) is
       cos(t|X_k|) - i·X_k·sin(t|X_k|)/|X_k|, two series in X_k² of degree
@@ -982,11 +977,12 @@ def evolve(s: SpectralState, ds: core.DriftSplit, t: float) -> SpectralState:
     ``recover``'s weights instead and does not call ``evolve``.
 
     The polynomial runs when its measured cost (``_evolve_modes``) is at
-    most REDUCTION_ROWS·n × the modes the reduction would decompose, which
-    is the case for short times and low modes, with many vectors;
+    most REDUCTION_ROWS·n × the modes the ``eigh`` kernel would decompose,
+    which is the case for short times and low modes, with many vectors;
     ``max_degree`` records its largest degree in H_k.
 
-    Memory is O(d² + N·d); no (N, d+1, d+1) stack is built.
+    Memory is O(d² + N·d) besides the ``eigh`` kernel's chunk, about
+    2·EIGH_BYTES; no (N, d+1, d+1) stack is built.
 
     A mode whose vector is exactly zero stays zero, so neither path
     evolves it (on the real path, a pair k, -k is evolved when either

@@ -25,15 +25,17 @@ def random_dominant(rng, d):
 
 def random_power_instance(rng, d):
     """Diagonal-plus-small-perturbation C with real positive spectrum < 1
-    and a clearly nondegenerate top eigenvalue."""
-    lam = np.sort(rng.uniform(0.05, 0.95, d))[::-1]
-    lam[0] = max(lam[0], lam[1] + 0.15) if d > 1 else lam[0]
-    lam = np.minimum(lam, 0.97)
-    C = np.diag(lam) + 0.01 * rng.normal(size=(d, d))
-    ev = np.linalg.eigvals(C)
-    if np.max(np.abs(ev.imag)) > 1e-9 or np.any(ev.real <= 0) or np.max(ev.real) >= 1:
-        return random_power_instance(rng, d)
-    return C
+    and a clearly nondegenerate top eigenvalue: the first of up to 100
+    draws whose spectrum qualifies, else a ValueError naming d."""
+    for _ in range(100):
+        lam = np.sort(rng.uniform(0.05, 0.95, d))[::-1]
+        lam[0] = max(lam[0], lam[1] + 0.15) if d > 1 else lam[0]
+        lam = np.minimum(lam, 0.97)
+        C = np.diag(lam) + 0.01 * rng.normal(size=(d, d))
+        ev = np.linalg.eigvals(C)
+        if np.max(np.abs(ev.imag)) <= 1e-9 and np.all(ev.real > 0) and np.max(ev.real) < 1:
+            return C
+    raise ValueError(f"no power instance at d = {d} in 100 draws")
 
 
 def refuse_scipy_linalg(monkeypatch):

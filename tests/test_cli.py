@@ -350,10 +350,14 @@ class TestReadMatrixMarket:
         assert exc.value.line == 2
 
     def test_hermitian_file_eig_takes_one_eigh_path(self, tmp_path, monkeypatch):
-        def no_tridiagonalisation(*args, **kwargs):
-            raise AssertionError("a Hermitian C was reduced mode by mode")
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr(engine.lapack, "zhetrd", no_tridiagonalisation)
+        def no_mode_decomposition(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise AssertionError("a Hermitian C was decomposed mode by mode")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_mode_decomposition)
         path = write(
             tmp_path,
             "h.mtx",
@@ -456,7 +460,7 @@ class TestRunSolve:
         assert 0 < section["modes_evolved"] < 512
         assert 0.0 < section["dropped_norm"] <= engine.TRUNCATION_EPS
         # a 3x3 augmented C over a long t_f: every degree exceeds n = 3
-        assert (section["kernel"], section["max_degree"]) == ("reduction", None)
+        assert (section["kernel"], section["max_degree"]) == ("eigh", None)
 
     def test_error_report_zero_diagonal(self, tmp_path):
         cfg = RunConfig(
@@ -547,7 +551,7 @@ class TestRunEvolve:
         assert out["fidelity"] >= 1 - 1e-6
 
     def test_complex_non_normal_reports_the_smooth_profile(self, tmp_path):
-        # the general path reduces only the modes the smooth start fills
+        # the general path decomposes only the modes the smooth start fills
         path = write(
             tmp_path, "C.mtx",
             "%%MatrixMarket matrix coordinate complex general\n3 3 6\n"
@@ -568,7 +572,7 @@ class TestRunEvolve:
         assert section["profile_negative_mass"] == engine.SMOOTH.negative_mass
         assert 0 < section["modes_evolved"] < 256
         assert 0.0 < section["dropped_norm"] <= engine.TRUNCATION_EPS
-        assert (section["kernel"], section["max_degree"]) == ("reduction", None)
+        assert (section["kernel"], section["max_degree"]) == ("eigh", None)
         assert out["fidelity"] >= 1 - 1e-9
 
     def test_reports_the_polynomial_kernel(self, tmp_path):
@@ -605,7 +609,8 @@ class TestRunEvolve:
             (core, "split"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")
         ):
             def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
-                calls.append(_name)
+                if np.ndim(args[0]) == 2:  # not the per-mode kernel's stacked eigh
+                    calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counting)
@@ -902,9 +907,9 @@ class TestDeterminism:
         )
 
     @pytest.mark.parametrize(
-        "command,header,entries,extra,reductions,evolve_path",
+        "command,header,entries,extra,mode_matrices,evolve_path",
         [
-            # Hermitian C: one eigh for all modes, no per-mode reduction
+            # Hermitian C: one eigh for all modes, no per-mode decomposition
             ("eig", "complex hermitian", "1 1 0.9 0.0\n2 1 0.05 -0.05\n2 2 0.5 0.0\n"
              "3 2 0.0 0.02\n3 3 0.3 0.0\n", {}, 0, "hermitian"),
             # real non-symmetric C: modes k = 0..N/2 only
@@ -917,17 +922,18 @@ class TestDeterminism:
         ids=["hermitian", "real", "general"],
     )
     def test_propagation_path_byte_identical(
-        self, tmp_path, monkeypatch, command, header, entries, extra, reductions,
+        self, tmp_path, monkeypatch, command, header, entries, extra, mode_matrices,
         evolve_path,
     ):
         calls = []
-        zhetrd = engine.lapack.zhetrd
+        eigh = np.linalg.eigh
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return zhetrd(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            if np.ndim(a) == 3:  # the per-mode kernel's generators
+                calls.append(len(a))
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(engine.lapack, "zhetrd", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         nnz = entries.count("\n")
         path = write(
             tmp_path, "C.mtx",
@@ -944,7 +950,7 @@ class TestDeterminism:
             ),
         )
         assert a == b
-        assert len(calls) == 2 * reductions
+        assert sum(calls) == 2 * mode_matrices
         assert json.loads(a)["propagation"]["path"] == evolve_path
 
     def test_timing_flag_adds_wall_time(self, tmp_path):

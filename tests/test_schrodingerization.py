@@ -358,9 +358,10 @@ _GAPPED = {
 # Hermitian C out by its phases
 _EVOLVED_AS = {"complex-hermitian": "general", "real-symmetric": "real"}
 
-# path -> what it decomposes on an N-mode grid: (matrices per eigh call,
-# tridiagonalisations). Every path takes the split's one eigh of C1h, whose
-# eigenvalues the kink speed and the polynomial plan read
+# path -> what it decomposes on an N-mode grid: (matrices per eigh call on
+# one matrix, mode generators in stacked eigh calls). Every path takes the
+# split's one eigh of C1h, whose eigenvalues the kink speed and the
+# polynomial plan read
 _PATH_WORK = {
     "hermitian": lambda N: ([1], 0),
     "real": lambda N: ([1], N // 2 + 1),
@@ -370,7 +371,8 @@ _PATH_WORK = {
 
 def _evolved_work(structure, N):
     """What evolve decomposes for ``structure`` on an N-mode grid: the
-    split's one eigh of C1h and the reductions of the path it runs on."""
+    split's one eigh of C1h and the mode generators the per-mode kernel
+    decomposes on the path it runs on."""
     return _PATH_WORK[_EVOLVED_AS.get(structure, _STRUCTURES[structure][1])](N)
 
 
@@ -385,40 +387,39 @@ def _per_mode_reference(values, blocks, t):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Records the matrices each numpy.linalg.eigh call sees and every LAPACK
-    zhetrd call the engine makes; ``work()`` reads both, ``clear()`` resets."""
-    eigh_calls, tridiag_calls = [], []
-    real_eigh, real_zhetrd = np.linalg.eigh, eng.lapack.zhetrd
+    """Records the numpy.linalg.eigh calls on one matrix and the matrices
+    of every stacked (3-D) call, which only the per-mode kernel makes;
+    ``work()`` reads both, ``clear()`` resets."""
+    eigh_calls, mode_matrices = [], []
+    real_eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
         a = np.asarray(a)
-        eigh_calls.append(int(np.prod(a.shape[:-2])))
+        if a.ndim == 3:
+            mode_matrices.append(a.shape[0])
+        else:
+            eigh_calls.append(1)
         return real_eigh(a, *args, **kwargs)
 
-    def counting_zhetrd(a, *args, **kwargs):
-        tridiag_calls.append(np.shape(a)[0])
-        return real_zhetrd(a, *args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(eng.lapack, "zhetrd", counting_zhetrd)
 
     class Record:
         @staticmethod
         def work():
-            return eigh_calls[:], len(tridiag_calls)
+            return eigh_calls[:], sum(mode_matrices)
 
         @staticmethod
         def clear():
             eigh_calls.clear()
-            tridiag_calls.clear()
+            mode_matrices.clear()
 
     return Record
 
 
 class TestEvolvePaths:
     """Each structure-aware path of evolve against the per-mode eigh
-    reference, with the path pinned by the eigh calls and the per-mode
-    tridiagonalisations it makes."""
+    reference, with the path pinned by the eigh calls and the mode
+    generators its stacked eigh calls decompose."""
 
     def _evolve_against_reference(
         self, rng, decompositions, structure, d, N, L, t, tol=1e-12, works=None
@@ -508,7 +509,7 @@ class TestEvolvePaths:
         assert not np.any(gen.split.C2h)
 
     @pytest.mark.parametrize(
-        "d, t, kernel", [(64, 0.5, "chebyshev"), (8, 2.0, "reduction")]
+        "d, t, kernel", [(64, 0.5, "chebyshev"), (8, 2.0, "eigh")]
     )
     def test_real_symmetric_C_evolves_on_the_real_path(self, rng, d, t, kernel):
         # evolve runs a real Hermitian split as "real": the start of a real
@@ -537,8 +538,8 @@ class TestEvolvePaths:
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     @pytest.mark.parametrize("N", [4, 16, 64])
     def test_zero_modes_are_not_reduced(self, rng, decompositions, structure, N):
-        # one zhetrd per nonzero mode (general path) or per k = 0..N/2 whose
-        # column or whose -k partner is nonzero (real path)
+        # one stacked-eigh matrix per nonzero mode (general path) or per
+        # k = 0..N/2 whose column or whose -k partner is nonzero (real path)
         build, path = _STRUCTURES[structure]
         grid = eng.make_grid(N, 4.0)
         gen = eng.generator_blocks(core.split(build(rng, 3)), grid)
@@ -563,14 +564,20 @@ class TestEvolvePaths:
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
     def test_lapack_failure_raises_numerical_error(self, rng, monkeypatch, structure):
-        def failing_dstevd(d, e, *args, **kwargs):
-            return d, np.eye(d.size), 1
+        # the stacked eigh of the mode generators fails; the split's own
+        # eigh of C1h, on one matrix, runs
+        real_eigh = np.linalg.eigh
 
-        monkeypatch.setattr(eng.lapack, "dstevd", failing_dstevd)
+        def failing_stacked_eigh(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_stacked_eigh)
         build, _ = _STRUCTURES[structure]
         grid = eng.make_grid(8, 3.0)
         s = eng.SpectralState(values=np.ones((3, 8), dtype=complex), grid=grid)
-        with pytest.raises(NumericalError, match="dstevd"):
+        with pytest.raises(NumericalError, match="did not converge"):
             eng.evolve(s, core.split(build(rng, 3)), 1.0)
 
     @pytest.mark.parametrize("structure", list(_STRUCTURES))
@@ -915,11 +922,11 @@ class TestChebyshevKernel:
 
     @pytest.mark.parametrize(
         "n, rows, ratio, kernel",
-        [(32, 1, 0.05, "reduction"), (128, 1, 0.05, "reduction"),
-         (32, 8, 0.2, "chebyshev"), (32, 8, 2.5, "reduction"),
-         (128, 8, 0.2, "chebyshev"), (128, 8, 2.5, "reduction"),
-         (32, 64, 0.8, "chebyshev"), (32, 64, 4.0, "reduction"),
-         (128, 64, 0.8, "chebyshev"), (128, 64, 4.0, "reduction")],
+        [(32, 1, 0.05, "eigh"), (128, 1, 0.05, "eigh"),
+         (32, 8, 0.2, "chebyshev"), (32, 8, 2.5, "eigh"),
+         (128, 8, 0.2, "chebyshev"), (128, 8, 2.5, "eigh"),
+         (32, 64, 0.8, "chebyshev"), (32, 64, 4.0, "eigh"),
+         (128, 64, 0.8, "chebyshev"), (128, 64, 4.0, "eigh")],
     )
     def test_rule_on_the_calibration_shapes(
         self, rng, decompositions, n, rows, ratio, kernel
@@ -952,7 +959,7 @@ class TestChebyshevKernel:
             mp.setattr(eng, "_chebyshev_stack", recording)
             Y, ran, _ = eng._evolve_modes(ds, eta, X, t)
         assert ran == kernel
-        reductions = rows if kernel == "reduction" else 0
+        reductions = rows if kernel == "eigh" else 0
         assert polynomial_rows == ([rows] if kernel == "chebyshev" else [])
         # the plan reads C1h's eigenvalues off its one eigh, which is also
         # the basis the polynomial steps in: one eigh on either kernel
@@ -1081,7 +1088,7 @@ class TestChebyshevKernel:
 
     @pytest.mark.parametrize("real_x0", [True, False], ids=["real-x0", "complex-x0"])
     @pytest.mark.parametrize(
-        "d, t, kernel", [(64, 0.5, "chebyshev"), (8, 2.0, "reduction")]
+        "d, t, kernel", [(64, 0.5, "chebyshev"), (8, 2.0, "eigh")]
     )
     def test_real_path_pairs_only_a_conjugate_symmetric_state(
         self, rng, real_x0, d, t, kernel
@@ -1133,6 +1140,39 @@ def test_propagate_leaves_scipy_special_unimported():
     assert out.stdout.split() == ["chebyshev", "False"]
 
 
+@pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
+def test_eigh_kernel_across_chunks(rng, monkeypatch, structure):
+    """Seven modes in chunks of three generators: the last chunk holds one
+    mode. Two vectors per mode, returned and read out, against the per-mode
+    eigh reference and expm."""
+    d, t, M = 4, 1.3, 7
+    monkeypatch.setattr(eng, "EIGH_BYTES", 3 * 16 * d * d + 1)
+    chunks, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            chunks.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    ds = core.split(_STRUCTURES[structure][0](rng, d))
+    eta = rng.uniform(-6.0, 6.0, M)
+    X = rng.normal(size=(M, d, 2)) + 1j * rng.normal(size=(M, d, 2))
+    readout = rng.normal(size=(M, 2, 3)) + 1j * rng.normal(size=(M, 2, 3))
+    Y = eng._evolve_stack(ds, eta, X, t)
+    read = eng._evolve_stack(ds, eta, X, t, readout)
+    assert chunks == [3, 3, 1] * 2
+    blocks = -(eta[:, None, None] * ds.C1h + ds.C2h)
+    exact = np.stack([scipy.linalg.expm(-1j * t * H) for H in blocks]) @ X
+    for v in range(2):
+        ref = _per_mode_reference(X[:, :, v].T, blocks, t)
+        _assert_matches(Y[:, :, v].T, ref, X[:, :, v].T)
+    assert np.max(np.abs(Y - exact)) <= 1e-12 * np.linalg.norm(X)
+    expected = np.einsum("mvq,mnv->qn", readout, exact)
+    scale = np.linalg.norm(readout) * np.linalg.norm(X)
+    assert np.max(np.abs(read - expected)) <= 1e-12 * scale
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     structure=st.sampled_from(["real-nonnormal", "general"]),
@@ -1146,11 +1186,10 @@ def test_propagate_leaves_scipy_special_unimported():
 @example(structure="general", d=5, N=8, t=0.0, seed=2)
 @example(structure="real-nonnormal", d=2, N=4, t=5e-324, seed=1)
 def test_both_kernels_match_reference_property(structure, d, N, t, seed):
-    """The polynomial and the reduction, each called directly on every
-    mode, agree with the per-mode eigh reference and keep every mode's norm.
-    The reduction is called for d >= 2 only: ``_evolve_modes`` sends a 1×1
-    split to the polynomial, whose degree is 0 there
-    (``TestEvolvePaths.test_scalar_system``)."""
+    """The polynomial and the eigh kernel, each called directly on every
+    mode, agree with the per-mode eigh reference and keep every mode's norm;
+    ``_evolve_modes`` sends a 1×1 split to the polynomial, whose degree is 0
+    there (``TestEvolvePaths.test_scalar_system``)."""
     rng = np.random.default_rng(seed)
     grid = eng.make_grid(N, float(rng.uniform(np.pi, 8.0)))
     gen = eng.generator_blocks(core.split(_STRUCTURES[structure][0](rng, d)), grid)
@@ -1158,10 +1197,8 @@ def test_both_kernels_match_reference_property(structure, d, N, t, seed):
     ref = _per_mode_reference(vals, gen.blocks, t)
     poly, _ = _chebyshev(gen.split, vals, grid.eta, t)
     _assert_matches(poly, ref, vals)
-    if d >= 2:
-        blocks = eng._split_blocks(gen.split, grid.eta)
-        reduced = eng._evolve_stack(blocks, vals.T[:, :, None], t)[:, :, 0].T
-        _assert_matches(reduced, ref, vals)
+    decomposed = eng._evolve_stack(gen.split, grid.eta, vals.T[:, :, None], t)
+    _assert_matches(decomposed[:, :, 0].T, ref, vals)
 
 
 def _gapless_zero_c1h(rng, d, real):
@@ -1274,7 +1311,7 @@ class TestKernelReadout:
             )
 
     @pytest.mark.parametrize("structure", ["real-nonnormal", "general"])
-    @pytest.mark.parametrize("d, kernel", [(64, "chebyshev"), (8, "reduction")])
+    @pytest.mark.parametrize("d, kernel", [(64, "chebyshev"), (8, "eigh")])
     def test_propagate_calls_neither_evolve_nor_recover(
         self, rng, monkeypatch, structure, d, kernel
     ):
@@ -1321,7 +1358,7 @@ def _repeated_c1h(rng, d, real):
 @example(real=True, repeated=True, d=2, t=1.0, seed=0)
 @example(real=False, repeated=True, d=24, t=4.0, seed=1)
 def test_eigenbasis_polynomial_matches_the_reduction_property(real, repeated, d, t, seed):
-    """The polynomial, stepped in C1h's eigenbasis, matches the reduction
+    """The polynomial, stepped in C1h's eigenbasis, matches the eigh kernel
     on every row, and the two kernels' readouts match: on random real and
     general splits, and on C1h with an eigenvalue repeated about d/2 times."""
     rng = np.random.default_rng(seed)
@@ -1337,10 +1374,8 @@ def test_eigenbasis_polynomial_matches_the_reduction_property(real, repeated, d,
     plan = eng._chebyshev_plan(ds, eta, t, np.ones(eta.size), np.inf)
     rows = eng._chebyshev_stack(ds, V, eta, t, plan)
     read = eng._chebyshev_stack(ds, V, eta, t, plan, readout)
-    reduced = eng._evolve_stack(eng._split_blocks(ds, eta), V[:, :, None], t)[:, :, 0]
-    reduced_read = eng._evolve_stack(
-        eng._split_blocks(ds, eta), V[:, :, None], t, readout[:, None, :]
-    )
+    reduced = eng._evolve_stack(ds, eta, V[:, :, None], t)[:, :, 0]
+    reduced_read = eng._evolve_stack(ds, eta, V[:, :, None], t, readout[:, None, :])
     _assert_matches(rows.T, reduced.T, V.T)
     scale = np.linalg.norm(readout) * np.linalg.norm(V)
     for got in (read, reduced_read):
